@@ -118,68 +118,34 @@ def conjugate_pair(f: AnalyticSeries | ComplexPlaneField) -> tuple[ScalarPlaneFi
     return imag_part(cf), real_part(cf)
 
 
-def analytic_correction(g, w1: float, direction: str = "unpack"):
-    """Move the transversal-constant summand in and out of an analytic function.
+def analytic_correction(g, w1: float):
+    """Unpack the transversal-constant summand from analytic data g.
 
-    ``unpack`` takes analytic data g and returns (u0, v0) with
-    ``v0 + i*u0 = g(z) - (i*w1/2)*conj(z)``, which satisfies the modified
-    relations ``du0/dx = -dv0/dy - w1`` and ``du0/dy = dv0/dx``.  ``pack`` is
-    the inverse: it restores the summand and returns the analytic series.
+    Returns (u0, v0) with ``v0 + i*u0 = g(z) - (i*w1/2)*conj(z)``, which
+    satisfies the modified relations ``du0/dx = -dv0/dy - w1`` and
+    ``du0/dy = dv0/dx``.
 
     The factor 1/2 is forced: ``(i*c*w1)*conj(z)`` added to ``v0 + i*u0``
     is analytic exactly when c = 1/2, as the modified-pair residual check
     verifies.
     """
-    if direction == "unpack":
-        cf = _as_complex_field(g) + ComplexPlaneField.zbar_multiple(-0.5j * w1)
-        return imag_part(cf), real_part(cf)
-    if direction == "pack":
-        u0, v0 = g
-
-        def func(z):
-            x, y = z.real, z.imag
-            return v0(x, y) + 1.0j * u0(x, y) + 0.5j * w1 * np.conj(z)
-
-        return _series_from_samples(func)
-    raise BladekitError(f"direction must be 'pack' or 'unpack', got {direction!r}")
+    cf = _as_complex_field(g) + ComplexPlaneField.zbar_multiple(-0.5j * w1)
+    return imag_part(cf), real_part(cf)
 
 
-def _series_from_samples(func, n: int = 512, window: int = 200,
-                         radii: tuple[float, float] = (1.0, 1.25),
-                         rtol: float = 1e-8) -> AnalyticSeries:
-    """Recover a Laurent series from circle samples, validating analyticity.
+def compute_w0(f1, z_ref: complex, w2: float = 0.0) -> ScalarPlaneField:
+    """Harmonic w0 = Im int f1 dz, zeroed at z_ref, so grad w0 = (u1, v1).
 
-    Samples on two radii must predict each other through the recovered
-    coefficients; conj(z)-type contamination shows up as a mismatch.
+    When (u1, v1) carries the 2*w2 shift of a degree-2 field, w0 gains the
+    radial term -(w2/2)*(x^2 + y^2), written as Im((-i*w2/2)*conj(z)*z) to
+    fit the term algebra.
     """
-    gamma = 2 * np.pi * np.arange(n) / n
-    nodes = np.exp(1j * gamma)
-    r1, r2 = radii
-    f1 = np.asarray(func(r1 * nodes), dtype=complex)
-    spec = np.fft.fft(f1) / n
-    powers = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    keep = np.abs(powers) <= window
-    coeffs = spec[keep] / r1 ** powers[keep]
-    series_powers = powers[keep]
-    order = np.argsort(series_powers)
-    series_powers = series_powers[order]
-    coeffs = coeffs[order]
-    low = int(series_powers[0])
-    out = np.zeros(series_powers[-1] - low + 1, dtype=complex)
-    out[series_powers - low] = coeffs
-    series = AnalyticSeries(out, low=low).trimmed(1e-13)
-    from .harmonic import evaluate_series as _ev
-    f2 = np.asarray(func(r2 * nodes), dtype=complex)
-    scale = max(float(np.max(np.abs(f1))), float(np.max(np.abs(f2))), 1e-30)
-    if np.max(np.abs(_ev(series, r2 * nodes) - f2)) > rtol * scale + 1e-12:
-        raise AnsatzInconsistent("pair does not reduce to an analytic function")
-    return series
-
-
-def compute_w0(f1, z_ref: complex) -> ScalarPlaneField:
-    """Harmonic w0 = Im int f1 dz, zeroed at z_ref, so grad w0 = (u1, v1)."""
-    cf = _as_complex_field(f1)
-    return imag_part(cf.antiderivative(complex(z_ref)))
+    w0 = imag_part(_as_complex_field(f1).antiderivative(complex(z_ref)))
+    if w2 == 0.0:
+        return w0
+    zmono = AnalyticSeries(np.array([1.0 + 0.0j]), low=1)
+    radial = ComplexPlaneField.from_source(SeriesSource(zmono), coeff=-0.5j * w2, kind="zbar")
+    return w0 + imag_part(radial)
 
 
 def compute_w1_quadratic(f2, z_ref: complex) -> ScalarPlaneField:
@@ -266,7 +232,8 @@ class QuadraticSplineField:
 
     ``w2`` is constant, ``w1`` is harmonic plus the constant ``w1_const``
     (anchored so that w1(branch_point) = w1_const), and (u0, v0) carry a
-    particular divergence part so div(u0, v0) = -w1 holds pointwise.
+    particular divergence part so div(u0, v0) = -w1 - extra_div holds
+    pointwise (``extra_div`` is 0 except in chained sections).
     """
 
     f2: ComplexPlaneField
@@ -283,6 +250,7 @@ class QuadraticSplineField:
     v2: ScalarPlaneField = dc_field(repr=False, default=None)
     w0: ScalarPlaneField = dc_field(repr=False, default=None)
     w1: ScalarPlaneField = dc_field(repr=False, default=None)
+    extra_div: float = 0.0
 
     @property
     def degree(self) -> int:
@@ -319,15 +287,14 @@ def assemble_linear(f0a, f1, w1: float, B: Point2) -> LinearSplineField:
     f1_cf = _as_complex_field(f1)
     f0_cf = _as_complex_field(f0a)
     u1, v1 = conjugate_pair(f1_cf)
-    u0, v0 = analytic_correction(f0_cf, w1, "unpack")
-    zb = complex(B.x, B.y)
-    w0 = fix_w0_constant(compute_w0(f1_cf, zb), B)
+    u0, v0 = analytic_correction(f0_cf, w1)
+    w0 = fix_w0_constant(compute_w0(f1_cf, complex(B.x, B.y)), B)
     return LinearSplineField(f1_cf, f0_cf, float(w1), B,
                              u0=u0, v0=v0, u1=u1, v1=v1, w0=w0)
 
 
 def assemble_quadratic(f0a, f1a, f2, w2: float, B: Point2,
-                       w1_const: float = 0.0) -> QuadraticSplineField:
+                       w1_const: float = 0.0, extra_div: float = 0.0) -> QuadraticSplineField:
     """Build the degree-2 field from its analytic data.
 
     ``f1a`` is adjusted by the constant 2*w2 shift; ``f0a`` is adjusted by
@@ -339,6 +306,12 @@ def assemble_quadratic(f0a, f1a, f2, w2: float, B: Point2,
 
     all antiderivatives anchored at B.  With f2 = 0 and w2 = 0 this reduces
     exactly to `assemble_linear`.
+
+    ``extra_div`` is the in-plane shift a chained section inherits (see
+    `glue_sections`): (u0, v0) are unpacked with ``w1_const + extra_div`` so
+    that they continue the previous section's trace, while w1 keeps
+    ``w1_const``.  The field then carries a constant continuity defect of
+    size ``extra_div``.
     """
     f2_cf = _as_complex_field(f2)
     f1_cf = _as_complex_field(f1a)
@@ -346,57 +319,37 @@ def assemble_quadratic(f0a, f1a, f2, w2: float, B: Point2,
     zb = complex(B.x, B.y)
 
     u2, v2 = conjugate_pair(f2_cf)
-    u1, v1 = analytic_correction(f1_cf, 2.0 * w2, "unpack")
+    u1, v1 = analytic_correction(f1_cf, 2.0 * w2)
+    u0, v0 = analytic_correction(f0_cf, w1_const + extra_div)
+    w1_field = compute_w1_quadratic(f2_cf, zb).plus_const(w1_const)
 
     has_f2 = any(
         t.coeff != 0 and (not isinstance(t.source, SeriesSource)
                           or np.any(t.source.series.coefficients != 0))
         for t in f2_cf.terms
     )
-    w_int = f2_cf.antiderivative(zb) * 2.0            # W, Im W vanishes at B
-    w1_field = imag_part(w_int, const=float(w1_const))
-
-    # u0 - i*v0 = -i*f0a + (i/4)*W*zbar + i*conj(int W) ... ; here it is
-    # cleaner to carry v0 + i*u0 = f0a - (i/2)*w1_const*zbar + i*(particular)
-    t_field = f0_cf * (-1.0j) + ComplexPlaneField.zbar_multiple(-0.5 * w1_const)
     if has_f2:
+        w_int = w1_field.complex_field                # W, Im W vanishes at B
         for term in w_int.terms:
             if term.kind == "log":
                 raise AnsatzInconsistent(
                     "f2 carries circulation; w1 would be multivalued"
                 )
         g_int = w_int.antiderivative(zb) * (-0.25)    # G
-        t_field = t_field + ComplexPlaneField(tuple(
+        particular = ComplexPlaneField(tuple(
             # (i/4) * W * zbar
             type(t)(t.coeff * 0.25j, "zbar", t.source) for t in w_int.terms
-        ))
-        t_field = t_field + ComplexPlaneField(tuple(
+        )) + ComplexPlaneField(tuple(
             # i * conj(G); conj flips the stored coefficient outside
             type(t)(1.0j * np.conj(t.coeff), "conj", t.source) for t in g_int.terms
         ))
-    u0 = real_part(t_field)
-    v0 = imag_part(t_field * (-1.0))
+        u0 = u0 + real_part(particular)               # particular = u0 - i*v0
+        v0 = v0 + imag_part(particular * (-1.0))
 
-    w0 = fix_w0_constant(compute_w0_from_pair(u1, v1, f1_cf, w2, zb), B)
+    w0 = fix_w0_constant(compute_w0(f1_cf, zb, w2), B)
     return QuadraticSplineField(f2_cf, f1_cf, f0_cf, float(w2), float(w1_const), B,
                                 u0=u0, v0=v0, u1=u1, v1=v1, u2=u2, v2=v2,
-                                w0=w0, w1=w1_field)
-
-
-def compute_w0_from_pair(u1, v1, f1_analytic: ComplexPlaneField, w2: float,
-                         z_ref: complex) -> ScalarPlaneField:
-    """w0 with grad w0 = (u1, v1) when (u1, v1) carries the 2*w2 shift.
-
-    The analytic part contributes Im int f1 dz and the shift contributes
-    the radial term -(w2/2)*(x^2 + y^2), written as -(w2/4)*zbar*z via
-    Im((-i*w2/2) * conj(z) * z) fitting the term algebra.
-    """
-    base = imag_part(f1_analytic.antiderivative(z_ref))
-    if w2 == 0.0:
-        return base
-    zmono = AnalyticSeries(np.array([1.0 + 0.0j]), low=1)
-    radial = ComplexPlaneField.from_source(SeriesSource(zmono), coeff=-0.5j * w2, kind="zbar")
-    return base + imag_part(radial)
+                                w0=w0, w1=w1_field, extra_div=float(extra_div))
 
 
 def field_residuals(field, grid: "GridSpec | None" = None) -> FieldResiduals:
@@ -466,41 +419,45 @@ def _fd_residuals(field, x, y, hs):
     return fd_div, fd_curl
 
 
-@dataclass(frozen=True)
-class SectionGlueSpec:
-    """Input package for the section stacked on top of a quadratic field.
+def glue_sections(first, contours, transversal: "tuple[float, float] | None" = None) -> dict:
+    """Chaining data for the section stacked on top of a finished quadratic one.
 
-    The in-plane trace is carried exactly (the same field objects evaluated
-    at h = 1), the new w1 constant follows the chaining rule
-    ``w1(branch) + w2`` of the finished section, and the new w2 comes from
-    the next section's own transversal datum.
-    """
+    The new section's lower plane continues ``first`` at h = 1.  With f2 = 0
+    that trace is the analytic ``f0 = first.f0_analytic + first.f1_analytic``
+    unpacked with ``w1_const + extra_div``:
 
-    lower_trace_u: ScalarPlaneField
-    lower_trace_v: ScalarPlaneField
-    w1_const: float
-    w2: float
-    upper_data: object
+    * ``w1_const`` follows the chaining rule ``w1(branch) + w2`` of ``first``;
+    * ``extra_div`` (the in-plane shift) is ``first.w2 + first.extra_div``, the
+      part of the trace's conj(z) coefficient the new w1 does not account for;
+    * ``w2`` comes from the optional (w_ref, h_ref) datum through
+      ``w(B, h_ref) = h_ref*w1 + h_ref^2*w2`` with w0(B) = 0, and is 0 without it;
+    * ``contours`` lists every blade ``first`` is evaluated clear of; the new
+      residual box must clear them too, since ``f0`` carries their pullbacks.
 
-
-def glue_sections(first, boundary_data_upper, transversal: "tuple[float, float] | None" = None) -> SectionGlueSpec:
-    """Chain a new section onto a finished quadratic one.
-
-    ``transversal`` is an optional (w_ref, h_ref) datum fixing the new w2
-    through ``w(B, h_ref) = h_ref*w1 + h_ref^2*w2`` with w0(B) = 0; without
-    it the new section gets w2 = 0.  Degree-1 fields cannot be chained, the
-    adjacent sections simply share no information.
+    `trace_defect` measures how well a section assembled from these data
+    continues ``first``.  Degree-1 fields cannot be chained: adjacent
+    sections simply share no information.
     """
     if getattr(first, "degree", 1) != 2:
         raise GluingUnsupportedInLinearMode("degree-1 fields do not glue")
-    u_trace = first.u0 + first.u1 + first.u2
-    v_trace = first.v0 + first.v1 + first.v2
     w1_const = first.w1_at_branch() + first.w2
-    if transversal is None:
-        w2 = 0.0
-    else:
+    w2 = 0.0
+    if transversal is not None:
         w_ref, h_ref = transversal
-        if h_ref == 0.0:
-            raise BladekitError("transversal reference height must be nonzero")
         w2 = (w_ref - h_ref * w1_const) / h_ref**2
-    return SectionGlueSpec(u_trace, v_trace, float(w1_const), float(w2), boundary_data_upper)
+    return {"w1_const": float(w1_const), "w2": float(w2),
+            "f0": first.f0_analytic + first.f1_analytic,
+            "extra_div": first.w2 + first.extra_div,
+            "contours": list(contours)}
+
+
+def trace_defect(first, second, grid: GridSpec) -> tuple[float, float]:
+    """Largest |u| and |v| jumps between ``first`` at h = 1 and ``second`` at h = 0.
+
+    Compared by value on the grid's plane nodes, which must lie clear of
+    every blade either field is evaluated over.
+    """
+    x, y = grid.plane_nodes()
+    du = np.max(np.abs(second.u(x, y, 0.0) - first.u(x, y, 1.0)))
+    dv = np.max(np.abs(second.v(x, y, 0.0) - first.v(x, y, 1.0)))
+    return float(du), float(dv)

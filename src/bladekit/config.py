@@ -6,8 +6,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BadValue, MissingField, NotPowerOfTwo
 from .inverse import VelocityDistribution
 
@@ -60,6 +58,12 @@ def _need(obj: dict, key: str, pointer: str):
     return obj[key]
 
 
+def _as_object(value, pointer: str) -> dict:
+    if not isinstance(value, dict):
+        raise BadValue(pointer, f"expected an object, got {value!r}")
+    return value
+
+
 def _as_number(value, pointer: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadValue(pointer, f"expected a number, got {value!r}")
@@ -88,11 +92,12 @@ def _parse_w1(value, pointer: str):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, dict) and "from_transversal" in value:
-        datum = value["from_transversal"]
-        w_ref = _as_number(_need(datum, "w_ref", f"{pointer}/from_transversal"),
-                           f"{pointer}/from_transversal/w_ref")
-        h_ref = _as_number(_need(datum, "h_ref", f"{pointer}/from_transversal"),
-                           f"{pointer}/from_transversal/h_ref")
+        ptr = f"{pointer}/from_transversal"
+        datum = _as_object(value["from_transversal"], ptr)
+        w_ref = _as_number(_need(datum, "w_ref", ptr), f"{ptr}/w_ref")
+        h_ref = _as_number(_need(datum, "h_ref", ptr), f"{ptr}/h_ref")
+        if h_ref == 0.0:
+            raise BadValue(f"{ptr}/h_ref", "reference height must be nonzero")
         return TransversalDatum(w_ref, h_ref)
     raise BadValue(pointer, "expected a number or {'from_transversal': {...}}")
 
@@ -118,7 +123,7 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
     if not isinstance(sections_raw, list) or len(sections_raw) == 0:
         raise BadValue("/sections", "need a nonempty list of sections")
 
-    disc = raw.get("discretization", {})
+    disc = _as_object(raw.get("discretization", {}), "/discretization")
     n_boundary = disc.get("n_boundary", 256)
     if not isinstance(n_boundary, int) or isinstance(n_boundary, bool):
         raise BadValue("/discretization/n_boundary", "expected an integer")
@@ -161,7 +166,7 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
     if len(set(ids)) != len(ids):
         raise BadValue("/sections", "section ids must be unique")
 
-    pos_raw = raw.get("positioning", {})
+    pos_raw = _as_object(raw.get("positioning", {}), "/positioning")
     method = pos_raw.get("method", "lsq")
     if method not in _METHODS:
         raise BadValue("/positioning/method", f"method must be one of {_METHODS}")
@@ -185,9 +190,14 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         if partition is None:
             raise MissingField("/positioning/partition")
 
-    out_raw = raw.get("output", {})
+    out_raw = _as_object(raw.get("output", {}), "/output")
     directory = out_raw.get("directory", "out")
-    formats = tuple(out_raw.get("formats", ["csv", "json", "svg"]))
+    if not isinstance(directory, str):
+        raise BadValue("/output/directory", "expected a string")
+    formats = out_raw.get("formats", ["csv", "json", "svg"])
+    if not isinstance(formats, list):
+        raise BadValue("/output/formats", f"expected a list, got {formats!r}")
+    formats = tuple(formats)
     for j, f in enumerate(formats):
         if f not in ("csv", "json", "svg"):
             raise BadValue(f"/output/formats/{j}", f"unknown format {f!r}")

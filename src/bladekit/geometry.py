@@ -22,9 +22,6 @@ class Point2:
         if not (np.isfinite(self.x) and np.isfinite(self.y)):
             raise BladekitError("point coordinates must be finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
 
@@ -128,16 +125,6 @@ class RuledTriangulation:
         if not self.spacing > 0:
             raise BladekitError("plane spacing must be positive")
 
-    @property
-    def triangles(self) -> list[tuple[str, int, int, int]]:
-        n = len(self.lower)
-        last = n if self.lower.closed else n - 1
-        tris = []
-        for i in range(last):
-            j = (i + 1) % n
-            tris.append(("D1", i, j, i))
-            tris.append(("D2", i, j, j))
-        return tris
 
 
 def ruled_surface_area(t: RuledTriangulation, shift: Point2 | tuple[float, float] = (0.0, 0.0)) -> float:

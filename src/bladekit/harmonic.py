@@ -15,7 +15,7 @@ rather than by a second sign convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +45,6 @@ class BoundarySamples:
             raise BladekitError(
                 f"sample count must be a power of two >= 8, got {self.n}"
             )
-
-    @property
-    def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n) / self.n
 
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.values)
@@ -149,10 +145,6 @@ class AnalyticSeries:
         return AnalyticSeries(self.coefficients * complex(factor), low=self.low)
 
     __rmul__ = __mul__
-
-    def conjugate_reflection(self) -> "AnalyticSeries":
-        """Series with conjugated coefficients: value conj(f(conj(zeta)))."""
-        return AnalyticSeries(np.conj(self.coefficients), low=self.low)
 
     def derivative(self) -> "AnalyticSeries":
         powers = np.arange(self.low, self.high + 1)

@@ -25,7 +25,6 @@ frame, so nodal data never samples the vanishing speed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -48,7 +47,6 @@ from .harmonic import (
     boundary_values,
     cumulative_boundary_integral,
     differentiate_boundary,
-    evaluate_series,
     integrate_series,
 )
 from .planefield import SeriesMap
@@ -207,11 +205,6 @@ class VelocityDistribution:
             incidence=float(obj.get("incidence", 0.0)),
         )
 
-    @staticmethod
-    def load(path) -> "VelocityDistribution":
-        with open(path, "r", encoding="utf-8") as fh:
-            return VelocityDistribution.from_json(json.load(fh))
-
 
 def potential_and_circulation(d: VelocityDistribution) -> tuple[np.ndarray, float]:
     """Trapezoid running potential at the sample grid and the circulation.
@@ -295,23 +288,9 @@ class CircleCorrespondence:
     def v_inf(self) -> float:
         return self.dist.v_inf
 
-    @property
-    def rising_length(self) -> float:
-        return self.stagnation_angles[1] - self.stagnation_angles[0]
-
     def canonical_potential(self, gamma):
         return _canonical_potential(gamma, self.canonical_speed, self.flow_angle,
                                     self.circulation)
-
-    def canonical_speed_at(self, gamma):
-        return _canonical_speed(gamma, self.canonical_speed, self.flow_angle,
-                                self.circulation)
-
-    def dwc_dzeta(self, zeta):
-        """Derivative of the canonical complex potential."""
-        A, b, G = self.canonical_speed, self.flow_angle, self.circulation
-        return (-A * np.exp(-1j * b) + A * np.exp(1j * b) / zeta**2
-                + G / (2j * np.pi * zeta))
 
     def gamma_of_s(self, s) -> np.ndarray:
         """Canonical angle of the contour point at arc position s, mod 2*pi."""
@@ -362,16 +341,13 @@ class CircleCorrespondence:
         return np.mod(out, L)
 
 
-def canonical_map(d: VelocityDistribution, phi_table: np.ndarray | None = None) -> CircleCorrespondence:
+def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
     """Build the arc-to-angle correspondence by normalized potential matching.
 
-    ``phi_table`` (from `potential_and_circulation`) pins the quadrature
-    contract and is validated for shape; sub-sample inversion runs on the
-    smooth antiderivative of the periodic speed interpolant, which agrees
-    with the table to the interpolation order.
+    Sub-sample inversion runs on the smooth antiderivative of the periodic
+    speed interpolant, which agrees with the trapezoid table of
+    `potential_and_circulation` to the interpolation order.
     """
-    if phi_table is not None and len(phi_table) != len(d.speeds) + 1:
-        raise InconsistentDistribution("potential table does not match the samples")
     G = d.circulation_smooth
     A = float(d.v_inf)
     beta = -float(d.incidence)

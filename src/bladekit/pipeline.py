@@ -2,16 +2,20 @@
 
 Each section solves two planar inverse problems (one per blade, both as
 modified problems with the section's transversal constant), splits the
-analytic data between the blade planes at h = 0 and h = 1, assembles the
-velocity field, measures its residuals on a box clear of both blades, and
-positions the reconstructed contours.
+analytic data between the blade planes at h = 0 and h = 1, builds the
+velocity field with `assembly.assemble_linear` (degree 1) or
+`assembly.assemble_quadratic` (degree 2, f2 = 0), measures its residuals on
+a box clear of every involved blade, and positions the reconstructed
+contours.
 
 Degree-1 chains treat sections independently (the shared blade carries no
-information across). Degree-2 chains inherit the in-plane trace exactly and
-apply the constant chaining rule ``w1_next = w1(branch) + w2``; the rule is
-value-exact on the common blade but leaves a constant continuity defect of
-size ``w2`` in the chained section, which the report carries as an
-informational measurement.
+information across).  A degree-2 section after the first is chained
+through `assembly.glue_sections`: it inherits the previous section's trace
+at h = 1 and the constant rule ``w1_next = w1(branch) + w2``, which leaves a
+constant continuity defect (the in-plane shift) reported as an
+informational measurement.  The glue checks compare, at the residual-grid
+nodes, the new field at h = 0 with the previous one at h = 1 (``glue_du``,
+``glue_dv``) and the new w1 constant with the rule (``glue_w1_rule``).
 """
 
 from __future__ import annotations
@@ -28,22 +32,21 @@ from . import __version__
 from .assembly import (
     FieldResiduals,
     GridSpec,
-    LinearSplineField,
-    QuadraticSplineField,
-    compute_w0_from_pair,
+    assemble_linear,
+    assemble_quadratic,
     field_residuals,
-    fix_w0_constant,
+    glue_sections,
+    trace_defect,
 )
 from .config import DesignConfig, SectionConfig, TransversalDatum
 from .errors import BadValue, BladekitError
 from .geometry import Contour, Point2, contour_to_csv
 from .inverse import PlanarSolution, solve_distribution
-from .planefield import ComplexPlaneField, PullbackSource, imag_part, real_part
+from .planefield import ComplexPlaneField, PullbackSource
 from .positioning import (
     NodePartition,
     ShiftVector,
     least_squares_shift,
-    lift_score,
     maximize_lift,
     minimize_area_shift,
 )
@@ -66,11 +69,7 @@ def determine_w1(section: SectionConfig) -> float:
     rule for the h-linear part).
     """
     if isinstance(section.w1, TransversalDatum):
-        datum = section.w1
-        if datum.h_ref == 0.0:
-            raise BadValue(f"/sections/{section.id}/w1/from_transversal/h_ref",
-                           "reference height must be nonzero")
-        return datum.w_ref / datum.h_ref
+        return section.w1.w_ref / section.w1.h_ref
     return float(section.w1)
 
 
@@ -99,6 +98,7 @@ class SectionResult:
     shift: ShiftVector
     checks: list = dc_field(default_factory=list)
     glue_info: "dict | None" = None
+    contours: list = dc_field(default_factory=list)   # every blade the field is evaluated clear of
     error: "str | None" = None
 
     @property
@@ -147,12 +147,6 @@ def _pullback_field(solution: PlanarSolution, coeff: complex = 1.0) -> ComplexPl
         PullbackSource(solution.velocity_series, solution.map), coeff=coeff)
 
 
-def _unpack_field(cf: ComplexPlaneField, shift: float):
-    """(u, v) with v + i*u = cf - (i*shift/2)*conj(z)."""
-    full = cf + ComplexPlaneField.zbar_multiple(-0.5j * shift)
-    return imag_part(full), real_part(full)
-
-
 def _residual_grid(contours: "list[Contour]") -> GridSpec:
     """Evaluation box to the right of every involved blade."""
     pts = np.vstack([c.points for c in contours])
@@ -161,37 +155,6 @@ def _residual_grid(contours: "list[Contour]") -> GridSpec:
     cy = float(pts[:, 1].mean())
     return GridSpec(x0=x1 + 0.5 * diam, x1=x1 + 1.5 * diam,
                     y0=cy - 0.5 * diam, y1=cy + 0.5 * diam)
-
-
-def _assemble_section(sol_lo: PlanarSolution, sol_up: PlanarSolution,
-                      w1c: float, w2: float, degree: int,
-                      extra_div: float = 0.0,
-                      inherited_f0: "ComplexPlaneField | None" = None):
-    """Build the section field from the two blade solves.
-
-    The blade planes sit at h = 0 and h = 1, so the h-constant data is the
-    lower completion and the h-linear data is the difference of the two.
-    Chained sections pass the previous section's full trace as
-    ``inherited_f0`` together with the continuity excess ``extra_div``.
-    """
-    f_lo = inherited_f0 if inherited_f0 is not None else _pullback_field(sol_lo, 1.0j)
-    f_up = _pullback_field(sol_up, 1.0j)
-    f1_cf = f_up - f_lo
-    B = Point2(sol_lo.branch_point().real, sol_lo.branch_point().imag)
-    zb = complex(B.x, B.y)
-
-    u0, v0 = _unpack_field(f_lo, w1c + extra_div)
-    u1, v1 = _unpack_field(f1_cf, 2.0 * w2)
-    w0 = fix_w0_constant(compute_w0_from_pair(u1, v1, f1_cf, w2, zb), B)
-    if degree == 1:
-        return LinearSplineField(f1_cf, f_lo, w1c, B,
-                                 u0=u0, v0=v0, u1=u1, v1=v1, w0=w0)
-    from .planefield import ScalarPlaneField
-    zero = ScalarPlaneField.zero()
-    return QuadraticSplineField(ComplexPlaneField(), f1_cf, f_lo, w2, w1c, B,
-                                u0=u0, v0=v0, u1=u1, v1=v1,
-                                u2=zero, v2=zero, w0=w0,
-                                w1=ScalarPlaneField.constant(w1c))
 
 
 def _node_speeds(sol: PlanarSolution) -> np.ndarray:
@@ -219,35 +182,45 @@ def _position(cfg: DesignConfig, sol_lo: PlanarSolution,
 
 
 def run_section(cfg: DesignConfig, section: SectionConfig,
-                glue_spec=None, prev: "SectionResult | None" = None) -> SectionResult:
+                prev: "SectionResult | None" = None) -> SectionResult:
+    """Solve, assemble, check and position one section.
+
+    ``prev`` is the finished degree-2 section this one is chained onto; its
+    upper blade is this section's lower one.
+    """
     n = cfg.n_boundary
-    if glue_spec is None:
+    if prev is None:
+        glue_info = None
         w1c = determine_w1(section)
         w2 = section.w2 if section.degree == 2 else 0.0
         extra_div = 0.0
-        inherited = None
-        glue_info = None
+        sol_lo = solve_distribution(section.lower, n, z_start=0.0, w1=w1c)
+        f0 = _pullback_field(sol_lo, 1.0j)
+        involved = [sol_lo.contour]
     else:
-        w1c = glue_spec["w1_const"]
-        w2 = glue_spec["w2"]
-        extra_div = glue_spec["extra_div"]
-        inherited = glue_spec["f0"]
+        datum = section.w1
+        glue = glue_sections(prev.field, prev.contours,
+                             (datum.w_ref, datum.h_ref)
+                             if isinstance(datum, TransversalDatum) else None)
+        w1c, w2, extra_div = glue["w1_const"], glue["w2"], glue["extra_div"]
         glue_info = {"w1_const": w1c, "w2": w2, "extra_div": extra_div}
-
-    w_eff_lower = w1c + extra_div if glue_spec is not None else w1c
-    w_eff_upper = w1c + extra_div + 2.0 * w2
-
-    if glue_spec is None:
-        sol_lo = solve_distribution(section.lower, n, z_start=0.0, w1=w_eff_lower)
-    else:
         sol_lo = prev.upper                   # shared blade, same solve
-    sol_up = solve_distribution(section.upper, n, z_start=0.0, w1=w_eff_upper)
+        f0 = glue["f0"]
+        involved = glue["contours"]
+    sol_up = solve_distribution(section.upper, n, z_start=0.0,
+                                w1=w1c + extra_div + 2.0 * w2)
+    involved = involved + [sol_up.contour]
 
-    fld = _assemble_section(sol_lo, sol_up, w1c, w2, section.degree,
-                            extra_div=extra_div, inherited_f0=inherited)
-    involved = [sol_lo.contour, sol_up.contour]
-    if glue_spec is not None:
-        involved += glue_spec["contours"]
+    # the blade planes sit at h = 0 and h = 1: the h-linear data is the
+    # difference of the two in-plane completions
+    f1 = _pullback_field(sol_up, 1.0j) - f0
+    zb = sol_lo.branch_point()
+    B = Point2(zb.real, zb.imag)
+    if section.degree == 1:
+        fld = assemble_linear(f0, f1, w1c, B)
+    else:
+        fld = assemble_quadratic(f0, f1, ComplexPlaneField(), w2, B,
+                                 w1_const=w1c, extra_div=extra_div)
     grid = _residual_grid(involved)
     residuals = field_residuals(fld, grid)
     shift = _position(cfg, sol_lo, sol_up)
@@ -267,7 +240,7 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
                            zip(residuals.max_curl, residuals.fd_max_curl))),
                    1e-6, residuals.paths_agree),
     ]
-    if glue_spec is None:
+    if prev is None:
         checks.append(CheckEntry("residual_analytic", residuals.worst(),
                                  RESIDUAL_TOL_ANALYTIC,
                                  residuals.worst() < RESIDUAL_TOL_ANALYTIC))
@@ -280,18 +253,7 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
         # constant continuity excess; record the measurement without a verdict
         checks.append(CheckEntry("residual_analytic_glued", residuals.worst(),
                                  None, None))
-        # trace agreement on the common blade: the difference of the two
-        # in-plane complex forms cancels term by term (the inherited terms
-        # are the same objects), so it stays evaluable on the blade even
-        # where the individual pullbacks are not
-        trace_b = fld.u0.complex_field
-        trace_a = prev.field.u0.complex_field + prev.field.u1.complex_field \
-            + prev.field.u2.complex_field
-        diff = (trace_b - trace_a).simplified()
-        pts = prev.upper.contour.points
-        vals = diff.value(pts[:, 0] + 1j * pts[:, 1])
-        du = float(np.max(np.abs(vals.imag)))
-        dv = float(np.max(np.abs(vals.real)))
+        du, dv = trace_defect(prev.field, fld, grid)
         checks.append(CheckEntry("glue_du", du, GLUE_TOL, du < GLUE_TOL))
         checks.append(CheckEntry("glue_dv", dv, GLUE_TOL, dv < GLUE_TOL))
         rule = prev.field.w1_at_branch() + prev.field.w2
@@ -300,7 +262,7 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
     return SectionResult(section.id, section.degree, w1c,
                          w2 if section.degree == 2 else None,
                          sol_lo, sol_up, fld, residuals, shift, checks,
-                         glue_info)
+                         glue_info, involved)
 
 
 def run_pipeline(cfg: DesignConfig) -> RunReport:
@@ -314,8 +276,7 @@ def run_pipeline(cfg: DesignConfig) -> RunReport:
             if section.degree == 2 and idx > 0:
                 if prev is None:
                     raise BladekitError("cannot chain onto a failed section")
-                glue = _glue_spec(prev, section)
-                res = run_section(cfg, section, glue_spec=glue, prev=prev)
+                res = run_section(cfg, section, prev=prev)
             else:
                 res = run_section(cfg, section)
             results.append(res)
@@ -327,22 +288,6 @@ def run_pipeline(cfg: DesignConfig) -> RunReport:
     report = RunReport(results, errors=errors)
     report.timing_seconds = time.perf_counter() - t0
     return report
-
-
-def _glue_spec(prev: SectionResult, section: SectionConfig) -> dict:
-    """Chaining data for the next section over a finished quadratic field."""
-    w1c = prev.field.w1_at_branch() + prev.field.w2
-    if isinstance(section.w1, TransversalDatum):
-        datum = section.w1
-        if datum.h_ref == 0.0:
-            raise BadValue(f"/sections/{section.id}/w1/from_transversal/h_ref",
-                           "reference height must be nonzero")
-        w2 = (datum.w_ref - datum.h_ref * w1c) / datum.h_ref**2
-    else:
-        w2 = 0.0
-    f_lo = prev.field.f0_analytic + prev.field.f1_analytic  # f2 = 0 in chains
-    extra_div = prev.field.w2 + (prev.glue_info or {}).get("extra_div", 0.0)
-    return {"w1_const": w1c, "w2": w2, "f0": f_lo, "extra_div": extra_div}
 
 
 # -- artifact writing ---------------------------------------------------------

@@ -256,45 +256,6 @@ class ComplexPlaneField:
                 out.append(ComplexTerm(t.coeff * c, kind, src))
         return ComplexPlaneField(tuple(out))
 
-    def simplified(self) -> "ComplexPlaneField":
-        """Merge repeated sources and drop cancelled terms.
-
-        Terms over the same source object (or over single-constant series
-        of the same kind) combine by coefficient; exact cancellations, as
-        in differences of fields sharing inherited components, disappear
-        entirely so the result stays evaluable even where the cancelled
-        pullbacks would not be.
-        """
-        merged: dict = {}
-        order: list = []
-        for t in self.terms:
-            src = t.source
-            coeff = t.coeff
-            if (isinstance(src, SeriesSource) and src.series.low == 0
-                    and len(src.series.coefficients) == 1):
-                key = (t.kind, "const")
-                coeff = coeff * src.series.coefficients[0]
-                src = None
-            else:
-                key = (t.kind, id(src))
-            if key in merged:
-                entry = merged[key]
-                merged[key] = (entry[0] + coeff, entry[1])
-            else:
-                merged[key] = (coeff, src)
-                order.append(key)
-        scale = max((abs(c) for c, _ in merged.values()), default=0.0)
-        out = []
-        one = AnalyticSeries(np.array([1.0 + 0.0j]), low=0)
-        for key in order:
-            coeff, src = merged[key]
-            if abs(coeff) <= 1e-15 * scale:
-                continue
-            if src is None:
-                src = SeriesSource(one)
-            out.append(ComplexTerm(coeff, key[0], src))
-        return ComplexPlaneField(tuple(out))
-
 
 @dataclass(frozen=True)
 class ScalarPlaneField:
@@ -321,9 +282,6 @@ class ScalarPlaneField:
         w = self.complex_field.value(z)
         base = w.real if self.part == "re" else w.imag
         return base + self.const
-
-    def with_const(self, const: float) -> "ScalarPlaneField":
-        return ScalarPlaneField(self.complex_field, self.part, float(const))
 
     def plus_const(self, delta: float) -> "ScalarPlaneField":
         return ScalarPlaneField(self.complex_field, self.part, self.const + float(delta))

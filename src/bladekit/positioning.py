@@ -172,8 +172,10 @@ def maximize_lift(c1: Contour, c2: Contour, p: NodePartition, box) -> ShiftVecto
                 best = cand
     score, bx, by = best
 
+    # the grid's last node can overshoot the box by up to half a step
+    seed = np.clip([bx, by], [x0, y0], [x1, y1])
     res = minimize(lambda s: -lift_score(c1, c2, p, (s[0], s[1])),
-                   np.array([bx, by]), method="Nelder-Mead",
+                   seed, method="Nelder-Mead",
                    bounds=[(x0, x1), (y0, y1)],
                    options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 1000})
     if res.success and -res.fun >= score:

@@ -12,6 +12,7 @@ from bladekit.assembly import (
     field_residuals,
     fix_w0_constant,
     glue_sections,
+    trace_defect,
 )
 from bladekit.errors import GluingUnsupportedInLinearMode
 from bladekit.geometry import Point2
@@ -52,7 +53,7 @@ class TestCauchyRiemann:
     def test_fd_cross_check(self):
         rng = np.random.default_rng(1)
         g = rand_series(rng)
-        u, v = analytic_correction(g, 0.4, "unpack")
+        u, v = analytic_correction(g, 0.4)
         exact = check_cauchy_riemann((u, v), "modified", 0.4)
         fd = check_cauchy_riemann((lambda x, y: u(x, y), lambda x, y: v(x, y)),
                                   "modified", 0.4)
@@ -161,24 +162,10 @@ class TestFixConstant:
 
 
 class TestAnalyticCorrection:
-    def test_w1_zero_identity(self):
-        g = AnalyticSeries.interior([1.0, 2.0j, -0.5])
-        u0, v0 = analytic_correction(g, 0.0, "unpack")
-        back = analytic_correction((u0, v0), 0.0, "pack")
-        assert np.max(np.abs(back.coefficients - g.coefficients)) < 1e-12
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(6)
-        g = rand_series(rng)
-        u0, v0 = analytic_correction(g, 0.3, "unpack")
-        back = analytic_correction((u0, v0), 0.3, "pack")
-        diff = (back - g).coefficients
-        assert np.max(np.abs(diff)) < 1e-12
-
     def test_unpacked_pair_satisfies_modified_relations(self):
         rng = np.random.default_rng(7)
         for w1 in (0.0, 0.3, -1.0):
-            u0, v0 = analytic_correction(rand_series(rng), w1, "unpack")
+            u0, v0 = analytic_correction(rand_series(rng), w1)
             r1, r2 = check_cauchy_riemann((u0, v0), "modified", w1)
             assert r1 < 1e-10 and r2 < 1e-10
 
@@ -195,7 +182,7 @@ class TestAnalyticCorrection:
 
     def test_explicit_w1_two(self):
         # g = 0, w1 = 2: pair is -Im/-Re parts of (i)*conj(z)
-        u0, v0 = analytic_correction(AnalyticSeries.zero(), 2.0, "unpack")
+        u0, v0 = analytic_correction(AnalyticSeries.zero(), 2.0)
         x, y = np.array([0.7]), np.array([-1.1])
         assert np.allclose(u0(x, y), -x, atol=1e-14)
         assert np.allclose(v0(x, y), -y, atol=1e-14)
@@ -318,33 +305,54 @@ class TestGlue:
                                   AnalyticSeries.zero(), w2, Point2(0.0, 0.0),
                                   w1_const=w1c)
 
+    @staticmethod
+    def _lower_trace(spec):
+        # the next section's plane h = 0, unpacked from the glue data
+        return analytic_correction(spec["f0"], spec["w1_const"] + spec["extra_div"])
+
     def test_linear_mode_rejected(self):
         rng = np.random.default_rng(19)
         lin = assemble_linear(rand_series(rng), rand_series(rng), 0.0, Point2(0, 0))
         with pytest.raises(GluingUnsupportedInLinearMode):
-            glue_sections(lin, None)
+            glue_sections(lin, ())
 
     def test_w1_chaining_rule(self):
         q = self._quad(w2=0.1, w1c=0.3)
-        spec = glue_sections(q, None)
-        assert abs(spec.w1_const - 0.4) < 1e-14
+        spec = glue_sections(q, ())
+        assert abs(spec["w1_const"] - 0.4) < 1e-14
 
     def test_trace_matches_field_at_top(self):
         q = self._quad()
-        spec = glue_sections(q, None)
+        spec = glue_sections(q, ())
+        u, v = self._lower_trace(spec)
         x, y = np.array([0.3, -0.8]), np.array([0.5, 0.1])
-        assert np.allclose(spec.lower_trace_u(x, y), q.u(x, y, 1.0), atol=1e-13)
-        assert np.allclose(spec.lower_trace_v(x, y), q.v(x, y, 1.0), atol=1e-13)
+        assert np.allclose(u(x, y), q.u(x, y, 1.0), atol=1e-13)
+        assert np.allclose(v(x, y), q.v(x, y, 1.0), atol=1e-13)
 
     def test_transversal_datum_fixes_w2(self):
         q = self._quad(w2=0.1, w1c=0.3)
-        spec = glue_sections(q, None, transversal=(0.9, 1.0))
+        spec = glue_sections(q, (), transversal=(0.9, 1.0))
         # w(B, 1) = w1 + w2 = 0.9 with w1 = 0.4 gives w2 = 0.5
-        assert abs(spec.w2 - 0.5) < 1e-13
+        assert abs(spec["w2"] - 0.5) < 1e-13
 
     def test_flat_continuation(self):
         q = self._quad(w2=0.0, w1c=0.0)
-        spec = glue_sections(q, None)
+        spec = glue_sections(q, ())
+        u, _ = self._lower_trace(spec)
         x, y = np.array([0.4]), np.array([-0.6])
-        assert np.allclose(spec.lower_trace_u(x, y), q.u(x, y, 1.0), atol=1e-14)
-        assert abs(spec.w1_const - q.w1_at_branch()) < 1e-14
+        assert np.allclose(u(x, y), q.u(x, y, 1.0), atol=1e-14)
+        assert abs(spec["w1_const"] - q.w1_at_branch()) < 1e-14
+
+    def test_trace_defect_sees_a_missing_shift(self):
+        # a section assembled from the glue data continues q exactly; dropping
+        # the in-plane shift leaves a jump of (w2/2)*|z| that trace_defect sees
+        q = self._quad(w2=0.1, w1c=0.3)
+        spec = glue_sections(q, ())
+        B = Point2(0.0, 0.0)
+        grid = GridSpec()
+        for shift, glued in ((spec["extra_div"], True), (0.0, False)):
+            nxt = assemble_quadratic(spec["f0"], AnalyticSeries.zero(),
+                                     AnalyticSeries.zero(), spec["w2"], B,
+                                     w1_const=spec["w1_const"], extra_div=shift)
+            du, dv = trace_defect(q, nxt, grid)
+            assert (max(du, dv) < 1e-12) is glued
