@@ -1,17 +1,14 @@
 """Assembly of velocity fields polynomial in the transversal coordinate h.
 
-Degree 1 ansatz::
+The ansatz::
 
-    u = u0 + h*u1,   v = v0 + h*v1,   w = w0 + h*w1
+    u = u0 + h*u1,   v = v0 + h*v1,   w = w0 + h*w1 + h^2*w2
 
-with (u1, v1) a conjugate pair from an analytic f1 = v1 + i*u1, the constant
-w1 absorbed into (u0, v0) through the correction ``(i*w1/2)*conj(z)``, and
-w0 = Im int f1 dz so that grad w0 = (u1, v1).
-
-Degree 2 adds (u2, v2) from analytic f2 = v2 + i*u2, the constant w2 shifted
-into (u1, v1) the same way, the harmonic w1 = 2*Im int f2 dz + c1, and a
-particular divergence term so that div(u0, v0) = -w1 pointwise even when w1
-is not constant.
+has constant w1 and w2; degree 1 is w2 = 0.  (u1, v1) come from an analytic
+f1 = v1 + i*u1 with the constant 2*w2 absorbed through the correction
+``(i*w2)*conj(z)``, (u0, v0) from an analytic f0 with w1 absorbed through
+``(i*w1/2)*conj(z)``, and w0 = Im int f1 dz, plus a radial term for w2, so
+that grad w0 = (u1, v1).
 
 All components live in the closed term algebra of `planefield`, so the
 governing continuity and irrotationality residuals can be evaluated with
@@ -24,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import AnsatzInconsistent, BladekitError, GluingUnsupportedInLinearMode
+from .errors import BladekitError
 from .geometry import Point2
 from .harmonic import AnalyticSeries
 from .planefield import (
@@ -112,12 +109,6 @@ class FieldResiduals:
         }
 
 
-def conjugate_pair(f: AnalyticSeries | ComplexPlaneField) -> tuple[ScalarPlaneField, ScalarPlaneField]:
-    """(u, v) with v + i*u = f(z); a classical conjugate pair."""
-    cf = _as_complex_field(f)
-    return imag_part(cf), real_part(cf)
-
-
 def analytic_correction(g, w1: float):
     """Unpack the transversal-constant summand from analytic data g.
 
@@ -146,12 +137,6 @@ def compute_w0(f1, z_ref: complex, w2: float = 0.0) -> ScalarPlaneField:
     zmono = AnalyticSeries(np.array([1.0 + 0.0j]), low=1)
     radial = ComplexPlaneField.from_source(SeriesSource(zmono), coeff=-0.5j * w2, kind="zbar")
     return w0 + imag_part(radial)
-
-
-def compute_w1_quadratic(f2, z_ref: complex) -> ScalarPlaneField:
-    """Harmonic w1 = 2*Im int f2 dz, zeroed at z_ref, so grad w1 = (2u2, 2v2)."""
-    cf = _as_complex_field(f2)
-    return imag_part(cf.antiderivative(complex(z_ref)) * 2.0)
 
 
 def fix_w0_constant(w0: ScalarPlaneField, B: Point2) -> ScalarPlaneField:
@@ -188,25 +173,29 @@ def check_cauchy_riemann(pair, variant: str = "classical", coefficient: float = 
     return r1, r2
 
 
-# -- assembled fields --------------------------------------------------------
+# -- the assembled field ------------------------------------------------------
 
 @dataclass(frozen=True)
-class LinearSplineField:
-    """Velocity field linear in h with all compatibility relations built in."""
+class SplineField:
+    """Velocity field polynomial in h with all compatibility relations built in.
 
+    ``u = u0 + h*u1``, ``v = v0 + h*v1`` and ``w = w0 + h*w1 + h^2*w2`` with
+    constant w1 and w2; degree 1 is w2 = 0.  ``extra_div`` is the in-plane
+    shift a chained section inherits (see `glue_sections`), 0 otherwise:
+    (u0, v0) absorb ``w1 + extra_div``, so div = -extra_div everywhere.
+    """
+
+    f0: ComplexPlaneField
     f1: ComplexPlaneField
-    f0_analytic: ComplexPlaneField
     w1: float
+    w2: float
+    extra_div: float
     branch_point: Point2
-    u0: ScalarPlaneField = dc_field(repr=False, default=None)
-    v0: ScalarPlaneField = dc_field(repr=False, default=None)
-    u1: ScalarPlaneField = dc_field(repr=False, default=None)
-    v1: ScalarPlaneField = dc_field(repr=False, default=None)
-    w0: ScalarPlaneField = dc_field(repr=False, default=None)
-
-    @property
-    def degree(self) -> int:
-        return 1
+    u0: ScalarPlaneField = dc_field(repr=False)
+    v0: ScalarPlaneField = dc_field(repr=False)
+    u1: ScalarPlaneField = dc_field(repr=False)
+    v1: ScalarPlaneField = dc_field(repr=False)
+    w0: ScalarPlaneField = dc_field(repr=False)
 
     def u(self, x, y, h):
         return self.u0(x, y) + np.asarray(h) * self.u1(x, y)
@@ -215,184 +204,59 @@ class LinearSplineField:
         return self.v0(x, y) + np.asarray(h) * self.v1(x, y)
 
     def w(self, x, y, h):
-        return self.w0(x, y) + np.asarray(h) * self.w1
-
-    def w1_field(self) -> ScalarPlaneField:
-        return ScalarPlaneField.constant(self.w1)
-
-    def component_fields(self):
-        zero = ScalarPlaneField.zero()
-        return ((self.u0, self.u1, zero), (self.v0, self.v1, zero),
-                (self.w0, self.w1_field(), zero))
+        h = np.asarray(h)
+        return self.w0(x, y) + h * self.w1 + h**2 * self.w2
 
 
-@dataclass(frozen=True)
-class QuadraticSplineField:
-    """Velocity field quadratic in h.
+def assemble(f0, f1, w1: float, B: Point2, w2: float = 0.0,
+             extra_div: float = 0.0) -> SplineField:
+    """Build the field from the analytic data of its planes.
 
-    ``w2`` is constant, ``w1`` is harmonic plus the constant ``w1_const``
-    (anchored so that w1(branch_point) = w1_const), and (u0, v0) carry a
-    particular divergence part so div(u0, v0) = -w1 - extra_div holds
-    pointwise (``extra_div`` is 0 except in chained sections).
+    ``f0`` (the plane h = 0) and ``f1`` (the h-linear part) are series or
+    complex fields.  (u1, v1) are unpacked from f1 with 2*w2, the h-linear
+    part of dw/dh, and (u0, v0) from f0 with ``w1 + extra_div``; w0 =
+    Im int f1 dz (with the radial term of w2) vanishes at B, which also
+    anchors the antiderivative.
     """
-
-    f2: ComplexPlaneField
-    f1_analytic: ComplexPlaneField
-    f0_analytic: ComplexPlaneField
-    w2: float
-    w1_const: float
-    branch_point: Point2
-    u0: ScalarPlaneField = dc_field(repr=False, default=None)
-    v0: ScalarPlaneField = dc_field(repr=False, default=None)
-    u1: ScalarPlaneField = dc_field(repr=False, default=None)
-    v1: ScalarPlaneField = dc_field(repr=False, default=None)
-    u2: ScalarPlaneField = dc_field(repr=False, default=None)
-    v2: ScalarPlaneField = dc_field(repr=False, default=None)
-    w0: ScalarPlaneField = dc_field(repr=False, default=None)
-    w1: ScalarPlaneField = dc_field(repr=False, default=None)
-    extra_div: float = 0.0
-
-    @property
-    def degree(self) -> int:
-        return 2
-
-    def u(self, x, y, h):
-        h = np.asarray(h)
-        return self.u0(x, y) + h * self.u1(x, y) + h**2 * self.u2(x, y)
-
-    def v(self, x, y, h):
-        h = np.asarray(h)
-        return self.v0(x, y) + h * self.v1(x, y) + h**2 * self.v2(x, y)
-
-    def w(self, x, y, h):
-        h = np.asarray(h)
-        return self.w0(x, y) + h * self.w1(x, y) + h**2 * self.w2
-
-    def w1_at_branch(self) -> float:
-        return float(self.w1(self.branch_point.x, self.branch_point.y))
-
-    def component_fields(self):
-        w2f = ScalarPlaneField.constant(self.w2)
-        return ((self.u0, self.u1, self.u2), (self.v0, self.v1, self.v2),
-                (self.w0, self.w1, w2f))
-
-
-def assemble_linear(f0a, f1, w1: float, B: Point2) -> LinearSplineField:
-    """Build the degree-1 field from its analytic data.
-
-    ``f0a`` and ``f1`` are analytic (series or complex fields); w1 is the
-    transversal constant; B anchors both the w0 constant and the
-    antiderivative defining w0.
-    """
+    f0_cf = _as_complex_field(f0)
     f1_cf = _as_complex_field(f1)
-    f0_cf = _as_complex_field(f0a)
-    u1, v1 = conjugate_pair(f1_cf)
-    u0, v0 = analytic_correction(f0_cf, w1)
-    w0 = fix_w0_constant(compute_w0(f1_cf, complex(B.x, B.y)), B)
-    return LinearSplineField(f1_cf, f0_cf, float(w1), B,
-                             u0=u0, v0=v0, u1=u1, v1=v1, w0=w0)
-
-
-def assemble_quadratic(f0a, f1a, f2, w2: float, B: Point2,
-                       w1_const: float = 0.0, extra_div: float = 0.0) -> QuadraticSplineField:
-    """Build the degree-2 field from its analytic data.
-
-    ``f1a`` is adjusted by the constant 2*w2 shift; ``f0a`` is adjusted by
-    the full harmonic w1 = 2*Im int f2 dz + w1_const, whose non-constant part
-    requires the particular solution
-
-        u0 - i*v0  +=  (i/4)*W(z)*conj(z) + i*conj(G(z)),
-        W = 2*int f2 dz,  G = -(1/4)*int W dz,
-
-    all antiderivatives anchored at B.  With f2 = 0 and w2 = 0 this reduces
-    exactly to `assemble_linear`.
-
-    ``extra_div`` is the in-plane shift a chained section inherits (see
-    `glue_sections`): (u0, v0) are unpacked with ``w1_const + extra_div`` so
-    that they continue the previous section's trace, while w1 keeps
-    ``w1_const``.  The field then carries a constant continuity defect of
-    size ``extra_div``.
-    """
-    f2_cf = _as_complex_field(f2)
-    f1_cf = _as_complex_field(f1a)
-    f0_cf = _as_complex_field(f0a)
-    zb = complex(B.x, B.y)
-
-    u2, v2 = conjugate_pair(f2_cf)
     u1, v1 = analytic_correction(f1_cf, 2.0 * w2)
-    u0, v0 = analytic_correction(f0_cf, w1_const + extra_div)
-    w1_field = compute_w1_quadratic(f2_cf, zb).plus_const(w1_const)
-
-    has_f2 = any(
-        t.coeff != 0 and (not isinstance(t.source, SeriesSource)
-                          or np.any(t.source.series.coefficients != 0))
-        for t in f2_cf.terms
-    )
-    if has_f2:
-        w_int = w1_field.complex_field                # W, Im W vanishes at B
-        for term in w_int.terms:
-            if term.kind == "log":
-                raise AnsatzInconsistent(
-                    "f2 carries circulation; w1 would be multivalued"
-                )
-        g_int = w_int.antiderivative(zb) * (-0.25)    # G
-        particular = ComplexPlaneField(tuple(
-            # (i/4) * W * zbar
-            type(t)(t.coeff * 0.25j, "zbar", t.source) for t in w_int.terms
-        )) + ComplexPlaneField(tuple(
-            # i * conj(G); conj flips the stored coefficient outside
-            type(t)(1.0j * np.conj(t.coeff), "conj", t.source) for t in g_int.terms
-        ))
-        u0 = u0 + real_part(particular)               # particular = u0 - i*v0
-        v0 = v0 + imag_part(particular * (-1.0))
-
-    w0 = fix_w0_constant(compute_w0(f1_cf, zb, w2), B)
-    return QuadraticSplineField(f2_cf, f1_cf, f0_cf, float(w2), float(w1_const), B,
-                                u0=u0, v0=v0, u1=u1, v1=v1, u2=u2, v2=v2,
-                                w0=w0, w1=w1_field, extra_div=float(extra_div))
+    u0, v0 = analytic_correction(f0_cf, w1 + extra_div)
+    w0 = fix_w0_constant(compute_w0(f1_cf, complex(B.x, B.y), w2), B)
+    return SplineField(f0_cf, f1_cf, float(w1), float(w2), float(extra_div), B,
+                       u0=u0, v0=v0, u1=u1, v1=v1, w0=w0)
 
 
-def field_residuals(field, grid: "GridSpec | None" = None) -> FieldResiduals:
+def field_residuals(field: SplineField, grid: "GridSpec | None" = None) -> FieldResiduals:
     """Residuals of continuity and the three irrotationality relations.
 
-    Exact derivatives come from the term algebra; the finite-difference pass
-    uses central differences at step 1e-4 in x, y, and h.
+    Exact derivatives come from the term algebra; w1 and w2 are constants,
+    so only u0, v0, u1, v1 and w0 are differentiated.  The finite-difference
+    pass uses central differences at step 1e-4 in x, y, and h.
     """
     grid = grid or GridSpec()
     x, y = grid.plane_nodes()
     hs = grid.h_nodes()
-    (u0, u1, u2), (v0, v1, v2), (w0, w1f, w2f) = field.component_fields()
 
-    def on_grid(f):
-        return f(x, y)
+    def grad(f):
+        return f.dx()(x, y), f.dy()(x, y)
 
-    vals = {name: on_grid(f) for name, f in [
-        ("u0", u0), ("u1", u1), ("u2", u2), ("v0", v0), ("v1", v1), ("v2", v2),
-        ("w1", w1f), ("w2", w2f),
-    ]}
-    d = {}
-    for name, f in [("u0", u0), ("u1", u1), ("u2", u2),
-                    ("v0", v0), ("v1", v1), ("v2", v2),
-                    ("w0", w0), ("w1", w1f), ("w2", w2f)]:
-        d[name + "_x"] = on_grid(f.dx())
-        d[name + "_y"] = on_grid(f.dy())
+    u0_x, u0_y = grad(field.u0)
+    u1_x, u1_y = grad(field.u1)
+    v0_x, v0_y = grad(field.v0)
+    v1_x, v1_y = grad(field.v1)
+    w0_x, w0_y = grad(field.w0)
 
+    # du/dh = dw/dx and dv/dh = dw/dy hold at every h or at none
+    max_curl = [0.0,
+                float(np.max(np.abs(field.u1(x, y) - w0_x))),
+                float(np.max(np.abs(field.v1(x, y) - w0_y)))]
     max_div = 0.0
-    max_curl = [0.0, 0.0, 0.0]
     for h in hs:
-        div = (d["u0_x"] + h * d["u1_x"] + h**2 * d["u2_x"]
-               + d["v0_y"] + h * d["v1_y"] + h**2 * d["v2_y"]
-               + vals["w1"] + 2.0 * h * vals["w2"])
-        cxy = (d["u0_y"] + h * d["u1_y"] + h**2 * d["u2_y"]
-               - d["v0_x"] - h * d["v1_x"] - h**2 * d["v2_x"])
-        cuh = (vals["u1"] + 2.0 * h * vals["u2"]
-               - d["w0_x"] - h * d["w1_x"] - h**2 * d["w2_x"])
-        cvh = (vals["v1"] + 2.0 * h * vals["v2"]
-               - d["w0_y"] - h * d["w1_y"] - h**2 * d["w2_y"])
+        div = u0_x + h * u1_x + v0_y + h * v1_y + field.w1 + 2.0 * h * field.w2
+        cxy = u0_y + h * u1_y - v0_x - h * v1_x
         max_div = max(max_div, float(np.max(np.abs(div))))
         max_curl[0] = max(max_curl[0], float(np.max(np.abs(cxy))))
-        max_curl[1] = max(max_curl[1], float(np.max(np.abs(cuh))))
-        max_curl[2] = max(max_curl[2], float(np.max(np.abs(cvh))))
 
     fd_div, fd_curl = _fd_residuals(field, x, y, hs)
     return FieldResiduals(max_div, tuple(max_curl), fd_div, tuple(fd_curl), grid)
@@ -419,36 +283,36 @@ def _fd_residuals(field, x, y, hs):
     return fd_div, fd_curl
 
 
-def glue_sections(first, contours, transversal: "tuple[float, float] | None" = None) -> dict:
-    """Chaining data for the section stacked on top of a finished quadratic one.
+def glue_sections(first: SplineField, transversal: "tuple[float, float] | None" = None) -> dict:
+    """Chaining data for the section stacked on top of ``first``.
 
-    The new section's lower plane continues ``first`` at h = 1.  With f2 = 0
-    that trace is the analytic ``f0 = first.f0_analytic + first.f1_analytic``
-    unpacked with ``w1_const + extra_div``:
+    The new section's lower blade is ``first``'s upper one, so its f0 is that
+    blade's completion, whose conj(z) coefficient ``first.w1 + 2*first.w2 +
+    first.extra_div`` splits into
 
-    * ``w1_const`` follows the chaining rule ``w1(branch) + w2`` of ``first``;
-    * ``extra_div`` (the in-plane shift) is ``first.w2 + first.extra_div``, the
-      part of the trace's conj(z) coefficient the new w1 does not account for;
+    * ``w1_const = first.w1 + first.w2``, the chaining rule: w of ``first``
+      at h = 1 over its branch point, where w0 vanishes;
+    * ``extra_div = first.w2 + first.extra_div``, the in-plane shift that the
+      new w1 does not account for;
     * ``w2`` comes from the optional (w_ref, h_ref) datum through
-      ``w(B, h_ref) = h_ref*w1 + h_ref^2*w2`` with w0(B) = 0, and is 0 without it;
-    * ``contours`` lists every blade ``first`` is evaluated clear of; the new
-      residual box must clear them too, since ``f0`` carries their pullbacks.
+      ``w(B, h_ref) = h_ref*w1 + h_ref^2*w2`` with w0(B) = 0, and is 0 without it.
 
-    `trace_defect` measures how well a section assembled from these data
-    continues ``first``.  Degree-1 fields cannot be chained: adjacent
-    sections simply share no information.
+    `trace_defect` and `w1_rule_defect` measure how well a section assembled
+    from these data continues ``first``.
     """
-    if getattr(first, "degree", 1) != 2:
-        raise GluingUnsupportedInLinearMode("degree-1 fields do not glue")
-    w1_const = first.w1_at_branch() + first.w2
+    w1_const = first.w1 + first.w2
     w2 = 0.0
     if transversal is not None:
         w_ref, h_ref = transversal
         w2 = (w_ref - h_ref * w1_const) / h_ref**2
     return {"w1_const": float(w1_const), "w2": float(w2),
-            "f0": first.f0_analytic + first.f1_analytic,
-            "extra_div": first.w2 + first.extra_div,
-            "contours": list(contours)}
+            "extra_div": first.w2 + first.extra_div}
+
+
+def w1_rule_defect(first: SplineField, w1_const: float) -> float:
+    """Distance of ``w1_const`` from w of ``first`` at h = 1 over its branch point."""
+    B = first.branch_point
+    return abs(w1_const - float(first.w(B.x, B.y, 1.0)))
 
 
 def trace_defect(first, second, grid: GridSpec) -> tuple[float, float]:

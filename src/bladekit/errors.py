@@ -41,14 +41,6 @@ class NotClosed(BladekitError):
     """Closure defect above tolerance; the contour would not close."""
 
 
-class AnsatzInconsistent(BladekitError):
-    """Requested field components do not fit the polynomial-in-h ansatz."""
-
-
-class GluingUnsupportedInLinearMode(BladekitError):
-    """Section gluing requested for a degree-1 field."""
-
-
 class OptimizerFailed(BladekitError):
     """Direct search on a positioning objective did not converge."""
 

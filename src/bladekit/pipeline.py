@@ -1,21 +1,22 @@
 """End-to-end design flow: per-blade solves, field assembly, chaining, export.
 
 Each section solves two planar inverse problems (one per blade, both as
-modified problems with the section's transversal constant), splits the
-analytic data between the blade planes at h = 0 and h = 1, builds the
-velocity field with `assembly.assemble_linear` (degree 1) or
-`assembly.assemble_quadratic` (degree 2, f2 = 0), measures its residuals on
-a box clear of every involved blade, and positions the reconstructed
-contours.
+modified problems with the section's transversal constants) and builds its
+velocity field with `assembly.assemble`: f0 is the lower blade's analytic
+completion (the plane h = 0) and f1 the difference of the upper and lower
+completions (the planes sit at h = 0 and h = 1).  It then measures the
+field's residuals on a box clear of every blade the field is evaluated over,
+and positions the reconstructed contours.
 
 Degree-1 chains treat sections independently (the shared blade carries no
-information across).  A degree-2 section after the first is chained
-through `assembly.glue_sections`: it inherits the previous section's trace
-at h = 1 and the constant rule ``w1_next = w1(branch) + w2``, which leaves a
+information across).  A degree-2 section after the first is chained onto
+the previous one: its lower blade is the previous upper blade (the same
+solve), and `assembly.glue_sections` gives its constants, which leaves a
 constant continuity defect (the in-plane shift) reported as an
-informational measurement.  The glue checks compare, at the residual-grid
-nodes, the new field at h = 0 with the previous one at h = 1 (``glue_du``,
-``glue_dv``) and the new w1 constant with the rule (``glue_w1_rule``).
+informational measurement.  Three glue checks compare the two fields:
+``glue_du`` and ``glue_dv`` the new field at h = 0 with the previous one at
+h = 1 at the residual-grid nodes, and ``glue_w1_rule`` the new w1 constant
+with the previous field's w at h = 1 over its branch point.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from . import __version__
 from .assembly import (
     FieldResiduals,
     GridSpec,
-    assemble_linear,
-    assemble_quadratic,
+    SplineField,
+    assemble,
     field_residuals,
     glue_sections,
     trace_defect,
+    w1_rule_defect,
 )
 from .config import DesignConfig, SectionConfig, TransversalDatum
 from .errors import BadValue, BladekitError
@@ -93,12 +95,11 @@ class SectionResult:
     w2: "float | None"
     lower: PlanarSolution
     upper: PlanarSolution
-    field: object
+    field: SplineField
     residuals: FieldResiduals
     shift: ShiftVector
     checks: list = dc_field(default_factory=list)
     glue_info: "dict | None" = None
-    contours: list = dc_field(default_factory=list)   # every blade the field is evaluated clear of
     error: "str | None" = None
 
     @property
@@ -195,32 +196,26 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
         w2 = section.w2 if section.degree == 2 else 0.0
         extra_div = 0.0
         sol_lo = solve_distribution(section.lower, n, z_start=0.0, w1=w1c)
-        f0 = _pullback_field(sol_lo, 1.0j)
         involved = [sol_lo.contour]
     else:
         datum = section.w1
-        glue = glue_sections(prev.field, prev.contours,
-                             (datum.w_ref, datum.h_ref)
-                             if isinstance(datum, TransversalDatum) else None)
-        w1c, w2, extra_div = glue["w1_const"], glue["w2"], glue["extra_div"]
-        glue_info = {"w1_const": w1c, "w2": w2, "extra_div": extra_div}
+        glue_info = glue_sections(prev.field,
+                                  (datum.w_ref, datum.h_ref)
+                                  if isinstance(datum, TransversalDatum) else None)
+        w1c, w2, extra_div = glue_info["w1_const"], glue_info["w2"], glue_info["extra_div"]
         sol_lo = prev.upper                   # shared blade, same solve
-        f0 = glue["f0"]
-        involved = glue["contours"]
+        # trace_defect evaluates the previous field too
+        involved = [prev.lower.contour, sol_lo.contour]
     sol_up = solve_distribution(section.upper, n, z_start=0.0,
                                 w1=w1c + extra_div + 2.0 * w2)
-    involved = involved + [sol_up.contour]
+    involved.append(sol_up.contour)
 
     # the blade planes sit at h = 0 and h = 1: the h-linear data is the
     # difference of the two in-plane completions
+    f0 = _pullback_field(sol_lo, 1.0j)
     f1 = _pullback_field(sol_up, 1.0j) - f0
     zb = sol_lo.branch_point()
-    B = Point2(zb.real, zb.imag)
-    if section.degree == 1:
-        fld = assemble_linear(f0, f1, w1c, B)
-    else:
-        fld = assemble_quadratic(f0, f1, ComplexPlaneField(), w2, B,
-                                 w1_const=w1c, extra_div=extra_div)
+    fld = assemble(f0, f1, w1c, Point2(zb.real, zb.imag), w2, extra_div)
     grid = _residual_grid(involved)
     residuals = field_residuals(fld, grid)
     shift = _position(cfg, sol_lo, sol_up)
@@ -256,13 +251,13 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
         du, dv = trace_defect(prev.field, fld, grid)
         checks.append(CheckEntry("glue_du", du, GLUE_TOL, du < GLUE_TOL))
         checks.append(CheckEntry("glue_dv", dv, GLUE_TOL, dv < GLUE_TOL))
-        rule = prev.field.w1_at_branch() + prev.field.w2
-        checks.append(CheckEntry("glue_w1_rule", abs(w1c - rule), 0.0, w1c == rule))
+        rule = w1_rule_defect(prev.field, w1c)
+        checks.append(CheckEntry("glue_w1_rule", rule, GLUE_TOL, rule < GLUE_TOL))
 
     return SectionResult(section.id, section.degree, w1c,
                          w2 if section.degree == 2 else None,
                          sol_lo, sol_up, fld, residuals, shift, checks,
-                         glue_info, involved)
+                         glue_info)
 
 
 def run_pipeline(cfg: DesignConfig) -> RunReport:

@@ -5,7 +5,6 @@ sums of a few term shapes:
 
 * ``S(z)``            -- an analytic function,
 * ``conj(z) * S(z)``  -- the transversal-constant correction shape,
-* ``conj(S(z))``      -- reflections arising from harmonic particular parts,
 * ``c * log(zeta(z))``-- circulation terms of circle-domain pullbacks.
 
 Every shape has exact x- and y-derivatives inside the same algebra, which is
@@ -31,7 +30,6 @@ from .harmonic import (
 
 PLAIN = "plain"
 ZBAR = "zbar"
-CONJ = "conj"
 LOG = "log"
 
 
@@ -99,9 +97,6 @@ class SeriesSource:
     def antiderivative(self, z_ref: complex):
         return [(1.0, SeriesSource(integrate_series(self.series, z_ref)))]
 
-    def scaled(self, c: complex):
-        return SeriesSource(self.series * c)
-
 
 @dataclass(frozen=True)
 class PullbackSource:
@@ -138,9 +133,6 @@ class PullbackSource:
             terms.append((residue, LogSource(self.map, zeta_ref)))
         return terms
 
-    def scaled(self, c: complex):
-        return PullbackSource(self.num * c, self.map, self.den)
-
 
 @dataclass(frozen=True)
 class LogSource:
@@ -161,9 +153,6 @@ class LogSource:
     def antiderivative(self, z_ref: complex):
         raise BladekitError("log terms are never integrated")
 
-    def scaled(self, c: complex):
-        raise BladekitError("scale log terms through the term coefficient")
-
 
 @dataclass(frozen=True)
 class ComplexTerm:
@@ -176,8 +165,6 @@ class ComplexTerm:
             return self.coeff * self.source.value(z)
         if self.kind == ZBAR:
             return self.coeff * np.conj(z) * self.source.value(z)
-        if self.kind == CONJ:
-            return self.coeff * np.conj(self.source.value(z))
         raise BladekitError(f"unknown term kind {self.kind!r}")
 
     def dx(self) -> list["ComplexTerm"]:
@@ -186,8 +173,6 @@ class ComplexTerm:
             return [ComplexTerm(self.coeff, PLAIN, d)]
         if self.kind == ZBAR:
             return [ComplexTerm(self.coeff, ZBAR, d), ComplexTerm(self.coeff, PLAIN, self.source)]
-        if self.kind == CONJ:
-            return [ComplexTerm(self.coeff, CONJ, d)]
         raise BladekitError(f"unknown term kind {self.kind!r}")
 
     def dy(self) -> list["ComplexTerm"]:
@@ -196,8 +181,6 @@ class ComplexTerm:
             return [ComplexTerm(self.coeff * 1.0j, PLAIN, d)]
         if self.kind == ZBAR:
             return [ComplexTerm(self.coeff * 1.0j, ZBAR, d), ComplexTerm(self.coeff * -1.0j, PLAIN, self.source)]
-        if self.kind == CONJ:
-            return [ComplexTerm(self.coeff * -1.0j, CONJ, d)]
         raise BladekitError(f"unknown term kind {self.kind!r}")
 
 
@@ -229,8 +212,6 @@ class ComplexPlaneField:
     def __mul__(self, c) -> "ComplexPlaneField":
         c = complex(c)
         return ComplexPlaneField(tuple(ComplexTerm(t.coeff * c, t.kind, t.source) for t in self.terms))
-
-    __rmul__ = __mul__
 
     def value(self, z):
         z = np.asarray(z, dtype=complex)
@@ -269,14 +250,6 @@ class ScalarPlaneField:
         if self.part not in ("re", "im"):
             raise BladekitError("part must be 're' or 'im'")
 
-    @staticmethod
-    def zero() -> "ScalarPlaneField":
-        return ScalarPlaneField(ComplexPlaneField(), "re", 0.0)
-
-    @staticmethod
-    def constant(c: float) -> "ScalarPlaneField":
-        return ScalarPlaneField(ComplexPlaneField(), "re", float(c))
-
     def __call__(self, x, y):
         z = np.asarray(x, dtype=float) + 1.0j * np.asarray(y, dtype=float)
         w = self.complex_field.value(z)
@@ -290,11 +263,6 @@ class ScalarPlaneField:
         a = self._as_re()
         b = other._as_re()
         return ScalarPlaneField(a.complex_field + b.complex_field, "re", a.const + b.const)
-
-    def __mul__(self, c: float) -> "ScalarPlaneField":
-        return ScalarPlaneField(self.complex_field * float(c), self.part, self.const * float(c))
-
-    __rmul__ = __mul__
 
     def _as_re(self) -> "ScalarPlaneField":
         if self.part == "re":

@@ -147,10 +147,9 @@ def maximize_lift(c1: Contour, c2: Contour, p: NodePartition, box) -> ShiftVecto
     x0, y0, x1, y1 = map(float, box)
     if not (x1 > x0 and y1 > y0):
         raise BladekitError("empty shift box")
-    diag = np.hypot(x1 - x0, y1 - y0)
-    step = diag / 400.0
-    gx = np.arange(x0, x1 + 0.5 * step, step)
-    gy = np.arange(y0, y1 + 0.5 * step, step)
+    step = np.hypot(x1 - x0, y1 - y0) / 400.0
+    gx = np.linspace(x0, x1, int(np.ceil((x1 - x0) / step)) + 1)
+    gy = np.linspace(y0, y1, int(np.ceil((y1 - y0) / step)) + 1)
 
     d = c1.points - c2.points
     weights = p.v1 + p.v2
@@ -172,10 +171,8 @@ def maximize_lift(c1: Contour, c2: Contour, p: NodePartition, box) -> ShiftVecto
                 best = cand
     score, bx, by = best
 
-    # the grid's last node can overshoot the box by up to half a step
-    seed = np.clip([bx, by], [x0, y0], [x1, y1])
     res = minimize(lambda s: -lift_score(c1, c2, p, (s[0], s[1])),
-                   seed, method="Nelder-Mead",
+                   np.array([bx, by]), method="Nelder-Mead",
                    bounds=[(x0, x1), (y0, y1)],
                    options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 1000})
     if res.success and -res.fun >= score:

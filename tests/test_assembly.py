@@ -1,23 +1,19 @@
 import numpy as np
-import pytest
 
 from bladekit.assembly import (
     GridSpec,
     analytic_correction,
-    assemble_linear,
-    assemble_quadratic,
+    assemble,
     check_cauchy_riemann,
     compute_w0,
-    compute_w1_quadratic,
     field_residuals,
     fix_w0_constant,
     glue_sections,
     trace_defect,
 )
-from bladekit.errors import GluingUnsupportedInLinearMode
 from bladekit.geometry import Point2
 from bladekit.harmonic import AnalyticSeries
-from bladekit.planefield import ScalarPlaneField
+from bladekit.planefield import ComplexPlaneField, imag_part, real_part
 
 FD = 1e-4
 
@@ -38,15 +34,15 @@ class TestCauchyRiemann:
     def test_classical_analytic_pair(self):
         # g = i*z gives v1 = -y, u1 = x
         f = AnalyticSeries.interior([0.0, 1.0j])
-        from bladekit.assembly import conjugate_pair
-        u, v = conjugate_pair(f)
+        u, v = analytic_correction(f, 0.0)
         r1, r2 = check_cauchy_riemann((u, v), "classical")
         assert r1 < 1e-12 and r2 < 1e-12
 
     def test_pure_divergence_absorber(self):
         w1 = 0.7
-        u = ScalarPlaneField.zero() + (-w1) * _coordinate_field("x")
-        v = ScalarPlaneField.zero()
+        # u = -w1*x, v = 0
+        u = real_part(ComplexPlaneField.from_series(AnalyticSeries.interior([0.0, -w1])))
+        v = real_part(ComplexPlaneField())
         r1, r2 = check_cauchy_riemann((u, v), "modified", w1)
         assert r1 < 1e-12 and r2 < 1e-12
 
@@ -64,7 +60,6 @@ class TestCauchyRiemann:
 def _coordinate_field(which):
     # x = Re z, y = Im z as scalar fields
     z = AnalyticSeries.interior([0.0, 1.0])
-    from bladekit.planefield import ComplexPlaneField, imag_part, real_part
     cf = ComplexPlaneField.from_series(z)
     return real_part(cf) if which == "x" else imag_part(cf)
 
@@ -103,41 +98,9 @@ class TestComputeW0:
             x = rng.uniform(-1, 1, 8)
             y = rng.uniform(-1, 1, 8)
             gx, gy = fd_grad(w0, x, y)
-            from bladekit.assembly import conjugate_pair
-            u1, v1 = conjugate_pair(f1)
+            u1, v1 = analytic_correction(f1, 0.0)
             assert np.max(np.abs(gx - u1(x, y))) < 1e-6
             assert np.max(np.abs(gy - v1(x, y))) < 1e-6
-
-
-class TestComputeW1Quadratic:
-    def test_zero(self):
-        w1 = compute_w1_quadratic(AnalyticSeries.zero(), 0.0)
-        assert abs(w1(0.5, -0.4)) < 1e-15
-
-    def test_f2_iz(self):
-        # f2 = i*z: w1 = x^2 - y^2
-        w1 = compute_w1_quadratic(AnalyticSeries.interior([0.0, 1.0j]), 0.0)
-        x, y = np.array([0.7, -0.2]), np.array([0.3, 0.9])
-        assert np.allclose(w1(x, y), x**2 - y**2, atol=1e-13)
-
-    def test_f2_constant(self):
-        a, b = -0.4, 1.1
-        w1 = compute_w1_quadratic(AnalyticSeries.interior([a + 1j * b]), 0.0)
-        x, y = np.array([0.6]), np.array([-1.7])
-        assert np.allclose(w1(x, y), 2 * (b * x + a * y), atol=1e-13)
-
-    def test_gradient_is_twice_pair(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            f2 = rand_series(rng)
-            w1 = compute_w1_quadratic(f2, 0.0)
-            x = rng.uniform(-1, 1, 8)
-            y = rng.uniform(-1, 1, 8)
-            gx, gy = fd_grad(w1, x, y)
-            from bladekit.assembly import conjugate_pair
-            u2, v2 = conjugate_pair(f2)
-            assert np.max(np.abs(gx - 2 * u2(x, y))) < 1e-6
-            assert np.max(np.abs(gy - 2 * v2(x, y))) < 1e-6
 
 
 class TestFixConstant:
@@ -148,7 +111,7 @@ class TestFixConstant:
         assert abs(fixed(0.5, 0.0) - w0(0.5, 0.0)) < 1e-14
 
     def test_shift_constant(self):
-        w0 = ScalarPlaneField.constant(3.0) + _coordinate_field("x")
+        w0 = _coordinate_field("x").plus_const(3.0)
         fixed = fix_w0_constant(w0, Point2(0.0, 0.0))
         assert abs(fixed(0.0, 0.0)) < 1e-14
         assert abs(fixed(2.0, 0.0) - 2.0) < 1e-14
@@ -171,7 +134,6 @@ class TestAnalyticCorrection:
 
     def test_full_factor_fails_by_w1(self):
         # negative control: correction (i*w1)*conj(z) leaves residual |w1|
-        from bladekit.planefield import ComplexPlaneField, imag_part, real_part
         rng = np.random.default_rng(8)
         w1 = 0.3
         g = rand_series(rng)
@@ -192,21 +154,21 @@ class TestAnalyticCorrection:
 
 class TestAssembleLinear:
     def test_zero_field(self):
-        f = assemble_linear(AnalyticSeries.zero(), AnalyticSeries.zero(), 0.0, Point2(0, 0))
+        f = assemble(AnalyticSeries.zero(), AnalyticSeries.zero(), 0.0, Point2(0, 0))
         x, y = np.array([0.3]), np.array([0.4])
         assert abs(f.u(x, y, 0.7)) < 1e-15
         assert abs(f.w(x, y, 0.7)) < 1e-15
 
     def test_w_shape_from_f1_iz(self):
-        f = assemble_linear(AnalyticSeries.zero(), AnalyticSeries.interior([0, 1.0j]),
-                            0.0, Point2(0, 0))
+        f = assemble(AnalyticSeries.zero(), AnalyticSeries.interior([0, 1.0j]),
+                     0.0, Point2(0, 0))
         x, y = np.array([0.5, -0.3]), np.array([0.2, 0.8])
         for h in (0.0, 0.5, 1.0):
             assert np.allclose(f.w(x, y, h), (x**2 - y**2) / 2, atol=1e-13)
 
     def test_residuals_small(self):
         rng = np.random.default_rng(12)
-        f = assemble_linear(rand_series(rng), rand_series(rng), 0.45, Point2(0.2, -0.1))
+        f = assemble(rand_series(rng), rand_series(rng), 0.45, Point2(0.2, -0.1))
         res = field_residuals(f)
         assert res.worst() < 1e-8
         assert res.fd_max_div < 1e-6
@@ -218,9 +180,9 @@ class TestAssembleLinear:
         h1, h2 = rand_series(rng), rand_series(rng)
         a, b = 0.7, -1.3
         B = Point2(0.1, 0.3)
-        fa = assemble_linear(g1, h1, 0.0, B)
-        fb = assemble_linear(g2, h2, 0.0, B)
-        fc = assemble_linear(g1 * a + g2 * b, h1 * a + h2 * b, 0.0, B)
+        fa = assemble(g1, h1, 0.0, B)
+        fb = assemble(g2, h2, 0.0, B)
+        fc = assemble(g1 * a + g2 * b, h1 * a + h2 * b, 0.0, B)
         x, y = np.array([0.4, -0.9]), np.array([-0.2, 0.6])
         for h in (0.0, 0.8):
             assert np.allclose(fc.u(x, y, h), a * fa.u(x, y, h) + b * fb.u(x, y, h), atol=1e-12)
@@ -229,59 +191,24 @@ class TestAssembleLinear:
 
 
 class TestAssembleQuadratic:
-    def test_reduces_to_linear(self):
-        rng = np.random.default_rng(14)
-        g0, g1 = rand_series(rng), rand_series(rng)
-        B = Point2(0.25, -0.4)
-        w1 = 0.6
-        lin = assemble_linear(g0, g1, w1, B)
-        quad = assemble_quadratic(g0, g1, AnalyticSeries.zero(), 0.0, B, w1_const=w1)
-        x, y = np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
-        for h in (0.0, 0.3, 1.0):
-            assert np.allclose(quad.u(x, y, h), lin.u(x, y, h), atol=1e-13)
-            assert np.allclose(quad.v(x, y, h), lin.v(x, y, h), atol=1e-13)
-            assert np.allclose(quad.w(x, y, h), lin.w(x, y, h), atol=1e-13)
-
-    def test_constant_f2_gives_linear_w1(self):
-        B = Point2(0.0, 0.0)
-        f2 = AnalyticSeries.interior([0.5 - 0.2j])
-        q = assemble_quadratic(AnalyticSeries.zero(), AnalyticSeries.zero(), f2,
-                               0.1, B, w1_const=0.3)
-        x, y = np.array([0.4, -0.7]), np.array([0.2, 0.5])
-        # w1 = 2*Im((0.5-0.2j) z) + 0.3
-        expect = 2 * (-0.2 * x + 0.5 * y) + 0.3
-        assert np.allclose(q.w1(x, y), expect, atol=1e-13)
-        res = field_residuals(q)
-        assert res.worst() < 1e-8
-
     def test_random_inputs_residuals(self):
         rng = np.random.default_rng(15)
         for _ in range(3):
-            q = assemble_quadratic(rand_series(rng), rand_series(rng), rand_series(rng),
-                                   rng.uniform(-0.5, 0.5), Point2(0.1, 0.1),
-                                   w1_const=rng.uniform(-0.5, 0.5))
+            q = assemble(rand_series(rng), rand_series(rng), rng.uniform(-0.5, 0.5),
+                         Point2(0.1, 0.1), rng.uniform(-0.5, 0.5))
             res = field_residuals(q)
             assert res.worst() < 1e-8
             assert res.fd_max_div < 1e-6
             assert max(res.fd_max_curl) < 1e-6
 
-    def test_w1_at_branch_equals_const(self):
-        rng = np.random.default_rng(16)
-        B = Point2(0.3, -0.2)
-        q = assemble_quadratic(rand_series(rng), rand_series(rng), rand_series(rng),
-                               0.2, B, w1_const=0.77)
-        assert abs(q.w1_at_branch() - 0.77) < 1e-13
-
 
 class TestResidualInjection:
     def test_perturbing_u1_breaks_continuity_by_eps(self):
         rng = np.random.default_rng(17)
-        f = assemble_linear(rand_series(rng), rand_series(rng), 0.0, Point2(0, 0))
+        f = assemble(rand_series(rng), rand_series(rng), 0.0, Point2(0, 0))
         eps = 1e-3
 
         class Perturbed:
-            degree = 1
-
             def u(self, x, y, h):
                 return f.u(x, y, h) + np.asarray(h) * eps * np.asarray(x)
 
@@ -301,58 +228,50 @@ class TestResidualInjection:
 class TestGlue:
     def _quad(self, w2=0.1, w1c=0.3):
         rng = np.random.default_rng(18)
-        return assemble_quadratic(rand_series(rng), rand_series(rng),
-                                  AnalyticSeries.zero(), w2, Point2(0.0, 0.0),
-                                  w1_const=w1c)
+        return assemble(rand_series(rng), rand_series(rng), w1c, Point2(0.0, 0.0), w2)
 
     @staticmethod
-    def _lower_trace(spec):
-        # the next section's plane h = 0, unpacked from the glue data
-        return analytic_correction(spec["f0"], spec["w1_const"] + spec["extra_div"])
-
-    def test_linear_mode_rejected(self):
-        rng = np.random.default_rng(19)
-        lin = assemble_linear(rand_series(rng), rand_series(rng), 0.0, Point2(0, 0))
-        with pytest.raises(GluingUnsupportedInLinearMode):
-            glue_sections(lin, ())
+    def _lower_trace(q, spec):
+        # the next section's plane h = 0: the completion of the shared blade,
+        # f0 + f1 of q, unpacked with the glue data
+        return analytic_correction(q.f0 + q.f1, spec["w1_const"] + spec["extra_div"])
 
     def test_w1_chaining_rule(self):
         q = self._quad(w2=0.1, w1c=0.3)
-        spec = glue_sections(q, ())
+        spec = glue_sections(q)
         assert abs(spec["w1_const"] - 0.4) < 1e-14
 
     def test_trace_matches_field_at_top(self):
         q = self._quad()
-        spec = glue_sections(q, ())
-        u, v = self._lower_trace(spec)
+        spec = glue_sections(q)
+        u, v = self._lower_trace(q, spec)
         x, y = np.array([0.3, -0.8]), np.array([0.5, 0.1])
         assert np.allclose(u(x, y), q.u(x, y, 1.0), atol=1e-13)
         assert np.allclose(v(x, y), q.v(x, y, 1.0), atol=1e-13)
 
     def test_transversal_datum_fixes_w2(self):
         q = self._quad(w2=0.1, w1c=0.3)
-        spec = glue_sections(q, (), transversal=(0.9, 1.0))
+        spec = glue_sections(q, transversal=(0.9, 1.0))
         # w(B, 1) = w1 + w2 = 0.9 with w1 = 0.4 gives w2 = 0.5
         assert abs(spec["w2"] - 0.5) < 1e-13
 
     def test_flat_continuation(self):
         q = self._quad(w2=0.0, w1c=0.0)
-        spec = glue_sections(q, ())
-        u, _ = self._lower_trace(spec)
+        spec = glue_sections(q)
+        u, _ = self._lower_trace(q, spec)
         x, y = np.array([0.4]), np.array([-0.6])
         assert np.allclose(u(x, y), q.u(x, y, 1.0), atol=1e-14)
-        assert abs(spec["w1_const"] - q.w1_at_branch()) < 1e-14
+        assert abs(spec["w1_const"] - q.w1) < 1e-14
 
     def test_trace_defect_sees_a_missing_shift(self):
         # a section assembled from the glue data continues q exactly; dropping
         # the in-plane shift leaves a jump of (w2/2)*|z| that trace_defect sees
         q = self._quad(w2=0.1, w1c=0.3)
-        spec = glue_sections(q, ())
+        spec = glue_sections(q)
         B = Point2(0.0, 0.0)
         grid = GridSpec()
         for shift, glued in ((spec["extra_div"], True), (0.0, False)):
-            nxt = assemble_quadratic(spec["f0"], AnalyticSeries.zero(),
-                                     AnalyticSeries.zero(), spec["w2"], B,
-                                     w1_const=spec["w1_const"], extra_div=shift)
+            nxt = assemble(q.f0 + q.f1, AnalyticSeries.zero(), spec["w1_const"], B,
+                           spec["w2"], extra_div=shift)
             du, dv = trace_defect(q, nxt, grid)
             assert (max(du, dv) < 1e-12) is glued

@@ -72,3 +72,46 @@ def test_malformed_config_exits_2(design, tmp_path, caplog, path, value, pointer
     assert cli.main(["solve", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert f"{pointer}: {message}" in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+# for this design the lift score is largest just past the box's edge x1 = 0.5
+POSITIONING = {
+    "lift": {"method": "lift", "box": [-0.3, -0.5, 0.5, 0.3], "partition": 32},
+    "area": {"method": "area"},
+}
+
+
+def _solve(tmp_path, cfg, name):
+    out = tmp_path / name
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("method", sorted(POSITIONING))
+def test_degree2_section_with_positioning(design, tmp_path, method):
+    cfg = json.loads(json.dumps(design))
+    cfg["sections"][0].update(degree=2, w2=0.1)
+    cfg["positioning"] = POSITIONING[method]
+    out = _solve(tmp_path, cfg, method)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["passed"] is True
+    shift = report["sections"][0]["shift"]
+    assert shift["method"] == method
+    if method == "lift":
+        x0, y0, x1, y1 = POSITIONING["lift"]["box"]
+        assert x0 <= shift["dx"] <= x1 and y0 <= shift["dy"] <= y1
+
+
+def test_degree2_without_w2_is_degree1(design, tmp_path):
+    # degree 1 is the degree-2 field with w2 = 0: same residuals, same shift
+    outs = []
+    for degree in (1, 2):
+        cfg = json.loads(json.dumps(design))
+        cfg["sections"][0]["degree"] = degree
+        if degree == 2:
+            cfg["sections"][0]["w2"] = 0
+        outs.append(_solve(tmp_path, cfg, f"degree{degree}") / "s0")
+    for name in ("residuals.json", "shift.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

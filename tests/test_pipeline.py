@@ -1,11 +1,14 @@
 """End-to-end pipeline runs on oracle data: a chain of degree-2 sections."""
 
+import dataclasses
+
 import pytest
 
 import oracles
 from bladekit import assembly
 from bladekit.config import parse_config_dict
-from bladekit.pipeline import GLUE_TOL, run_pipeline
+from bladekit.geometry import Point2
+from bladekit.pipeline import GLUE_TOL, _residual_grid, run_pipeline
 
 # (lower centre, lower beta, upper centre, upper beta, w1) per section; the
 # chained sections take w1 from the chaining rule and w2 from their datum
@@ -71,8 +74,35 @@ class TestDegree2Chain:
         prev, sec = chain_report.sections[:2]
         assert sec.field.extra_div != 0.0
         fld = sec.field
-        unshifted = assembly.assemble_quadratic(fld.f0_analytic, fld.f1_analytic, fld.f2,
-                                                fld.w2, fld.branch_point,
-                                                w1_const=fld.w1_const, extra_div=0.0)
+        unshifted = assembly.assemble(fld.f0, fld.f1, fld.w1, fld.branch_point, fld.w2,
+                                      extra_div=0.0)
         du, dv = assembly.trace_defect(prev.field, unshifted, sec.residuals.grid)
         assert max(du, dv) > GLUE_TOL
+
+    def test_chained_fields_do_not_grow(self, chain_report):
+        # every section takes f0 from its own lower blade: one pullback term in
+        # f0 and two (upper minus lower) in f1, however long the chain
+        for sec in chain_report.sections:
+            assert (len(sec.field.f0.terms), len(sec.field.f1.terms)) == (1, 2)
+
+    def test_chained_residual_box_clears_the_evaluated_blades(self, chain_report):
+        # the box clears the previous lower blade (trace_defect evaluates the
+        # previous field), the shared blade and the section's own upper blade
+        secs = chain_report.sections
+        for prev, sec in zip(secs, secs[1:]):
+            blades = [prev.lower.contour, sec.lower.contour, sec.upper.contour]
+            grid = sec.residuals.grid
+            assert grid == _residual_grid(blades)
+            for blade in blades:
+                assert blade.points[:, 0].max() < grid.x0
+
+    def test_w1_rule_sees_a_misanchored_field(self, chain_report):
+        # the rule reads w of the previous field over its branch point; the
+        # same field with w0 anchored elsewhere no longer matches the new w1
+        prev, sec = chain_report.sections[:2]
+        rule = {c.name: c for c in sec.checks}["glue_w1_rule"]
+        assert rule.value == assembly.w1_rule_defect(prev.field, sec.w1) == 0.0
+        B = prev.field.branch_point
+        w0 = assembly.fix_w0_constant(prev.field.w0, Point2(B.x + 0.5, B.y))
+        misanchored = dataclasses.replace(prev.field, w0=w0)
+        assert assembly.w1_rule_defect(misanchored, sec.w1) > GLUE_TOL

@@ -220,6 +220,19 @@ class TestMaximizeLift:
         on_boundary = (abs(abs(s.dx) - 0.4) < 1e-6) or (abs(abs(s.dy) - 0.4) < 1e-6)
         assert on_boundary
 
+    def test_far_corner_stays_in_box(self):
+        # congruent contours and lower-surface weights only: the score is
+        # proportional to |shift|, largest at the corner farthest from 0
+        n = 16
+        c = circle(n)
+        v = np.ones(n)
+        v[-1] = 0.0
+        p = NodePartition(n - 1, v, v)
+        x0, y0, x1, y1 = -0.2, -0.2, 0.5, 0.5
+        s = maximize_lift(c, c, p, (x0, y0, x1, y1))
+        assert x0 <= s.dx <= x1 and y0 <= s.dy <= y1
+        assert abs(s.dx - x1) < 1e-6 and abs(s.dy - y1) < 1e-6
+
 
 class TestShiftVector:
     def test_json(self):
