@@ -1,46 +1,29 @@
-"""Assembly of velocity fields polynomial in the transversal coordinate h.
+"""The velocity field of a section: a linear spline in h between two blades.
 
-The ansatz::
+The blade planes sit at h = 0 and h = 1.  With ``f_lo`` and ``f_up`` the
+analytic completions ``v + i*u`` of the two blades' in-plane velocities,
+the field is::
 
-    u = u0 + h*u1,   v = v0 + h*v1,   w = w0 + h*w1 + h^2*w2
+    v + i*u = (1-h)*f_lo(z) + h*f_up(z) - (i/2)*(w1 + extra_div + 2*w2*h)*conj(z)
+    w = Im P(z) - (w2/2)*|z|^2 + h*w1 + h^2*w2,   P = int (f_up - f_lo) dz
 
-has constant w1 and w2; degree 1 is w2 = 0.  (u1, v1) come from an analytic
-f1 = v1 + i*u1 with the constant 2*w2 absorbed through the correction
-``(i*w2)*conj(z)``, (u0, v0) from an analytic f0 with w1 absorbed through
-``(i*w1/2)*conj(z)``, and w0 = Im int f1 dz, plus a radial term for w2, so
-that grad w0 = (u1, v1).
-
-All components live in the closed term algebra of `planefield`, so the
-governing continuity and irrotationality residuals can be evaluated with
-exact derivatives and cross-checked by central finite differences.
+with constant w1 and w2 (degree 1 is w2 = 0) and P vanishing at the branch
+point B.  The conj(z) term absorbs dw/dh, so continuity holds up to the
+in-plane shift ``extra_div`` of a chained section, and grad w = du/dh,
+dv/dh makes the field irrotational.  `field_residuals` checks both with
+the spline's derivatives in closed form and again by central differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BladekitError
 from .geometry import Point2
-from .harmonic import AnalyticSeries
-from .planefield import (
-    ComplexPlaneField,
-    ScalarPlaneField,
-    SeriesSource,
-    imag_part,
-    real_part,
-)
+from .planefield import Pullback
 
 FD_STEP = 1e-4
-
-
-def _as_complex_field(f) -> ComplexPlaneField:
-    if isinstance(f, ComplexPlaneField):
-        return f
-    if isinstance(f, AnalyticSeries):
-        return ComplexPlaneField.from_series(f)
-    raise BladekitError(f"expected a series or complex field, got {type(f)!r}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +61,7 @@ class GridSpec:
 class FieldResiduals:
     """Maximal residuals of the governing system over a grid.
 
-    ``max_div`` and ``max_curl`` use exact derivatives of the term algebra;
+    ``max_div`` and ``max_curl`` use the spline's derivatives in closed form;
     the ``fd_*`` twins repeat the computation with central differences at
     step 1e-4.
     """
@@ -109,193 +92,141 @@ class FieldResiduals:
         }
 
 
-def analytic_correction(g, w1: float):
-    """Unpack the transversal-constant summand from analytic data g.
-
-    Returns (u0, v0) with ``v0 + i*u0 = g(z) - (i*w1/2)*conj(z)``, which
-    satisfies the modified relations ``du0/dx = -dv0/dy - w1`` and
-    ``du0/dy = dv0/dx``.
-
-    The factor 1/2 is forced: ``(i*c*w1)*conj(z)`` added to ``v0 + i*u0``
-    is analytic exactly when c = 1/2, as the modified-pair residual check
-    verifies.
-    """
-    cf = _as_complex_field(g) + ComplexPlaneField.zbar_multiple(-0.5j * w1)
-    return imag_part(cf), real_part(cf)
-
-
-def compute_w0(f1, z_ref: complex, w2: float = 0.0) -> ScalarPlaneField:
-    """Harmonic w0 = Im int f1 dz, zeroed at z_ref, so grad w0 = (u1, v1).
-
-    When (u1, v1) carries the 2*w2 shift of a degree-2 field, w0 gains the
-    radial term -(w2/2)*(x^2 + y^2), written as Im((-i*w2/2)*conj(z)*z) to
-    fit the term algebra.
-    """
-    w0 = imag_part(_as_complex_field(f1).antiderivative(complex(z_ref)))
-    if w2 == 0.0:
-        return w0
-    zmono = AnalyticSeries(np.array([1.0 + 0.0j]), low=1)
-    radial = ComplexPlaneField.from_source(SeriesSource(zmono), coeff=-0.5j * w2, kind="zbar")
-    return w0 + imag_part(radial)
-
-
-def fix_w0_constant(w0: ScalarPlaneField, B: Point2) -> ScalarPlaneField:
-    """Shift the free constant so the field vanishes at the branch point."""
-    value = float(w0(B.x, B.y))
-    return w0.plus_const(-value)
-
-
-def check_cauchy_riemann(pair, variant: str = "classical", coefficient: float = 0.0,
-                         grid: "GridSpec | None" = None) -> tuple[float, float]:
-    """Max residuals of ``u_x + v_y + shift`` and ``u_y - v_x`` over the grid.
-
-    ``variant`` selects the shift: classical (0), modified (w1 = coefficient),
-    or modified2 (2*w2 with w2 = coefficient).  Fields may be ScalarPlaneField
-    objects (exact derivatives) or plain callables (central differences).
-    """
-    shifts = {"classical": 0.0, "modified": coefficient, "modified2": 2.0 * coefficient}
-    if variant not in shifts:
-        raise BladekitError(f"unknown variant {variant!r}")
-    shift = shifts[variant]
-    u, v = pair
-    grid = grid or GridSpec()
-    x, y = grid.plane_nodes()
-    if isinstance(u, ScalarPlaneField) and isinstance(v, ScalarPlaneField):
-        ux, uy = u.dx()(x, y), u.dy()(x, y)
-        vx, vy = v.dx()(x, y), v.dy()(x, y)
-    else:
-        ux = (u(x + FD_STEP, y) - u(x - FD_STEP, y)) / (2 * FD_STEP)
-        uy = (u(x, y + FD_STEP) - u(x, y - FD_STEP)) / (2 * FD_STEP)
-        vx = (v(x + FD_STEP, y) - v(x - FD_STEP, y)) / (2 * FD_STEP)
-        vy = (v(x, y + FD_STEP) - v(x, y - FD_STEP)) / (2 * FD_STEP)
-    r1 = float(np.max(np.abs(ux + vy + shift)))
-    r2 = float(np.max(np.abs(uy - vx)))
-    return r1, r2
-
-
 # -- the assembled field ------------------------------------------------------
 
 @dataclass(frozen=True)
 class SplineField:
-    """Velocity field polynomial in h with all compatibility relations built in.
+    """The spline of the module docstring, from the analytic data of its planes.
 
-    ``u = u0 + h*u1``, ``v = v0 + h*v1`` and ``w = w0 + h*w1 + h^2*w2`` with
-    constant w1 and w2; degree 1 is w2 = 0.  ``extra_div`` is the in-plane
-    shift a chained section inherits (see `glue_sections`), 0 otherwise:
-    (u0, v0) absorb ``w1 + extra_div``, so div = -extra_div everywhere.
+    ``lower`` and ``upper`` are f_lo and f_up; ``P`` is the difference of
+    their primitives, both zero at the branch point.  ``w0_anchor`` is
+    subtracted from w so that w vanishes over the branch point at h = 0.
+    ``extra_div`` is the in-plane shift a chained section inherits (see
+    `glue_sections`), 0 otherwise.  ``absorbed`` is ``w1 + extra_div`` as
+    assembled, the dw/dh that the conj(z) term absorbs at h = 0; it is
+    fixed with the planes, so div = w1 - absorbed (-extra_div as
+    assembled), and a field whose w1 is changed afterwards fails continuity.
     """
 
-    f0: ComplexPlaneField
-    f1: ComplexPlaneField
+    lower: Pullback
+    upper: Pullback
+    lower_primitive: Pullback
+    upper_primitive: Pullback
     w1: float
     w2: float
     extra_div: float
     branch_point: Point2
-    u0: ScalarPlaneField = dc_field(repr=False)
-    v0: ScalarPlaneField = dc_field(repr=False)
-    u1: ScalarPlaneField = dc_field(repr=False)
-    v1: ScalarPlaneField = dc_field(repr=False)
-    w0: ScalarPlaneField = dc_field(repr=False)
+    absorbed: float
+    w0_anchor: float = 0.0
+
+    def planes(self, z):
+        """``(value, d/dz)`` of f_lo, f_up and P at z, inverting each map once."""
+        zeta_lo = self.lower.map.invert(z)
+        zeta_up = self.upper.map.invert(z)
+        p_lo, dp_lo = self.lower_primitive.at(zeta_lo)
+        p_up, dp_up = self.upper_primitive.at(zeta_up)
+        return self.lower.at(zeta_lo), self.upper.at(zeta_up), (p_up - p_lo, dp_up - dp_lo)
+
+    def velocity(self, x, y, h):
+        """``(u, v, w)`` at plane points (x, y) and heights h; h broadcasts."""
+        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
+        (f_lo, _), (f_up, _), (p, _) = self.planes(z)
+        h = np.asarray(h, dtype=float)
+        c = self.absorbed + 2.0 * self.w2 * h
+        f = (1.0 - h) * f_lo + h * f_up - 0.5j * c * np.conj(z)
+        w = (p.imag - 0.5 * self.w2 * (z.real**2 + z.imag**2) - self.w0_anchor
+             + h * self.w1 + h**2 * self.w2)
+        return f.imag, f.real, w
 
     def u(self, x, y, h):
-        return self.u0(x, y) + np.asarray(h) * self.u1(x, y)
+        return self.velocity(x, y, h)[0]
 
     def v(self, x, y, h):
-        return self.v0(x, y) + np.asarray(h) * self.v1(x, y)
+        return self.velocity(x, y, h)[1]
 
     def w(self, x, y, h):
-        h = np.asarray(h)
-        return self.w0(x, y) + h * self.w1 + h**2 * self.w2
+        return self.velocity(x, y, h)[2]
 
 
-def assemble(f0, f1, w1: float, B: Point2, w2: float = 0.0,
+def assemble(lower: Pullback, upper: Pullback, w1: float, B: Point2, w2: float = 0.0,
              extra_div: float = 0.0) -> SplineField:
-    """Build the field from the analytic data of its planes.
+    """Build the spline between the planes h = 0 (``lower``) and h = 1 (``upper``).
 
-    ``f0`` (the plane h = 0) and ``f1`` (the h-linear part) are series or
-    complex fields.  (u1, v1) are unpacked from f1 with 2*w2, the h-linear
-    part of dw/dh, and (u0, v0) from f0 with ``w1 + extra_div``; w0 =
-    Im int f1 dz (with the radial term of w2) vanishes at B, which also
-    anchors the antiderivative.
+    Both primitives vanish at B, and w is anchored by the same evaluation
+    that `w1_rule_defect` repeats, so ``w(B, h)`` is exactly ``h*w1 + h^2*w2``.
     """
-    f0_cf = _as_complex_field(f0)
-    f1_cf = _as_complex_field(f1)
-    u1, v1 = analytic_correction(f1_cf, 2.0 * w2)
-    u0, v0 = analytic_correction(f0_cf, w1 + extra_div)
-    w0 = fix_w0_constant(compute_w0(f1_cf, complex(B.x, B.y), w2), B)
-    return SplineField(f0_cf, f1_cf, float(w1), float(w2), float(extra_div), B,
-                       u0=u0, v0=v0, u1=u1, v1=v1, w0=w0)
+    zb = complex(B.x, B.y)
+    w1, w2, extra_div = float(w1), float(w2), float(extra_div)
+    fld = SplineField(lower, upper, lower.primitive(zb), upper.primitive(zb),
+                      w1, w2, extra_div, B, w1 + extra_div)
+    return replace(fld, w0_anchor=float(fld.w(B.x, B.y, 0.0)))
 
 
 def field_residuals(field: SplineField, grid: "GridSpec | None" = None) -> FieldResiduals:
     """Residuals of continuity and the three irrotationality relations.
 
-    Exact derivatives come from the term algebra; w1 and w2 are constants,
-    so only u0, v0, u1, v1 and w0 are differentiated.  The finite-difference
-    pass uses central differences at step 1e-4 in x, y, and h.
+    The exact pass writes ``v + i*u = G(z) + K*conj(z)``, so ``F_x = G' + K``
+    and ``F_y = i*(G' - K)``; du/dh - dw/dx and dv/dh - dw/dy reduce to the
+    gap between f_up - f_lo and the primitive's own derivative P' (the w2
+    terms cancel).  The finite-difference pass uses central differences at
+    step 1e-4 in x, y, and h.
     """
     grid = grid or GridSpec()
     x, y = grid.plane_nodes()
     hs = grid.h_nodes()
-
-    def grad(f):
-        return f.dx()(x, y), f.dy()(x, y)
-
-    u0_x, u0_y = grad(field.u0)
-    u1_x, u1_y = grad(field.u1)
-    v0_x, v0_y = grad(field.v0)
-    v1_x, v1_y = grad(field.v1)
-    w0_x, w0_y = grad(field.w0)
-
-    # du/dh = dw/dx and dv/dh = dw/dy hold at every h or at none
-    max_curl = [0.0,
-                float(np.max(np.abs(field.u1(x, y) - w0_x))),
-                float(np.max(np.abs(field.v1(x, y) - w0_y)))]
-    max_div = 0.0
-    for h in hs:
-        div = u0_x + h * u1_x + v0_y + h * v1_y + field.w1 + 2.0 * h * field.w2
-        cxy = u0_y + h * u1_y - v0_x - h * v1_x
-        max_div = max(max_div, float(np.max(np.abs(div))))
-        max_curl[0] = max(max_curl[0], float(np.max(np.abs(cxy))))
-
+    h = hs[:, None]
+    (f_lo, df_lo), (f_up, df_up), (_, dp) = field.planes(x + 1j * y)
+    dg = (1.0 - h) * df_lo + h * df_up
+    k = -0.5j * (field.absorbed + 2.0 * field.w2 * h)
+    fx, fy = dg + k, 1j * (dg - k)
+    div = fx.imag + fy.real + field.w1 + 2.0 * h * field.w2
+    gap = f_up - f_lo - dp
+    max_curl = (float(np.max(np.abs(fy.imag - fx.real))),
+                float(np.max(np.abs(gap.imag))), float(np.max(np.abs(gap.real))))
     fd_div, fd_curl = _fd_residuals(field, x, y, hs)
-    return FieldResiduals(max_div, tuple(max_curl), fd_div, tuple(fd_curl), grid)
+    return FieldResiduals(float(np.max(np.abs(div))), max_curl, fd_div, tuple(fd_curl), grid)
 
 
 def _fd_residuals(field, x, y, hs):
     e = FD_STEP
-    fd_div = 0.0
-    fd_curl = [0.0, 0.0, 0.0]
-    for h in hs:
-        ux = (field.u(x + e, y, h) - field.u(x - e, y, h)) / (2 * e)
-        uy = (field.u(x, y + e, h) - field.u(x, y - e, h)) / (2 * e)
-        uh = (field.u(x, y, h + e) - field.u(x, y, h - e)) / (2 * e)
-        vx = (field.v(x + e, y, h) - field.v(x - e, y, h)) / (2 * e)
-        vy = (field.v(x, y + e, h) - field.v(x, y - e, h)) / (2 * e)
-        vh = (field.v(x, y, h + e) - field.v(x, y, h - e)) / (2 * e)
-        wx = (field.w(x + e, y, h) - field.w(x - e, y, h)) / (2 * e)
-        wy = (field.w(x, y + e, h) - field.w(x, y - e, h)) / (2 * e)
-        wh = (field.w(x, y, h + e) - field.w(x, y, h - e)) / (2 * e)
-        fd_div = max(fd_div, float(np.max(np.abs(ux + vy + wh))))
-        fd_curl[0] = max(fd_curl[0], float(np.max(np.abs(uy - vx))))
-        fd_curl[1] = max(fd_curl[1], float(np.max(np.abs(uh - wx))))
-        fd_curl[2] = max(fd_curl[2], float(np.max(np.abs(vh - wy))))
+    h = np.asarray(hs)[:, None]
+
+    def diff(plus, minus):
+        return [(p - m) / (2 * e) for p, m in zip(field.velocity(*plus), field.velocity(*minus))]
+
+    ux, vx, wx = diff((x + e, y, h), (x - e, y, h))
+    uy, vy, wy = diff((x, y + e, h), (x, y - e, h))
+    uh, vh, wh = diff((x, y, h + e), (x, y, h - e))
+    fd_div = float(np.max(np.abs(ux + vy + wh)))
+    fd_curl = [float(np.max(np.abs(a - b))) for a, b in ((uy, vx), (uh, wx), (vh, wy))]
     return fd_div, fd_curl
+
+
+def datum_rule(w_ref: float, h_ref: float, w1: "float | None" = None,
+               w2: "float | None" = None) -> float:
+    """Solve the transversal datum ``h_ref*w1 + h_ref^2*w2 = w_ref`` for the unknown.
+
+    w0 vanishes over the branch point, so this is ``w(B, h_ref) = w_ref``.
+    First sections know w2 and solve for w1; chained sections know w1 and
+    solve for w2.
+    """
+    if w1 is None:
+        return (w_ref - h_ref**2 * w2) / h_ref
+    return (w_ref - h_ref * w1) / h_ref**2
 
 
 def glue_sections(first: SplineField, transversal: "tuple[float, float] | None" = None) -> dict:
     """Chaining data for the section stacked on top of ``first``.
 
-    The new section's lower blade is ``first``'s upper one, so its f0 is that
-    blade's completion, whose conj(z) coefficient ``first.w1 + 2*first.w2 +
-    first.extra_div`` splits into
+    The new section's lower plane is ``first``'s upper blade, whose conj(z)
+    coefficient ``first.w1 + 2*first.w2 + first.extra_div`` splits into
 
     * ``w1_const = first.w1 + first.w2``, the chaining rule: w of ``first``
       at h = 1 over its branch point, where w0 vanishes;
     * ``extra_div = first.w2 + first.extra_div``, the in-plane shift that the
       new w1 does not account for;
     * ``w2`` comes from the optional (w_ref, h_ref) datum through
-      ``w(B, h_ref) = h_ref*w1 + h_ref^2*w2`` with w0(B) = 0, and is 0 without it.
+      `datum_rule`, and is 0 without it.
 
     `trace_defect` and `w1_rule_defect` measure how well a section assembled
     from these data continues ``first``.
@@ -303,8 +234,7 @@ def glue_sections(first: SplineField, transversal: "tuple[float, float] | None" 
     w1_const = first.w1 + first.w2
     w2 = 0.0
     if transversal is not None:
-        w_ref, h_ref = transversal
-        w2 = (w_ref - h_ref * w1_const) / h_ref**2
+        w2 = datum_rule(*transversal, w1=w1_const)
     return {"w1_const": float(w1_const), "w2": float(w2),
             "extra_div": first.w2 + first.extra_div}
 

@@ -179,18 +179,24 @@ def contour_to_csv(c: Contour) -> str:
 
 def contour_from_csv(text: str) -> tuple[Contour, np.ndarray | None]:
     """Parse ``index,x,y`` rows; a fourth ``v`` column, if present, is returned too."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise BladekitError("empty contour file")
-    header = [h.strip().lower() for h in lines[0].split(",")]
+    header = [h.strip().lower() for h in lines[0][1].split(",")]
     if header[:3] != ["index", "x", "y"]:
-        raise BladekitError(f"expected header 'index,x,y', got {lines[0]!r}")
-    has_v = len(header) > 3 and header[3] == "v"
+        raise BladekitError(f"expected header 'index,x,y', got {lines[0][1]!r}")
+    width = 4 if len(header) > 3 and header[3] == "v" else 3
     pts, vel = [], []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         cells = ln.split(",")
-        pts.append((float(cells[1]), float(cells[2])))
-        if has_v:
-            vel.append(float(cells[3]))
+        try:
+            if len(cells) < width:
+                raise ValueError
+            pts.append((float(cells[1]), float(cells[2])))
+            if width == 4:
+                vel.append(float(cells[3]))
+        except ValueError:
+            raise BladekitError(f"line {lineno}: expected a {','.join(header[:width])} "
+                                f"row of numbers, got {ln!r}") from None
     contour = Contour(np.asarray(pts))
-    return contour, (np.asarray(vel) if has_v else None)
+    return contour, (np.asarray(vel) if width == 4 else None)

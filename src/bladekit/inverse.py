@@ -675,9 +675,9 @@ def solve_modified(d: VelocityDistribution, w1: float, n: int = 256,
                    z_start: complex = 0.0) -> tuple[AnalyticSeries, CircleCorrespondence, PlanarSolution]:
     """Modified-problem solve returning the analytic datum and correspondence.
 
-    The returned series is the analytic completion of the in-plane velocity
-    (the field assembly subtracts the ``(i*w1/2)*conj(z)`` summand when
-    unpacking it into components).
+    The returned series g(zeta) is the analytic completion of the in-plane
+    velocity; the field assembly takes ``i*g(zeta(z))`` as the blade's plane
+    and adds the ``-(i*w1/2)*conj(z)`` summand of the modified problem.
     """
     sol = solve_distribution(d, n=n, z_start=z_start, w1=w1)
     return sol.velocity_series, sol.corr, sol

@@ -2,11 +2,11 @@
 
 Each section solves two planar inverse problems (one per blade, both as
 modified problems with the section's transversal constants) and builds its
-velocity field with `assembly.assemble`: f0 is the lower blade's analytic
-completion (the plane h = 0) and f1 the difference of the upper and lower
-completions (the planes sit at h = 0 and h = 1).  It then measures the
-field's residuals on a box clear of every blade the field is evaluated over,
-and positions the reconstructed contours.
+velocity field with `assembly.assemble` from the two blades' analytic
+completions: the lower blade is the plane h = 0, the upper blade the plane
+h = 1.  It then measures the field's residuals on a box clear of every
+blade the field is evaluated over, and positions the reconstructed
+contours.
 
 Degree-1 chains treat sections independently (the shared blade carries no
 information across).  A degree-2 section after the first is chained onto
@@ -35,6 +35,7 @@ from .assembly import (
     GridSpec,
     SplineField,
     assemble,
+    datum_rule,
     field_residuals,
     glue_sections,
     trace_defect,
@@ -44,7 +45,7 @@ from .config import DesignConfig, SectionConfig, TransversalDatum
 from .errors import BadValue, BladekitError
 from .geometry import Contour, Point2, contour_to_csv
 from .inverse import PlanarSolution, solve_distribution
-from .planefield import ComplexPlaneField, PullbackSource
+from .planefield import Pullback
 from .positioning import (
     NodePartition,
     ShiftVector,
@@ -62,16 +63,15 @@ CLOSURE_TOL = 1e-10
 GLUE_TOL = 1e-10
 
 
-def determine_w1(section: SectionConfig) -> float:
-    """Transversal constant of a section, literal or from a reference datum.
+def determine_w1(section: SectionConfig, w2: float = 0.0) -> float:
+    """Transversal constant of a first section, literal or from a reference datum.
 
-    With w0 normalized to vanish at the branch point, a prescribed
-    transversal speed w_ref at height h_ref over that point gives
-    ``w1 = w_ref / h_ref`` (degree 1; degree-2 first sections use the same
-    rule for the h-linear part).
+    A prescribed transversal speed w_ref at height h_ref over the branch
+    point gives w1 through `assembly.datum_rule` with the section's w2
+    (``w1 = w_ref / h_ref`` at degree 1).
     """
     if isinstance(section.w1, TransversalDatum):
-        return section.w1.w_ref / section.w1.h_ref
+        return datum_rule(section.w1.w_ref, section.w1.h_ref, w2=w2)
     return float(section.w1)
 
 
@@ -142,10 +142,9 @@ class RunReport:
         }
 
 
-def _pullback_field(solution: PlanarSolution, coeff: complex = 1.0) -> ComplexPlaneField:
-    """Analytic completion of the blade's in-plane velocity, as a plane field."""
-    return ComplexPlaneField.from_source(
-        PullbackSource(solution.velocity_series, solution.map), coeff=coeff)
+def _pullback_field(solution: PlanarSolution, coeff: complex = 1.0) -> Pullback:
+    """Analytic completion of the blade's in-plane velocity, times ``coeff``."""
+    return Pullback(solution.velocity_series * coeff, solution.map)
 
 
 def _residual_grid(contours: "list[Contour]") -> GridSpec:
@@ -192,8 +191,8 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
     n = cfg.n_boundary
     if prev is None:
         glue_info = None
-        w1c = determine_w1(section)
         w2 = section.w2 if section.degree == 2 else 0.0
+        w1c = determine_w1(section, w2)
         extra_div = 0.0
         sol_lo = solve_distribution(section.lower, n, z_start=0.0, w1=w1c)
         involved = [sol_lo.contour]
@@ -210,12 +209,9 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
                                 w1=w1c + extra_div + 2.0 * w2)
     involved.append(sol_up.contour)
 
-    # the blade planes sit at h = 0 and h = 1: the h-linear data is the
-    # difference of the two in-plane completions
-    f0 = _pullback_field(sol_lo, 1.0j)
-    f1 = _pullback_field(sol_up, 1.0j) - f0
     zb = sol_lo.branch_point()
-    fld = assemble(f0, f1, w1c, Point2(zb.real, zb.imag), w2, extra_div)
+    fld = assemble(_pullback_field(sol_lo, 1.0j), _pullback_field(sol_up, 1.0j),
+                   w1c, Point2(zb.real, zb.imag), w2, extra_div)
     grid = _residual_grid(involved)
     residuals = field_residuals(fld, grid)
     shift = _position(cfg, sol_lo, sol_up)

@@ -1,27 +1,36 @@
+import dataclasses
+
 import numpy as np
 
 from bladekit.assembly import (
     GridSpec,
-    analytic_correction,
+    _fd_residuals,
     assemble,
-    check_cauchy_riemann,
-    compute_w0,
     field_residuals,
-    fix_w0_constant,
     glue_sections,
     trace_defect,
 )
 from bladekit.geometry import Point2
 from bladekit.harmonic import AnalyticSeries
-from bladekit.planefield import ComplexPlaneField, imag_part, real_part
+from bladekit.planefield import Pullback, SeriesMap
 
 FD = 1e-4
 
+# z = zeta: arbitrary analytic data as plane functions, defined for |z| >= 1,
+# so every box and anchor below lies outside the unit circle
+IDENTITY = SeriesMap(AnalyticSeries.interior([0.0, 1.0]))
+GRID = GridSpec(x0=1.5, x1=3.0, y0=-0.75, y1=0.75)
+ZERO = Pullback(AnalyticSeries.zero(), IDENTITY)
 
-def rand_series(rng, degree=5, scale=1.0):
+
+def plane(coeffs) -> Pullback:
+    return Pullback(AnalyticSeries.interior(coeffs), IDENTITY)
+
+
+def rand_plane(rng, degree=5, scale=1.0) -> Pullback:
     c = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
     c *= scale / 2.0 ** np.arange(degree + 1)
-    return AnalyticSeries.interior(c)
+    return plane(c)
 
 
 def fd_grad(f, x, y):
@@ -32,171 +41,184 @@ def fd_grad(f, x, y):
 
 class TestCauchyRiemann:
     def test_classical_analytic_pair(self):
-        # g = i*z gives v1 = -y, u1 = x
-        f = AnalyticSeries.interior([0.0, 1.0j])
-        u, v = analytic_correction(f, 0.0)
-        r1, r2 = check_cauchy_riemann((u, v), "classical")
-        assert r1 < 1e-12 and r2 < 1e-12
+        # upper plane i*z gives v = -y, u = x at h = 1
+        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, Point2(2.0, 2.0))
+        x, y = GRID.plane_nodes()
+        assert np.allclose(fld.u(x, y, 1.0), x, atol=1e-13)
+        assert np.allclose(fld.v(x, y, 1.0), -y, atol=1e-13)
+        res = field_residuals(fld, GRID)
+        assert res.max_div < 1e-12 and res.max_curl[0] < 1e-12
 
     def test_pure_divergence_absorber(self):
+        # no analytic data: the conj(z) term alone, u = -w1*x/2, v = -w1*y/2,
+        # absorbs dw/dh = w1
         w1 = 0.7
-        # u = -w1*x, v = 0
-        u = real_part(ComplexPlaneField.from_series(AnalyticSeries.interior([0.0, -w1])))
-        v = real_part(ComplexPlaneField())
-        r1, r2 = check_cauchy_riemann((u, v), "modified", w1)
-        assert r1 < 1e-12 and r2 < 1e-12
+        fld = assemble(ZERO, ZERO, w1, Point2(2.0, 0.0))
+        x, y = GRID.plane_nodes()
+        assert np.allclose(fld.u(x, y, 0.4), -0.5 * w1 * x, atol=1e-14)
+        assert np.allclose(fld.v(x, y, 0.4), -0.5 * w1 * y, atol=1e-14)
+        res = field_residuals(fld, GRID)
+        assert res.worst() < 1e-12
 
     def test_fd_cross_check(self):
         rng = np.random.default_rng(1)
-        g = rand_series(rng)
-        u, v = analytic_correction(g, 0.4)
-        exact = check_cauchy_riemann((u, v), "modified", 0.4)
-        fd = check_cauchy_riemann((lambda x, y: u(x, y), lambda x, y: v(x, y)),
-                                  "modified", 0.4)
-        assert abs(exact[0] - fd[0]) < 1e-6
-        assert abs(exact[1] - fd[1]) < 1e-6
-
-
-def _coordinate_field(which):
-    # x = Re z, y = Im z as scalar fields
-    z = AnalyticSeries.interior([0.0, 1.0])
-    cf = ComplexPlaneField.from_series(z)
-    return real_part(cf) if which == "x" else imag_part(cf)
+        fld = assemble(rand_plane(rng), rand_plane(rng), 0.4, Point2(2.0, 0.0))
+        res = field_residuals(fld, GRID)
+        assert res.paths_agree
+        assert abs(res.max_div - res.fd_max_div) < 1e-6
+        assert abs(res.max_curl[0] - res.fd_max_curl[0]) < 1e-6
 
 
 class TestComputeW0:
     def test_f1_iz(self):
-        # f1 = i*z: u1 = x, v1 = -y, w0 = (x^2 - y^2)/2
-        w0 = compute_w0(AnalyticSeries.interior([0.0, 1.0j]), 0.0)
-        x = np.array([0.3, -1.2, 0.9])
-        y = np.array([0.1, 0.4, -0.8])
-        assert np.allclose(w0(x, y), (x**2 - y**2) / 2, atol=1e-13)
+        # upper plane i*z: u1 = x, v1 = -y, w = (x^2 - y^2)/2, zero at B = (2, 2)
+        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, Point2(2.0, 2.0))
+        x = np.array([1.3, -1.2, 2.9])
+        y = np.array([0.1, 1.4, -0.8])
+        assert np.allclose(fld.w(x, y, 0.5), (x**2 - y**2) / 2, atol=1e-13)
 
     def test_f1_constant(self):
-        # f1 = a + ib: v1 = a, u1 = b, w0 = b*x + a*y
+        # upper plane a + ib: v1 = a, u1 = b, w = b*x + a*y up to its value at B
         a, b = 0.8, -0.3
-        w0 = compute_w0(AnalyticSeries.interior([a + 1j * b]), 0.0)
+        B = Point2(1.5, -0.5)
+        fld = assemble(ZERO, plane([a + 1j * b]), 0.0, B)
         x, y = np.array([1.4]), np.array([-2.2])
-        assert np.allclose(w0(x, y), b * x + a * y, atol=1e-13)
+        assert np.allclose(fld.w(x, y, 0.0), b * (x - B.x) + a * (y - B.y), atol=1e-13)
 
     def test_f1_iz2_harmonic(self):
-        # f1 = i*z^2: w0 = x^3/3 - x*y^2, harmonic
-        w0 = compute_w0(AnalyticSeries.interior([0, 0, 1.0j]), 0.0)
-        x = np.linspace(-1, 1, 7)
-        y = np.linspace(-1, 1, 7)
-        gx, gy = np.meshgrid(x, y)
-        assert np.allclose(w0(gx, gy), gx**3 / 3 - gx * gy**2, atol=1e-12)
+        # upper plane i*z^2: w = x^3/3 - x*y^2 up to a constant, harmonic
+        B = Point2(2.0, 0.0)
+        fld = assemble(ZERO, plane([0, 0, 1.0j]), 0.0, B)
+        gx, gy = np.meshgrid(np.linspace(1.5, 3.0, 7), np.linspace(-1, 1, 7))
+
+        def w0(x, y):
+            return fld.w(x, y, 0.0)
+
+        assert np.allclose(w0(gx, gy), gx**3 / 3 - gx * gy**2 - 8.0 / 3, atol=1e-12)
         lap = (w0(gx + FD, gy) + w0(gx - FD, gy) + w0(gx, gy + FD) + w0(gx, gy - FD)
                - 4 * w0(gx, gy)) / FD**2
         assert np.max(np.abs(lap)) < 1e-6
 
     def test_gradient_matches_pair_fd(self):
+        # grad w = (du/dh, dv/dh); u and v are linear in h
         rng = np.random.default_rng(10)
         for _ in range(20):
-            f1 = rand_series(rng)
-            w0 = compute_w0(f1, 0.0)
-            x = rng.uniform(-1, 1, 8)
+            fld = assemble(rand_plane(rng), rand_plane(rng), 0.0, Point2(2.0, 0.0))
+            x = rng.uniform(1.5, 3.0, 8)
             y = rng.uniform(-1, 1, 8)
-            gx, gy = fd_grad(w0, x, y)
-            u1, v1 = analytic_correction(f1, 0.0)
-            assert np.max(np.abs(gx - u1(x, y))) < 1e-6
-            assert np.max(np.abs(gy - v1(x, y))) < 1e-6
+            gx, gy = fd_grad(lambda x, y: fld.w(x, y, 0.0), x, y)
+            assert np.max(np.abs(gx - (fld.u(x, y, 1.0) - fld.u(x, y, 0.0)))) < 1e-6
+            assert np.max(np.abs(gy - (fld.v(x, y, 1.0) - fld.v(x, y, 0.0)))) < 1e-6
 
 
 class TestFixConstant:
     def test_already_zero(self):
-        w0 = compute_w0(AnalyticSeries.interior([0.0, 1.0j]), 0.0)
-        fixed = fix_w0_constant(w0, Point2(1.0, 1.0))
-        assert abs(fixed(1.0, 1.0)) < 1e-14
-        assert abs(fixed(0.5, 0.0) - w0(0.5, 0.0)) < 1e-14
+        # both primitives vanish at B, so the anchor only removes roundoff
+        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, Point2(2.0, 2.0))
+        assert fld.w(2.0, 2.0, 0.0) == 0.0
+        assert abs(fld.w0_anchor) < 1e-14
 
     def test_shift_constant(self):
-        w0 = _coordinate_field("x").plus_const(3.0)
-        fixed = fix_w0_constant(w0, Point2(0.0, 0.0))
-        assert abs(fixed(0.0, 0.0)) < 1e-14
-        assert abs(fixed(2.0, 0.0) - 2.0) < 1e-14
+        # the radial term of w2 is what the anchor shifts: w = -(w2/2)*(|z|^2 - |B|^2)
+        fld = assemble(ZERO, ZERO, 0.0, Point2(2.0, 0.0), w2=0.4)
+        assert abs(fld.w0_anchor + 0.8) < 1e-14
+        assert abs(fld.w(2.0, 0.0, 0.0)) < 1e-14
+        assert abs(fld.w(3.0, 0.0, 0.0) + 1.0) < 1e-14
 
     def test_any_point_lands_below_1e14(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            w0 = compute_w0(rand_series(rng), 0.0)
-            b = Point2(*rng.uniform(-1, 1, 2))
-            assert abs(fix_w0_constant(w0, b)(b.x, b.y)) < 1e-14
+            b = Point2(rng.uniform(1.5, 3.0), rng.uniform(-1, 1))
+            w1, w2 = rng.uniform(-0.5, 0.5, 2)
+            fld = assemble(rand_plane(rng), rand_plane(rng), w1, b, w2)
+            assert abs(fld.w(b.x, b.y, 0.0)) < 1e-14
+            assert fld.w(b.x, b.y, 1.0) == fld.w1 + fld.w2
 
 
 class TestAnalyticCorrection:
     def test_unpacked_pair_satisfies_modified_relations(self):
         rng = np.random.default_rng(7)
         for w1 in (0.0, 0.3, -1.0):
-            u0, v0 = analytic_correction(rand_series(rng), w1)
-            r1, r2 = check_cauchy_riemann((u0, v0), "modified", w1)
-            assert r1 < 1e-10 and r2 < 1e-10
+            fld = assemble(rand_plane(rng), rand_plane(rng), w1, Point2(2.0, 0.0))
+            res = field_residuals(fld, GRID)
+            assert res.worst() < 1e-10
 
     def test_full_factor_fails_by_w1(self):
-        # negative control: correction (i*w1)*conj(z) leaves residual |w1|
+        # negative control: the correction (i*w1)*conj(z), i.e. the factor 1
+        # instead of 1/2, leaves a divergence of |w1| in both passes
         rng = np.random.default_rng(8)
         w1 = 0.3
-        g = rand_series(rng)
-        cf = ComplexPlaneField.from_series(g) + ComplexPlaneField.zbar_multiple(-1.0j * w1)
-        u0, v0 = imag_part(cf), real_part(cf)
-        r1, _ = check_cauchy_riemann((u0, v0), "modified", w1)
-        assert abs(r1 - w1) < 1e-10
+        fld = assemble(rand_plane(rng), rand_plane(rng), w1, Point2(2.0, 0.0), extra_div=w1)
+        res = field_residuals(fld, GRID)
+        assert abs(res.max_div - w1) < 1e-10
+        assert abs(res.fd_max_div - w1) < 1e-6
 
     def test_explicit_w1_two(self):
-        # g = 0, w1 = 2: pair is -Im/-Re parts of (i)*conj(z)
-        u0, v0 = analytic_correction(AnalyticSeries.zero(), 2.0)
-        x, y = np.array([0.7]), np.array([-1.1])
-        assert np.allclose(u0(x, y), -x, atol=1e-14)
-        assert np.allclose(v0(x, y), -y, atol=1e-14)
-        r1, r2 = check_cauchy_riemann((u0, v0), "modified", 2.0)
-        assert r1 < 1e-12 and r2 < 1e-12
+        # no analytic data, w1 = 2: the plane h = 0 is u0 = -x, v0 = -y
+        fld = assemble(ZERO, ZERO, 2.0, Point2(2.0, 0.0))
+        x, y = np.array([1.7]), np.array([-1.1])
+        assert np.allclose(fld.u(x, y, 0.0), -x, atol=1e-14)
+        assert np.allclose(fld.v(x, y, 0.0), -y, atol=1e-14)
+        assert field_residuals(fld, GRID).worst() < 1e-12
 
 
 class TestAssembleLinear:
     def test_zero_field(self):
-        f = assemble(AnalyticSeries.zero(), AnalyticSeries.zero(), 0.0, Point2(0, 0))
-        x, y = np.array([0.3]), np.array([0.4])
+        f = assemble(ZERO, ZERO, 0.0, Point2(2.0, 0.0))
+        x, y = np.array([1.3]), np.array([0.4])
         assert abs(f.u(x, y, 0.7)) < 1e-15
         assert abs(f.w(x, y, 0.7)) < 1e-15
 
     def test_w_shape_from_f1_iz(self):
-        f = assemble(AnalyticSeries.zero(), AnalyticSeries.interior([0, 1.0j]),
-                     0.0, Point2(0, 0))
-        x, y = np.array([0.5, -0.3]), np.array([0.2, 0.8])
+        f = assemble(ZERO, plane([0, 1.0j]), 0.0, Point2(2.0, -2.0))
+        x, y = np.array([1.5, -1.3]), np.array([0.2, 0.8])
         for h in (0.0, 0.5, 1.0):
             assert np.allclose(f.w(x, y, h), (x**2 - y**2) / 2, atol=1e-13)
 
     def test_residuals_small(self):
         rng = np.random.default_rng(12)
-        f = assemble(rand_series(rng), rand_series(rng), 0.45, Point2(0.2, -0.1))
-        res = field_residuals(f)
+        f = assemble(rand_plane(rng), rand_plane(rng), 0.45, Point2(2.2, -0.1))
+        res = field_residuals(f, GRID)
         assert res.worst() < 1e-8
         assert res.fd_max_div < 1e-6
         assert res.paths_agree
 
     def test_linearity_in_analytic_data(self):
         rng = np.random.default_rng(13)
-        g1, g2 = rand_series(rng), rand_series(rng)
-        h1, h2 = rand_series(rng), rand_series(rng)
+        g1, g2 = rand_plane(rng), rand_plane(rng)
+        h1, h2 = rand_plane(rng), rand_plane(rng)
         a, b = 0.7, -1.3
-        B = Point2(0.1, 0.3)
+        B = Point2(2.1, 0.3)
         fa = assemble(g1, h1, 0.0, B)
         fb = assemble(g2, h2, 0.0, B)
-        fc = assemble(g1 * a + g2 * b, h1 * a + h2 * b, 0.0, B)
-        x, y = np.array([0.4, -0.9]), np.array([-0.2, 0.6])
+        fc = assemble(Pullback(g1.series * a + g2.series * b, IDENTITY),
+                      Pullback(h1.series * a + h2.series * b, IDENTITY), 0.0, B)
+        x, y = np.array([1.4, -1.9]), np.array([-0.2, 0.6])
         for h in (0.0, 0.8):
             assert np.allclose(fc.u(x, y, h), a * fa.u(x, y, h) + b * fb.u(x, y, h), atol=1e-12)
             assert np.allclose(fc.v(x, y, h), a * fa.v(x, y, h) + b * fb.v(x, y, h), atol=1e-12)
             assert np.allclose(fc.w(x, y, h), a * fa.w(x, y, h) + b * fb.w(x, y, h), atol=1e-12)
+
+    def test_circulation_gives_a_log_term(self):
+        # a 1/z term in the upper plane integrates to a log; curl_x and curl_y
+        # test the primitive, so dropping its log term fails both passes
+        upper = Pullback(AnalyticSeries.exterior([0.3, 0.5j, 0.2]), IDENTITY)
+        fld = assemble(ZERO, upper, 0.2, Point2(2.0, 0.0), 0.1)
+        assert abs(fld.upper_primitive.log - 0.5j) < 1e-15
+        res = field_residuals(fld, GRID)
+        assert res.worst() < 1e-8 and max(res.fd_max_curl) < 1e-6
+        no_log = dataclasses.replace(fld.upper_primitive, log=0.0)
+        res = field_residuals(dataclasses.replace(fld, upper_primitive=no_log), GRID)
+        assert max(res.max_curl[1:]) > 1e-2 and max(res.fd_max_curl[1:]) > 1e-2
 
 
 class TestAssembleQuadratic:
     def test_random_inputs_residuals(self):
         rng = np.random.default_rng(15)
         for _ in range(3):
-            q = assemble(rand_series(rng), rand_series(rng), rng.uniform(-0.5, 0.5),
-                         Point2(0.1, 0.1), rng.uniform(-0.5, 0.5))
-            res = field_residuals(q)
+            q = assemble(rand_plane(rng), rand_plane(rng), rng.uniform(-0.5, 0.5),
+                         Point2(2.1, 0.1), rng.uniform(-0.5, 0.5))
+            res = field_residuals(q, GRID)
             assert res.worst() < 1e-8
             assert res.fd_max_div < 1e-6
             assert max(res.fd_max_curl) < 1e-6
@@ -205,36 +227,51 @@ class TestAssembleQuadratic:
 class TestResidualInjection:
     def test_perturbing_u1_breaks_continuity_by_eps(self):
         rng = np.random.default_rng(17)
-        f = assemble(rand_series(rng), rand_series(rng), 0.0, Point2(0, 0))
+        f = assemble(rand_plane(rng), rand_plane(rng), 0.0, Point2(2.0, 0.0))
         eps = 1e-3
 
         class Perturbed:
-            def u(self, x, y, h):
-                return f.u(x, y, h) + np.asarray(h) * eps * np.asarray(x)
+            def velocity(self, x, y, h):
+                u, v, w = f.velocity(x, y, h)
+                return u + np.asarray(h) * eps * np.asarray(x), v, w
 
-            def v(self, x, y, h):
-                return f.v(x, y, h)
-
-            def w(self, x, y, h):
-                return f.w(x, y, h)
-
-        from bladekit.assembly import _fd_residuals
-        grid = GridSpec()
-        x, y = grid.plane_nodes()
-        fd_div, fd_curl = _fd_residuals(Perturbed(), x, y, grid.h_nodes())
+        x, y = GRID.plane_nodes()
+        fd_div, fd_curl = _fd_residuals(Perturbed(), x, y, GRID.h_nodes())
         assert abs(fd_div - eps) < 1e-6
+
+    def test_changed_w1_breaks_continuity(self):
+        # the conj(z) term is fixed with the planes: a field whose w1 moves
+        # afterwards leaves the difference as divergence in both passes
+        rng = np.random.default_rng(19)
+        fld = assemble(rand_plane(rng), rand_plane(rng), 0.2, Point2(2.0, 0.0), 0.1)
+        res = field_residuals(dataclasses.replace(fld, w1=fld.w1 + 0.3), GRID)
+        assert abs(res.max_div - 0.3) < 1e-10
+        assert abs(res.fd_max_div - 0.3) < 1e-6
+
+    def test_wrong_plane_difference_breaks_irrotationality(self):
+        # P built from f_lo - f_up instead of f_up - f_lo
+        rng = np.random.default_rng(20)
+        fld = assemble(rand_plane(rng), rand_plane(rng), 0.2, Point2(2.0, 0.0))
+        swapped = dataclasses.replace(fld, lower_primitive=fld.upper_primitive,
+                                      upper_primitive=fld.lower_primitive)
+        res = field_residuals(swapped, GRID)
+        assert max(res.max_curl[1:]) > 1e-8
+        assert max(res.fd_max_curl[1:]) > 1e-8
 
 
 class TestGlue:
+    B = Point2(2.0, 0.0)
+
     def _quad(self, w2=0.1, w1c=0.3):
         rng = np.random.default_rng(18)
-        return assemble(rand_series(rng), rand_series(rng), w1c, Point2(0.0, 0.0), w2)
+        return assemble(rand_plane(rng), rand_plane(rng), w1c, self.B, w2)
 
-    @staticmethod
-    def _lower_trace(q, spec):
-        # the next section's plane h = 0: the completion of the shared blade,
-        # f0 + f1 of q, unpacked with the glue data
-        return analytic_correction(q.f0 + q.f1, spec["w1_const"] + spec["extra_div"])
+    def _next(self, q, spec, shift=None):
+        # the next section's plane h = 0 is q's upper blade
+        rng = np.random.default_rng(21)
+        extra_div = spec["extra_div"] if shift is None else shift
+        return assemble(q.upper, rand_plane(rng), spec["w1_const"], self.B, spec["w2"],
+                        extra_div=extra_div)
 
     def test_w1_chaining_rule(self):
         q = self._quad(w2=0.1, w1c=0.3)
@@ -243,11 +280,10 @@ class TestGlue:
 
     def test_trace_matches_field_at_top(self):
         q = self._quad()
-        spec = glue_sections(q)
-        u, v = self._lower_trace(q, spec)
-        x, y = np.array([0.3, -0.8]), np.array([0.5, 0.1])
-        assert np.allclose(u(x, y), q.u(x, y, 1.0), atol=1e-13)
-        assert np.allclose(v(x, y), q.v(x, y, 1.0), atol=1e-13)
+        nxt = self._next(q, glue_sections(q))
+        x, y = np.array([1.3, -1.8]), np.array([0.5, 0.1])
+        assert np.allclose(nxt.u(x, y, 0.0), q.u(x, y, 1.0), atol=1e-13)
+        assert np.allclose(nxt.v(x, y, 0.0), q.v(x, y, 1.0), atol=1e-13)
 
     def test_transversal_datum_fixes_w2(self):
         q = self._quad(w2=0.1, w1c=0.3)
@@ -258,9 +294,9 @@ class TestGlue:
     def test_flat_continuation(self):
         q = self._quad(w2=0.0, w1c=0.0)
         spec = glue_sections(q)
-        u, _ = self._lower_trace(q, spec)
-        x, y = np.array([0.4]), np.array([-0.6])
-        assert np.allclose(u(x, y), q.u(x, y, 1.0), atol=1e-14)
+        nxt = self._next(q, spec)
+        x, y = np.array([1.4]), np.array([-0.6])
+        assert np.allclose(nxt.u(x, y, 0.0), q.u(x, y, 1.0), atol=1e-14)
         assert abs(spec["w1_const"] - q.w1) < 1e-14
 
     def test_trace_defect_sees_a_missing_shift(self):
@@ -268,10 +304,6 @@ class TestGlue:
         # the in-plane shift leaves a jump of (w2/2)*|z| that trace_defect sees
         q = self._quad(w2=0.1, w1c=0.3)
         spec = glue_sections(q)
-        B = Point2(0.0, 0.0)
-        grid = GridSpec()
-        for shift, glued in ((spec["extra_div"], True), (0.0, False)):
-            nxt = assemble(q.f0 + q.f1, AnalyticSeries.zero(), spec["w1_const"], B,
-                           spec["w2"], extra_div=shift)
-            du, dv = trace_defect(q, nxt, grid)
+        for shift, glued in ((None, True), (0.0, False)):
+            du, dv = trace_defect(q, self._next(q, spec, shift), GRID)
             assert (max(du, dv) < 1e-12) is glued

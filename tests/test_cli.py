@@ -115,3 +115,22 @@ def test_degree2_without_w2_is_degree1(design, tmp_path):
         outs.append(_solve(tmp_path, cfg, f"degree{degree}") / "s0")
     for name in ("residuals.json", "shift.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+GOOD_CONTOUR = "index,x,y\n0,0.0,0.0\n1,1.0,0.0\n2,1.0,1.0\n3,0.0,1.0\n"
+BAD_CONTOURS = {
+    # file text, 1-based line of the bad row
+    "short row": ("index,x,y\n0,0.0,0.0\n1,1.0\n2,1.0,1.0\n", 3),
+    "no v cell": ("index,x,y,v\n0,0.0,0.0,1.0\n\n1,1.0,0.0,1.0\n2,1.0,1.0\n", 5),
+    "not a number": ("index,x,y\n0,abc,1\n1,1.0,0.0\n2,1.0,1.0\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONTOURS))
+def test_malformed_contour_csv_exits_2(tmp_path, caplog, case):
+    text, line = BAD_CONTOURS[case]
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_text(text, encoding="utf-8")
+    good.write_text(GOOD_CONTOUR, encoding="utf-8")
+    assert cli.main(["position", "--contours", str(bad), str(good)]) == 2
+    assert f"line {line}:" in caplog.text

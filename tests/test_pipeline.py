@@ -2,12 +2,12 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import oracles
 from bladekit import assembly
 from bladekit.config import parse_config_dict
-from bladekit.geometry import Point2
 from bladekit.pipeline import GLUE_TOL, _residual_grid, run_pipeline
 
 # (lower centre, lower beta, upper centre, upper beta, w1) per section; the
@@ -74,16 +74,19 @@ class TestDegree2Chain:
         prev, sec = chain_report.sections[:2]
         assert sec.field.extra_div != 0.0
         fld = sec.field
-        unshifted = assembly.assemble(fld.f0, fld.f1, fld.w1, fld.branch_point, fld.w2,
-                                      extra_div=0.0)
+        unshifted = assembly.assemble(fld.lower, fld.upper, fld.w1, fld.branch_point,
+                                      fld.w2, extra_div=0.0)
         du, dv = assembly.trace_defect(prev.field, unshifted, sec.residuals.grid)
         assert max(du, dv) > GLUE_TOL
 
     def test_chained_fields_do_not_grow(self, chain_report):
-        # every section takes f0 from its own lower blade: one pullback term in
-        # f0 and two (upper minus lower) in f1, however long the chain
+        # every field is the spline between its own two blades, however long
+        # the chain: each plane is one blade's completion over that blade's map
         for sec in chain_report.sections:
-            assert (len(sec.field.f0.terms), len(sec.field.f1.terms)) == (1, 2)
+            for plane, blade in ((sec.field.lower, sec.lower), (sec.field.upper, sec.upper)):
+                assert plane.map is blade.map and plane.log == 0.0
+                assert np.array_equal(plane.series.coefficients,
+                                      (blade.velocity_series * 1j).coefficients)
 
     def test_chained_residual_box_clears_the_evaluated_blades(self, chain_report):
         # the box clears the previous lower blade (trace_defect evaluates the
@@ -103,6 +106,25 @@ class TestDegree2Chain:
         rule = {c.name: c for c in sec.checks}["glue_w1_rule"]
         assert rule.value == assembly.w1_rule_defect(prev.field, sec.w1) == 0.0
         B = prev.field.branch_point
-        w0 = assembly.fix_w0_constant(prev.field.w0, Point2(B.x + 0.5, B.y))
-        misanchored = dataclasses.replace(prev.field, w0=w0)
+        offset = float(prev.field.w(B.x + 0.5, B.y, 0.0))
+        misanchored = dataclasses.replace(prev.field, w0_anchor=prev.field.w0_anchor + offset)
         assert assembly.w1_rule_defect(misanchored, sec.w1) > GLUE_TOL
+
+
+def test_first_section_datum_holds_with_w2():
+    # a degree-2 first section solves the datum for w1 with its w2, so w over
+    # the branch point at h_ref is w_ref
+    lo_c, lo_b, up_c, up_b, _ = CHAIN[0]
+    w_ref, h_ref = 0.05, 0.5
+    cfg = parse_config_dict({
+        "sections": [{"id": "d0", "degree": 2, "w2": 0.1,
+                      "w1": {"from_transversal": {"w_ref": w_ref, "h_ref": h_ref}},
+                      "lower": _distribution(lo_c, lo_b),
+                      "upper": _distribution(up_c, up_b)}],
+        "discretization": {"n_boundary": 64},
+        "positioning": {"method": "lsq"}})
+    report = run_pipeline(cfg)
+    assert report.passed
+    fld = report.sections[0].field
+    B = fld.branch_point
+    assert abs(float(fld.w(B.x, B.y, h_ref)) - w_ref) < 1e-12
