@@ -37,10 +37,6 @@ class QuasisolutionDiverged(BladekitError):
     """Newton iteration on the correction parameters failed to converge."""
 
 
-class NotClosed(BladekitError):
-    """Closure defect above tolerance; the contour would not close."""
-
-
 class OptimizerFailed(BladekitError):
     """Direct search on a positioning objective did not converge."""
 

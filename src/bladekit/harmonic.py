@@ -7,10 +7,10 @@ integer powers of zeta; the classical cases are `interior` (powers >= 0,
 analytic in the disk) and `exterior` (powers <= 0, analytic outside the
 circle and bounded at infinity).
 
-The conjugation convention is the interior one: ``cos k*gamma -> sin k*gamma``,
-``sin k*gamma -> -cos k*gamma`` for k >= 1, constants map to zero.  The
-exterior Schwarz problem is solved by index reversal (``zeta -> 1/zeta``)
-rather than by a second sign convention.
+Nodal values become exterior series in two ways: `analytic_from_real_boundary`
+(the Schwarz operator, from a real part) and `exterior_projection` (from
+complex values).  The Schwarz problem is solved by index reversal
+(``zeta -> 1/zeta``) of the interior one.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class AnalyticSeries:
 
     `interior` series hold powers >= 0, `exterior` series powers <= 0 so
     they stay bounded at infinity.  Mixed windows arise internally, e.g.
-    as antiderivatives of exterior series, and are tagged `laurent`.
+    as antiderivatives of exterior series.
     """
 
     coefficients: np.ndarray
@@ -94,14 +94,6 @@ class AnalyticSeries:
         return self.low + len(self.coefficients) - 1
 
     @property
-    def orientation(self) -> str:
-        if self.low >= 0:
-            return "interior"
-        if self.high <= 0:
-            return "exterior"
-        return "laurent"
-
-    @property
     def degree(self) -> int:
         return max(abs(self.low), abs(self.high))
 
@@ -109,12 +101,6 @@ class AnalyticSeries:
         if self.low <= power <= self.high:
             return complex(self.coefficients[power - self.low])
         return 0.0 + 0.0j
-
-    def exterior_coefficients(self) -> np.ndarray:
-        """Coefficients c_k of zeta**-k, k = 0..m, for an exterior series."""
-        if self.low > 0 or self.high > 0:
-            raise BladekitError("series has positive powers")
-        return self.coefficients[::-1].copy()
 
     def trimmed(self, rtol: float = 0.0) -> "AnalyticSeries":
         """Drop negligible leading/trailing coefficients."""
@@ -231,43 +217,8 @@ def boundary_values(f: AnalyticSeries, n: int) -> np.ndarray:
     return np.fft.ifft(spectrum) * n
 
 
-def trig_fit(s: BoundarySamples) -> AnalyticSeries:
-    """Interior series F with Re F on the circle interpolating real samples.
-
-    The returned interpolant reproduces the samples at the nodes exactly
-    (to roundoff); the Nyquist cosine mode is kept so this holds for any
-    real input.
-    """
-    if not s.is_real():
-        raise BladekitError("trig_fit expects real samples")
-    n = s.n
-    spec = np.fft.rfft(s.values)
-    c = np.empty(n // 2 + 1, dtype=complex)
-    c[0] = spec[0].real / n
-    c[1:-1] = 2.0 * spec[1:-1] / n
-    c[-1] = spec[-1].real / n
-    return AnalyticSeries.interior(c)
-
-
-def conjugate_on_circle(s: BoundarySamples) -> BoundarySamples:
-    """Boundary trace of the conjugate harmonic function, zero mean.
-
-    Multiplies mode k by -i for 0 < k < n/2 and by +i for k > n/2; the mean
-    and the Nyquist mode map to zero.
-    """
-    n = s.n
-    spec = np.fft.fft(s.values)
-    mult = np.zeros(n, dtype=complex)
-    mult[1: n // 2] = -1.0j
-    mult[n // 2 + 1:] = 1.0j
-    out = np.fft.ifft(spec * mult)
-    if s.is_real():
-        out = out.real
-    return BoundarySamples(out)
-
-
-def analytic_from_real_boundary(re: BoundarySamples, orientation: str = "interior") -> AnalyticSeries:
-    """Schwarz operator: analytic series whose boundary real part matches.
+def analytic_from_real_boundary(re: BoundarySamples) -> AnalyticSeries:
+    """Exterior Schwarz operator: series in powers <= 0 whose boundary real part matches.
 
     Truncates at n/2 - 1 harmonics (the Nyquist sine is not observable on
     the grid); the imaginary part has zero mean, i.e. Im c_0 = 0.  The
@@ -275,20 +226,25 @@ def analytic_from_real_boundary(re: BoundarySamples, orientation: str = "interio
     """
     if not re.is_real():
         raise BladekitError("Schwarz data must be real")
-    if orientation not in ("interior", "exterior"):
-        raise BladekitError(f"unknown orientation {orientation!r}")
-    values = re.values
-    if orientation == "exterior":
-        values = np.roll(values[::-1], 1)      # gamma -> -gamma on the grid
+    values = np.roll(re.values[::-1], 1)       # gamma -> -gamma on the grid
     n = len(values)
     spec = np.fft.rfft(values)
     c = np.empty(n // 2, dtype=complex)
     c[0] = spec[0].real / n
     c[1:] = 2.0 * spec[1:-1] / n
-    series = AnalyticSeries.interior(c)
-    if orientation == "exterior":
-        return AnalyticSeries.exterior(c)
-    return series
+    return AnalyticSeries.exterior(c)
+
+
+def exterior_projection(values: np.ndarray) -> AnalyticSeries:
+    """Exterior series of the n/2 modes of powers 0..-(n/2 - 1) of nodal values.
+
+    The modes of positive power and the Nyquist mode are dropped, so for
+    the boundary trace of an exterior series of degree below n/2 this
+    returns that series.
+    """
+    n = len(values)
+    spec = np.fft.fft(values) / n
+    return AnalyticSeries(np.append(spec[n // 2 + 1:], spec[0]), low=1 - n // 2)
 
 
 def differentiate_boundary(values: np.ndarray) -> np.ndarray:
@@ -298,26 +254,3 @@ def differentiate_boundary(values: np.ndarray) -> np.ndarray:
     k[n // 2] = 0.0                            # Nyquist derivative convention
     out = np.fft.ifft(1.0j * k * np.fft.fft(values))
     return out.real if not np.iscomplexobj(values) else out
-
-
-def cumulative_boundary_integral(values: np.ndarray) -> tuple[np.ndarray, complex]:
-    """Antiderivative in angle of periodic nodal values.
-
-    Returns nodal values of ``int_0^gamma (v - mean) dtheta`` and the mean,
-    so the full antiderivative is ``table + mean*gamma``.
-    """
-    n = len(values)
-    spec = np.fft.fft(values)
-    mean = spec[0] / n
-    k = np.fft.fftfreq(n, 1.0 / n)
-    k[0] = 1.0
-    k[n // 2] = 1.0
-    anti = spec / (1.0j * k)
-    anti[0] = 0.0
-    anti[n // 2] = 0.0                         # mean handled separately; Nyquist dropped
-    table = np.fft.ifft(anti)
-    table = table - table[0]
-    if not np.iscomplexobj(values):
-        table = table.real
-        mean = mean.real
-    return table, mean

@@ -8,9 +8,12 @@ matching, the regularized Zhukovsky function
 
 is recovered from its boundary real part by the Schwarz operator, the three
 solvability defects (contour closure, two conditions; speed at infinity,
-one) are measured spectrally, a minimal low-harmonic boundary correction
-``lam0 + lam1*cos(gamma) + lam2*sin(gamma)`` restores them, and the contour
-follows from ``dz = exp(-chi) dzeta`` integrated along the circle.
+one) are measured spectrally, and a minimal low-harmonic boundary correction
+``lam0 + lam1*cos(gamma) + lam2*sin(gamma)`` restores them.  The blade is
+then one object, the map ``z(zeta)``: the exterior modes of
+``dz/dzeta = exp(-chi)`` on the circle nodes, integrated term by term.  The
+contour is that map's image of the circle nodes, and the velocity series
+is projected from the same nodes.
 
 The canonical flow past the unit circle with circulation is
 
@@ -34,7 +37,6 @@ from scipy.interpolate import CubicSpline
 from .errors import (
     BladekitError,
     InconsistentDistribution,
-    NotClosed,
     QuasisolutionDiverged,
     SingularityMismatch,
     StagnationOffCircle,
@@ -45,8 +47,8 @@ from .harmonic import (
     BoundarySamples,
     analytic_from_real_boundary,
     boundary_values,
-    cumulative_boundary_integral,
     differentiate_boundary,
+    exterior_projection,
     integrate_series,
 )
 from .planefield import SeriesMap
@@ -206,27 +208,6 @@ class VelocityDistribution:
         )
 
 
-def potential_and_circulation(d: VelocityDistribution) -> tuple[np.ndarray, float]:
-    """Trapezoid running potential at the sample grid and the circulation.
-
-    The returned table has m+1 entries: the potential at each sample plus
-    the full-turn value (the circulation) at s = L, all from the trapezoid
-    rule on the sample grid including the wrap segment.
-    """
-    s = np.concatenate([d.arc_positions, [d.total_length]])
-    v = np.concatenate([d.speeds, [d.speeds[0]]])
-    increments = 0.5 * np.diff(s) * (v[:-1] + v[1:])
-    table = np.concatenate([[0.0], np.cumsum(increments)])
-    # monotone per arc: increments share the arc's speed sign
-    ia, ib = d.branch_indices
-    for lo, hi, idx in ((ia, ib, ia + 1), (ib, len(d.speeds), ib + 1)):
-        seg = increments[lo:hi]
-        sign = np.sign(d.speeds[idx]) if idx < len(d.speeds) else np.sign(d.speeds[0])
-        if np.any(sign * seg < 0):
-            raise InconsistentDistribution("potential not monotone between branches")
-    return table, float(table[-1])
-
-
 # -- canonical flow ----------------------------------------------------------
 
 def _canonical_potential(gamma, A, beta, G):
@@ -292,29 +273,6 @@ class CircleCorrespondence:
         return _canonical_potential(gamma, self.canonical_speed, self.flow_angle,
                                     self.circulation)
 
-    def gamma_of_s(self, s) -> np.ndarray:
-        """Canonical angle of the contour point at arc position s, mod 2*pi."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        L = self.dist.total_length
-        s_a, s_b = self.dist.rise_interval
-        th_lo, th_hi = self.stagnation_angles
-        sm = np.mod(s - s_a, L)
-        rising = sm <= (s_b - s_a) + 1e-15 * L
-        out = np.empty_like(sm)
-        phi = self.dist.potential_at
-        phi_a = phi(s_a)
-        phi_b = phi(s_b)
-        if np.any(rising):
-            tau = (phi(s_a + sm[rising]) - phi_a) / self.delta_plus
-            targ = self.canonical_potential(th_lo) + tau * self.deltac_plus
-            out[rising] = _bisect_monotone(self.canonical_potential, th_lo, th_hi, targ)
-        if np.any(~rising):
-            tau = (phi(s_a + sm[~rising]) - phi_b) / self.delta_minus
-            targ = self.canonical_potential(th_hi) + tau * self.deltac_minus
-            out[~rising] = _bisect_monotone(self.canonical_potential, th_hi,
-                                            th_lo + 2 * np.pi, targ)
-        return np.mod(out, 2 * np.pi)
-
     def s_of_gamma(self, gamma) -> np.ndarray:
         """Arc position of the boundary point at canonical angle gamma.
 
@@ -345,8 +303,7 @@ def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
     """Build the arc-to-angle correspondence by normalized potential matching.
 
     Sub-sample inversion runs on the smooth antiderivative of the periodic
-    speed interpolant, which agrees with the trapezoid table of
-    `potential_and_circulation` to the interpolation order.
+    speed interpolant; its full-turn value is the circulation.
     """
     G = d.circulation_smooth
     A = float(d.v_inf)
@@ -425,7 +382,7 @@ def solve_zhukovsky(d: VelocityDistribution, corr: CircleCorrespondence, n: int 
                       np.log(corr.delta_plus / corr.deltac_plus),
                       np.log(corr.delta_minus / corr.deltac_minus))
     data = -np.log(sprime) + offset
-    return analytic_from_real_boundary(BoundarySamples(data), orientation="exterior")
+    return analytic_from_real_boundary(BoundarySamples(data))
 
 
 @dataclass(frozen=True)
@@ -453,8 +410,8 @@ class ClosureReport:
 def _eval_n(chi: AnalyticSeries) -> int:
     """Evaluation grid of the solve that produced chi (degree n/2 - 1).
 
-    Defects are measured on the same grid the reconstruction integrates
-    over, so a corrected solution closes on that grid exactly.
+    Defects are measured on the same grid the reconstruction projects
+    from, so a corrected solution closes on that grid exactly.
     """
     n = 8
     while n < 2 * (chi.degree + 1):
@@ -541,60 +498,28 @@ def quasisolution_correct(d: VelocityDistribution, chi: AnalyticSeries,
     return corrected, replace(report, corrected=True, correction_norm=norm)
 
 
-def reconstruct_contour(chi: AnalyticSeries, corr: CircleCorrespondence, n: int,
-                        z_start: complex = 0.0) -> Contour:
-    """Integrate ``dz = exp(-chi) dzeta`` along the circle into contour nodes.
-
-    The contour is anchored so the rising-arc branch (stagnation) point sits
-    exactly at ``z_start``; shifting z_start translates the contour rigidly
-    and rotating the incidence rotates it about z_start.
-    """
-    nodes = _reconstruct_nodes(chi, corr, n, z_start)
-    return Contour.from_complex(nodes, closed=True)
-
-
-def _periodic_integral_at(values: np.ndarray, theta: float) -> complex:
-    """Antiderivative in angle of nodal values, evaluated at one angle."""
-    n = len(values)
-    spec = np.fft.fft(values) / n
-    k = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    nz = k != 0
-    out = spec[0] * theta
-    out += np.sum(spec[nz] * (np.exp(1j * k[nz] * theta) - 1.0) / (1j * k[nz]))
-    return complex(out)
-
-
-def _reconstruct_nodes(chi: AnalyticSeries, corr: CircleCorrespondence, n: int,
-                       z_start: complex) -> np.ndarray:
-    alpha = gauge_angle(corr, n)
-    gamma = 2 * np.pi * np.arange(n) / n
-    zprime = np.exp(-boundary_values(chi, n))
-    integrand = zprime * 1j * np.exp(1j * gamma)
-    table, mean = cumulative_boundary_integral(integrand)
-    perimeter = float(np.sum(np.abs(zprime))) * 2 * np.pi / n
-    gap = abs(2 * np.pi * mean)
-    if gap > 1e-8 * perimeter:
-        raise NotClosed(f"closure gap {gap:.3e} exceeds 1e-8 of the perimeter")
-    theta_branch = (corr.stagnation_angles[0] - alpha) % (2 * np.pi)
-    z_branch = _periodic_integral_at(integrand, theta_branch)
-    z_work = table + mean * gamma - z_branch
-    return complex(z_start) + np.exp(1j * alpha) * z_work
-
-
 def reconstruction_map(chi: AnalyticSeries, corr: CircleCorrespondence, n: int,
                        z_start: complex = 0.0) -> SeriesMap:
-    """Series map z(zeta) of the reconstruction, in the gauge frame."""
+    """Series map z(zeta) of the reconstruction, in the gauge frame.
+
+    ``dz/dzeta = exp(-chi)`` at the n circle nodes is projected onto its
+    n/2 exterior modes and integrated term by term.  Its residue is
+    ``closure_defect / (2*pi*i)``, so an unclosed chi is refused here with
+    `MultivaluedAntiderivative`.  The map sends the rising-arc branch
+    (stagnation) angle to ``z_start``: shifting z_start translates the
+    blade rigidly and rotating the incidence rotates it about z_start.
+    """
     alpha = gauge_angle(corr, n)
-    zprime = np.exp(-boundary_values(chi, n))
-    spec = np.fft.fft(zprime) / n
-    coeffs = np.empty(n // 2, dtype=complex)     # a_k of zeta**-k
-    coeffs[0] = spec[0]
-    coeffs[1:] = spec[:n // 2 - 1:-1][: n // 2 - 1]
-    ext = AnalyticSeries.exterior(coeffs)
+    ext = exterior_projection(np.exp(-boundary_values(chi, n)))
     theta_branch = (corr.stagnation_angles[0] - alpha) % (2 * np.pi)
     anti = integrate_series(ext, np.exp(1j * theta_branch), residue_rtol=1e-7)
     series = anti * np.exp(1j * alpha) + AnalyticSeries.interior([complex(z_start)])
     return SeriesMap(series.trimmed(1e-15), label="blade")
+
+
+def reconstruct_contour(zmap: SeriesMap, n: int) -> Contour:
+    """Contour nodes: the map's image of the n circle nodes, by one FFT."""
+    return Contour.from_complex(boundary_values(zmap.series, n), closed=True)
 
 
 # -- complete per-blade solve --------------------------------------------------
@@ -618,7 +543,7 @@ class PlanarSolution:
 
     @cached_property
     def contour(self) -> Contour:
-        return reconstruct_contour(self.chi, self.corr, self.n, self.z_start)
+        return reconstruct_contour(self.map, self.n)
 
     @cached_property
     def map(self) -> SeriesMap:
@@ -643,12 +568,7 @@ class PlanarSolution:
             A * np.exp(1j * b) * np.exp(-2j * alpha),
         ])
         p_series = AnalyticSeries.exterior(p_coeffs)
-        echi = np.exp(boundary_values(self.chi, n))
-        spec = np.fft.fft(echi) / n
-        coeffs = np.empty(n // 2, dtype=complex)
-        coeffs[0] = spec[0]
-        coeffs[1:] = spec[:n // 2 - 1:-1][: n // 2 - 1]
-        e_series = AnalyticSeries.exterior(coeffs)
+        e_series = exterior_projection(np.exp(boundary_values(self.chi, n)))
         return (p_series * e_series).trimmed(1e-14)
 
     def branch_point(self) -> complex:
@@ -664,7 +584,6 @@ def solve_distribution(d: VelocityDistribution, n: int = 256,
     problem); w1 = 0 reduces exactly to the classical pipeline.
     """
     eff = d.modified(w1)
-    potential_and_circulation(eff)           # validates the quadrature contract
     corr = canonical_map(eff)
     chi0 = solve_zhukovsky(eff, corr, n)
     chi, report = quasisolution_correct(eff, chi0, corr)

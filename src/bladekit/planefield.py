@@ -38,9 +38,6 @@ class SeriesMap:
         if abs(self._slope) < 1e-12:
             raise BladekitError("map must be nondegenerate at infinity")
 
-    def forward(self, zeta):
-        return evaluate_series(self.series, zeta)
-
     def invert(self, z, maxiter: int = 60, tol: float = 1e-13):
         """Solve ``z(zeta) = z`` for points on or outside the unit circle.
 

@@ -7,12 +7,10 @@ from bladekit.harmonic import (
     BoundarySamples,
     analytic_from_real_boundary,
     boundary_values,
-    conjugate_on_circle,
-    cumulative_boundary_integral,
     differentiate_boundary,
     evaluate_series,
+    exterior_projection,
     integrate_series,
-    trig_fit,
 )
 
 
@@ -20,69 +18,12 @@ def angles(n):
     return 2 * np.pi * np.arange(n) / n
 
 
-class TestTrigFit:
-    def test_constant(self):
-        s = BoundarySamples(np.ones(16))
-        f = trig_fit(s)
-        assert abs(f.coefficient(0) - 1.0) < 1e-14
-        assert np.max(np.abs(f.coefficients[1:])) < 1e-14
-
-    def test_single_harmonic(self):
-        g = angles(16)
-        f = trig_fit(BoundarySamples(np.cos(g)))
-        assert abs(f.coefficient(1) - 1.0) < 1e-13
-        others = [f.coefficient(k) for k in range(9) if k != 1]
-        assert np.max(np.abs(others)) < 1e-13
-
-    def test_three_harmonics_off_node(self):
-        g = angles(32)
-        data = 3 + 2 * np.cos(2 * g) - np.sin(3 * g)
-        f = trig_fit(BoundarySamples(data))
-        probe = np.linspace(0.1, 6.2, 23)
-        vals = evaluate_series(f, np.exp(1j * probe)).real
-        exact = 3 + 2 * np.cos(2 * probe) - np.sin(3 * probe)
-        assert np.max(np.abs(vals - exact)) < 1e-12
-
-    def test_reproduces_nodes_for_arbitrary_data(self):
-        rng = np.random.default_rng(7)
-        data = rng.standard_normal(64)
-        f = trig_fit(BoundarySamples(data))
-        vals = evaluate_series(f, np.exp(1j * angles(64))).real
-        assert np.max(np.abs(vals - data)) < 1e-12
-
-
-class TestConjugate:
-    def test_cos_to_sin(self):
-        g = angles(32)
-        out = conjugate_on_circle(BoundarySamples(np.cos(g)))
-        assert np.max(np.abs(out.values - np.sin(g))) < 1e-13
-
-    def test_constant_to_zero(self):
-        out = conjugate_on_circle(BoundarySamples(5.0 * np.ones(16)))
-        assert np.max(np.abs(out.values)) < 1e-14
-
-    def test_superposition(self):
-        g = angles(32)
-        out = conjugate_on_circle(BoundarySamples(np.cos(2 * g) + 3))
-        assert np.max(np.abs(out.values - np.sin(2 * g))) < 1e-13
-
-    def test_double_conjugation_negates_band_limited(self):
-        rng = np.random.default_rng(3)
-        n = 64
-        g = angles(n)
-        data = np.zeros(n)
-        for k in range(1, n // 2):
-            data += rng.standard_normal() * np.cos(k * g) + rng.standard_normal() * np.sin(k * g)
-        data += rng.standard_normal()
-        twice = conjugate_on_circle(conjugate_on_circle(BoundarySamples(data)))
-        assert np.max(np.abs(twice.values + (data - data.mean()))) < 1e-11
-
-
 class TestSchwarz:
     def test_cos_gives_zeta(self):
+        # Re(1/zeta) = cos(gamma) on the circle
         g = angles(16)
         f = analytic_from_real_boundary(BoundarySamples(np.cos(g)))
-        assert abs(f.coefficient(1) - 1.0) < 1e-13
+        assert abs(f.coefficient(-1) - 1.0) < 1e-13
         assert abs(f.coefficient(0)) < 1e-14
 
     def test_zero(self):
@@ -112,8 +53,7 @@ class TestSchwarz:
             a = rng.standard_normal() / (1 + k)
             b = rng.standard_normal() / (1 + k)
             data += a * np.cos(k * g) + b * np.sin(k * g)
-        f = analytic_from_real_boundary(BoundarySamples(data), orientation="exterior")
-        assert f.orientation == "exterior"
+        f = analytic_from_real_boundary(BoundarySamples(data))
         vals = evaluate_series(f, np.exp(1j * g)).real
         assert np.max(np.abs(vals - data)) < 1e-10
         # bounded at infinity: no positive powers
@@ -206,11 +146,21 @@ class TestBoundaryCalculus:
         exact = 3 * np.cos(3 * g) - 2.5 * np.sin(5 * g)
         assert np.max(np.abs(d - exact)) < 1e-11
 
-    def test_cumulative_integral(self):
-        n = 64
+
+class TestExteriorProjection:
+    def test_recovers_exterior_series(self):
+        rng = np.random.default_rng(31)
+        n = 32
+        c = rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2)
+        f = AnalyticSeries.exterior(c)
+        back = exterior_projection(boundary_values(f, n))
+        assert back.low == -(n // 2 - 1) and back.high == 0
+        assert np.max(np.abs((back - f).coefficients)) < 1e-13
+
+    def test_drops_positive_and_nyquist_modes(self):
+        n = 16
         g = angles(n)
-        vals = 2.0 + np.cos(2 * g)
-        table, mean = cumulative_boundary_integral(vals)
-        assert abs(mean - 2.0) < 1e-13
-        exact = 0.5 * np.sin(2 * g)
-        assert np.max(np.abs(table - exact)) < 1e-12
+        vals = 2.0 + 3.0 * np.exp(-2j * g) + np.exp(1j * g) + np.cos(n // 2 * g)
+        f = exterior_projection(vals)
+        expect = AnalyticSeries.exterior([2.0, 0.0, 3.0])
+        assert np.max(np.abs((f - expect).coefficients)) < 1e-14

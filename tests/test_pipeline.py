@@ -99,6 +99,15 @@ class TestDegree2Chain:
             for blade in blades:
                 assert blade.points[:, 0].max() < grid.x0
 
+    def test_residual_fd_reports_the_gated_figure(self, chain_report):
+        # the first section's FD check shows the figure it compares with the
+        # tolerance: the worst of the FD divergence and the three FD curls
+        sec = chain_report.sections[0]
+        res = sec.residuals
+        check = {c.name: c for c in sec.checks}["residual_fd"]
+        assert check.value == max(res.fd_max_div, *res.fd_max_curl)
+        assert check.passed is (check.value < check.tolerance)
+
     def test_w1_rule_sees_a_misanchored_field(self, chain_report):
         # the rule reads w of the previous field over its branch point; the
         # same field with w0 anchored elsewhere no longer matches the new w1
