@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 from .errors import BadValue, MissingField, NotPowerOfTwo
@@ -65,8 +66,10 @@ def _as_object(value, pointer: str) -> dict:
 
 
 def _as_number(value, pointer: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadValue(pointer, f"expected a number, got {value!r}")
+    # bools are ints; NaN, inf and ints beyond the float range are not finite numbers
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and abs(value) <= sys.float_info.max):
+        raise BadValue(pointer, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -90,7 +93,7 @@ def _load_distribution(value, pointer: str, base_dir: str) -> VelocityDistributi
 
 def _parse_w1(value, pointer: str):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _as_number(value, pointer)
     if isinstance(value, dict) and "from_transversal" in value:
         ptr = f"{pointer}/from_transversal"
         datum = _as_object(value["from_transversal"], ptr)

@@ -1,4 +1,4 @@
-"""Planar contours, resampling, ruled-strip areas, and distance metrics."""
+"""Planar contours, resampling, ruled-strip areas, and contour CSV files."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import BladekitError, CountMismatch, DegenerateContour
 
@@ -21,9 +20,6 @@ class Point2:
     def __post_init__(self):
         if not (np.isfinite(self.x) and np.isfinite(self.y)):
             raise BladekitError("point coordinates must be finite")
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -68,10 +64,6 @@ class Contour:
 
     def translated(self, dx: float, dy: float) -> "Contour":
         return Contour(self.points + np.array([dx, dy]), closed=self.closed)
-
-    def scaled_about_centroid(self, scale: float) -> "Contour":
-        c = self.points.mean(axis=0)
-        return Contour(c + scale * (self.points - c), closed=self.closed)
 
 
 def arc_length_table(c: Contour) -> np.ndarray:
@@ -122,8 +114,8 @@ class RuledTriangulation:
             )
         if self.lower.closed != self.upper.closed:
             raise BladekitError("contours must be both closed or both open")
-        if not self.spacing > 0:
-            raise BladekitError("plane spacing must be positive")
+        if not 0 < self.spacing < np.inf:
+            raise BladekitError("plane spacing must be positive and finite")
 
 
 
@@ -158,12 +150,6 @@ def ruled_surface_area(t: RuledTriangulation, shift: Point2 | tuple[float, float
     d1 = tri_areas(lo[base], lo[nxt], up[base], 0.0, 0.0, h)
     d2 = tri_areas(up[base], up[nxt], lo[nxt], h, h, 0.0)
     return float(d1.sum() + d2.sum())
-
-
-def hausdorff_distance(a: Contour, b: Contour) -> float:
-    """Symmetric Hausdorff distance between the two sampled point sets."""
-    d = cdist(a.points, b.points)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 # -- CSV interchange --------------------------------------------------------

@@ -6,6 +6,10 @@ nodewise differences.  The ruled-strip objective is evaluated between the
 first contour moved by the shift and the second contour, which keeps its
 minimizer in the same convention (for congruent contours both optima are
 the translation between them).
+
+The lift score is a difference of two convex sums, so its maximum over a
+box is found by DC branch and bound (Horst & Thoai, "DC programming:
+overview", JOTA 103, 1999) to a stated tolerance; see ``maximize_lift``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,10 @@ from scipy.optimize import minimize
 
 from .errors import BladekitError, CountMismatch, OptimizerFailed
 from .geometry import Contour, Point2, RuledTriangulation, ruled_surface_area
+
+LIFT_RTOL = 1e-12       # lift maximum, relative to sum|w_i| * max_i |d_i + s|
+_MAX_CELLS = 256        # live branch-and-bound cells kept per level
+_CHUNK = 1024 * 284     # largest temporary of the lift evaluation, in floats
 
 
 @dataclass(frozen=True)
@@ -111,77 +119,79 @@ def minimize_area_shift(c1: Contour, c2: Contour, spacing: float,
     return ShiftVector(dx, dy, float(res.fun), "area")
 
 
-def verify_statement(c1: Contour, scale: float, spacing: float):
-    """Compare the least-squares and strip-area optima for similar contours.
-
-    The second contour is c1 scaled about its centroid, which makes the pair
-    similar by construction.  Returns both optima and their distance.
-    """
-    c2 = c1.scaled_about_centroid(scale)
-    lsq = least_squares_shift(c1, c2)
-    area = minimize_area_shift(c1, c2, spacing, (lsq.dx, lsq.dy))
-    dist = float(np.hypot(lsq.dx - area.dx, lsq.dy - area.dy))
-    return lsq, area, dist
-
-
-def lift_score(c1: Contour, c2: Contour, p: NodePartition, shift) -> float:
-    """Signed distance-weighted speed sum: lower nodes push up, upper pull down."""
+def _lift_terms(c1: Contour, c2: Contour, p: NodePartition):
+    """Nodewise offsets ``d = c1 - c2`` and signed speed sums ``w`` of the lift score."""
     _check_counts(c1, c2)
     if len(p.v1) != len(c1):
         raise CountMismatch("partition length does not match the contours")
+    w = np.where(np.arange(len(c1)) < p.k, 1.0, -1.0) * (p.v1 + p.v2)
+    return c1.points - c2.points, w
+
+
+def _distance_sums(d: np.ndarray, weights: np.ndarray, shifts: np.ndarray) -> list:
+    """Per row s of ``shifts``: ``|d_i + s| @ weights`` and its x and y derivatives."""
+    rows = max(1, _CHUNK // len(d))     # no temporary holds more than _CHUNK floats
+    out = []
+    for j in range(0, len(shifts), rows):
+        ex, ey = d[:, 0] + shifts[j:j + rows, :1], d[:, 1] + shifts[j:j + rows, 1:]
+        r = np.hypot(ex, ey)
+        inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0)   # 0: a subgradient
+        out.append((r @ weights, (ex * inv) @ weights, (ey * inv) @ weights))
+    return [np.concatenate(col) for col in zip(*out)]
+
+
+def lift_score(c1: Contour, c2: Contour, p: NodePartition, shift) -> float:
+    """``F(s) = sum_i w_i |d_i + s|``, ``d = c1 - c2``, ``w = v1 + v2`` negated on
+    the upper surface: lower nodes push up, upper pull down."""
+    d, w = _lift_terms(c1, c2, p)
     sx, sy = (shift.x, shift.y) if isinstance(shift, Point2) else (float(shift[0]), float(shift[1]))
-    d = c1.points - c2.points + np.array([sx, sy])
-    dist = np.hypot(d[:, 0], d[:, 1])
-    weights = p.v1 + p.v2
-    sign = np.ones(len(c1))
-    sign[p.k:] = -1.0
-    return float(np.sum(sign * dist * weights))
+    return float(_distance_sums(d, w[:, None], np.array([[sx, sy]]))[0][0, 0])
 
 
 def maximize_lift(c1: Contour, c2: Contour, p: NodePartition, box) -> ShiftVector:
-    """Grid search over the admissible box, then a bounded local refinement.
+    """Maximum of ``lift_score`` over the box (F is unbounded on the plane).
 
-    The objective is unbounded on the whole plane, so the box is part of the
-    problem statement.  Ties resolve to the smallest-norm maximizer.
+    Cells keep their exact endpoints and split at their midpoints.  With
+    ``F = P - N`` over the positive and the negative weights, a cell's bound
+    is the lesser of ``max over corners of (P - tangent plane of N at the
+    centre)`` and ``F(centre) + sum|w_i| * half-diagonal``.  With ``tol =
+    LIFT_RTOL * sum|w_i| * max_i |d_i + s|`` over the box corners, cells
+    bounded by the best value + tol/2 are dropped, so the floor is a
+    half-diagonal of ``tol / (2 sum|w_i|)``.  Tie rule: the smallest-norm
+    evaluated point within tol/2 of the best, the box point nearest the
+    origin included; it is within tol of the maximum.  Not certified: cells
+    whose midpoint rounds onto an endpoint, and levels over ``_MAX_CELLS``
+    cells (F flat to tol on a region), which keep the cells of highest bound.
     """
+    d, w = _lift_terms(c1, c2, p)
     x0, y0, x1, y1 = map(float, box)
-    if not (x1 > x0 and y1 > y0):
-        raise BladekitError("empty shift box")
-    step = np.hypot(x1 - x0, y1 - y0) / 400.0
-    gx = np.linspace(x0, x1, int(np.ceil((x1 - x0) / step)) + 1)
-    gy = np.linspace(y0, y1, int(np.ceil((y1 - y0) / step)) + 1)
-
-    d = c1.points - c2.points
-    weights = p.v1 + p.v2
-    sign = np.ones(len(c1))
-    sign[p.k:] = -1.0
-    w = sign * weights
-
-    best = None
-    for x in gx:
-        ddx = d[:, 0] + x
-        dist = np.sqrt(ddx[:, None] ** 2 + (d[:, 1][:, None] + gy[None, :]) ** 2)
-        vals = w @ dist
-        j = int(np.argmax(vals))
-        cand = (float(vals[j]), float(x), float(gy[j]))
-        if best is None or cand[0] > best[0] + 1e-15:
-            best = cand
-        elif abs(cand[0] - best[0]) <= 1e-15:
-            if np.hypot(cand[1], cand[2]) < np.hypot(best[1], best[2]):
-                best = cand
-    score, bx, by = best
-
-    res = minimize(lambda s: -lift_score(c1, c2, p, (s[0], s[1])),
-                   np.array([bx, by]), method="Nelder-Mead",
-                   bounds=[(x0, x1), (y0, y1)],
-                   options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 1000})
-    if res.success and -res.fun >= score:
-        fx, fy, fval = float(res.x[0]), float(res.x[1]), float(-res.fun)
-    else:
-        fx, fy, fval = bx, by, score
-    if score == 0.0 and fval == 0.0:
-        # identically-zero objective: smallest-norm point of the box
-        fx = min(max(0.0, x0), x1)
-        fy = min(max(0.0, y0), y1)
-        fval = lift_score(c1, c2, p, (fx, fy))
-    return ShiftVector(fx, fy, fval, "lift")
+    if not (np.isfinite((x0, y0, x1, y1)).all() and x1 > x0 and y1 > y0):
+        raise BladekitError("shift box must be finite with positive extent")
+    pn = np.column_stack([np.maximum(w, 0.0), np.maximum(-w, 0.0)])
+    lip = float(np.abs(w).sum())
+    reach = np.hypot(d[:, :1] + [x0, x1, x0, x1], d[:, 1:] + [y0, y0, y1, y1]).max()
+    eps = 0.5 * LIFT_RTOL * lip * reach         # tol/2; lip * reach bounds |F| on the box
+    pts = [np.array([[min(max(0.0, x0), x1), min(max(0.0, y0), y1)]])]
+    vals = [_distance_sums(d, pn, pts[0])[0] @ (1.0, -1.0)]
+    best = float(vals[0][0])
+    cells = np.array([[x0, x1, y0, y1]])
+    while len(cells):
+        cx0, cx1, cy0, cy1 = cells.T
+        mx, my = 0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1)
+        xs = np.column_stack([mx, cx0, cx1, cx0, cx1])      # centre, then corners
+        ys = np.column_stack([my, cy0, cy0, cy1, cy1])
+        pts.append(np.column_stack([xs.ravel(), ys.ravel()]))
+        pnv, gx, gy = (a.reshape(len(cells), 5, 2) for a in _distance_sums(d, pn, pts[-1]))
+        vals.append((pnv @ (1.0, -1.0)).ravel())
+        best = max(best, float(vals[-1].max()))
+        tangent = pnv[:, :1, 1] + gx[:, :1, 1] * (xs - mx[:, None]) + gy[:, :1, 1] * (ys - my[:, None])
+        bound = np.minimum((pnv[..., 0] - tangent).max(axis=1),
+                           vals[-1][::5] + 0.5 * lip * np.hypot(cx1 - cx0, cy1 - cy0))
+        alive = (bound > best + eps) & (cx0 < mx) & (mx < cx1) & (cy0 < my) & (my < cy1)
+        alive[np.argsort(np.where(alive, -bound, np.inf), kind="stable")[_MAX_CELLS:]] = False
+        ends = np.column_stack([cx0, mx, cx1, cy0, my, cy1])[alive]
+        cells = np.concatenate([ends[:, [i, i + 1, j, j + 1]] for j in (3, 4) for i in (0, 1)])
+    pts, vals = np.concatenate(pts), np.concatenate(vals)
+    norms = np.where(vals >= best - eps, np.hypot(*pts.T), np.inf)
+    dx, dy = (float(v) for v in pts[np.argmin(norms)])
+    return ShiftVector(dx, dy, lift_score(c1, c2, p, (dx, dy)), "lift")

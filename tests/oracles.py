@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from bladekit.harmonic import AnalyticSeries, evaluate_series
 from bladekit.inverse import (
@@ -169,3 +170,36 @@ def perturbed_cylinder(eps: float = 0.05, m: int = 200,
         v_inf=v_inf,
         incidence=0.0,
     )
+
+
+def hausdorff_distance(a, b) -> float:
+    """Symmetric Hausdorff distance between the node sets of two contours."""
+    d = cdist(a.points, b.points)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def grid_lift_optimum(c1, c2, p, box) -> tuple[float, float, float]:
+    """Exhaustive lift-score search on a grid over the box: ``(score, x, y)``.
+
+    The grid has step ``diagonal / 400`` on both axes and includes the box
+    corners; the score is ``w @ |d + s|`` as in ``positioning.lift_score``.
+    Ties within 1e-15 resolve to the smallest-norm grid point.
+    """
+    x0, y0, x1, y1 = map(float, box)
+    step = np.hypot(x1 - x0, y1 - y0) / 400.0
+    gx = np.linspace(x0, x1, int(np.ceil((x1 - x0) / step)) + 1)
+    gy = np.linspace(y0, y1, int(np.ceil((y1 - y0) / step)) + 1)
+    d = c1.points - c2.points
+    w = p.v1 + p.v2
+    w[p.k:] *= -1.0
+    best = None
+    for x in gx:
+        dist = np.sqrt((d[:, 0][:, None] + x) ** 2 + (d[:, 1][:, None] + gy[None, :]) ** 2)
+        vals = w @ dist
+        j = int(np.argmax(vals))
+        cand = (float(vals[j]), float(x), float(gy[j]))
+        if best is None or cand[0] > best[0] + 1e-15:
+            best = cand
+        elif abs(cand[0] - best[0]) <= 1e-15 and np.hypot(cand[1], cand[2]) < np.hypot(best[1], best[2]):
+            best = cand
+    return best

@@ -74,6 +74,27 @@ def test_malformed_config_exits_2(design, tmp_path, caplog, path, value, pointer
     assert not (tmp_path / "out").exists()
 
 
+NON_FINITE = [
+    # (config updates, the reported pointer)
+    ({"positioning": {"method": "lift", "box": [0, 0, float("inf"), 1], "partition": 32}},
+     "/positioning/box/2"),
+    ({"positioning": {"method": "area", "spacing": float("inf")}}, "/positioning/spacing"),
+    ({"sections": {"degree": 2, "w2": float("nan")}}, "/sections/0/w2"),
+    ({"sections": {"w1": float("inf")}}, "/sections/0/w1"),
+]
+
+
+@pytest.mark.parametrize("updates, pointer", NON_FINITE, ids=[case[1] for case in NON_FINITE])
+def test_non_finite_config_number_exits_2(design, tmp_path, caplog, updates, pointer):
+    cfg = json.loads(json.dumps(design))
+    for key, values in updates.items():
+        (cfg["sections"][0] if key == "sections" else cfg[key]).update(values)
+    config = _write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert f"{pointer}: expected a finite number" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 # for this design the lift score is largest just past the box's edge x1 = 0.5
 POSITIONING = {
     "lift": {"method": "lift", "box": [-0.3, -0.5, 0.5, 0.3], "partition": 32},
@@ -134,3 +155,16 @@ def test_malformed_contour_csv_exits_2(tmp_path, caplog, case):
     good.write_text(GOOD_CONTOUR, encoding="utf-8")
     assert cli.main(["position", "--contours", str(bad), str(good)]) == 2
     assert f"line {line}:" in caplog.text
+
+
+@pytest.mark.parametrize("message, argv", [
+    ("shift box must be finite", ["--method", "lift", "--box", "0", "0", "inf", "1",
+                                  "--partition", "2"]),
+    ("plane spacing must be positive and finite", ["--method", "area", "--spacing", "inf"]),
+], ids=["box", "spacing"])
+def test_non_finite_position_option_exits_2(tmp_path, caplog, message, argv):
+    path = tmp_path / "c.csv"
+    path.write_text(GOOD_CONTOUR.replace("y\n", "y,v\n").replace(".0\n", ".0,1.0\n"),
+                    encoding="utf-8")
+    assert cli.main(["position", "--contours", str(path), str(path), *argv]) == 2
+    assert message in caplog.text

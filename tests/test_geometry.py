@@ -9,10 +9,10 @@ from bladekit.geometry import (
     arc_length_table,
     contour_from_csv,
     contour_to_csv,
-    hausdorff_distance,
     resample_uniform,
     ruled_surface_area,
 )
+from oracles import hausdorff_distance
 
 
 def unit_square():

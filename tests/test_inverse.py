@@ -7,7 +7,7 @@ from bladekit.errors import (
     SingularityMismatch,
     StagnationOffCircle,
 )
-from bladekit.geometry import Contour, hausdorff_distance, resample_uniform
+from bladekit.geometry import Contour, resample_uniform
 from bladekit.harmonic import AnalyticSeries, boundary_values, evaluate_series
 from bladekit.inverse import (
     VelocityDistribution,
@@ -21,7 +21,14 @@ from bladekit.inverse import (
     solve_zhukovsky,
 )
 
-from oracles import ForwardFlow, cylinder, joukowski_flow, perturbed_cylinder, smooth_map
+from oracles import (
+    ForwardFlow,
+    cylinder,
+    hausdorff_distance,
+    joukowski_flow,
+    perturbed_cylinder,
+    smooth_map,
+)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from bladekit.errors import CountMismatch
+from bladekit.errors import BladekitError, CountMismatch
 from bladekit.geometry import Contour
 from bladekit.positioning import (
+    LIFT_RTOL,
     NodePartition,
     ShiftVector,
     area_objective,
@@ -12,8 +16,8 @@ from bladekit.positioning import (
     lsq_objective,
     maximize_lift,
     minimize_area_shift,
-    verify_statement,
 )
+from oracles import grid_lift_optimum
 
 
 def circle(n, r=1.0, center=(0.0, 0.0)):
@@ -123,20 +127,31 @@ class TestAreaObjective:
         assert np.hypot(area.dx - lsq.dx, area.dy - lsq.dy) < 1e-6
 
 
+def similar_optima(c1, scale, spacing):
+    """Least-squares and strip-area optima for c1 and c1 scaled about its centroid.
+
+    The statement: for similar contours the two optima coincide.
+    """
+    c = c1.points.mean(axis=0)
+    c2 = Contour(c + scale * (c1.points - c))
+    lsq = least_squares_shift(c1, c2)
+    area = minimize_area_shift(c1, c2, spacing, (lsq.dx, lsq.dy))
+    return c2, lsq, area, float(np.hypot(lsq.dx - area.dx, lsq.dy - area.dy))
+
+
 class TestVerifyStatement:
     def test_congruent_coincide_at_origin(self):
-        lsq, area, dist = verify_statement(circle(128), 1.0, 1.0)
+        _, lsq, area, dist = similar_optima(circle(128), 1.0, 1.0)
         assert abs(lsq.dx) < 1e-12 and abs(lsq.dy) < 1e-12
         assert dist < 1e-10
 
     def test_similar_circles(self):
-        lsq, area, dist = verify_statement(circle(256), 0.5, 1.0)
+        _, lsq, area, dist = similar_optima(circle(256), 0.5, 1.0)
         assert dist < 1e-3
 
     def test_grid_oracle_for_similar(self):
         c1 = circle(256)
-        c2 = c1.scaled_about_centroid(0.5)
-        _, area, _ = verify_statement(c1, 0.5, 1.0)
+        c2, _, area, _ = similar_optima(c1, 0.5, 1.0)
         best = None
         for sx in np.arange(-0.05, 0.0501, 0.005):
             for sy in np.arange(-0.05, 0.0501, 0.005):
@@ -147,7 +162,7 @@ class TestVerifyStatement:
 
     def test_dissimilar_report_only(self):
         sq = Contour(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
-        lsq, area, dist = verify_statement(sq, 0.9, 1.0)
+        _, lsq, area, dist = similar_optima(sq, 0.9, 1.0)
         assert np.isfinite(dist)
 
 
@@ -232,6 +247,91 @@ class TestMaximizeLift:
         s = maximize_lift(c, c, p, (x0, y0, x1, y1))
         assert x0 <= s.dx <= x1 and y0 <= s.dy <= y1
         assert abs(s.dx - x1) < 1e-6 and abs(s.dy - y1) < 1e-6
+
+
+    def test_count_mismatch(self):
+        p = NodePartition(4, np.ones(8), np.ones(8))
+        with pytest.raises(CountMismatch):
+            maximize_lift(circle(8), circle(16), p, (-0.5, -0.5, 0.5, 0.5))
+
+    def test_partition_length_mismatch(self):
+        p = NodePartition(4, np.ones(8), np.ones(8))
+        with pytest.raises(CountMismatch):
+            maximize_lift(circle(16), circle(16, r=0.5), p, (-0.5, -0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("box", [(0.0, 0.0, np.inf, 1.0), (np.nan, 0.0, 1.0, 1.0),
+                                     (0.0, 0.0, 0.0, 1.0)])
+    def test_bad_box(self, box):
+        p = NodePartition(8, np.ones(16), np.ones(16))
+        with pytest.raises(BladekitError, match="shift box"):
+            maximize_lift(circle(16), circle(16, r=0.5), p, box)
+
+    def test_zero_weights_off_origin(self):
+        # the box excludes the origin: its smallest-norm point is a corner
+        c = circle(16)
+        p = NodePartition(8, np.zeros(16), np.zeros(16))
+        s = maximize_lift(c, c.translated(0.1, 0.0), p, (0.2, 0.1, 0.5, 0.5))
+        assert (s.dx, s.dy, s.objective) == (0.2, 0.1, 0.0)
+
+    def test_symmetric_corners_tie_to_smallest_norm(self):
+        # F is symmetric about y = -0.25 and grows with |x|: the corners
+        # (0.5, 0.25) and (0.5, -0.75) both maximize it
+        c1 = Contour(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+        d = np.array([[0.0, 1.25], [0.0, 1.25], [0.0, -0.75], [0.0, -0.75]])
+        c2 = Contour(c1.points - d)
+        p = NodePartition(3, np.array([1.0, 1.0, 1.0, -1.0]), np.zeros(4))
+        box = (0.2, -0.75, 0.5, 0.25)
+        s = maximize_lift(c1, c2, p, box)
+        assert (s.dx, s.dy) == (0.5, 0.25)
+        assert abs(s.objective - lift_score(c1, c2, p, (0.5, -0.75))) < 1e-14
+
+    def test_flat_score_returns_smallest_norm_point(self):
+        # congruent contours with weights summing to zero: F vanishes on the
+        # box up to rounding, but the bounds stay loose around the cone point
+        # of N at (0.3, 0.1), so the level cap has to end the search
+        c = circle(16)
+        p = NodePartition(8, 0.5 * np.ones(16), 0.5 * np.ones(16))
+        s = maximize_lift(c, c.translated(0.3, 0.1), p, (-0.5, -0.5, 0.5, 0.5))
+        assert (s.dx, s.dy) == (0.0, 0.0)
+        assert abs(s.objective) < 1e-14
+
+
+def _contour(points):
+    try:
+        return Contour(points)
+    except BladekitError:
+        assume(False)
+
+
+@st.composite
+def lift_problems(draw):
+    """Random contours, mixed-sign partitions and boxes."""
+    n = draw(st.integers(3, 10))
+    unit = st.floats(-1, 1, allow_subnormal=False)
+    c1 = _contour(draw(hnp.arrays(float, (n, 2), elements=unit)))
+    c2 = _contour(draw(hnp.arrays(float, (n, 2), elements=unit)))
+    speeds = st.floats(-2, 2, allow_subnormal=False)
+    v1, v2 = (draw(hnp.arrays(float, n, elements=speeds)) for _ in range(2))
+    p = NodePartition(draw(st.integers(1, n - 1)), v1, v2)
+    x0, y0 = draw(unit), draw(unit)
+    wx, wy = (draw(st.floats(1e-3, 2)) for _ in range(2))
+    return c1, c2, p, (x0, y0, x0 + wx, y0 + wy)
+
+
+class TestLiftAgainstGrid:
+    @given(lift_problems())
+    def test_never_below_grid_optimum(self, problem):
+        c1, c2, p, box = problem
+        s = maximize_lift(c1, c2, p, box)
+        x0, y0, x1, y1 = box
+        assert x0 <= s.dx <= x1 and y0 <= s.dy <= y1
+        assert s.objective == lift_score(c1, c2, p, (s.dx, s.dy))
+        score, _, _ = grid_lift_optimum(c1, c2, p, box)
+        d = c1.points - c2.points
+        corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
+        reach = max(np.hypot(*(d + c).T).max() for c in corners)
+        tol = LIFT_RTOL * np.abs(p.v1 + p.v2).sum() * reach
+        assert s.objective >= score - tol
 
 
 class TestShiftVector:
