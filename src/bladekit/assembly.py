@@ -4,14 +4,17 @@ The blade planes sit at h = 0 and h = 1.  With ``f_lo`` and ``f_up`` the
 analytic completions ``v + i*u`` of the two blades' in-plane velocities,
 the field is::
 
-    v + i*u = (1-h)*f_lo(z) + h*f_up(z) - (i/2)*(w1 + extra_div + 2*w2*h)*conj(z)
+    v + i*u = (1-h)*f_lo(z) + h*f_up(z) - (i/2)*(w1 + 2*w2*h)*conj(z)
     w = Im P(z) - (w2/2)*|z|^2 + h*w1 + h^2*w2,   P = int (f_up - f_lo) dz
 
 with constant w1 and w2 (degree 1 is w2 = 0) and P vanishing at the branch
-point B.  The conj(z) term absorbs dw/dh, so continuity holds up to the
-in-plane shift ``extra_div`` of a chained section, and grad w = du/dh,
-dv/dh makes the field irrotational.  `field_residuals` checks both with
-the spline's derivatives in closed form and again by central differences.
+point B.  The conj(z) term absorbs dw/dh, so the field is divergence free,
+and grad w = du/dh, dv/dh makes it irrotational.  `field_residuals` checks
+both with the spline's derivatives in closed form and again by central
+differences.  Each blade plane is a modified planar problem whose conj(z)
+coefficient is dw/dh there: w1 on the plane h = 0 and ``w1 + 2*w2`` on
+h = 1, which is what a section stacked on top starts from
+(`glue_sections`).
 """
 
 from __future__ import annotations
@@ -101,11 +104,9 @@ class SplineField:
     ``lower`` and ``upper`` are f_lo and f_up; ``P`` is the difference of
     their primitives, both zero at the branch point.  ``w0_anchor`` is
     subtracted from w so that w vanishes over the branch point at h = 0.
-    ``extra_div`` is the in-plane shift a chained section inherits (see
-    `glue_sections`), 0 otherwise.  ``absorbed`` is ``w1 + extra_div`` as
-    assembled, the dw/dh that the conj(z) term absorbs at h = 0; it is
-    fixed with the planes, so div = w1 - absorbed (-extra_div as
-    assembled), and a field whose w1 is changed afterwards fails continuity.
+    ``absorbed`` is w1 as assembled, the dw/dh that the conj(z) term
+    absorbs at h = 0; it is fixed with the planes, so div = w1 - absorbed,
+    and a field whose w1 is changed afterwards fails continuity.
     """
 
     lower: Pullback
@@ -114,7 +115,6 @@ class SplineField:
     upper_primitive: Pullback
     w1: float
     w2: float
-    extra_div: float
     branch_point: Point2
     absorbed: float
     w0_anchor: float = 0.0
@@ -148,17 +148,17 @@ class SplineField:
         return self.velocity(x, y, h)[2]
 
 
-def assemble(lower: Pullback, upper: Pullback, w1: float, B: Point2, w2: float = 0.0,
-             extra_div: float = 0.0) -> SplineField:
+def assemble(lower: Pullback, upper: Pullback, w1: float, B: Point2,
+             w2: float = 0.0) -> SplineField:
     """Build the spline between the planes h = 0 (``lower``) and h = 1 (``upper``).
 
-    Both primitives vanish at B, and w is anchored by the same evaluation
-    that `w1_rule_defect` repeats, so ``w(B, h)`` is exactly ``h*w1 + h^2*w2``.
+    Both primitives vanish at B, and w is anchored by evaluating it there,
+    so ``w(B, h)`` is exactly ``h*w1 + h^2*w2``.
     """
     zb = complex(B.x, B.y)
-    w1, w2, extra_div = float(w1), float(w2), float(extra_div)
+    w1, w2 = float(w1), float(w2)
     fld = SplineField(lower, upper, lower.primitive(zb), upper.primitive(zb),
-                      w1, w2, extra_div, B, w1 + extra_div)
+                      w1, w2, B, w1)
     return replace(fld, w0_anchor=float(fld.w(B.x, B.y, 0.0)))
 
 
@@ -218,40 +218,42 @@ def datum_rule(w_ref: float, h_ref: float, w1: "float | None" = None,
 def glue_sections(first: SplineField, transversal: "tuple[float, float] | None" = None) -> dict:
     """Chaining data for the section stacked on top of ``first``.
 
-    The new section's lower plane is ``first``'s upper blade, whose conj(z)
-    coefficient ``first.w1 + 2*first.w2 + first.extra_div`` splits into
+    The new section's lower plane is ``first``'s upper blade, solved as the
+    modified problem with conj(z) coefficient ``first.w1 + 2*first.w2``,
+    the slope dw/dh of ``first`` at h = 1.  That slope is the new section's
 
-    * ``w1_const = first.w1 + first.w2``, the chaining rule: w of ``first``
-      at h = 1 over its branch point, where w0 vanishes;
-    * ``extra_div = first.w2 + first.extra_div``, the in-plane shift that the
-      new w1 does not account for;
+    * ``w1_const``, so u and v continue ``first`` and the new field is
+      divergence free with the shared blade as it was solved;
     * ``w2`` comes from the optional (w_ref, h_ref) datum through
-      `datum_rule`, and is 0 without it.
+      `datum_rule`, stated in the new section's w, which vanishes over its
+      own branch point at h = 0; it is 0 without a datum.
 
-    `trace_defect` and `w1_rule_defect` measure how well a section assembled
-    from these data continues ``first``.
+    `trace_defect` measures how well a section assembled from these data
+    continues ``first``.
     """
-    w1_const = first.w1 + first.w2
+    w1_const = first.w1 + 2.0 * first.w2
     w2 = 0.0
     if transversal is not None:
         w2 = datum_rule(*transversal, w1=w1_const)
-    return {"w1_const": float(w1_const), "w2": float(w2),
-            "extra_div": first.w2 + first.extra_div}
+    return {"w1_const": float(w1_const), "w2": float(w2)}
 
 
-def w1_rule_defect(first: SplineField, w1_const: float) -> float:
-    """Distance of ``w1_const`` from w of ``first`` at h = 1 over its branch point."""
-    B = first.branch_point
-    return abs(w1_const - float(first.w(B.x, B.y, 1.0)))
-
-
-def trace_defect(first, second, grid: GridSpec) -> tuple[float, float]:
-    """Largest |u| and |v| jumps between ``first`` at h = 1 and ``second`` at h = 0.
+def trace_defect(first, second, grid: GridSpec) -> tuple[float, float, float]:
+    """Largest |u|, |v| and |w| jumps between ``first`` at h = 1 and ``second`` at h = 0.
 
     Compared by value on the grid's plane nodes, which must lie clear of
-    every blade either field is evaluated over.
+    every blade either field is evaluated over.  The u and v jumps vanish
+    for a section built from `glue_sections`.  The w jump cannot, so it is
+    a measurement, not a gate:
+
+    * its constant part, ``first.w1 + first.w2`` over the branch point, is
+      the anchor ``w(B, 0) = 0`` of each section, in which the transversal
+      datum of the next section is stated;
+    * the rest is fixed by the planes.  Within a section grad w = d(u, v)/dh,
+      which jumps across the interface unless the three blade completions
+      form an arithmetic progression in h and the two sections share w2.
     """
     x, y = grid.plane_nodes()
-    du = np.max(np.abs(second.u(x, y, 0.0) - first.u(x, y, 1.0)))
-    dv = np.max(np.abs(second.v(x, y, 0.0) - first.v(x, y, 1.0)))
-    return float(du), float(dv)
+    below = first.velocity(x, y, 1.0)
+    above = second.velocity(x, y, 0.0)
+    return tuple(float(np.max(np.abs(a - b))) for a, b in zip(above, below))

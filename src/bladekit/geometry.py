@@ -47,9 +47,6 @@ class Contour:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def as_complex(self) -> np.ndarray:
-        return self.points[:, 0] + 1.0j * self.points[:, 1]
-
     def _edges(self) -> np.ndarray:
         if self.closed:
             return np.roll(self.points, -1, axis=0) - self.points
@@ -61,9 +58,6 @@ class Contour:
     @property
     def perimeter(self) -> float:
         return float(self._edge_lengths().sum())
-
-    def translated(self, dx: float, dy: float) -> "Contour":
-        return Contour(self.points + np.array([dx, dy]), closed=self.closed)
 
 
 def arc_length_table(c: Contour) -> np.ndarray:
@@ -119,15 +113,14 @@ class RuledTriangulation:
 
 
 
-def ruled_surface_area(t: RuledTriangulation, shift: Point2 | tuple[float, float] = (0.0, 0.0)) -> float:
+def ruled_surface_area(t: RuledTriangulation, shift: tuple[float, float] = (0.0, 0.0)) -> float:
     """Total area of the ruled strip with the upper contour translated by shift.
 
     Nodes are lifted to the planes h = 0 and h = spacing and each triangle
     area comes from the 3D cross product.
     """
-    sx, sy = (shift.x, shift.y) if isinstance(shift, Point2) else (float(shift[0]), float(shift[1]))
     lo = t.lower.points
-    up = t.upper.points + np.array([sx, sy])
+    up = t.upper.points + np.asarray(shift, dtype=float)
     n = len(lo)
     nxt = np.roll(np.arange(n), -1)
     if not t.lower.closed:
@@ -164,7 +157,8 @@ def contour_to_csv(c: Contour) -> str:
 
 
 def contour_from_csv(text: str) -> tuple[Contour, np.ndarray | None]:
-    """Parse ``index,x,y`` rows; a fourth ``v`` column, if present, is returned too."""
+    """Parse ``index,x,y`` rows of finite numbers; a fourth ``v`` column, if present,
+    is returned too."""
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise BladekitError("empty contour file")
@@ -176,13 +170,13 @@ def contour_from_csv(text: str) -> tuple[Contour, np.ndarray | None]:
     for lineno, ln in lines[1:]:
         cells = ln.split(",")
         try:
-            if len(cells) < width:
+            row = [float(cell) for cell in cells[1:width]]
+            if len(cells) < width or not np.isfinite(row).all():
                 raise ValueError
-            pts.append((float(cells[1]), float(cells[2])))
-            if width == 4:
-                vel.append(float(cells[3]))
         except ValueError:
             raise BladekitError(f"line {lineno}: expected a {','.join(header[:width])} "
                                 f"row of numbers, got {ln!r}") from None
+        pts.append(row[:2])
+        vel += row[2:]
     contour = Contour(np.asarray(pts))
     return contour, (np.asarray(vel) if width == 4 else None)

@@ -11,12 +11,15 @@ contours.
 Degree-1 chains treat sections independently (the shared blade carries no
 information across).  A degree-2 section after the first is chained onto
 the previous one: its lower blade is the previous upper blade (the same
-solve), and `assembly.glue_sections` gives its constants, which leaves a
-constant continuity defect (the in-plane shift) reported as an
-informational measurement.  Three glue checks compare the two fields:
-``glue_du`` and ``glue_dv`` the new field at h = 0 with the previous one at
-h = 1 at the residual-grid nodes, and ``glue_w1_rule`` the new w1 constant
-with the previous field's w at h = 1 over its branch point.
+solve), and `assembly.glue_sections` gives its constants.  The shared
+blade was solved with the previous field's slope dw/dh at h = 1 as its
+conj(z) coefficient; that slope is the new w1, so every section is a
+solution of the field equations and carries the same gated residual
+checks.  Chained sections add the glue checks: ``glue_du`` and ``glue_dv``
+compare the new field at h = 0 with the previous one at h = 1 at the
+residual-grid nodes, ``glue_w1_rule`` the new field's conj(z) coefficient
+with the w1 the shared blade was solved with, and ``glue_dw`` measures the
+w jump without a verdict (see `assembly.trace_defect`).
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .assembly import (
     field_residuals,
     glue_sections,
     trace_defect,
-    w1_rule_defect,
 )
 from .config import DesignConfig, SectionConfig, TransversalDatum
 from .errors import BadValue, BladekitError
@@ -193,7 +195,6 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
         glue_info = None
         w2 = section.w2 if section.degree == 2 else 0.0
         w1c = determine_w1(section, w2)
-        extra_div = 0.0
         sol_lo = solve_distribution(section.lower, n, z_start=0.0, w1=w1c)
         involved = [sol_lo.contour]
     else:
@@ -201,21 +202,22 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
         glue_info = glue_sections(prev.field,
                                   (datum.w_ref, datum.h_ref)
                                   if isinstance(datum, TransversalDatum) else None)
-        w1c, w2, extra_div = glue_info["w1_const"], glue_info["w2"], glue_info["extra_div"]
+        w1c, w2 = glue_info["w1_const"], glue_info["w2"]
         sol_lo = prev.upper                   # shared blade, same solve
         # trace_defect evaluates the previous field too
         involved = [prev.lower.contour, sol_lo.contour]
-    sol_up = solve_distribution(section.upper, n, z_start=0.0,
-                                w1=w1c + extra_div + 2.0 * w2)
+    # the upper plane's conj(z) coefficient is dw/dh there
+    sol_up = solve_distribution(section.upper, n, z_start=0.0, w1=w1c + 2.0 * w2)
     involved.append(sol_up.contour)
 
     zb = sol_lo.branch_point()
     fld = assemble(_pullback_field(sol_lo, 1.0j), _pullback_field(sol_up, 1.0j),
-                   w1c, Point2(zb.real, zb.imag), w2, extra_div)
+                   w1c, Point2(zb.real, zb.imag), w2)
     grid = _residual_grid(involved)
     residuals = field_residuals(fld, grid)
     shift = _position(cfg, sol_lo, sol_up)
 
+    fd_worst = max(residuals.fd_max_div, *residuals.fd_max_curl)
     checks = [
         CheckEntry("closure_lower", abs(sol_lo.closure.closure_defect), CLOSURE_TOL,
                    abs(sol_lo.closure.closure_defect) < CLOSURE_TOL),
@@ -230,24 +232,19 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
                        max(abs(a - b) for a, b in
                            zip(residuals.max_curl, residuals.fd_max_curl))),
                    1e-6, residuals.paths_agree),
+        CheckEntry("residual_analytic", residuals.worst(), RESIDUAL_TOL_ANALYTIC,
+                   residuals.worst() < RESIDUAL_TOL_ANALYTIC),
+        CheckEntry("residual_fd", fd_worst, RESIDUAL_TOL_FD, fd_worst < RESIDUAL_TOL_FD),
     ]
-    if prev is None:
-        checks.append(CheckEntry("residual_analytic", residuals.worst(),
-                                 RESIDUAL_TOL_ANALYTIC,
-                                 residuals.worst() < RESIDUAL_TOL_ANALYTIC))
-        fd_worst = max(residuals.fd_max_div, *residuals.fd_max_curl)
-        checks.append(CheckEntry("residual_fd", fd_worst, RESIDUAL_TOL_FD,
-                                 fd_worst < RESIDUAL_TOL_FD))
-    else:
-        # the chaining rule is value-exact on the blade but leaves a known
-        # constant continuity excess; record the measurement without a verdict
-        checks.append(CheckEntry("residual_analytic_glued", residuals.worst(),
-                                 None, None))
-        du, dv = trace_defect(prev.field, fld, grid)
-        checks.append(CheckEntry("glue_du", du, GLUE_TOL, du < GLUE_TOL))
-        checks.append(CheckEntry("glue_dv", dv, GLUE_TOL, dv < GLUE_TOL))
-        rule = w1_rule_defect(prev.field, w1c)
-        checks.append(CheckEntry("glue_w1_rule", rule, GLUE_TOL, rule < GLUE_TOL))
+    if prev is not None:
+        du, dv, dw = trace_defect(prev.field, fld, grid)
+        rule = abs(fld.absorbed - sol_lo.w1)
+        checks += [
+            CheckEntry("glue_du", du, GLUE_TOL, du < GLUE_TOL),
+            CheckEntry("glue_dv", dv, GLUE_TOL, dv < GLUE_TOL),
+            CheckEntry("glue_dw", dw, None, None),
+            CheckEntry("glue_w1_rule", rule, GLUE_TOL, rule < GLUE_TOL),
+        ]
 
     return SectionResult(section.id, section.degree, w1c,
                          w2 if section.degree == 2 else None,

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import BladekitError, CountMismatch, OptimizerFailed
-from .geometry import Contour, Point2, RuledTriangulation, ruled_surface_area
+from .geometry import Contour, RuledTriangulation, ruled_surface_area
 
 LIFT_RTOL = 1e-12       # lift maximum, relative to sum|w_i| * max_i |d_i + s|
 _MAX_CELLS = 256        # live branch-and-bound cells kept per level
@@ -72,8 +72,7 @@ def _check_counts(c1: Contour, c2: Contour):
 def lsq_objective(c1: Contour, c2: Contour, shift) -> float:
     """Sum over nodes of ``(x1 - x2 + dx)^2 + (y1 - y2 + dy)^2``."""
     _check_counts(c1, c2)
-    sx, sy = (shift.x, shift.y) if isinstance(shift, Point2) else (float(shift[0]), float(shift[1]))
-    d = c1.points - c2.points + np.array([sx, sy])
+    d = c1.points - c2.points + np.asarray(shift, dtype=float)
     return float(np.sum(d * d))
 
 
@@ -88,10 +87,9 @@ def least_squares_shift(c1: Contour, c2: Contour) -> ShiftVector:
 def area_objective(c1: Contour, c2: Contour, spacing: float, shift) -> float:
     """Ruled-strip area between c1 moved by the shift and c2."""
     _check_counts(c1, c2)
-    sx, sy = (shift.x, shift.y) if isinstance(shift, Point2) else (float(shift[0]), float(shift[1]))
     tri = RuledTriangulation(c1, c2, spacing)
     # moving the lower contour by s equals moving the upper one by -s
-    return ruled_surface_area(tri, (-sx, -sy))
+    return ruled_surface_area(tri, -np.asarray(shift, dtype=float))
 
 
 def minimize_area_shift(c1: Contour, c2: Contour, spacing: float,
@@ -144,8 +142,8 @@ def lift_score(c1: Contour, c2: Contour, p: NodePartition, shift) -> float:
     """``F(s) = sum_i w_i |d_i + s|``, ``d = c1 - c2``, ``w = v1 + v2`` negated on
     the upper surface: lower nodes push up, upper pull down."""
     d, w = _lift_terms(c1, c2, p)
-    sx, sy = (shift.x, shift.y) if isinstance(shift, Point2) else (float(shift[0]), float(shift[1]))
-    return float(_distance_sums(d, w[:, None], np.array([[sx, sy]]))[0][0, 0])
+    s = np.asarray(shift, dtype=float).reshape(1, 2)
+    return float(_distance_sums(d, w[:, None], s)[0][0, 0])
 
 
 def maximize_lift(c1: Contour, c2: Contour, p: NodePartition, box) -> ShiftVector:

@@ -148,8 +148,8 @@ class TestAnalyticCorrection:
         # instead of 1/2, leaves a divergence of |w1| in both passes
         rng = np.random.default_rng(8)
         w1 = 0.3
-        fld = assemble(rand_plane(rng), rand_plane(rng), w1, Point2(2.0, 0.0), extra_div=w1)
-        res = field_residuals(fld, GRID)
+        fld = assemble(rand_plane(rng), rand_plane(rng), w1, Point2(2.0, 0.0))
+        res = field_residuals(dataclasses.replace(fld, absorbed=2 * w1), GRID)
         assert abs(res.max_div - w1) < 1e-10
         assert abs(res.fd_max_div - w1) < 1e-6
 
@@ -266,17 +266,17 @@ class TestGlue:
         rng = np.random.default_rng(18)
         return assemble(rand_plane(rng), rand_plane(rng), w1c, self.B, w2)
 
-    def _next(self, q, spec, shift=None):
+    def _next(self, q, spec, w1=None):
         # the next section's plane h = 0 is q's upper blade
         rng = np.random.default_rng(21)
-        extra_div = spec["extra_div"] if shift is None else shift
-        return assemble(q.upper, rand_plane(rng), spec["w1_const"], self.B, spec["w2"],
-                        extra_div=extra_div)
+        w1 = spec["w1_const"] if w1 is None else w1
+        return assemble(q.upper, rand_plane(rng), w1, self.B, spec["w2"])
 
     def test_w1_chaining_rule(self):
+        # the slope dw/dh of q at h = 1: 0.3 + 2*0.1
         q = self._quad(w2=0.1, w1c=0.3)
         spec = glue_sections(q)
-        assert abs(spec["w1_const"] - 0.4) < 1e-14
+        assert abs(spec["w1_const"] - 0.5) < 1e-14
 
     def test_trace_matches_field_at_top(self):
         q = self._quad()
@@ -288,8 +288,8 @@ class TestGlue:
     def test_transversal_datum_fixes_w2(self):
         q = self._quad(w2=0.1, w1c=0.3)
         spec = glue_sections(q, transversal=(0.9, 1.0))
-        # w(B, 1) = w1 + w2 = 0.9 with w1 = 0.4 gives w2 = 0.5
-        assert abs(spec["w2"] - 0.5) < 1e-13
+        # w(B, 1) = w1 + w2 = 0.9 with w1 = 0.5 gives w2 = 0.4
+        assert abs(spec["w2"] - 0.4) < 1e-13
 
     def test_flat_continuation(self):
         q = self._quad(w2=0.0, w1c=0.0)
@@ -300,10 +300,12 @@ class TestGlue:
         assert abs(spec["w1_const"] - q.w1) < 1e-14
 
     def test_trace_defect_sees_a_missing_shift(self):
-        # a section assembled from the glue data continues q exactly; dropping
-        # the in-plane shift leaves a jump of (w2/2)*|z| that trace_defect sees
+        # a section assembled from the glue data continues q exactly; the
+        # value rule w1 = w(B, 1) = q.w1 + q.w2 misses the in-plane shift
+        # q.w2 of the conj(z) term, a jump of (w2/2)*|z| that trace_defect sees
         q = self._quad(w2=0.1, w1c=0.3)
         spec = glue_sections(q)
-        for shift, glued in ((None, True), (0.0, False)):
-            du, dv = trace_defect(q, self._next(q, spec, shift), GRID)
+        for w1, glued in ((None, True), (q.w1 + q.w2, False)):
+            du, dv, _ = trace_defect(q, self._next(q, spec, w1), GRID)
             assert (max(du, dv) < 1e-12) is glued
+

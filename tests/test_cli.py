@@ -144,6 +144,8 @@ BAD_CONTOURS = {
     "short row": ("index,x,y\n0,0.0,0.0\n1,1.0\n2,1.0,1.0\n", 3),
     "no v cell": ("index,x,y,v\n0,0.0,0.0,1.0\n\n1,1.0,0.0,1.0\n2,1.0,1.0\n", 5),
     "not a number": ("index,x,y\n0,abc,1\n1,1.0,0.0\n2,1.0,1.0\n", 2),
+    "nan_v": ("index,x,y,v\n0,0.0,0.0,1.0\n1,1.0,0.0,nan\n2,1.0,1.0,1.0\n3,0.0,1.0,1.0\n", 3),
+    "inf_x": ("index,x,y\n0,0.0,0.0\n1,1.0,0.0\n2,inf,1.0\n3,0.0,1.0\n", 4),
 }
 
 

@@ -125,7 +125,7 @@ class TestHausdorff:
     def test_shifted_square_bounds(self):
         for d in (0.05, 0.2, 0.4):
             sq = unit_square()
-            moved = sq.translated(d, 0.0)
+            moved = Contour(sq.points + (d, 0.0))
             hd = hausdorff_distance(sq, moved)
             assert hd <= d + 1e-12
             assert hd >= d / np.sqrt(2) - 1e-12

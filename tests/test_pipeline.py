@@ -1,12 +1,10 @@
 """End-to-end pipeline runs on oracle data: a chain of degree-2 sections."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import oracles
-from bladekit import assembly
+from bladekit import assembly, pipeline
 from bladekit.config import parse_config_dict
 from bladekit.pipeline import GLUE_TOL, _residual_grid, run_pipeline
 
@@ -25,18 +23,21 @@ def _distribution(centre, beta):
     return oracles.joukowski_flow(center=centre, beta=beta).distribution(512, 512).to_json()
 
 
-@pytest.fixture(scope="module")
-def chain_report():
+def _chain_config(c0_w1=CHAIN[0][4]):
     sections = []
     for i, (lo_c, lo_b, up_c, up_b, w1) in enumerate(CHAIN):
         sections.append({"id": f"c{i}", "degree": 2, "w1": w1,
                          "lower": _distribution(lo_c, lo_b),
                          "upper": _distribution(up_c, up_b)})
-    sections[0]["w2"] = 0.1
-    cfg = parse_config_dict({"sections": sections,
-                             "discretization": {"n_boundary": 64},
-                             "positioning": {"method": "lsq"}})
-    return run_pipeline(cfg)
+    sections[0].update(w1=c0_w1, w2=0.1)
+    return parse_config_dict({"sections": sections,
+                              "discretization": {"n_boundary": 64},
+                              "positioning": {"method": "lsq"}})
+
+
+@pytest.fixture(scope="module")
+def chain_report():
+    return run_pipeline(_chain_config())
 
 
 class TestDegree2Chain:
@@ -52,32 +53,56 @@ class TestDegree2Chain:
                 assert checks[name].passed is True
             assert checks["glue_du"].value < GLUE_TOL
             assert checks["glue_dv"].value < GLUE_TOL
-            assert sec.glue_info["extra_div"] == sec.field.extra_div
+            assert sec.glue_info == {"w1_const": sec.w1, "w2": sec.w2}
 
     def test_shared_blade_is_one_solve(self, chain_report):
         secs = chain_report.sections
         for prev, sec in zip(secs, secs[1:]):
             assert sec.lower is prev.upper
 
-    def test_in_plane_shift_accumulates(self, chain_report):
-        c0, c1, c2 = chain_report.sections
-        assert c1.field.extra_div == c0.field.w2
-        assert c2.field.extra_div == c1.field.extra_div + c1.field.w2
-        # the shift is the chained section's constant continuity defect
-        for sec in (c1, c2):
-            glued = {c.name: c for c in sec.checks}["residual_analytic_glued"]
-            assert abs(glued.value - abs(sec.field.extra_div)) < 1e-8
+    def test_w1_is_the_previous_slope(self, chain_report):
+        # the shared blade was solved with the previous slope dw/dh at h = 1;
+        # the chained section takes it as w1 and is divergence free
+        for prev, sec in zip(chain_report.sections, chain_report.sections[1:]):
+            assert sec.w1 == prev.field.w1 + 2 * prev.field.w2 == sec.lower.w1
+            check = {c.name: c for c in sec.checks}["residual_analytic"]
+            assert check.tolerance == 1e-8 and check.passed is True
+            assert check.value < 1e-8
 
-    def test_zero_shift_breaks_the_glue(self, chain_report):
-        # negative control: the same chained section assembled without its
-        # in-plane shift no longer continues the section below it
-        prev, sec = chain_report.sections[:2]
-        assert sec.field.extra_div != 0.0
-        fld = sec.field
-        unshifted = assembly.assemble(fld.lower, fld.upper, fld.w1, fld.branch_point,
-                                      fld.w2, extra_div=0.0)
-        du, dv = assembly.trace_defect(prev.field, unshifted, sec.residuals.grid)
-        assert max(du, dv) > GLUE_TOL
+    def test_zero_shift_breaks_the_glue(self, chain_report, monkeypatch):
+        # negative control: chained by the value rule w1 = w(B, 1), without
+        # the in-plane shift prev.w2 of the conj(z) term, a chained section
+        # no longer continues the one below it, and the report fails
+        def value_rule(first, transversal=None):
+            w1 = first.w1 + first.w2
+            w2 = 0.0 if transversal is None else assembly.datum_rule(*transversal, w1=w1)
+            return {"w1_const": w1, "w2": w2}
+
+        monkeypatch.setattr(pipeline, "glue_sections", value_rule)
+        report = run_pipeline(_chain_config())
+        assert not report.passed
+        for prev, sec in zip(report.sections, report.sections[1:]):
+            assert sec.lower.w1 - sec.w1 == pytest.approx(prev.field.w2) != 0.0
+            checks = {c.name: c for c in sec.checks}
+            for name in ("glue_du", "glue_dv", "glue_w1_rule"):
+                assert checks[name].passed is False, (sec.id, name)
+
+    def test_only_glue_dw_is_ungated(self, chain_report):
+        for sec in chain_report.sections:
+            for check in sec.checks:
+                assert (check.tolerance is None) is (check.name == "glue_dw"), check.name
+                assert check.passed is (None if check.tolerance is None else True)
+
+    def test_glue_dw_is_the_w_jump(self, chain_report):
+        # w jumps by the previous w(B, 1) = w1 + w2 between the two anchors,
+        # and glue_dw is the largest jump over the residual grid
+        for prev, sec in zip(chain_report.sections, chain_report.sections[1:]):
+            Bp, Bs = prev.field.branch_point, sec.field.branch_point
+            jump = prev.field.w(Bp.x, Bp.y, 1.0) - sec.field.w(Bs.x, Bs.y, 0.0)
+            assert jump == prev.field.w1 + prev.field.w2
+            x, y = sec.residuals.grid.plane_nodes()
+            dw = {c.name: c for c in sec.checks}["glue_dw"].value
+            assert dw == np.max(np.abs(prev.field.w(x, y, 1.0) - sec.field.w(x, y, 0.0)))
 
     def test_chained_fields_do_not_grow(self, chain_report):
         # every field is the spline between its own two blades, however long
@@ -109,15 +134,27 @@ class TestDegree2Chain:
         assert check.passed is (check.value < check.tolerance)
 
     def test_w1_rule_sees_a_misanchored_field(self, chain_report):
-        # the rule reads w of the previous field over its branch point; the
-        # same field with w0 anchored elsewhere no longer matches the new w1
+        # the rule reads the new field's conj(z) coefficient against the w1
+        # the shared blade was solved with; the same planes assembled with
+        # w1 anchored at the previous value w(B, 1) no longer match it
         prev, sec = chain_report.sections[:2]
         rule = {c.name: c for c in sec.checks}["glue_w1_rule"]
-        assert rule.value == assembly.w1_rule_defect(prev.field, sec.w1) == 0.0
-        B = prev.field.branch_point
-        offset = float(prev.field.w(B.x + 0.5, B.y, 0.0))
-        misanchored = dataclasses.replace(prev.field, w0_anchor=prev.field.w0_anchor + offset)
-        assert assembly.w1_rule_defect(misanchored, sec.w1) > GLUE_TOL
+        assert rule.value == abs(sec.field.absorbed - sec.lower.w1) == 0.0
+        fld = sec.field
+        misanchored = assembly.assemble(fld.lower, fld.upper, prev.field.w1 + prev.field.w2,
+                                        fld.branch_point, fld.w2)
+        assert abs(misanchored.absorbed - sec.lower.w1) > GLUE_TOL
+
+
+def test_chain_onto_a_failed_section_is_refused():
+    # at w1 = -50 the first section's blade solve fails, and neither chained
+    # section has a lower blade to start from
+    report = run_pipeline(_chain_config(c0_w1=-50.0))
+    assert report.sections == []
+    assert len(report.errors) == 3
+    assert [e.split(":")[0] for e in report.errors] == ["c0", "c1", "c2"]
+    assert all("cannot chain onto a failed section" in e for e in report.errors[1:])
+    assert not report.passed
 
 
 def test_first_section_datum_holds_with_w2():

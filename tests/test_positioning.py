@@ -46,7 +46,7 @@ class TestLsqObjective:
 
     def test_translated_cancellation(self):
         c = circle(32)
-        moved = c.translated(1.0, 2.0)
+        moved = Contour(c.points + (1.0, 2.0))
         assert abs(lsq_objective(c, moved, (1.0, 2.0))) < 1e-12
 
     def test_toy_hand_sum(self):
@@ -66,7 +66,7 @@ class TestLeastSquares:
 
     def test_pure_translation_recovery(self):
         c = circle(64)
-        s = least_squares_shift(c, c.translated(1.0, 2.0))
+        s = least_squares_shift(c, Contour(c.points + (1.0, 2.0)))
         assert abs(s.dx - 1.0) < 1e-12 and abs(s.dy - 2.0) < 1e-12
         assert s.objective < 1e-20
 
@@ -104,7 +104,7 @@ class TestLeastSquares:
         c1 = Contour(rng.uniform(-1, 1, (16, 2)))
         c2 = Contour(rng.uniform(-1, 1, (16, 2)))
         s0 = least_squares_shift(c1, c2)
-        s1 = least_squares_shift(c1, c2.translated(0.3, -0.7))
+        s1 = least_squares_shift(c1, Contour(c2.points + (0.3, -0.7)))
         assert abs(s1.dx - s0.dx - 0.3) < 1e-12
         assert abs(s1.dy - s0.dy + 0.7) < 1e-12
 
@@ -121,7 +121,7 @@ class TestAreaObjective:
 
     def test_minimum_matches_lsq_for_congruent(self):
         c1 = circle(128)
-        c2 = c1.translated(0.21, -0.13)
+        c2 = Contour(c1.points + (0.21, -0.13))
         lsq = least_squares_shift(c1, c2)
         area = minimize_area_shift(c1, c2, 1.0, (0.0, 0.0))
         assert np.hypot(area.dx - lsq.dx, area.dy - lsq.dy) < 1e-6
@@ -170,7 +170,7 @@ class TestLiftScore:
     def test_zero_velocities(self):
         c = circle(16)
         p = NodePartition(8, np.zeros(16), np.zeros(16))
-        assert lift_score(c, c.translated(0.3, 0.1), p, (0.0, 0.0)) == 0.0
+        assert lift_score(c, Contour(c.points + (0.3, 0.1)), p, (0.0, 0.0)) == 0.0
 
     def test_hand_evaluated_two_nodes(self):
         c1 = Contour(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
@@ -205,7 +205,7 @@ class TestMaximizeLift:
     def test_zero_velocities_tie_break(self):
         c = circle(16)
         p = NodePartition(8, np.zeros(16), np.zeros(16))
-        s = maximize_lift(c, c.translated(0.1, 0.0), p, (-0.5, -0.5, 0.5, 0.5))
+        s = maximize_lift(c, Contour(c.points + (0.1, 0.0)), p, (-0.5, -0.5, 0.5, 0.5))
         assert s.dx == 0.0 and s.dy == 0.0
 
     def test_faster_upper_slopes_down(self):
@@ -270,7 +270,7 @@ class TestMaximizeLift:
         # the box excludes the origin: its smallest-norm point is a corner
         c = circle(16)
         p = NodePartition(8, np.zeros(16), np.zeros(16))
-        s = maximize_lift(c, c.translated(0.1, 0.0), p, (0.2, 0.1, 0.5, 0.5))
+        s = maximize_lift(c, Contour(c.points + (0.1, 0.0)), p, (0.2, 0.1, 0.5, 0.5))
         assert (s.dx, s.dy, s.objective) == (0.2, 0.1, 0.0)
 
     def test_symmetric_corners_tie_to_smallest_norm(self):
@@ -291,7 +291,7 @@ class TestMaximizeLift:
         # of N at (0.3, 0.1), so the level cap has to end the search
         c = circle(16)
         p = NodePartition(8, 0.5 * np.ones(16), 0.5 * np.ones(16))
-        s = maximize_lift(c, c.translated(0.3, 0.1), p, (-0.5, -0.5, 0.5, 0.5))
+        s = maximize_lift(c, Contour(c.points + (0.3, 0.1)), p, (-0.5, -0.5, 0.5, 0.5))
         assert (s.dx, s.dy) == (0.0, 0.0)
         assert abs(s.objective) < 1e-14
 
