@@ -11,10 +11,12 @@ with constant w1 and w2 (degree 1 is w2 = 0) and P vanishing at the branch
 point B.  The conj(z) term absorbs dw/dh, so the field is divergence free,
 and grad w = du/dh, dv/dh makes it irrotational.  `field_residuals` checks
 both with the spline's derivatives in closed form and again by central
-differences.  Each blade plane is a modified planar problem whose conj(z)
-coefficient is dw/dh there: w1 on the plane h = 0 and ``w1 + 2*w2`` on
-h = 1, which is what a section stacked on top starts from
-(`glue_sections`).
+differences, from one inversion of each blade map at the grid nodes: the
+h-differences reuse the plane values there, and each point set shifted in x
+or y is inverted from one first-order step off the nodes.  Each blade
+plane is a modified planar problem whose conj(z) coefficient is dw/dh
+there: w1 on the plane h = 0 and ``w1 + 2*w2`` on h = 1, which is what a
+section stacked on top starts from (`glue_sections`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import Point2
+from .harmonic import evaluate_series
 from .planefield import Pullback
 
 FD_STEP = 1e-4
@@ -119,18 +122,20 @@ class SplineField:
     absorbed: float
     w0_anchor: float = 0.0
 
-    def planes(self, z):
-        """``(value, d/dz)`` of f_lo, f_up and P at z, inverting each map once."""
-        zeta_lo = self.lower.map.invert(z)
-        zeta_up = self.upper.map.invert(z)
-        p_lo, dp_lo = self.lower_primitive.at(zeta_lo)
-        p_up, dp_up = self.upper_primitive.at(zeta_up)
-        return self.lower.at(zeta_lo), self.upper.at(zeta_up), (p_up - p_lo, dp_up - dp_lo)
+    def zetas(self, z, start=(None, None)):
+        """The lower and upper maps inverted at z, Newton started from ``start``."""
+        return (self.lower.map.invert(z, start=start[0]),
+                self.upper.map.invert(z, start=start[1]))
 
-    def velocity(self, x, y, h):
-        """``(u, v, w)`` at plane points (x, y) and heights h; h broadcasts."""
-        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-        (f_lo, _), (f_up, _), (p, _) = self.planes(z)
+    def planes(self, zetas):
+        """Values of f_lo, f_up and P at the points ``zetas`` inverted."""
+        lo, up = zetas
+        p = self.upper_primitive.value(up) - self.lower_primitive.value(lo)
+        return self.lower.value(lo), self.upper.value(up), p
+
+    def spline(self, z, planes, h):
+        """``(u, v, w)`` at plane points z and heights h from the plane values there."""
+        f_lo, f_up, p = planes
         h = np.asarray(h, dtype=float)
         c = self.absorbed + 2.0 * self.w2 * h
         f = (1.0 - h) * f_lo + h * f_up - 0.5j * c * np.conj(z)
@@ -138,11 +143,10 @@ class SplineField:
              + h * self.w1 + h**2 * self.w2)
         return f.imag, f.real, w
 
-    def u(self, x, y, h):
-        return self.velocity(x, y, h)[0]
-
-    def v(self, x, y, h):
-        return self.velocity(x, y, h)[1]
+    def velocity(self, x, y, h):
+        """``(u, v, w)`` at plane points (x, y) and heights h; h broadcasts."""
+        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
+        return self.spline(z, self.planes(self.zetas(z)), h)
 
     def w(self, x, y, h):
         return self.velocity(x, y, h)[2]
@@ -169,34 +173,51 @@ def field_residuals(field: SplineField, grid: "GridSpec | None" = None) -> Field
     and ``F_y = i*(G' - K)``; du/dh - dw/dx and dv/dh - dw/dy reduce to the
     gap between f_up - f_lo and the primitive's own derivative P' (the w2
     terms cancel).  The finite-difference pass uses central differences at
-    step 1e-4 in x, y, and h.
+    step 1e-4 in x, y, and h.  Both passes share each map's inverse at the
+    nodes, and its z'(zeta) serves the derivatives of a plane and its primitive.
     """
     grid = grid or GridSpec()
     x, y = grid.plane_nodes()
+    z = x + 1j * y
     hs = grid.h_nodes()
     h = hs[:, None]
-    (f_lo, df_lo), (f_up, df_up), (_, dp) = field.planes(x + 1j * y)
-    dg = (1.0 - h) * df_lo + h * df_up
+    zetas = z_lo, z_up = field.zetas(z)
+    dzs = dz_lo, dz_up = (evaluate_series(field.lower.map.deriv, z_lo),
+                          evaluate_series(field.upper.map.deriv, z_up))
+    planes = f_lo, f_up, _ = field.planes(zetas)
+    dg = (1.0 - h) * field.lower.derivative(z_lo, dz_lo) + h * field.upper.derivative(z_up, dz_up)
+    dp = (field.upper_primitive.derivative(z_up, dz_up)
+          - field.lower_primitive.derivative(z_lo, dz_lo))
     k = -0.5j * (field.absorbed + 2.0 * field.w2 * h)
     fx, fy = dg + k, 1j * (dg - k)
     div = fx.imag + fy.real + field.w1 + 2.0 * h * field.w2
     gap = f_up - f_lo - dp
     max_curl = (float(np.max(np.abs(fy.imag - fx.real))),
                 float(np.max(np.abs(gap.imag))), float(np.max(np.abs(gap.real))))
-    fd_div, fd_curl = _fd_residuals(field, x, y, hs)
+    fd_div, fd_curl = _fd_residuals(field, z, hs, zetas, dzs, planes)
     return FieldResiduals(float(np.max(np.abs(div))), max_curl, fd_div, tuple(fd_curl), grid)
 
 
-def _fd_residuals(field, x, y, hs):
+def _fd_residuals(field, z, hs, zetas, dzs, planes):
+    """Central differences of ``field.spline`` around the nodes z, where the maps'
+    inverses are ``zetas`` with z'(zeta) ``dzs`` and the plane values are ``planes``.
+
+    The spline is polynomial in h over fixed plane values, so the h-differences
+    reuse ``planes``; a set shifted by d is inverted from ``zeta + d/z'(zeta)``.
+    """
     e = FD_STEP
     h = np.asarray(hs)[:, None]
 
-    def diff(plus, minus):
-        return [(p - m) / (2 * e) for p, m in zip(field.velocity(*plus), field.velocity(*minus))]
+    def shifted(d):
+        start = tuple(zeta + d / dz for zeta, dz in zip(zetas, dzs))
+        return field.spline(z + d, field.planes(field.zetas(z + d, start)), h)
 
-    ux, vx, wx = diff((x + e, y, h), (x - e, y, h))
-    uy, vy, wy = diff((x, y + e, h), (x, y - e, h))
-    uh, vh, wh = diff((x, y, h + e), (x, y, h - e))
+    def diff(plus, minus):
+        return [(p - m) / (2 * e) for p, m in zip(plus, minus)]
+
+    ux, vx, wx = diff(shifted(e), shifted(-e))
+    uy, vy, wy = diff(shifted(1j * e), shifted(-1j * e))
+    uh, vh, wh = diff(field.spline(z, planes, h + e), field.spline(z, planes, h - e))
     fd_div = float(np.max(np.abs(ux + vy + wh)))
     fd_curl = [float(np.max(np.abs(a - b))) for a, b in ((uy, vx), (uh, wx), (vh, wy))]
     return fd_div, fd_curl

@@ -5,8 +5,10 @@ zeta; `SeriesMap` is the map ``z(zeta)`` with a Newton inverse.  A
 `Pullback` is ``S(zeta(z))`` for a Laurent series S, plus the log term
 that circulation gives its primitive.  It is evaluated at points that have
 already been inverted, so one inversion per map and point set serves every
-function over that map, and it returns the value with its exact
-z-derivative ``S'(zeta)/z'(zeta)``.
+function over that map: its value, and where asked its exact z-derivative
+``S'(zeta)/z'(zeta)`` from a z'(zeta) the caller evaluates once per map.
+A point set close to one already inverted is inverted from a start near
+its answer (`SeriesMap.invert`'s ``start``).
 """
 
 from __future__ import annotations
@@ -38,15 +40,17 @@ class SeriesMap:
         if abs(self._slope) < 1e-12:
             raise BladekitError("map must be nondegenerate at infinity")
 
-    def invert(self, z, maxiter: int = 60, tol: float = 1e-13):
+    def invert(self, z, maxiter: int = 60, tol: float = 1e-13, start=None):
         """Solve ``z(zeta) = z`` for points on or outside the unit circle.
 
-        Iterates may graze the circle (the series is a finite Laurent
-        polynomial, well defined there); solutions ending up more than a
-        small grace band inside signal a point interior to the blade.
+        Newton starts from ``start`` when given, else from the map's linear
+        part; a start inside the circle is moved onto it.  Iterates may
+        graze the circle (the series is a finite Laurent polynomial, well
+        defined there); solutions ending up more than a small grace band
+        inside signal a point interior to the blade.
         """
         z = np.asarray(z, dtype=complex)
-        zeta = (z - self._center) / self._slope
+        zeta = (z - self._center) / self._slope if start is None else np.asarray(start, complex)
         small = np.abs(zeta) < 1.0
         zeta = np.where(small, np.exp(1j * np.angle(np.where(small, zeta, 1.0))), zeta)
         scale = np.maximum(np.abs(z), 1.0)
@@ -83,15 +87,19 @@ class Pullback:
     log: complex = 0.0
     zeta_ref: complex = 1.0
 
-    def at(self, zeta):
-        """``(f, df/dz)`` at points ``zeta`` already obtained from ``map.invert``."""
-        dz = evaluate_series(self.map.deriv, zeta)
+    def value(self, zeta):
+        """``f`` at points ``zeta`` already obtained from ``map.invert``."""
         f = evaluate_series(self.series, zeta)
-        df = evaluate_series(self.series.derivative(), zeta) / dz
         if self.log != 0.0:
             f = f + self.log * (np.log(zeta) - np.log(self.zeta_ref))
+        return f
+
+    def derivative(self, zeta, dz):
+        """``df/dz`` at inverted points ``zeta``, where the map's z'(zeta) is ``dz``."""
+        df = evaluate_series(self.series.derivative(), zeta) / dz
+        if self.log != 0.0:
             df = df + self.log / (zeta * dz)
-        return f, df
+        return df
 
     def primitive(self, z_ref: complex) -> "Pullback":
         """``int f dz``, zero at ``z_ref``; the residue becomes the log term."""

@@ -203,3 +203,24 @@ def grid_lift_optimum(c1, c2, p, box) -> tuple[float, float, float]:
         elif abs(cand[0] - best[0]) <= 1e-15 and np.hypot(cand[1], cand[2]) < np.hypot(best[1], best[2]):
             best = cand
     return best
+
+
+def fd_residuals_by_velocity(field, grid, step: float = 1e-4) -> tuple[float, list]:
+    """``(fd_div, fd_curl)`` of a field by central differences of ``field.velocity``.
+
+    Six independent ``velocity`` calls at the grid nodes shifted by ``step``
+    in x, y and h, each inverting both blade maps from the cold start: the
+    reference for the finite-difference pass of ``assembly.field_residuals``.
+    """
+    x, y = grid.plane_nodes()
+    h = grid.h_nodes()[:, None]
+
+    def diff(plus, minus):
+        return [(p - m) / (2 * step) for p, m in zip(field.velocity(*plus), field.velocity(*minus))]
+
+    ux, vx, wx = diff((x + step, y, h), (x - step, y, h))
+    uy, vy, wy = diff((x, y + step, h), (x, y - step, h))
+    uh, vh, wh = diff((x, y, h + step), (x, y, h - step))
+    fd_div = float(np.max(np.abs(ux + vy + wh)))
+    fd_curl = [float(np.max(np.abs(a - b))) for a, b in ((uy, vx), (uh, wx), (vh, wy))]
+    return fd_div, fd_curl

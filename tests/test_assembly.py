@@ -2,9 +2,10 @@ import dataclasses
 
 import numpy as np
 
+import oracles
 from bladekit.assembly import (
     GridSpec,
-    _fd_residuals,
+    SplineField,
     assemble,
     field_residuals,
     glue_sections,
@@ -44,8 +45,8 @@ class TestCauchyRiemann:
         # upper plane i*z gives v = -y, u = x at h = 1
         fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, Point2(2.0, 2.0))
         x, y = GRID.plane_nodes()
-        assert np.allclose(fld.u(x, y, 1.0), x, atol=1e-13)
-        assert np.allclose(fld.v(x, y, 1.0), -y, atol=1e-13)
+        assert np.allclose(fld.velocity(x, y, 1.0)[0], x, atol=1e-13)
+        assert np.allclose(fld.velocity(x, y, 1.0)[1], -y, atol=1e-13)
         res = field_residuals(fld, GRID)
         assert res.max_div < 1e-12 and res.max_curl[0] < 1e-12
 
@@ -55,8 +56,8 @@ class TestCauchyRiemann:
         w1 = 0.7
         fld = assemble(ZERO, ZERO, w1, Point2(2.0, 0.0))
         x, y = GRID.plane_nodes()
-        assert np.allclose(fld.u(x, y, 0.4), -0.5 * w1 * x, atol=1e-14)
-        assert np.allclose(fld.v(x, y, 0.4), -0.5 * w1 * y, atol=1e-14)
+        assert np.allclose(fld.velocity(x, y, 0.4)[0], -0.5 * w1 * x, atol=1e-14)
+        assert np.allclose(fld.velocity(x, y, 0.4)[1], -0.5 * w1 * y, atol=1e-14)
         res = field_residuals(fld, GRID)
         assert res.worst() < 1e-12
 
@@ -107,8 +108,9 @@ class TestComputeW0:
             x = rng.uniform(1.5, 3.0, 8)
             y = rng.uniform(-1, 1, 8)
             gx, gy = fd_grad(lambda x, y: fld.w(x, y, 0.0), x, y)
-            assert np.max(np.abs(gx - (fld.u(x, y, 1.0) - fld.u(x, y, 0.0)))) < 1e-6
-            assert np.max(np.abs(gy - (fld.v(x, y, 1.0) - fld.v(x, y, 0.0)))) < 1e-6
+            (u1, v1, _), (u0, v0, _) = fld.velocity(x, y, 1.0), fld.velocity(x, y, 0.0)
+            assert np.max(np.abs(gx - (u1 - u0))) < 1e-6
+            assert np.max(np.abs(gy - (v1 - v0))) < 1e-6
 
 
 class TestFixConstant:
@@ -157,8 +159,8 @@ class TestAnalyticCorrection:
         # no analytic data, w1 = 2: the plane h = 0 is u0 = -x, v0 = -y
         fld = assemble(ZERO, ZERO, 2.0, Point2(2.0, 0.0))
         x, y = np.array([1.7]), np.array([-1.1])
-        assert np.allclose(fld.u(x, y, 0.0), -x, atol=1e-14)
-        assert np.allclose(fld.v(x, y, 0.0), -y, atol=1e-14)
+        assert np.allclose(fld.velocity(x, y, 0.0)[0], -x, atol=1e-14)
+        assert np.allclose(fld.velocity(x, y, 0.0)[1], -y, atol=1e-14)
         assert field_residuals(fld, GRID).worst() < 1e-12
 
 
@@ -166,7 +168,7 @@ class TestAssembleLinear:
     def test_zero_field(self):
         f = assemble(ZERO, ZERO, 0.0, Point2(2.0, 0.0))
         x, y = np.array([1.3]), np.array([0.4])
-        assert abs(f.u(x, y, 0.7)) < 1e-15
+        assert abs(f.velocity(x, y, 0.7)[0]) < 1e-15
         assert abs(f.w(x, y, 0.7)) < 1e-15
 
     def test_w_shape_from_f1_iz(self):
@@ -195,8 +197,9 @@ class TestAssembleLinear:
                       Pullback(h1.series * a + h2.series * b, IDENTITY), 0.0, B)
         x, y = np.array([1.4, -1.9]), np.array([-0.2, 0.6])
         for h in (0.0, 0.8):
-            assert np.allclose(fc.u(x, y, h), a * fa.u(x, y, h) + b * fb.u(x, y, h), atol=1e-12)
-            assert np.allclose(fc.v(x, y, h), a * fa.v(x, y, h) + b * fb.v(x, y, h), atol=1e-12)
+            (uc, vc, _), (ua, va, _), (ub, vb, _) = (f.velocity(x, y, h) for f in (fc, fa, fb))
+            assert np.allclose(uc, a * ua + b * ub, atol=1e-12)
+            assert np.allclose(vc, a * va + b * vb, atol=1e-12)
             assert np.allclose(fc.w(x, y, h), a * fa.w(x, y, h) + b * fb.w(x, y, h), atol=1e-12)
 
     def test_circulation_gives_a_log_term(self):
@@ -230,14 +233,14 @@ class TestResidualInjection:
         f = assemble(rand_plane(rng), rand_plane(rng), 0.0, Point2(2.0, 0.0))
         eps = 1e-3
 
-        class Perturbed:
-            def velocity(self, x, y, h):
-                u, v, w = f.velocity(x, y, h)
-                return u + np.asarray(h) * eps * np.asarray(x), v, w
+        class Perturbed(SplineField):
+            # u + h*eps*x at every point set the FD pass differences
+            def spline(self, z, planes, h):
+                u, v, w = super().spline(z, planes, h)
+                return u + np.asarray(h) * eps * z.real, v, w
 
-        x, y = GRID.plane_nodes()
-        fd_div, fd_curl = _fd_residuals(Perturbed(), x, y, GRID.h_nodes())
-        assert abs(fd_div - eps) < 1e-6
+        res = field_residuals(Perturbed(**vars(f)), GRID)
+        assert abs(res.fd_max_div - eps) < 1e-6
 
     def test_changed_w1_breaks_continuity(self):
         # the conj(z) term is fixed with the planes: a field whose w1 moves
@@ -257,6 +260,22 @@ class TestResidualInjection:
         res = field_residuals(swapped, GRID)
         assert max(res.max_curl[1:]) > 1e-8
         assert max(res.fd_max_curl[1:]) > 1e-8
+
+
+class TestFdPassAgainstVelocity:
+    def test_fd_figures_match_six_cold_velocity_calls(self):
+        # the FD pass reuses the base planes and warm-starts its shifted
+        # inversions; the reference differences six cold velocity calls
+        rng = np.random.default_rng(22)
+        upper = Pullback(AnalyticSeries.exterior([0.3, 0.5j, 0.2]), IDENTITY)
+        fields = [assemble(rand_plane(rng), rand_plane(rng), rng.uniform(-0.5, 0.5),
+                           Point2(2.1, 0.1), rng.uniform(-0.5, 0.5)) for _ in range(3)]
+        fields.append(assemble(rand_plane(rng), upper, 0.2, Point2(2.0, 0.0), 0.1))
+        for fld in fields:
+            res = field_residuals(fld, GRID)
+            fd_div, fd_curl = oracles.fd_residuals_by_velocity(fld, GRID)
+            assert abs(res.fd_max_div - fd_div) < 1e-11
+            assert np.max(np.abs(np.subtract(res.fd_max_curl, fd_curl))) < 1e-11
 
 
 class TestGlue:
@@ -282,8 +301,8 @@ class TestGlue:
         q = self._quad()
         nxt = self._next(q, glue_sections(q))
         x, y = np.array([1.3, -1.8]), np.array([0.5, 0.1])
-        assert np.allclose(nxt.u(x, y, 0.0), q.u(x, y, 1.0), atol=1e-13)
-        assert np.allclose(nxt.v(x, y, 0.0), q.v(x, y, 1.0), atol=1e-13)
+        assert np.allclose(nxt.velocity(x, y, 0.0)[0], q.velocity(x, y, 1.0)[0], atol=1e-13)
+        assert np.allclose(nxt.velocity(x, y, 0.0)[1], q.velocity(x, y, 1.0)[1], atol=1e-13)
 
     def test_transversal_datum_fixes_w2(self):
         q = self._quad(w2=0.1, w1c=0.3)
@@ -296,7 +315,7 @@ class TestGlue:
         spec = glue_sections(q)
         nxt = self._next(q, spec)
         x, y = np.array([1.4]), np.array([-0.6])
-        assert np.allclose(nxt.u(x, y, 0.0), q.u(x, y, 1.0), atol=1e-14)
+        assert np.allclose(nxt.velocity(x, y, 0.0)[0], q.velocity(x, y, 1.0)[0], atol=1e-14)
         assert abs(spec["w1_const"] - q.w1) < 1e-14
 
     def test_trace_defect_sees_a_missing_shift(self):

@@ -174,3 +174,28 @@ def test_first_section_datum_holds_with_w2():
     fld = report.sections[0].field
     B = fld.branch_point
     assert abs(float(fld.w(B.x, B.y, h_ref)) - w_ref) < 1e-12
+
+
+def _degree1_section():
+    # the first section of the benchmark's deg1_triple at its full n = 256
+    lo_c, lo_b, up_c, up_b, w1 = CHAIN[0]
+    cfg = parse_config_dict({
+        "sections": [{"id": "t0", "degree": 1, "w1": w1,
+                      "lower": _distribution(lo_c, lo_b),
+                      "upper": _distribution(up_c, up_b)}],
+        "discretization": {"n_boundary": 256},
+        "positioning": {"method": "lsq"}})
+    return run_pipeline(cfg).sections[0]
+
+
+@pytest.mark.parametrize("which", ["degree1", "c1", "c2"])
+def test_fd_pass_matches_cold_velocity_differences(which, chain_report):
+    # the FD figures of the report against six cold velocity calls per section
+    if which == "degree1":
+        sec = _degree1_section()
+    else:
+        sec = {s.id: s for s in chain_report.sections}[which]
+    res = sec.residuals
+    fd_div, fd_curl = oracles.fd_residuals_by_velocity(sec.field, res.grid)
+    assert abs(res.fd_max_div - fd_div) < 1e-11
+    assert np.max(np.abs(np.subtract(res.fd_max_curl, fd_curl))) < 1e-11
