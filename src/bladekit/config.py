@@ -144,8 +144,11 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         sid = sec.get("id", f"section{i}")
         if not isinstance(sid, str) or not sid:
             raise BadValue(f"{ptr}/id", "section id must be a nonempty string")
+        # the id names the section's artifact directory under the output one
+        if sid in (".", "..") or any(ch in sid for ch in "/\\\0"):
+            raise BadValue(f"{ptr}/id", f"section id must be a plain file name, got {sid!r}")
         degree = sec.get("degree", 1)
-        if degree not in (1, 2):
+        if type(degree) is not int or degree not in (1, 2):  # True and 1.0 equal 1
             raise BadValue(f"{ptr}/degree", f"degree must be 1 or 2, got {degree!r}")
         degrees.add(degree)
         lower = _load_distribution(_need(sec, "lower", ptr), f"{ptr}/lower", base_dir)
@@ -182,7 +185,7 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         if not (box[2] > box[0] and box[3] > box[1]):
             raise BadValue("/positioning/box", "box must have positive extent")
     partition = pos_raw.get("partition")
-    if partition is not None and (not isinstance(partition, int) or partition < 1):
+    if partition is not None and (type(partition) is not int or partition < 1):
         raise BadValue("/positioning/partition", "partition must be a positive integer")
     spacing = _as_number(pos_raw.get("spacing", 1.0), "/positioning/spacing")
     if spacing <= 0:

@@ -28,6 +28,8 @@ frame, so nodal data never samples the vanishing speed.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -53,8 +55,16 @@ from .harmonic import (
 )
 from .planefield import SeriesMap
 
-DEFECT_TOL = 1e-10
 _NEWTON_TOL = 1e-12
+_NEWTON_MAXITER = 50
+
+
+def _finite_real(value, key: str) -> float:
+    # bools are ints; strings, NaN and inf are not finite real numbers
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and abs(value) <= sys.float_info.max):
+        raise InconsistentDistribution(f"{key} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -79,22 +89,34 @@ class VelocityDistribution:
             raise InconsistentDistribution("need an (m, 2) sample array, m >= 8")
         if not np.all(np.isfinite(samples)):
             raise InconsistentDistribution("samples must be finite")
+        L = _finite_real(self.total_length, "total_length")
+        v_inf = _finite_real(self.v_inf, "v_inf")
+        if not (L > 0 and v_inf > 0):
+            raise InconsistentDistribution("total_length and v_inf must be positive")
         s = samples[:, 0]
-        if not (np.all(np.diff(s) > 0) and s[0] >= 0 and s[-1] < self.total_length):
+        if not (np.all(np.diff(s) > 0) and s[0] >= 0 and s[-1] < L):
             raise InconsistentDistribution(
                 "arc positions must increase strictly inside [0, L)"
             )
-        if not self.v_inf > 0:
-            raise InconsistentDistribution("far-field speed must be positive")
-        ia, ib = sorted(int(i) for i in self.branch_indices)
+        m = len(s)
+        idx = self.branch_indices
+        if not (isinstance(idx, (tuple, list)) and len(idx) == 2
+                and all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                        and 0 <= i < m for i in idx)):
+            raise InconsistentDistribution(
+                f"branch_indices must be two integers in [0, {m}), got {idx!r}"
+            )
+        ia, ib = sorted(int(i) for i in idx)
         if ia == ib:
             raise InconsistentDistribution("need two distinct branch samples")
         v = samples[:, 1]
         if v[ia] != 0.0 or v[ib] != 0.0:
             raise InconsistentDistribution("speed must vanish at branch samples")
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "total_length", L)
+        object.__setattr__(self, "v_inf", v_inf)
+        object.__setattr__(self, "incidence", _finite_real(self.incidence, "incidence"))
         object.__setattr__(self, "branch_indices", (ia, ib))
-        m = len(v)
         arc1 = np.arange(ia + 1, ib)            # strictly between the branches
         arc2 = np.concatenate([np.arange(ib + 1, m), np.arange(0, ia)])
         for arc in (arc1, arc2):
@@ -201,10 +223,10 @@ class VelocityDistribution:
     def from_json(obj: dict) -> "VelocityDistribution":
         return VelocityDistribution(
             samples=np.asarray(obj["samples"], dtype=float),
-            total_length=float(obj["total_length"]),
-            branch_indices=tuple(obj["branch_indices"]),
-            v_inf=float(obj["v_inf"]),
-            incidence=float(obj.get("incidence", 0.0)),
+            total_length=obj["total_length"],
+            branch_indices=obj["branch_indices"],
+            v_inf=obj["v_inf"],
+            incidence=obj.get("incidence", 0.0),
         )
 
 
@@ -212,10 +234,6 @@ class VelocityDistribution:
 
 def _canonical_potential(gamma, A, beta, G):
     return -2.0 * A * np.cos(gamma - beta) + G * gamma / (2 * np.pi)
-
-
-def _canonical_speed(gamma, A, beta, G):
-    return 2.0 * A * np.sin(gamma - beta) + G / (2 * np.pi)
 
 
 def _stagnation_angles(A, beta, G):
@@ -441,60 +459,44 @@ def _with_correction(chi: AnalyticSeries, lams: np.ndarray) -> AnalyticSeries:
     return chi + delta
 
 
-def quasisolution_correct(d: VelocityDistribution, chi: AnalyticSeries,
-                          corr: CircleCorrespondence, tol: float = _NEWTON_TOL,
-                          maxiter: int = 50) -> tuple[AnalyticSeries, ClosureReport]:
+def quasisolution_correct(chi: AnalyticSeries,
+                          corr: CircleCorrespondence) -> tuple[AnalyticSeries, ClosureReport]:
     """Restore the three solvability conditions by a low-harmonic correction.
 
-    The boundary datum is modified by ``lam0 + lam1*cos + lam2*sin``; the
-    three real parameters solve the three defect equations by a damped
-    Newton iteration with a finite-difference Jacobian.  Already-solvable
-    data returns unchanged with zero correction.
+    The boundary datum gains ``lam0 + lam1*cos + lam2*sin``, so chi gains
+    ``lam0 + c/zeta`` with ``c = lam1 + i*lam2``, and the defects decouple.
+    The speed defect reads only chi's constant term: ``lam0 = -vinf_defect``.
+    The constant scales ``z' = exp(-chi)`` by ``exp(-lam0)`` at every node,
+    so the closure defect is ``exp(-lam0) * F(c)`` with the holomorphic
+    ``F(c) = 2*pi*i * mean(z' exp(-c/zeta) zeta)`` over the circle nodes,
+    zeroed by scalar complex Newton with the exact ``F'(c)`` from c = 0.
+    Already-solvable data returns unchanged with zero correction.
     """
+    report = closure_conditions(chi, corr)
+    closure = report.closure_defect
+    if max(abs(closure.real), abs(closure.imag), abs(report.vinf_defect)) < 10 * _NEWTON_TOL:
+        return chi, report
 
-    def defects(lams):
-        rep = closure_conditions(_with_correction(chi, lams), corr)
-        return np.array([rep.closure_defect.real, rep.closure_defect.imag,
-                         rep.vinf_defect])
-
-    lams = np.zeros(3)
-    f = defects(lams)
-    if np.max(np.abs(f)) < 10 * tol:
-        report = closure_conditions(chi, corr)
-        return chi, replace(report, corrected=False, correction_norm=0.0)
-
-    scale = max(1.0, float(np.max(np.abs(chi.coefficients))))
-    for _ in range(maxiter):
-        if np.max(np.abs(f)) < tol * scale:
+    tol = _NEWTON_TOL * max(1.0, float(np.max(np.abs(chi.coefficients))))
+    n = _eval_n(chi)
+    zeta = np.exp(2j * np.pi * np.arange(n) / n)
+    zprime = np.exp(-boundary_values(chi, n))
+    lam0 = -report.vinf_defect
+    c = 0j
+    for _ in range(_NEWTON_MAXITER):
+        dz = zprime * np.exp(-c / zeta)
+        a1 = np.mean(dz * zeta)
+        closure = 2j * np.pi * np.exp(-lam0) * a1
+        if max(abs(closure.real), abs(closure.imag)) < tol:
             break
-        jac = np.empty((3, 3))
-        h = 1e-7
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            jac[:, j] = (defects(lams + e) - defects(lams - e)) / (2 * h)
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError as exc:
-            raise QuasisolutionDiverged("singular correction Jacobian") from exc
-        t = 1.0
-        base = np.max(np.abs(f))
-        while t > 1e-4:
-            trial = defects(lams + t * step)
-            if np.max(np.abs(trial)) < base:
-                lams = lams + t * step
-                f = trial
-                break
-            t *= 0.5
-        else:
-            raise QuasisolutionDiverged("damped step failed to reduce the defects")
+        c += a1 / np.mean(dz)              # c - F(c)/F'(c)
     else:
         raise QuasisolutionDiverged(
-            f"no convergence in {maxiter} iterations; defects {f}"
+            f"no convergence in {_NEWTON_MAXITER} iterations; closure defect {closure}"
         )
-    corrected = _with_correction(chi, lams)
+    corrected = _with_correction(chi, np.array([lam0, c.real, c.imag]))
     report = closure_conditions(corrected, corr)
-    norm = float(np.sqrt(lams[0] ** 2 + 0.5 * (lams[1] ** 2 + lams[2] ** 2)))
+    norm = float(np.sqrt(lam0 ** 2 + 0.5 * abs(c) ** 2))
     return corrected, replace(report, corrected=True, correction_norm=norm)
 
 
@@ -514,7 +516,7 @@ def reconstruction_map(chi: AnalyticSeries, corr: CircleCorrespondence, n: int,
     theta_branch = (corr.stagnation_angles[0] - alpha) % (2 * np.pi)
     anti = integrate_series(ext, np.exp(1j * theta_branch), residue_rtol=1e-7)
     series = anti * np.exp(1j * alpha) + AnalyticSeries.interior([complex(z_start)])
-    return SeriesMap(series.trimmed(1e-15), label="blade")
+    return SeriesMap(series.trimmed(1e-15))
 
 
 def reconstruct_contour(zmap: SeriesMap, n: int) -> Contour:
@@ -528,8 +530,6 @@ def reconstruct_contour(zmap: SeriesMap, n: int) -> Contour:
 class PlanarSolution:
     """Everything the downstream assembly needs from one blade solve."""
 
-    dist: VelocityDistribution
-    effective_dist: VelocityDistribution
     corr: CircleCorrespondence
     n: int
     chi: AnalyticSeries
@@ -571,10 +571,6 @@ class PlanarSolution:
         e_series = exterior_projection(np.exp(boundary_values(self.chi, n)))
         return (p_series * e_series).trimmed(1e-14)
 
-    def branch_point(self) -> complex:
-        """Physical position of the rising-arc stagnation point (the anchor)."""
-        return complex(self.z_start)
-
 
 def solve_distribution(d: VelocityDistribution, n: int = 256,
                        z_start: complex = 0.0, w1: float = 0.0) -> PlanarSolution:
@@ -586,8 +582,8 @@ def solve_distribution(d: VelocityDistribution, n: int = 256,
     eff = d.modified(w1)
     corr = canonical_map(eff)
     chi0 = solve_zhukovsky(eff, corr, n)
-    chi, report = quasisolution_correct(eff, chi0, corr)
-    return PlanarSolution(d, eff, corr, n, chi, report, complex(z_start), float(w1))
+    chi, report = quasisolution_correct(chi0, corr)
+    return PlanarSolution(corr, n, chi, report, complex(z_start), float(w1))
 
 
 def solve_modified(d: VelocityDistribution, w1: float, n: int = 256,

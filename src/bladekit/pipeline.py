@@ -46,6 +46,7 @@ from .assembly import (
 from .config import DesignConfig, SectionConfig, TransversalDatum
 from .errors import BadValue, BladekitError
 from .geometry import Contour, Point2, contour_to_csv
+from .harmonic import boundary_values
 from .inverse import PlanarSolution, solve_distribution
 from .planefield import Pullback
 from .positioning import (
@@ -144,9 +145,9 @@ class RunReport:
         }
 
 
-def _pullback_field(solution: PlanarSolution, coeff: complex = 1.0) -> Pullback:
-    """Analytic completion of the blade's in-plane velocity, times ``coeff``."""
-    return Pullback(solution.velocity_series * coeff, solution.map)
+def _pullback_field(solution: PlanarSolution) -> Pullback:
+    """The blade's plane: i times the analytic completion of its in-plane velocity."""
+    return Pullback(solution.velocity_series * 1j, solution.map)
 
 
 def _residual_grid(contours: "list[Contour]") -> GridSpec:
@@ -161,10 +162,7 @@ def _residual_grid(contours: "list[Contour]") -> GridSpec:
 
 def _node_speeds(sol: PlanarSolution) -> np.ndarray:
     """Boundary speed magnitude at the reconstructed contour nodes."""
-    from .harmonic import evaluate_series
-    gam = 2 * np.pi * np.arange(sol.n) / sol.n
-    g = evaluate_series(sol.velocity_series, np.exp(1j * gam))
-    return np.abs(g)
+    return np.abs(boundary_values(sol.velocity_series, sol.n))
 
 
 def _position(cfg: DesignConfig, sol_lo: PlanarSolution,
@@ -210,8 +208,8 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
     sol_up = solve_distribution(section.upper, n, z_start=0.0, w1=w1c + 2.0 * w2)
     involved.append(sol_up.contour)
 
-    zb = sol_lo.branch_point()
-    fld = assemble(_pullback_field(sol_lo, 1.0j), _pullback_field(sol_up, 1.0j),
+    zb = sol_lo.z_start
+    fld = assemble(_pullback_field(sol_lo), _pullback_field(sol_up),
                    w1c, Point2(zb.real, zb.imag), w2)
     grid = _residual_grid(involved)
     residuals = field_residuals(fld, grid)

@@ -29,12 +29,11 @@ from .harmonic import (
 class SeriesMap:
     """Analytic map ``z(zeta)`` from the circle exterior, with Newton inverse."""
 
-    def __init__(self, series: AnalyticSeries, label: str = "map"):
+    def __init__(self, series: AnalyticSeries):
         if series.high > 1:
             raise BladekitError("map series may carry at most a linear term")
         self.series = series
         self.deriv = series.derivative()
-        self.label = label
         self._center = series.coefficient(0)
         self._slope = series.coefficient(1)
         if abs(self._slope) < 1e-12:

@@ -16,8 +16,9 @@ from bladekit.harmonic import AnalyticSeries, evaluate_series
 from bladekit.inverse import (
     VelocityDistribution,
     _canonical_potential,
-    _canonical_speed,
     _stagnation_angles,
+    _with_correction,
+    closure_conditions,
 )
 
 _N_DENSE = 16384
@@ -73,9 +74,9 @@ class ForwardFlow:
 
     def speed(self, gamma) -> np.ndarray:
         """Signed tangential speed at boundary angle gamma."""
-        dphi = _canonical_speed(np.asarray(gamma, dtype=float), self.v_inf,
-                                self.beta, self.circulation)
-        return dphi / np.abs(evaluate_series(self.zprime, np.exp(1j * np.asarray(gamma))))
+        gamma = np.asarray(gamma, dtype=float)
+        dphi = 2.0 * self.v_inf * np.sin(gamma - self.beta) + self.circulation / (2 * np.pi)
+        return dphi / np.abs(evaluate_series(self.zprime, np.exp(1j * gamma)))
 
     def chi_exact(self, zeta) -> np.ndarray:
         return -np.log(evaluate_series(self.zprime, zeta))
@@ -224,3 +225,34 @@ def fd_residuals_by_velocity(field, grid, step: float = 1e-4) -> tuple[float, li
     fd_div = float(np.max(np.abs(ux + vy + wh)))
     fd_curl = [float(np.max(np.abs(a - b))) for a, b in ((uy, vx), (uh, wx), (vh, wy))]
     return fd_div, fd_curl
+
+
+def quasisolution_by_fd_newton(chi, corr, tol: float = 1e-12, maxiter: int = 50):
+    """Correction parameters ``(lam0, lam1, lam2)`` by Newton on all three defects.
+
+    Treats the defects as an unstructured 3x3 system: central-difference
+    Jacobian (step 1e-7) and a halving line search, from zero.  The reference
+    for `inverse.quasisolution_correct`, which uses the defects' structure.
+    """
+
+    def defects(lams):
+        rep = closure_conditions(_with_correction(chi, lams), corr)
+        return np.array([rep.closure_defect.real, rep.closure_defect.imag, rep.vinf_defect])
+
+    lams = np.zeros(3)
+    f = defects(lams)
+    scale = max(1.0, float(np.max(np.abs(chi.coefficients))))
+    for _ in range(maxiter):
+        if np.max(np.abs(f)) < tol * scale:
+            return lams
+        jac = np.empty((3, 3))
+        for j, e in enumerate(1e-7 * np.eye(3)):
+            jac[:, j] = (defects(lams + e) - defects(lams - e)) / 2e-7
+        step = np.linalg.solve(jac, -f)
+        t = 1.0
+        while np.max(np.abs(defects(lams + t * step))) >= np.max(np.abs(f)):
+            t *= 0.5
+            assert t > 1e-4, "damped step failed to reduce the defects"
+        lams = lams + t * step
+        f = defects(lams)
+    raise AssertionError(f"no convergence in {maxiter} iterations; defects {f}")

@@ -57,6 +57,30 @@ MALFORMED = [
      "/sections/0/w1/from_transversal", "expected an object"),
     (["sections", 0, "w1"], {"from_transversal": {"w_ref": 0.1, "h_ref": 0}},
      "/sections/0/w1/from_transversal/h_ref", "reference height must be nonzero"),
+    # a section id names a directory under --out and must not leave it
+    (["sections", 0, "id"], "../escaped", "/sections/0/id", "section id must be a plain file name"),
+    (["sections", 0, "id"], "a/b", "/sections/0/id", "section id must be a plain file name"),
+    (["sections", 0, "id"], "a\\b", "/sections/0/id", "section id must be a plain file name"),
+    (["sections", 0, "id"], ".", "/sections/0/id", "section id must be a plain file name"),
+    (["sections", 0, "id"], "..", "/sections/0/id", "section id must be a plain file name"),
+    # bools are ints to Python, not to the config
+    (["sections", 0, "degree"], True, "/sections/0/degree", "degree must be 1 or 2"),
+    (["sections", 0, "degree"], 1.0, "/sections/0/degree", "degree must be 1 or 2"),
+    (["positioning"], {"method": "lift", "box": [-0.3, -0.5, 0.5, 0.3], "partition": True},
+     "/positioning/partition", "partition must be a positive integer"),
+    # json.load reads NaN and Infinity; a distribution takes finite reals only
+    (["sections", 0, "lower", "v_inf"], float("inf"), "/sections/0/lower",
+     "v_inf must be a finite real number"),
+    (["sections", 0, "lower", "total_length"], float("inf"), "/sections/0/lower",
+     "total_length must be a finite real number"),
+    (["sections", 0, "lower", "incidence"], float("nan"), "/sections/0/lower",
+     "incidence must be a finite real number"),
+    (["sections", 0, "upper", "incidence"], float("inf"), "/sections/0/upper",
+     "incidence must be a finite real number"),
+    (["sections", 0, "lower", "incidence"], "0.1", "/sections/0/lower",
+     "incidence must be a finite real number"),
+    (["sections", 0, "lower", "branch_indices", 1], 512.7, "/sections/0/lower",
+     "branch_indices must be two integers"),
 ]
 
 
@@ -71,7 +95,7 @@ def test_malformed_config_exits_2(design, tmp_path, caplog, path, value, pointer
     config = _write_config(tmp_path, cfg)
     assert cli.main(["solve", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert f"{pointer}: {message}" in caplog.text
-    assert not (tmp_path / "out").exists()
+    assert os.listdir(tmp_path) == ["design.json"]
 
 
 NON_FINITE = [

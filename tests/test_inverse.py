@@ -11,6 +11,7 @@ from bladekit.geometry import Contour, resample_uniform
 from bladekit.harmonic import AnalyticSeries, boundary_values, evaluate_series
 from bladekit.inverse import (
     VelocityDistribution,
+    _with_correction,
     canonical_map,
     closure_conditions,
     gauge_angle,
@@ -27,6 +28,7 @@ from oracles import (
     hausdorff_distance,
     joukowski_flow,
     perturbed_cylinder,
+    quasisolution_by_fd_newton,
     smooth_map,
 )
 
@@ -240,7 +242,7 @@ class TestQuasisolution:
     def test_fixed_point(self, jouk_dist):
         corr = canonical_map(jouk_dist)
         chi = solve_zhukovsky(jouk_dist, corr, 256)
-        chi2, rep = quasisolution_correct(jouk_dist, chi, corr)
+        chi2, rep = quasisolution_correct(chi, corr)
         assert chi2 is chi
         assert rep.correction_norm == 0.0
 
@@ -250,10 +252,10 @@ class TestQuasisolution:
         chi = solve_zhukovsky(d, corr, 256)
         before = closure_conditions(chi, corr)
         assert before.max_defect > 1e-3
-        chi2, rep = quasisolution_correct(d, chi, corr)
+        chi2, rep = quasisolution_correct(chi, corr)
         assert rep.max_defect < 1e-10
         assert rep.correction_norm > 0
-        chi3, rep3 = quasisolution_correct(d, chi2, corr)
+        chi3, rep3 = quasisolution_correct(chi2, corr)
         delta = (chi3 - chi2).coefficients
         assert np.max(np.abs(delta)) < 1e-12
 
@@ -264,9 +266,50 @@ class TestQuasisolution:
         chi = solve_zhukovsky(doubled, corr, 256)
         rep0 = closure_conditions(chi, corr)
         assert abs(abs(rep0.vinf_defect) - np.log(2)) < 1e-9
-        chi2, rep = quasisolution_correct(doubled, chi, corr)
+        chi2, rep = quasisolution_correct(chi, corr)
         assert abs(rep.correction_norm - np.log(2)) < 1e-9
         assert rep.max_defect < 1e-10
+
+
+    @pytest.mark.parametrize("t, c", [(0.3, 0.1 - 0.2j), (-0.7, 0.05j), (1.5, -0.4 + 0.3j)])
+    def test_constant_scales_closure_and_shifts_speed(self, t, c):
+        d = perturbed_cylinder(0.05)
+        corr = canonical_map(d)
+        chi = solve_zhukovsky(d, corr, 256)
+        base = closure_conditions(_with_correction(chi, np.array([0.0, c.real, c.imag])), corr)
+        moved = closure_conditions(_with_correction(chi, np.array([t, c.real, c.imag])), corr)
+        assert abs(moved.closure_defect - np.exp(-t) * base.closure_defect) \
+            < 1e-13 * abs(moved.closure_defect)
+        assert abs(moved.vinf_defect - base.vinf_defect - t) < 1e-15
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    def test_closed_form_sweep(self, jouk_dist, n):
+        for d in (jouk_dist, perturbed_cylinder(0.05)):
+            for w1 in (-0.3, 0.0, 0.1, 0.25):
+                eff = d.modified(w1)
+                corr = canonical_map(eff)
+                chi0 = solve_zhukovsky(eff, corr, n)
+                rep0 = closure_conditions(chi0, corr)
+                chi, rep = quasisolution_correct(chi0, corr)
+                assert rep.max_defect < 1e-11
+                delta = chi - chi0
+                powers = range(delta.low, delta.high + 1)
+                assert all(a == 0 for p, a in zip(powers, delta.coefficients) if p not in (0, -1))
+                lam0 = delta.coefficient(0)
+                if chi is chi0:          # solvable as given: no correction
+                    assert rep0.max_defect < 1e-11 and rep.correction_norm == 0.0
+                else:
+                    assert lam0.imag == 0.0
+                    assert abs(lam0.real + rep0.vinf_defect) < 1e-15
+
+    @pytest.mark.parametrize("eps, w1", [(0.02, 0.0), (0.05, -0.3), (0.05, 0.25)])
+    def test_matches_fd_jacobian_newton(self, eps, w1):
+        d = perturbed_cylinder(eps).modified(w1)
+        corr = canonical_map(d)
+        chi0 = solve_zhukovsky(d, corr, 256)
+        chi, _ = quasisolution_correct(chi0, corr)
+        ref = _with_correction(chi0, quasisolution_by_fd_newton(chi0, corr))
+        assert np.max(np.abs((chi - ref).coefficients)) < 1e-12
 
 
 class TestReconstruct:
