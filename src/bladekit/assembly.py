@@ -148,22 +148,21 @@ class SplineField:
         z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
         return self.spline(z, self.planes(self.zetas(z)), h)
 
-    def w(self, x, y, h):
-        return self.velocity(x, y, h)[2]
-
 
 def assemble(lower: Pullback, upper: Pullback, w1: float, B: Point2,
              w2: float = 0.0) -> SplineField:
     """Build the spline between the planes h = 0 (``lower``) and h = 1 (``upper``).
 
     Both primitives vanish at B, and w is anchored by evaluating it there,
-    so ``w(B, h)`` is exactly ``h*w1 + h^2*w2``.
+    so ``w(B, h)`` is exactly ``h*w1 + h^2*w2``.  The primitives hold B
+    inverted on each map, so the anchor needs no inversion of its own.
     """
     zb = complex(B.x, B.y)
     w1, w2 = float(w1), float(w2)
-    fld = SplineField(lower, upper, lower.primitive(zb), upper.primitive(zb),
-                      w1, w2, B, w1)
-    return replace(fld, w0_anchor=float(fld.w(B.x, B.y, 0.0)))
+    lo, up = lower.primitive(zb), upper.primitive(zb)
+    fld = SplineField(lower, upper, lo, up, w1, w2, B, w1)
+    planes = fld.planes((lo.zeta_ref, up.zeta_ref))
+    return replace(fld, w0_anchor=float(fld.spline(np.asarray(zb), planes, 0.0)[2]))
 
 
 def field_residuals(field: SplineField, grid: "GridSpec | None" = None) -> FieldResiduals:

@@ -15,13 +15,14 @@ complex values).  The Schwarz problem is solved by index reversal
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BladekitError, MultivaluedAntiderivative, OutsideDomain
 
-_BOUNDARY_ATOL = 1e-12
+_SLICE = 2048          # points per pass of series evaluation
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -143,7 +144,7 @@ class AnalyticSeries:
 
 
 def evaluate_series(f: AnalyticSeries, z):
-    """Evaluate a series by Horner recursion, highest degree first.
+    """Evaluate a series at points z (a scalar gives a `complex`).
 
     Exterior (or mixed-window) series are only defined for ``|z| >= 1``;
     evaluation inside raises `OutsideDomain`.
@@ -155,30 +156,57 @@ def evaluate_series(f: AnalyticSeries, z):
 
 
 def evaluate_series_unchecked(f: AnalyticSeries, z):
-    """Horner evaluation without the domain guard (internal use)."""
+    """`evaluate_series` without the domain guard (internal use).
+
+    The powers >= 0 form a polynomial in z and the negative powers one in
+    ``w = 1/z`` times ``w**(-stop)``; each is summed by `_polynomial`.
+    Points go through in slices of `_SLICE`, which bounds the power tables.
+    """
     z = np.asarray(z, dtype=complex)
     c = f.coefficients
-    # split into nonnegative-power and negative-power parts
-    acc = np.zeros_like(z)
-    if f.high >= 0:
-        start = max(f.low, 0)
-        cpos = c[start - f.low:]
-        val = np.zeros_like(z)
-        for ck in cpos[::-1]:
-            val = val * z + ck
-        if start > 0:
-            val = val * z ** start
-        acc = acc + val
-    if f.low < 0:
-        stop = min(f.high, -1)
-        cneg = c[: stop - f.low + 1]          # powers low..stop, ascending
-        w = 1.0 / z
-        val = np.zeros_like(z)
-        for ck in cneg:                        # deepest power first
-            val = val * w + ck
-        val = val * w ** (-stop)
-        acc = acc + val
-    return acc if acc.shape else complex(acc)
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    for i in range(0, len(flat), _SLICE):
+        x = flat[i: i + _SLICE]
+        acc = np.zeros_like(x)
+        if f.high >= 0:
+            start = max(f.low, 0)
+            val = _polynomial(c[start - f.low:], x)
+            if start > 0:
+                val = val * x ** start
+            acc = acc + val
+        if f.low < 0:
+            stop = min(f.high, -1)
+            w = 1.0 / x
+            val = _polynomial(c[stop - f.low:: -1], w)   # powers stop..low
+            acc = acc + val * w ** (-stop)
+        out[i: i + _SLICE] = acc
+    return out.reshape(z.shape) if z.shape else complex(out[0])
+
+
+def _polynomial(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_k c[k] * x**k`` by baby steps and giant steps (Paterson-Stockmeyer).
+
+    With block size ``B = ceil(sqrt(m))`` the table ``X[k] = x**k``, k < B,
+    turns the coefficients, zero-padded and cut into blocks of B, into block
+    values ``Y = C @ X``; Horner in ``x**B`` sums the blocks.  That is about
+    2*sqrt(m) array operations instead of m.
+    """
+    m = len(c)
+    b = math.isqrt(m - 1) + 1
+    nb = -(-m // b)
+    blocks = np.zeros(nb * b, dtype=complex)
+    blocks[:m] = c
+    table = np.empty((b, len(x)), dtype=complex)
+    table[0] = 1.0
+    for k in range(1, b):
+        np.multiply(table[k - 1], x, out=table[k])
+    y = blocks.reshape(nb, b) @ table
+    giant = table[b - 1] * x
+    val = y[nb - 1]
+    for j in range(nb - 2, -1, -1):
+        val = val * giant + y[j]
+    return val
 
 
 def integrate_series(f: AnalyticSeries, z0: complex, residue_rtol: float = 1e-10) -> AnalyticSeries:
@@ -212,8 +240,7 @@ def boundary_values(f: AnalyticSeries, n: int) -> np.ndarray:
     if f.degree >= n:
         raise BladekitError("series degree too high for this node count")
     spectrum = np.zeros(n, dtype=complex)
-    for k, p in enumerate(range(f.low, f.high + 1)):
-        spectrum[p % n] += f.coefficients[k]
+    np.add.at(spectrum, np.arange(f.low, f.high + 1) % n, f.coefficients)
     return np.fft.ifft(spectrum) * n
 
 

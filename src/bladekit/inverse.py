@@ -32,6 +32,7 @@ import numbers
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -221,8 +222,15 @@ class VelocityDistribution:
 
     @staticmethod
     def from_json(obj: dict) -> "VelocityDistribution":
+        rows = obj["samples"]
+        if not (isinstance(rows, list) and all(type(r) is list and len(r) == 2 for r in rows)):
+            raise InconsistentDistribution("samples must be pairs of JSON numbers")
+        values = list(chain.from_iterable(rows))
+        # JSON numbers parse to int and float; np.asarray would also read "0.1" and true
+        if not set(map(type, values)) <= {int, float}:
+            raise InconsistentDistribution("samples must be pairs of JSON numbers")
         return VelocityDistribution(
-            samples=np.asarray(obj["samples"], dtype=float),
+            samples=np.array(values, dtype=float).reshape(len(rows), 2),
             total_length=obj["total_length"],
             branch_indices=obj["branch_indices"],
             v_inf=obj["v_inf"],

@@ -256,3 +256,27 @@ def quasisolution_by_fd_newton(chi, corr, tol: float = 1e-12, maxiter: int = 50)
         lams = lams + t * step
         f = defects(lams)
     raise AssertionError(f"no convergence in {maxiter} iterations; defects {f}")
+
+
+def evaluate_series_by_horner(f: AnalyticSeries, z):
+    """A series at z by one Horner step per coefficient, in z for the powers
+    >= 0 and in 1/z for the negative powers; no domain guard."""
+    z = np.asarray(z, dtype=complex)
+    c = f.coefficients
+    acc = np.zeros_like(z)
+    if f.high >= 0:
+        start = max(f.low, 0)
+        val = np.zeros_like(z)
+        for ck in c[start - f.low:][::-1]:
+            val = val * z + ck
+        if start > 0:
+            val = val * z ** start
+        acc = acc + val
+    if f.low < 0:
+        stop = min(f.high, -1)
+        w = 1.0 / z
+        val = np.zeros_like(z)
+        for ck in c[: stop - f.low + 1]:          # deepest power first
+            val = val * w + ck
+        acc = acc + val * w ** (-stop)
+    return acc if acc.shape else complex(acc)

@@ -76,7 +76,7 @@ class TestComputeW0:
         fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, Point2(2.0, 2.0))
         x = np.array([1.3, -1.2, 2.9])
         y = np.array([0.1, 1.4, -0.8])
-        assert np.allclose(fld.w(x, y, 0.5), (x**2 - y**2) / 2, atol=1e-13)
+        assert np.allclose(fld.velocity(x, y, 0.5)[2], (x**2 - y**2) / 2, atol=1e-13)
 
     def test_f1_constant(self):
         # upper plane a + ib: v1 = a, u1 = b, w = b*x + a*y up to its value at B
@@ -84,7 +84,7 @@ class TestComputeW0:
         B = Point2(1.5, -0.5)
         fld = assemble(ZERO, plane([a + 1j * b]), 0.0, B)
         x, y = np.array([1.4]), np.array([-2.2])
-        assert np.allclose(fld.w(x, y, 0.0), b * (x - B.x) + a * (y - B.y), atol=1e-13)
+        assert np.allclose(fld.velocity(x, y, 0.0)[2], b * (x - B.x) + a * (y - B.y), atol=1e-13)
 
     def test_f1_iz2_harmonic(self):
         # upper plane i*z^2: w = x^3/3 - x*y^2 up to a constant, harmonic
@@ -93,7 +93,7 @@ class TestComputeW0:
         gx, gy = np.meshgrid(np.linspace(1.5, 3.0, 7), np.linspace(-1, 1, 7))
 
         def w0(x, y):
-            return fld.w(x, y, 0.0)
+            return fld.velocity(x, y, 0.0)[2]
 
         assert np.allclose(w0(gx, gy), gx**3 / 3 - gx * gy**2 - 8.0 / 3, atol=1e-12)
         lap = (w0(gx + FD, gy) + w0(gx - FD, gy) + w0(gx, gy + FD) + w0(gx, gy - FD)
@@ -107,7 +107,7 @@ class TestComputeW0:
             fld = assemble(rand_plane(rng), rand_plane(rng), 0.0, Point2(2.0, 0.0))
             x = rng.uniform(1.5, 3.0, 8)
             y = rng.uniform(-1, 1, 8)
-            gx, gy = fd_grad(lambda x, y: fld.w(x, y, 0.0), x, y)
+            gx, gy = fd_grad(lambda x, y: fld.velocity(x, y, 0.0)[2], x, y)
             (u1, v1, _), (u0, v0, _) = fld.velocity(x, y, 1.0), fld.velocity(x, y, 0.0)
             assert np.max(np.abs(gx - (u1 - u0))) < 1e-6
             assert np.max(np.abs(gy - (v1 - v0))) < 1e-6
@@ -117,15 +117,15 @@ class TestFixConstant:
     def test_already_zero(self):
         # both primitives vanish at B, so the anchor only removes roundoff
         fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, Point2(2.0, 2.0))
-        assert fld.w(2.0, 2.0, 0.0) == 0.0
+        assert fld.velocity(2.0, 2.0, 0.0)[2] == 0.0
         assert abs(fld.w0_anchor) < 1e-14
 
     def test_shift_constant(self):
         # the radial term of w2 is what the anchor shifts: w = -(w2/2)*(|z|^2 - |B|^2)
         fld = assemble(ZERO, ZERO, 0.0, Point2(2.0, 0.0), w2=0.4)
         assert abs(fld.w0_anchor + 0.8) < 1e-14
-        assert abs(fld.w(2.0, 0.0, 0.0)) < 1e-14
-        assert abs(fld.w(3.0, 0.0, 0.0) + 1.0) < 1e-14
+        assert abs(fld.velocity(2.0, 0.0, 0.0)[2]) < 1e-14
+        assert abs(fld.velocity(3.0, 0.0, 0.0)[2] + 1.0) < 1e-14
 
     def test_any_point_lands_below_1e14(self):
         rng = np.random.default_rng(3)
@@ -133,8 +133,8 @@ class TestFixConstant:
             b = Point2(rng.uniform(1.5, 3.0), rng.uniform(-1, 1))
             w1, w2 = rng.uniform(-0.5, 0.5, 2)
             fld = assemble(rand_plane(rng), rand_plane(rng), w1, b, w2)
-            assert abs(fld.w(b.x, b.y, 0.0)) < 1e-14
-            assert fld.w(b.x, b.y, 1.0) == fld.w1 + fld.w2
+            assert abs(fld.velocity(b.x, b.y, 0.0)[2]) < 1e-14
+            assert fld.velocity(b.x, b.y, 1.0)[2] == fld.w1 + fld.w2
 
 
 class TestAnalyticCorrection:
@@ -169,13 +169,13 @@ class TestAssembleLinear:
         f = assemble(ZERO, ZERO, 0.0, Point2(2.0, 0.0))
         x, y = np.array([1.3]), np.array([0.4])
         assert abs(f.velocity(x, y, 0.7)[0]) < 1e-15
-        assert abs(f.w(x, y, 0.7)) < 1e-15
+        assert abs(f.velocity(x, y, 0.7)[2]) < 1e-15
 
     def test_w_shape_from_f1_iz(self):
         f = assemble(ZERO, plane([0, 1.0j]), 0.0, Point2(2.0, -2.0))
         x, y = np.array([1.5, -1.3]), np.array([0.2, 0.8])
         for h in (0.0, 0.5, 1.0):
-            assert np.allclose(f.w(x, y, h), (x**2 - y**2) / 2, atol=1e-13)
+            assert np.allclose(f.velocity(x, y, h)[2], (x**2 - y**2) / 2, atol=1e-13)
 
     def test_residuals_small(self):
         rng = np.random.default_rng(12)
@@ -197,10 +197,10 @@ class TestAssembleLinear:
                       Pullback(h1.series * a + h2.series * b, IDENTITY), 0.0, B)
         x, y = np.array([1.4, -1.9]), np.array([-0.2, 0.6])
         for h in (0.0, 0.8):
-            (uc, vc, _), (ua, va, _), (ub, vb, _) = (f.velocity(x, y, h) for f in (fc, fa, fb))
+            (uc, vc, wc), (ua, va, wa), (ub, vb, wb) = (f.velocity(x, y, h) for f in (fc, fa, fb))
             assert np.allclose(uc, a * ua + b * ub, atol=1e-12)
             assert np.allclose(vc, a * va + b * vb, atol=1e-12)
-            assert np.allclose(fc.w(x, y, h), a * fa.w(x, y, h) + b * fb.w(x, y, h), atol=1e-12)
+            assert np.allclose(wc, a * wa + b * wb, atol=1e-12)
 
     def test_circulation_gives_a_log_term(self):
         # a 1/z term in the upper plane integrates to a log; curl_x and curl_y

@@ -81,6 +81,15 @@ MALFORMED = [
      "incidence must be a finite real number"),
     (["sections", 0, "lower", "branch_indices", 1], 512.7, "/sections/0/lower",
      "branch_indices must be two integers"),
+    # samples are JSON numbers: np.asarray reads strings and bools as numbers
+    (["sections", 0, "lower", "samples", 1, 1], "0.05", "/sections/0/lower",
+     "samples must be pairs of JSON numbers"),
+    (["sections", 0, "lower", "samples", 1, 1], True, "/sections/0/lower",
+     "samples must be pairs of JSON numbers"),
+    (["sections", 0, "lower", "samples", 0, 0], False, "/sections/0/lower",
+     "samples must be pairs of JSON numbers"),
+    (["sections", 0, "lower", "samples", 1], [0.1, 0.2, 0.3], "/sections/0/lower",
+     "samples must be pairs of JSON numbers"),
 ]
 
 

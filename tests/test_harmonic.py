@@ -1,7 +1,11 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
-from bladekit.errors import MultivaluedAntiderivative, OutsideDomain
+import oracles
+from bladekit.errors import BladekitError, MultivaluedAntiderivative, OutsideDomain
 from bladekit.harmonic import (
     AnalyticSeries,
     BoundarySamples,
@@ -9,6 +13,7 @@ from bladekit.harmonic import (
     boundary_values,
     differentiate_boundary,
     evaluate_series,
+    evaluate_series_unchecked,
     exterior_projection,
     integrate_series,
 )
@@ -117,6 +122,13 @@ class TestEvaluate:
         f = AnalyticSeries.exterior([1.0, 1.0])
         with pytest.raises(OutsideDomain):
             evaluate_series(f, 0.5)
+        mixed = AnalyticSeries(np.ones(5, complex), low=-2)
+        with pytest.raises(OutsideDomain):
+            evaluate_series(mixed, np.array([1.5, 2.0, 0.9j]))
+        # powers >= 0 are entire; the unchecked kernel evaluates anywhere
+        interior = AnalyticSeries.interior([1.0, 2.0, 3.0])
+        assert evaluate_series(interior, 0.5) == pytest.approx(2.75)
+        assert evaluate_series_unchecked(mixed, 0.5) == pytest.approx(4 + 2 + 1 + 0.5 + 0.25)
 
     def test_matches_naive_summation(self):
         rng = np.random.default_rng(23)
@@ -164,3 +176,116 @@ class TestExteriorProjection:
         f = exterior_projection(vals)
         expect = AnalyticSeries.exterior([2.0, 0.0, 3.0])
         assert np.max(np.abs((f - expect).coefficients)) < 1e-14
+
+
+# (low, length) of the windows evaluated against mpmath: pure negative,
+# pure nonnegative and mixed, up to the 4100 terms of a long map series
+WINDOWS = [(-1, 1), (0, 1), (3, 1), (-2, 2), (0, 2), (-1, 3), (-30, 31), (0, 31),
+           (-12, 40), (-256, 257), (2, 100), (-700, 700), (-1000, 1025), (0, 700),
+           (-2048, 2049), (-4099, 4100), (-2040, 4100), (0, 4100)]
+EPS = np.finfo(float).eps
+
+
+def _window_case(low, length, rng, points=4):
+    """Random coefficients on the window, points with |z| in [1, 4], and the
+    values to 50 digits.  |z| is capped where z**high would leave the float
+    range for unit-size coefficients."""
+    c = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    high = low + length - 1
+    r_max = min(4.0, 10.0 ** (200.0 / high)) if high > 0 else 4.0
+    z = rng.uniform(1.0, r_max, points) * np.exp(1j * rng.uniform(0, 2 * np.pi, points))
+    powers = np.arange(low, high + 1)
+    scale = np.abs(c) @ np.abs(z[None, :]) ** powers[:, None]
+    with mpmath.workdps(50):
+        cs = [mpmath.mpc(ck.real, ck.imag) for ck in c]
+        exact = []
+        for zk in z:
+            x = mpmath.mpc(zk.real, zk.imag)
+            total = mpmath.mpc(0)
+            for ck in reversed(cs):                 # Horner in z over the window
+                total = total * x + ck
+            exact.append(complex(total * x ** low))
+    return AnalyticSeries(c, low=low), z, np.array(exact), scale
+
+
+@pytest.fixture(scope="module")
+def window_cases():
+    rng = np.random.default_rng(41)
+    return [_window_case(low, length, rng) for low, length in WINDOWS]
+
+
+class TestBlockedEvaluation:
+    @pytest.mark.parametrize("evaluate", [evaluate_series, oracles.evaluate_series_by_horner],
+                             ids=["blocked", "horner"])
+    def test_within_the_roundoff_bound_of_mpmath(self, window_cases, evaluate):
+        # |error| <= 8*m*eps*sum|c_k||z|^k for the kernel and for the
+        # one-step-per-coefficient loop it replaced
+        for f, z, exact, scale in window_cases:
+            m = len(f.coefficients)
+            err = np.abs(evaluate(f, z) - exact)
+            assert np.all(err <= 8 * m * EPS * scale), (f.low, m, np.max(err / scale))
+
+    def test_python_scalar_and_0d_give_complex(self):
+        f = AnalyticSeries(np.array([1.0, 2.0, 3.0j]), low=-1)
+        expect = 1.0 / 1.5 + 2.0 + 4.5j
+        for z in (1.5, 1.5 + 0j, np.asarray(1.5 + 0j), np.complex128(1.5)):
+            out = evaluate_series(f, z)
+            assert type(out) is complex
+            assert abs(out - expect) < 1e-15
+
+    @pytest.mark.parametrize("count", [1, 2047, 2048, 2049, 16384])
+    def test_point_counts_across_the_slice_edge(self, count):
+        # 2048 points per slice: every point, including a last slice of one,
+        # is within the roundoff bound of the old loop's value
+        rng = np.random.default_rng(count)
+        m = 1025
+        c = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / (1 + np.arange(m))
+        f = AnalyticSeries(c, low=1 - m)
+        z = rng.uniform(1, 3, count) * np.exp(1j * rng.uniform(0, 2 * np.pi, count))
+        out = evaluate_series(f, z)
+        assert out.shape == (count,) and out.dtype == complex
+        scale = np.abs(c) @ np.abs(z[None, :]) ** np.arange(1 - m, 1)[:, None]
+        err = np.abs(out - oracles.evaluate_series_by_horner(f, z))
+        assert np.all(err <= 16 * m * EPS * scale)
+
+    def test_2d_points_keep_their_shape(self):
+        rng = np.random.default_rng(43)
+        f = AnalyticSeries(rng.standard_normal(40) + 0j, low=-30)
+        z = (1.2 + rng.uniform(0, 1, (3, 700))) * np.exp(1j * rng.uniform(0, 6, (3, 700)))
+        out = evaluate_series(f, z)
+        assert out.shape == (3, 700)
+        assert np.array_equal(out.ravel(), evaluate_series(f, z.ravel()))
+        assert evaluate_series(f, np.empty((0, 2), complex)).shape == (0, 2)
+
+    def test_memory_is_bounded_by_the_slice(self):
+        # 2049 terms at 16384 points: the power tables of one 2048-point slice
+        # (3.5 MB), not of all points at once (over 25 MB)
+        rng = np.random.default_rng(47)
+        f = AnalyticSeries.exterior(rng.standard_normal(2049) + 1j * rng.standard_normal(2049))
+        z = 1.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, 16384))
+        tracemalloc.start()
+        try:
+            evaluate_series_unchecked(f, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+class TestBoundaryValues:
+    @pytest.mark.parametrize("low, length", [(-31, 32), (0, 17), (-63, 64), (-40, 81), (-50, 90)])
+    def test_same_bits_as_the_per_coefficient_loop(self, low, length):
+        # powers fold onto the n nodes modulo n, where the last two windows
+        # overlap themselves; the sums keep the order of the loop they replaced
+        rng = np.random.default_rng(length)
+        f = AnalyticSeries(rng.standard_normal(length) + 1j * rng.standard_normal(length),
+                           low=low)
+        n = 64
+        spectrum = np.zeros(n, dtype=complex)
+        for k, p in enumerate(range(f.low, f.high + 1)):
+            spectrum[p % n] += f.coefficients[k]
+        assert np.array_equal(boundary_values(f, n), np.fft.ifft(spectrum) * n)
+
+    def test_degree_at_the_node_count_raises(self):
+        with pytest.raises(BladekitError):
+            boundary_values(AnalyticSeries(np.ones(60, complex), low=5), 64)

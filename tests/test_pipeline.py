@@ -7,6 +7,7 @@ import oracles
 from bladekit import assembly, pipeline
 from bladekit.config import parse_config_dict
 from bladekit.pipeline import GLUE_TOL, _residual_grid, run_pipeline
+from bladekit.planefield import SeriesMap
 
 # (lower centre, lower beta, upper centre, upper beta, w1) per section; the
 # chained sections take w1 from the chaining rule and w2 from their datum
@@ -98,11 +99,13 @@ class TestDegree2Chain:
         # and glue_dw is the largest jump over the residual grid
         for prev, sec in zip(chain_report.sections, chain_report.sections[1:]):
             Bp, Bs = prev.field.branch_point, sec.field.branch_point
-            jump = prev.field.w(Bp.x, Bp.y, 1.0) - sec.field.w(Bs.x, Bs.y, 0.0)
+            jump = (prev.field.velocity(Bp.x, Bp.y, 1.0)[2]
+                    - sec.field.velocity(Bs.x, Bs.y, 0.0)[2])
             assert jump == prev.field.w1 + prev.field.w2
             x, y = sec.residuals.grid.plane_nodes()
             dw = {c.name: c for c in sec.checks}["glue_dw"].value
-            assert dw == np.max(np.abs(prev.field.w(x, y, 1.0) - sec.field.w(x, y, 0.0)))
+            below, above = prev.field.velocity(x, y, 1.0), sec.field.velocity(x, y, 0.0)
+            assert dw == np.max(np.abs(below[2] - above[2]))
 
     def test_chained_fields_do_not_grow(self, chain_report):
         # every field is the spline between its own two blades, however long
@@ -173,7 +176,7 @@ def test_first_section_datum_holds_with_w2():
     assert report.passed
     fld = report.sections[0].field
     B = fld.branch_point
-    assert abs(float(fld.w(B.x, B.y, h_ref)) - w_ref) < 1e-12
+    assert abs(float(fld.velocity(B.x, B.y, h_ref)[2]) - w_ref) < 1e-12
 
 
 def _degree1_section():
@@ -199,3 +202,19 @@ def test_fd_pass_matches_cold_velocity_differences(which, chain_report):
     fd_div, fd_curl = oracles.fd_residuals_by_velocity(sec.field, res.grid)
     assert abs(res.fd_max_div - fd_div) < 1e-11
     assert np.max(np.abs(np.subtract(res.fd_max_curl, fd_curl))) < 1e-11
+
+
+def test_degree1_section_inverts_each_map_six_times(monkeypatch):
+    # per map: the branch point once (the primitive's zeta_ref, which the w
+    # anchor reuses), the residual nodes once and the four FD shifts
+    calls = []
+    invert = SeriesMap.invert
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return invert(self, *args, **kwargs)
+
+    monkeypatch.setattr(SeriesMap, "invert", counted)
+    sec = _degree1_section()
+    assert len(calls) == 12
+    assert calls.count(sec.lower.map) == calls.count(sec.upper.map) == 6
