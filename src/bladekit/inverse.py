@@ -58,6 +58,9 @@ from .planefield import SeriesMap
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAXITER = 50
+# The correspondence's safeguarded Newton takes 4-12 steps on the test flows;
+# the cap leaves room for bisecting a bracket all the way to 4 ulp (~51).
+_CORRESPONDENCE_MAXITER = 64
 
 
 def _finite_real(value, key: str) -> float:
@@ -157,10 +160,10 @@ class VelocityDistribution:
 
     @cached_property
     def _speed_spline(self) -> CubicSpline:
-        s = np.concatenate([self.arc_positions, [self.total_length]])
+        # knots s_0 .. s_0 + L: the period is L wherever the first sample sits
+        s = self.arc_positions
+        s = np.concatenate([s, [s[0] + self.total_length]])
         v = np.concatenate([self.speeds, [self.speeds[0]]])
-        if v[0] != v[-1]:
-            raise InconsistentDistribution("periodic wrap mismatch")
         return CubicSpline(s, v, bc_type="periodic")
 
     @cached_property
@@ -173,13 +176,28 @@ class VelocityDistribution:
     def potential_at(self, s) -> np.ndarray:
         """Smooth running integral of the speed, unwrapped over periods."""
         s = np.asarray(s, dtype=float)
-        periods = np.floor(s / self.total_length)
+        periods = np.floor((s - self.arc_positions[0]) / self.total_length)
         rem = s - periods * self.total_length
         return self._potential_spline(rem) + periods * self.circulation_smooth
 
     @cached_property
     def circulation_smooth(self) -> float:
-        return float(self._potential_spline(self.total_length))
+        return float(self._potential_spline(self.arc_positions[0] + self.total_length))
+
+    def _potential_pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Knots x and quartic coefficients c of the potential over two periods.
+
+        Between knots k and k+1 the potential is ``c[0, k]*t**4 + ... +
+        c[4, k]`` in ``t = s - x[k]``, so ``c[4, k]`` is its value at knot k.
+        The second period repeats the first with every constant raised by
+        the circulation, so an arc [lo, hi] with hi <= lo + L never wraps.
+        """
+        pp = self._potential_spline
+        L = self.total_length
+        x = np.concatenate([pp.x[:-1], pp.x + L])
+        c = np.concatenate([pp.c, pp.c], axis=1)
+        c[-1, pp.c.shape[1]:] += self.circulation_smooth
+        return x, c
 
     def branch_distance(self, s) -> np.ndarray:
         """Arc distance along the contour to the nearest branch point."""
@@ -256,19 +274,80 @@ def _stagnation_angles(A, beta, G):
     return lo_mod, lo_mod + (hi - lo)
 
 
-def _bisect_monotone(f, lo: float, hi: float, targets: np.ndarray, iters: int = 80) -> np.ndarray:
-    """Solve f(x) = target on [lo, hi] for monotone f, vectorized bisection."""
-    targets = np.asarray(targets, dtype=float)
-    increasing = f(hi) >= f(lo)
-    a = np.full_like(targets, lo)
-    b = np.full_like(targets, hi)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        go_right = fm < targets if increasing else fm > targets
-        a = np.where(go_right, mid, a)
-        b = np.where(go_right, b, mid)
-    return 0.5 * (a + b)
+def _quartic(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and slope of ``c[0]*t**4 + ... + c[4]``, by one Horner pass."""
+    p = c[0]
+    dp = np.zeros_like(t)
+    for ck in c[1:]:
+        dp = dp * t + p
+        p = p * t + ck
+    return p, dp
+
+
+@dataclass(frozen=True)
+class _PotentialArc:
+    """The potential along one arc, bracketed at its knots for inversion.
+
+    ``nodes`` are the arc's ends with the knots strictly between them and
+    ``values`` the potential there, strictly monotone.  Between nodes i and
+    i+1 the potential is the quartic ``coeffs[:, i]`` in ``t = s - origins[i]``.
+    """
+
+    nodes: np.ndarray
+    values: np.ndarray
+    origins: np.ndarray
+    coeffs: np.ndarray
+
+    def solve(self, targets: np.ndarray) -> np.ndarray:
+        """Arc positions at which the potential takes the given values, by
+        the safeguarded Newton of `CircleCorrespondence.s_of_gamma`.
+        Targets at or past an end of the arc map to that end."""
+        sign = 1.0 if self.values[-1] > self.values[0] else -1.0
+        y = sign * np.asarray(targets, dtype=float)
+        v = sign * self.values
+        # the potential's roundoff is absolute, set by the arc's constants
+        ftol = 4 * np.spacing(max(abs(v[0]), abs(v[-1])))
+        s = np.where(y <= v[0], self.nodes[0], self.nodes[-1])
+        idx = np.flatnonzero((y > v[0]) & (y < v[-1]))
+        k = np.searchsorted(v, y[idx], side="right") - 1
+        c = sign * self.coeffs[:, k]
+        origin = self.origins[k]
+        a = self.nodes[k] - origin
+        b = self.nodes[k + 1] - origin
+        y = y[idx]
+        t = 0.5 * (a + b)
+        for _ in range(_CORRESPONDENCE_MAXITER):
+            p, dp = _quartic(c, t)
+            f = p - y
+            a = np.where(f < 0, t, a)
+            b = np.where(f > 0, t, b)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = t - f / dp
+            step = np.where((newton > a) & (newton < b), newton, 0.5 * (a + b)) - t
+            fits = np.abs(f) <= ftol
+            t = np.where(fits, t, t + step)
+            done = fits | (np.abs(step) <= 4 * np.spacing(np.abs(origin + t)))
+            s[idx[done]] = origin[done] + t[done]
+            keep = ~done
+            idx, c, origin, a, b, y, t = (idx[keep], c[:, keep], origin[keep],
+                                          a[keep], b[keep], y[keep], t[keep])
+            if idx.size == 0:
+                return s
+        raise InconsistentDistribution(
+            f"arc-to-angle correspondence unconverged after {_CORRESPONDENCE_MAXITER}"
+            f" iterations at {idx.size} points"
+        )
+
+
+def _potential_arc(x: np.ndarray, c: np.ndarray, lo: float, hi: float) -> _PotentialArc:
+    """Bracket the potential with knots x and pieces c on the arc [lo, hi]."""
+    j0 = int(np.searchsorted(x, lo, side="right"))
+    j1 = int(np.searchsorted(x, hi, side="left"))
+    origins = x[j0 - 1:j1]
+    coeffs = c[:, j0 - 1:j1]
+    ends, _ = _quartic(coeffs[:, [0, -1]], np.array([lo, hi]) - origins[[0, -1]])
+    values = np.concatenate([ends[:1], c[-1, j0:j1], ends[1:]])
+    return _PotentialArc(np.concatenate([[lo], x[j0:j1], [hi]]), values, origins, coeffs)
 
 
 @dataclass(frozen=True)
@@ -299,37 +378,62 @@ class CircleCorrespondence:
         return _canonical_potential(gamma, self.canonical_speed, self.flow_angle,
                                     self.circulation)
 
-    def s_of_gamma(self, gamma) -> np.ndarray:
-        """Arc position of the boundary point at canonical angle gamma.
+    def arcs(self) -> tuple[_PotentialArc, _PotentialArc]:
+        """The potential on the rising and on the falling arc, bracketed at
+        its knots; built per call, so a kept correspondence holds no table."""
+        s_a, s_b = self.dist.rise_interval
+        x, c = self.dist._potential_pieces()
+        return (_potential_arc(x, c, s_a, s_b),
+                _potential_arc(x, c, s_b, s_a + self.dist.total_length))
 
-        Returned unwrapped over [s_a, s_a + L) relative to the rising-arc
-        start, then reduced mod L.
+    def on_rising_arc(self, gamma) -> np.ndarray:
+        """Whether each canonical angle lies on the rising arc [th_lo, th_hi]."""
+        th_lo, th_hi = self.stagnation_angles
+        return np.mod(gamma - th_lo, 2 * np.pi) <= th_hi - th_lo
+
+    def s_of_gamma(self, gamma) -> np.ndarray:
+        """Arc position of the boundary point at canonical angle gamma, mod L.
+
+        The canonical potential increment from the angle's arc start,
+        rescaled from the canonical to the data's range on that arc, is a
+        potential target.  One ``searchsorted`` on the arc's knot values
+        gives each target its knot interval, where the potential is a
+        quartic; Newton runs on it from the interval's midpoint, the
+        bracket shrinks by the sign of the residual, and a step that would
+        leave the bracket bisects instead (``rtsafe``, Press et al.,
+        Numerical Recipes, 3rd ed., section 9.4).  A point stops when its
+        step is at most 4 ulp of s or its residual at most 4 ulp of the
+        arc's largest potential.  The second clause is needed near a
+        stagnation point: there the speed vanishes, roundoff in the
+        potential keeps the Newton step far above the ulp of s, and a
+        step-only stop bisects toward a bracket end that never moves.
         """
         gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-        L = self.dist.total_length
-        s_a, s_b = self.dist.rise_interval
         th_lo, th_hi = self.stagnation_angles
-        gm = np.mod(gamma - th_lo, 2 * np.pi)
-        rising = gm <= (th_hi - th_lo) + 1e-15
-        out = np.empty_like(gm)
-        phi = self.dist.potential_at
-        phic = self.canonical_potential
-        if np.any(rising):
-            tau = (phic(th_lo + gm[rising]) - phic(th_lo)) / self.deltac_plus
-            targ = phi(s_a) + tau * self.delta_plus
-            out[rising] = _bisect_monotone(phi, s_a, s_b, targ)
-        if np.any(~rising):
-            tau = (phic(th_lo + gm[~rising]) - phic(th_hi)) / self.deltac_minus
-            targ = phi(s_b) + tau * self.delta_minus
-            out[~rising] = _bisect_monotone(phi, s_b, s_a + L, targ)
-        return np.mod(out, L)
+        phic = self.canonical_potential(th_lo + np.mod(gamma - th_lo, 2 * np.pi))
+        rising = self.on_rising_arc(gamma)
+        rising_arc, falling_arc = self.arcs()
+        out = np.empty_like(gamma)
+        for mask, arc, start, dc, delta in (
+                (rising, rising_arc, th_lo, self.deltac_plus, self.delta_plus),
+                (~rising, falling_arc, th_hi, self.deltac_minus, self.delta_minus)):
+            if np.any(mask):
+                tau = (phic[mask] - self.canonical_potential(start)) / dc
+                out[mask] = arc.solve(arc.values[0] + tau * delta)
+        return np.mod(out, self.dist.total_length)
 
 
 def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
     """Build the arc-to-angle correspondence by normalized potential matching.
 
-    Sub-sample inversion runs on the smooth antiderivative of the periodic
-    speed interpolant; its full-turn value is the circulation.
+    The potential is the antiderivative of the periodic cubic speed spline,
+    a quartic on each knot interval; its full-turn value is the circulation.
+    `CircleCorrespondence.arcs` tabulates it at each arc's knots for
+    `s_of_gamma`.  Knot values that are not strictly monotone along an arc
+    are refused here: the spline's integral over a whole interval has the
+    wrong sign there, though every sample has the right one, and the arc
+    has no inverse.  The arc ends are knots, so every knot interval lies on
+    one arc, whose sign both of the interval's samples carry or vanish with.
     """
     G = d.circulation_smooth
     A = float(d.v_inf)
@@ -345,6 +449,10 @@ def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
         raise InconsistentDistribution(
             "potential range mismatch between the data and the canonical flow"
         )
+    v = d.speeds
+    if not np.all(np.diff(np.append(d._potential_spline.c[-1], G))
+                  * (v + np.roll(v, -1)) > 0):
+        raise InconsistentDistribution("speed spline changes sign inside an arc")
     return CircleCorrespondence(d, G, A, beta, (th_lo, th_hi),
                                 dplus, dminus, dc_plus, dc_minus)
 
@@ -401,10 +509,7 @@ def solve_zhukovsky(d: VelocityDistribution, corr: CircleCorrespondence, n: int 
     sprime = L / (2 * np.pi) + differentiate_boundary(p - p.mean())
     if np.any(sprime <= 0):
         raise InconsistentDistribution("correspondence is not monotone")
-    th_lo, th_hi = corr.stagnation_angles
-    gm = np.mod(gamma_work + alpha - th_lo, 2 * np.pi)
-    rising = gm <= (th_hi - th_lo)
-    offset = np.where(rising,
+    offset = np.where(corr.on_rising_arc(gamma_work + alpha),
                       np.log(corr.delta_plus / corr.deltac_plus),
                       np.log(corr.delta_minus / corr.deltac_minus))
     data = -np.log(sprime) + offset

@@ -173,6 +173,17 @@ def perturbed_cylinder(eps: float = 0.05, m: int = 200,
     )
 
 
+def step_distribution(**speeds) -> VelocityDistribution:
+    """V = +1 on (0, pi) and -1 on (pi, 2*pi) at 64 samples, with the
+    samples named ``v<i>`` set to the given speeds."""
+    s = 2 * np.pi * np.arange(64) / 64
+    v = np.where(np.arange(64) < 32, 1.0, -1.0)
+    v[0] = v[32] = 0.0
+    for key, value in speeds.items():
+        v[int(key[1:])] = value
+    return VelocityDistribution(np.column_stack([s, v]), 2 * np.pi, (0, 32), 1.0)
+
+
 def hausdorff_distance(a, b) -> float:
     """Symmetric Hausdorff distance between the node sets of two contours."""
     d = cdist(a.points, b.points)
@@ -256,6 +267,49 @@ def quasisolution_by_fd_newton(chi, corr, tol: float = 1e-12, maxiter: int = 50)
         lams = lams + t * step
         f = defects(lams)
     raise AssertionError(f"no convergence in {maxiter} iterations; defects {f}")
+
+
+def _bisect_monotone(f, lo: float, hi: float, targets: np.ndarray, iters: int = 80) -> np.ndarray:
+    """Solve f(x) = target on [lo, hi] for monotone f, vectorized bisection."""
+    targets = np.asarray(targets, dtype=float)
+    increasing = f(hi) >= f(lo)
+    a = np.full_like(targets, lo)
+    b = np.full_like(targets, hi)
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        go_right = fm < targets if increasing else fm > targets
+        a = np.where(go_right, mid, a)
+        b = np.where(go_right, b, mid)
+    return 0.5 * (a + b)
+
+
+def s_of_gamma_by_bisection(corr, gamma) -> np.ndarray:
+    """Arc position at canonical angle gamma by two 80-step bisections.
+
+    Each step evaluates the potential spline through
+    `VelocityDistribution.potential_at`.  The reference for
+    `inverse.CircleCorrespondence.s_of_gamma`, which solves one quartic
+    piece per target.
+    """
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    L = corr.dist.total_length
+    s_a, s_b = corr.dist.rise_interval
+    th_lo, th_hi = corr.stagnation_angles
+    gm = np.mod(gamma - th_lo, 2 * np.pi)
+    rising = gm <= (th_hi - th_lo) + 1e-15
+    out = np.empty_like(gm)
+    phi = corr.dist.potential_at
+    phic = corr.canonical_potential
+    if np.any(rising):
+        tau = (phic(th_lo + gm[rising]) - phic(th_lo)) / corr.deltac_plus
+        targ = phi(s_a) + tau * corr.delta_plus
+        out[rising] = _bisect_monotone(phi, s_a, s_b, targ)
+    if np.any(~rising):
+        tau = (phic(th_lo + gm[~rising]) - phic(th_hi)) / corr.deltac_minus
+        targ = phi(s_b) + tau * corr.delta_minus
+        out[~rising] = _bisect_monotone(phi, s_b, s_a + L, targ)
+    return np.mod(out, L)
 
 
 def evaluate_series_by_horner(f: AnalyticSeries, z):

@@ -3,10 +3,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import oracles
 from bladekit import cli
+from bladekit.errors import StagnationOffCircle
+from bladekit.inverse import canonical_map
 
 SECTION_FILES = ("lower.csv", "upper.csv", "shift.json", "residuals.json", "section.svg")
 
@@ -105,6 +108,40 @@ def test_malformed_config_exits_2(design, tmp_path, caplog, path, value, pointer
     assert cli.main(["solve", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert f"{pointer}: {message}" in caplog.text
     assert os.listdir(tmp_path) == ["design.json"]
+
+
+def test_section_solvable_only_after_its_transversal_term_exits_0(tmp_path):
+    # each distribution as given has a circulation 1% above 4*pi*v_inf, which
+    # puts the canonical stagnation points off the circle; the section's w1
+    # adds w1 times the distance to the nearest branch point to the speeds,
+    # which brings it back, and only that modified data is solved
+    raw = []
+    for centre, beta in ((-0.08 + 0.05j, 1.2), (-0.09 + 0.06j, 1.22)):
+        d = oracles.joukowski_flow(center=centre, beta=beta).distribution(512, 512)
+        per_w1 = (d.modified(0.01).circulation_smooth - d.circulation_smooth) / 0.01
+        raw.append((d, (1.01 * 4 * np.pi * d.v_inf - d.circulation_smooth) / per_w1))
+    w = max(dw for _, dw in raw)
+    raw = [d.modified(w) for d, _ in raw]
+    for d in raw:
+        with pytest.raises(StagnationOffCircle):
+            canonical_map(d)
+    cfg = {"sections": [{"id": "s0", "degree": 1, "w1": -w,
+                         "lower": raw[0].to_json(), "upper": raw[1].to_json()}],
+           "discretization": {"n_boundary": 64},
+           "positioning": {"method": "lsq"}}
+    out = _solve(tmp_path, cfg, "modified")
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["passed"] is True
+
+
+def test_speed_spline_off_sign_fails_the_section(design, tmp_path, caplog):
+    # every sample has the right sign, but the potential rises across the
+    # falling arc's first knot interval, also after the section's w1 term
+    cfg = json.loads(json.dumps(design))
+    cfg["sections"][0]["lower"] = oracles.step_distribution(v31=0.2, v33=-0.01).to_json()
+    config = _write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert "section s0 failed: speed spline changes sign inside an arc" in caplog.text
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is False
 
 
 NON_FINITE = [

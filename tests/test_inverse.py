@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from bladekit import inverse
 from bladekit.errors import (
     InconsistentDistribution,
     MultivaluedAntiderivative,
@@ -10,6 +13,7 @@ from bladekit.errors import (
 from bladekit.geometry import Contour, resample_uniform
 from bladekit.harmonic import AnalyticSeries, boundary_values, evaluate_series
 from bladekit.inverse import (
+    CircleCorrespondence,
     VelocityDistribution,
     _with_correction,
     canonical_map,
@@ -29,7 +33,9 @@ from oracles import (
     joukowski_flow,
     perturbed_cylinder,
     quasisolution_by_fd_newton,
+    s_of_gamma_by_bisection,
     smooth_map,
+    step_distribution,
 )
 
 
@@ -118,6 +124,17 @@ class TestPotential:
                                  (0, m), 1.0)
         assert abs(d.circulation_smooth - 0.2 * np.pi) < 1e-6
 
+    def test_first_sample_off_zero(self, cyl_dist):
+        # the periodic spline spans s_0 .. s_0 + L, so speed and potential
+        # run on across s = L and the circulation does not depend on s_0
+        d = relabeled(cyl_dist, 7, 0.5)
+        assert d.arc_positions[0] > 0
+        L = d.total_length
+        ends = np.array([L - 1e-12, L + 1e-12])
+        assert abs(np.diff(d.potential_at(ends))[0]) < 1e-11
+        assert abs(np.diff(d.speed_at(ends))[0]) < 1e-11
+        assert abs(d.circulation_smooth - cyl_dist.circulation_smooth) < 1e-12
+
     def test_monotone_violation(self):
         s = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         v = 2 * np.sin(s)
@@ -177,6 +194,142 @@ class TestCanonicalMap:
                                  (0, m), v_inf=0.01)
         with pytest.raises(StagnationOffCircle):
             canonical_map(d)
+
+
+def relabeled(d: VelocityDistribution, k: int, frac: float) -> VelocityDistribution:
+    """The same samples with arc positions measured from the point
+    ``frac`` of the way from sample k to the next."""
+    s, L, m = d.arc_positions, d.total_length, len(d.arc_positions)
+    origin = s[k] + frac * np.mod(s[(k + 1) % m] - s[k], L)
+    first = k if frac == 0.0 else (k + 1) % m
+    return VelocityDistribution(np.column_stack([np.mod(np.roll(s, -first) - origin, L),
+                                                 np.roll(d.speeds, -first)]),
+                                L, tuple((i - first) % m for i in d.branch_indices),
+                                d.v_inf, d.incidence)
+
+
+def gauge_nodes(corr: CircleCorrespondence, n: int) -> np.ndarray:
+    return 2 * np.pi * np.arange(n) / n + gauge_angle(corr, n)
+
+
+def on_circle_gap(a, b, L: float) -> float:
+    return float(np.max(np.abs(np.mod(a - b + L / 2, L) - L / 2)))
+
+
+@st.composite
+def correspondence_cases(draw):
+    if draw(st.booleans()):
+        centre = complex(draw(st.floats(-0.12, -0.04)), draw(st.floats(0.02, 0.1)))
+        flow = joukowski_flow(center=centre, beta=draw(st.floats(-0.3, 0.4)))
+        d = flow.distribution(draw(st.integers(64, 2048)), draw(st.integers(64, 2048)))
+    else:
+        d = perturbed_cylinder(draw(st.floats(0.0, 0.05)))
+    try:
+        d = d.modified(draw(st.floats(-0.3, 0.3)))
+    except InconsistentDistribution:
+        assume(False)
+    d = relabeled(d, draw(st.integers(0, len(d.arc_positions) - 1)),
+                  draw(st.sampled_from([0.0, 0.3, 0.9])))
+    return d, 2 ** draw(st.integers(6, 12))
+
+
+class TestCorrespondence:
+    """`s_of_gamma` against the 80-step bisection it replaced."""
+
+    @given(correspondence_cases())
+    def test_matches_bisection_and_solves_potential(self, case):
+        # relabeling puts an arc across s = L, which needs the second
+        # period, and the first sample off s = 0
+        d, n = case
+        corr = canonical_map(d)
+        g = gauge_nodes(corr, n)
+        s = corr.s_of_gamma(g)
+        L = d.total_length
+        assert on_circle_gap(s, s_of_gamma_by_bisection(corr, g), L) <= 1e-12 * L
+        th_lo, th_hi = corr.stagnation_angles
+        rising = corr.on_rising_arc(g)
+        start = np.where(rising, th_lo, th_hi)
+        tau = ((corr.canonical_potential(th_lo + np.mod(g - th_lo, 2 * np.pi))
+                - corr.canonical_potential(start))
+               / np.where(rising, corr.deltac_plus, corr.deltac_minus))
+        arcs = corr.arcs()
+        lo = np.where(rising, *(arc.nodes[0] for arc in arcs))
+        target = (np.where(rising, *(arc.values[0] for arc in arcs))
+                  + tau * np.where(rising, corr.delta_plus, corr.delta_minus))
+        s_arc = lo + np.mod(s - lo, L)
+        # the stop's 4 ulp, two quartic evaluations of ~2 ulp each (the
+        # solver's and potential_at's), and rounding s to a float
+        scale = max(np.max(np.abs(arc.values)) for arc in arcs)
+        tol = 8 * np.spacing(scale) + 2 * np.abs(d.speed_at(s_arc)) * np.spacing(s_arc)
+        assert np.all(np.abs(d.potential_at(s_arc) - target) <= tol)
+
+    def test_overshooting_spline_matches_bisection(self):
+        # the speed spline rises to +0.043 inside the falling arc's first
+        # piece, though every sample has the right sign and the potential
+        # still falls from knot to knot
+        d = step_distribution(v1=0.9, v33=-0.002, v34=-1.0)
+        ss = np.linspace(np.pi, 2 * np.pi, 4097)
+        assert np.max(d.speed_at(ss)) > 0.04
+        corr = canonical_map(d)
+        for n in (64, 256, 1024, 4096):
+            g = gauge_nodes(corr, n)
+            assert on_circle_gap(corr.s_of_gamma(g), s_of_gamma_by_bisection(corr, g),
+                                 2 * np.pi) <= 1e-12 * 2 * np.pi
+
+    def test_potential_not_monotone_at_knots_refused(self):
+        # the spline's integral over the falling arc's first piece is positive
+        d = step_distribution(v31=0.2, v33=-0.01)
+        with pytest.raises(InconsistentDistribution,
+                           match="speed spline changes sign inside an arc"):
+            canonical_map(d)
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_newton_converges_in_few_steps(self, jouk_dist, monkeypatch, n):
+        # 5-12 steps; a step-only stop stalls near the cylinder's stagnation
+        # points and needs 35-59.  At w1 = 0 the cylinder's circulation is
+        # ~5e-15, and the targets near the falling arc's end fall below 1e-6.
+        monkeypatch.setattr(inverse, "_CORRESPONDENCE_MAXITER", 12)
+        for d in (jouk_dist, perturbed_cylinder(0.05), perturbed_cylinder(0.05).modified(-0.3)):
+            corr = canonical_map(d)
+            corr.s_of_gamma(gauge_nodes(corr, n))
+
+    def test_targets_near_stagnation_points_converge(self, monkeypatch):
+        # the cylinder at w1 = 0: both arcs end at stagnation points, and the
+        # falling arc's end value is ~7e-16.  The residual stop is 4 ulp of the
+        # arc's largest potential; 4 ulp of the target needs 22 and 26 steps.
+        monkeypatch.setattr(inverse, "_CORRESPONDENCE_MAXITER", 20)
+        frac = np.geomspace(1e-14, 1e-3, 200)
+        frac = np.concatenate([frac, 1 - frac])
+        d = perturbed_cylinder(0.05)
+        for arc in canonical_map(d).arcs():
+            y = arc.values[0] + frac * (arc.values[-1] - arc.values[0])
+            s = arc.solve(y)
+            tol = (8 * np.spacing(np.max(np.abs(arc.values)))
+                   + 2 * np.abs(d.speed_at(s)) * np.spacing(s))
+            assert np.all(np.abs(d.potential_at(s) - y) <= tol)
+
+    def test_unconverged_points_raise(self, jouk_dist, monkeypatch):
+        monkeypatch.setattr(inverse, "_CORRESPONDENCE_MAXITER", 2)
+        corr = canonical_map(jouk_dist)
+        with pytest.raises(InconsistentDistribution, match="unconverged"):
+            corr.s_of_gamma(gauge_nodes(corr, 256))
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_one_rising_arc_rule(self, jouk_dist, monkeypatch, n):
+        # the earlier s_of_gamma allowed 1e-15 past th_hi, solve_zhukovsky
+        # did not; at the gauge nodes all three rules agree bit for bit
+        corr = canonical_map(jouk_dist)
+        g = gauge_nodes(corr, n)
+        th_lo, th_hi = corr.stagnation_angles
+        gm = np.mod(g - th_lo, 2 * np.pi)
+        rule = corr.on_rising_arc(g)
+        assert np.array_equal(rule, gm <= th_hi - th_lo)
+        assert np.array_equal(rule, gm <= (th_hi - th_lo) + 1e-15)
+        chi = solve_zhukovsky(jouk_dist, corr, n)
+        monkeypatch.setattr(CircleCorrespondence, "on_rising_arc", lambda self, gamma: (
+            np.mod(gamma - th_lo, 2 * np.pi) <= (th_hi - th_lo) + 1e-15))
+        assert np.array_equal(solve_zhukovsky(jouk_dist, corr, n).coefficients,
+                              chi.coefficients)
 
 
 class TestZhukovsky:
