@@ -158,7 +158,7 @@ def contour_to_csv(c: Contour) -> str:
 
 def contour_from_csv(text: str) -> tuple[Contour, np.ndarray | None]:
     """Parse ``index,x,y`` rows of finite numbers; a fourth ``v`` column, if present,
-    is returned too."""
+    is returned too.  A row with more cells than the header is refused."""
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise BladekitError("empty contour file")
@@ -171,7 +171,7 @@ def contour_from_csv(text: str) -> tuple[Contour, np.ndarray | None]:
         cells = ln.split(",")
         try:
             row = [float(cell) for cell in cells[1:width]]
-            if len(cells) < width or not np.isfinite(row).all():
+            if not width <= len(cells) <= len(header) or not np.isfinite(row).all():
                 raise ValueError
         except ValueError:
             raise BladekitError(f"line {lineno}: expected a {','.join(header[:width])} "

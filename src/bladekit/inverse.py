@@ -35,7 +35,6 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     BladekitError,
@@ -55,6 +54,7 @@ from .harmonic import (
     integrate_series,
 )
 from .planefield import SeriesMap
+from .spline import PeriodicCubic
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAXITER = 50
@@ -159,30 +159,28 @@ class VelocityDistribution:
         return float(s[ib]), float(s[ia] + self.total_length)
 
     @cached_property
-    def _speed_spline(self) -> CubicSpline:
+    def _speed_spline(self) -> PeriodicCubic:
         # knots s_0 .. s_0 + L: the period is L wherever the first sample sits
         s = self.arc_positions
         s = np.concatenate([s, [s[0] + self.total_length]])
         v = np.concatenate([self.speeds, [self.speeds[0]]])
-        return CubicSpline(s, v, bc_type="periodic")
-
-    @cached_property
-    def _potential_spline(self):
-        return self._speed_spline.antiderivative()
+        return PeriodicCubic.interpolate(s, v)
 
     def speed_at(self, s) -> np.ndarray:
-        return self._speed_spline(np.mod(s, self.total_length))
+        return self._speed_spline(s)
 
     def potential_at(self, s) -> np.ndarray:
         """Smooth running integral of the speed, unwrapped over periods."""
-        s = np.asarray(s, dtype=float)
-        periods = np.floor((s - self.arc_positions[0]) / self.total_length)
-        rem = s - periods * self.total_length
-        return self._potential_spline(rem) + periods * self.circulation_smooth
+        return self._speed_spline.integral(s)
 
-    @cached_property
+    @property
+    def knot_potentials(self) -> np.ndarray:
+        """The potential at the knots s_0 .. s_0 + L; the last is the circulation."""
+        return self._speed_spline.knot_integrals
+
+    @property
     def circulation_smooth(self) -> float:
-        return float(self._potential_spline(self.arc_positions[0] + self.total_length))
+        return float(self.knot_potentials[-1])
 
     def _potential_pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """Knots x and quartic coefficients c of the potential over two periods.
@@ -192,11 +190,11 @@ class VelocityDistribution:
         The second period repeats the first with every constant raised by
         the circulation, so an arc [lo, hi] with hi <= lo + L never wraps.
         """
-        pp = self._potential_spline
+        spline = self._speed_spline
         L = self.total_length
-        x = np.concatenate([pp.x[:-1], pp.x + L])
-        c = np.concatenate([pp.c, pp.c], axis=1)
-        c[-1, pp.c.shape[1]:] += self.circulation_smooth
+        x = np.concatenate([spline.x[:-1], spline.x + L])
+        c = np.concatenate([spline.quartics, spline.quartics], axis=1)
+        c[-1, spline.quartics.shape[1]:] += self.circulation_smooth
         return x, c
 
     def branch_distance(self, s) -> np.ndarray:
@@ -450,8 +448,7 @@ def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
             "potential range mismatch between the data and the canonical flow"
         )
     v = d.speeds
-    if not np.all(np.diff(np.append(d._potential_spline.c[-1], G))
-                  * (v + np.roll(v, -1)) > 0):
+    if not np.all(np.diff(d.knot_potentials) * (v + np.roll(v, -1)) > 0):
         raise InconsistentDistribution("speed spline changes sign inside an arc")
     return CircleCorrespondence(d, G, A, beta, (th_lo, th_hi),
                                 dplus, dminus, dc_plus, dc_minus)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import BladekitError, CountMismatch, OptimizerFailed
 from .geometry import Contour, RuledTriangulation, ruled_surface_area
@@ -95,6 +94,10 @@ def area_objective(c1: Contour, c2: Contour, spacing: float, shift) -> float:
 def minimize_area_shift(c1: Contour, c2: Contour, spacing: float,
                         seed: tuple[float, float]) -> ShiftVector:
     """Direct search on the strip area, seeded at the least-squares optimum."""
+    # imported on use: the only scipy call in bladekit, which no default
+    # reaches, so `import bladekit` and the other commands load no scipy
+    from scipy.optimize import minimize
+
     tri = RuledTriangulation(c1, c2, spacing)
 
     def f(s):

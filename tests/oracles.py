@@ -312,6 +312,22 @@ def s_of_gamma_by_bisection(corr, gamma) -> np.ndarray:
     return np.mod(out, L)
 
 
+def speed_spline_by_scipy(d: VelocityDistribution):
+    """scipy's periodic ``CubicSpline`` through a distribution's samples on the
+    knots s_0 .. s_0 + L, and its antiderivative from s_0.
+
+    The reference for the numpy spline of `VelocityDistribution`
+    (`bladekit.spline.PeriodicCubic`), which replaced it in the library.
+    """
+    # imported on use: the benchmark imports this module for other oracles
+    from scipy.interpolate import CubicSpline
+
+    s = np.append(d.arc_positions, d.arc_positions[0] + d.total_length)
+    v = np.append(d.speeds, d.speeds[0])
+    spline = CubicSpline(s, v, bc_type="periodic")
+    return spline, spline.antiderivative()
+
+
 def evaluate_series_by_horner(f: AnalyticSeries, z):
     """A series at z by one Horner step per coefficient, in z for the powers
     >= 0 and in 1/z for the negative powers; no domain guard."""

@@ -216,6 +216,9 @@ BAD_CONTOURS = {
     "not a number": ("index,x,y\n0,abc,1\n1,1.0,0.0\n2,1.0,1.0\n", 2),
     "nan_v": ("index,x,y,v\n0,0.0,0.0,1.0\n1,1.0,0.0,nan\n2,1.0,1.0,1.0\n3,0.0,1.0,1.0\n", 3),
     "inf_x": ("index,x,y\n0,0.0,0.0\n1,1.0,0.0\n2,inf,1.0\n3,0.0,1.0\n", 4),
+    # a cell past the header is refused, not dropped
+    "extra cell": ("index,x,y\n0,1,2,3\n1,1.0,0.0\n2,1.0,1.0\n3,0.0,1.0\n", 2),
+    "extra cell past v": ("index,x,y,v\n0,0.0,0.0,1.0\n1,1.0,0.0,1.0,9\n2,1.0,1.0,1.0\n", 3),
 }
 
 
