@@ -70,16 +70,22 @@ def _cmd_position(args) -> int:
     contours = []
     velocities = []
     for path in args.contours:
-        with open(path, "r", encoding="utf-8") as fh:
-            contour, vel = contour_from_csv(fh.read())
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            contour, vel = contour_from_csv(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            line = raw[:exc.start].count(b"\n") + 1
+            raise BladekitError(f"{path}: line {line}: not UTF-8 text") from None
+        except BladekitError as exc:
+            raise BladekitError(f"{path}: {exc}") from None
         contours.append(contour)
         velocities.append(vel)
     c1, c2 = contours
     if args.method == "lsq":
         shift = least_squares_shift(c1, c2)
     elif args.method == "area":
-        seed = least_squares_shift(c1, c2)
-        shift = minimize_area_shift(c1, c2, args.spacing, (seed.dx, seed.dy))
+        shift = minimize_area_shift(c1, c2, args.spacing)
     else:
         if args.box is None:
             raise BladekitError("--box is required for the lift method")

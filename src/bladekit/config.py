@@ -73,13 +73,20 @@ def _as_number(value, pointer: str) -> float:
     return float(value)
 
 
+def _read_json(path: str, pointer: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+            raise BadValue(pointer, f"invalid JSON: {exc}") from exc
+
+
 def _load_distribution(value, pointer: str, base_dir: str) -> VelocityDistribution:
     if isinstance(value, str):
         path = value if os.path.isabs(value) else os.path.join(base_dir, value)
         if not os.path.exists(path):
             raise BadValue(pointer, f"file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            value = json.load(fh)
+        value = _read_json(path, pointer)
     if not isinstance(value, dict):
         raise BadValue(pointer, "expected a distribution object or a file path")
     for key in ("samples", "total_length", "branch_indices", "v_inf"):
@@ -111,11 +118,7 @@ def parse_config(path: str) -> DesignConfig:
     Velocity distributions may be inline objects or paths to JSON files
     relative to the configuration file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BadValue("/", f"invalid JSON: {exc}") from exc
+    raw = _read_json(path, "/")
     return parse_config_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

@@ -38,7 +38,7 @@ class QuasisolutionDiverged(BladekitError):
 
 
 class OptimizerFailed(BladekitError):
-    """Direct search on a positioning objective did not converge."""
+    """Newton on the strip area did not reach its duality-gap certificate."""
 
 
 class ConfigError(BladekitError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,10 +25,9 @@ class Point2:
 
 @dataclass(frozen=True)
 class Contour:
-    """Ordered planar point list; closed contours have an implicit last->first edge."""
+    """Ordered planar point list of a closed curve: the last node joins the first."""
 
     points: np.ndarray
-    closed: bool = True
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -40,35 +40,21 @@ class Contour:
             raise DegenerateContour("contour has a zero-length edge")
 
     @staticmethod
-    def from_complex(z: np.ndarray, closed: bool = True) -> "Contour":
+    def from_complex(z: np.ndarray) -> "Contour":
         z = np.asarray(z, dtype=complex)
-        return Contour(np.column_stack([z.real, z.imag]), closed=closed)
+        return Contour(np.column_stack([z.real, z.imag]))
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def _edges(self) -> np.ndarray:
-        if self.closed:
-            return np.roll(self.points, -1, axis=0) - self.points
-        return np.diff(self.points, axis=0)
-
     def _edge_lengths(self) -> np.ndarray:
-        return np.hypot(*self._edges().T)
-
-    @property
-    def perimeter(self) -> float:
-        return float(self._edge_lengths().sum())
+        return np.hypot(*(np.roll(self.points, -1, axis=0) - self.points).T)
 
 
 def arc_length_table(c: Contour) -> np.ndarray:
-    """Cumulative arc length at each node; entry 0 is 0.
-
-    For closed contours the table has n+1 entries and ends at the perimeter.
-    """
-    lengths = c._edge_lengths()
-    if np.any(lengths < _EDGE_EPS):
-        raise DegenerateContour("contour has a zero-length edge")
-    return np.concatenate([[0.0], np.cumsum(lengths)])
+    """Cumulative arc length at each node and back at the start: n+1 entries,
+    from 0 to the perimeter."""
+    return np.concatenate([[0.0], np.cumsum(c._edge_lengths())])
 
 
 def resample_uniform(c: Contour, n: int) -> Contour:
@@ -76,16 +62,11 @@ def resample_uniform(c: Contour, n: int) -> Contour:
     if n < 3:
         raise BladekitError("need at least 3 points")
     table = arc_length_table(c)
-    total = table[-1]
-    pts = c.points
-    if c.closed:
-        pts = np.vstack([pts, pts[:1]])
-        targets = total * np.arange(n) / n
-    else:
-        targets = total * np.arange(n) / (n - 1)
+    pts = np.vstack([c.points, c.points[:1]])
+    targets = table[-1] * np.arange(n) / n
     x = np.interp(targets, table, pts[:, 0])
     y = np.interp(targets, table, pts[:, 1])
-    return Contour(np.column_stack([x, y]), closed=c.closed)
+    return Contour(np.column_stack([x, y]))
 
 
 @dataclass(frozen=True)
@@ -93,8 +74,8 @@ class RuledTriangulation:
     """Strip between two stacked contours, split into the 2n standard triangles.
 
     Triangle ``D1[i]`` uses (lower i, lower i+1, upper i) and ``D2[i]`` uses
-    (upper i, upper i+1, lower i+1); indices wrap modulo n for closed
-    contours and the wrap triangles are dropped for open ones.
+    (upper i, upper i+1, lower i+1), indices modulo n, with the lower contour
+    in the plane h = 0 and the upper one in h = spacing.
     """
 
     lower: Contour
@@ -106,43 +87,29 @@ class RuledTriangulation:
             raise CountMismatch(
                 f"contours have {len(self.lower)} and {len(self.upper)} nodes"
             )
-        if self.lower.closed != self.upper.closed:
-            raise BladekitError("contours must be both closed or both open")
         if not 0 < self.spacing < np.inf:
             raise BladekitError("plane spacing must be positive and finite")
 
+    @cached_property
+    def affine_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(a, b, n)``: twice triangle i's area with the upper contour moved by
+        t is ``hypot(a_i, b_i + n_i . t)``.  Its edge e_i inside one contour
+        stays put, so with ``n_i = (-e_iy, e_ix)`` its cross product is
+        ``(spacing * n_i, n_i . (d_i + t))`` up to signs, d_i running from the
+        lower node to the upper: ``up_i - lo_i`` (D1), ``up_i - lo_{i+1}`` (D2).
+        """
+        lo, up = self.lower.points, self.upper.points
+        lo_next = np.roll(lo, -1, axis=0)
+        e = np.concatenate([lo_next - lo, np.roll(up, -1, axis=0) - up])
+        d = np.concatenate([up - lo, up - lo_next])
+        n = np.column_stack([-e[:, 1], e[:, 0]])
+        return self.spacing * np.hypot(*e.T), np.einsum("ij,ij->i", n, d), n
 
 
 def ruled_surface_area(t: RuledTriangulation, shift: tuple[float, float] = (0.0, 0.0)) -> float:
-    """Total area of the ruled strip with the upper contour translated by shift.
-
-    Nodes are lifted to the planes h = 0 and h = spacing and each triangle
-    area comes from the 3D cross product.
-    """
-    lo = t.lower.points
-    up = t.upper.points + np.asarray(shift, dtype=float)
-    n = len(lo)
-    nxt = np.roll(np.arange(n), -1)
-    if not t.lower.closed:
-        keep = np.arange(n - 1)
-        nxt = nxt[keep]
-        base = np.arange(n - 1)
-    else:
-        base = np.arange(n)
-    h = t.spacing
-
-    def tri_areas(a2, b2, c2, ah, bh, ch):
-        ab = np.column_stack([b2 - a2, np.full(len(a2), bh - ah)])
-        ac = np.column_stack([c2 - a2, np.full(len(a2), ch - ah)])
-        # cross product of (dx, dy, dh) vectors
-        cx = ab[:, 1] * ac[:, 2] - ab[:, 2] * ac[:, 1]
-        cy = ab[:, 2] * ac[:, 0] - ab[:, 0] * ac[:, 2]
-        cz = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
-        return 0.5 * np.sqrt(cx**2 + cy**2 + cz**2)
-
-    d1 = tri_areas(lo[base], lo[nxt], up[base], 0.0, 0.0, h)
-    d2 = tri_areas(up[base], up[nxt], lo[nxt], h, h, 0.0)
-    return float(d1.sum() + d2.sum())
+    """Total area of the ruled strip with the upper contour translated by shift."""
+    a, b, n = t.affine_terms
+    return 0.5 * float(np.hypot(a, b + n @ np.asarray(shift, dtype=float)).sum())
 
 
 # -- CSV interchange --------------------------------------------------------

@@ -631,7 +631,7 @@ def reconstruction_map(chi: AnalyticSeries, corr: CircleCorrespondence, n: int,
 
 def reconstruct_contour(zmap: SeriesMap, n: int) -> Contour:
     """Contour nodes: the map's image of the n circle nodes, by one FFT."""
-    return Contour.from_complex(boundary_values(zmap.series, n), closed=True)
+    return Contour.from_complex(boundary_values(zmap.series, n))
 
 
 # -- complete per-blade solve --------------------------------------------------

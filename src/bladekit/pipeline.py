@@ -172,8 +172,7 @@ def _position(cfg: DesignConfig, sol_lo: PlanarSolution,
     if pos.method == "lsq":
         return least_squares_shift(lower, upper)
     if pos.method == "area":
-        seed = least_squares_shift(lower, upper)
-        return minimize_area_shift(lower, upper, pos.spacing, (seed.dx, seed.dy))
+        return minimize_area_shift(lower, upper, pos.spacing)
     k = pos.partition
     if not 1 <= k < len(lower):
         raise BadValue("/positioning/partition", f"partition {k} out of range")

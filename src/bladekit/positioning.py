@@ -7,6 +7,14 @@ first contour moved by the shift and the second contour, which keeps its
 minimizer in the same convention (for congruent contours both optima are
 the translation between them).
 
+The strip area is a convex sum of Euclidean norms: with the upper contour
+translated by t, twice a triangle's area is ``hypot(a_i, b_i + n_i . t)``
+(``RuledTriangulation.affine_terms``), smooth as every ``a_i > 0``.  Since
+``hypot(a, r) >= a sqrt(1 - w^2) + r w`` for ``|w| <= 1``, any w with
+``sum w_i n_i = 0`` gives the lower bound ``sum (a_i sqrt(1 - w_i^2) +
+b_i w_i) / 2`` on the minimum, whose gap to the area certifies it (Andersen,
+Christiansen, Conn & Overton, SIAM J. Sci. Comput. 22(1), 2000).
+
 The lift score is a difference of two convex sums, so its maximum over a
 box is found by DC branch and bound (Horst & Thoai, "DC programming:
 overview", JOTA 103, 1999) to a stated tolerance; see ``maximize_lift``.
@@ -22,6 +30,9 @@ from .errors import BladekitError, CountMismatch, OptimizerFailed
 from .geometry import Contour, RuledTriangulation, ruled_surface_area
 
 LIFT_RTOL = 1e-12       # lift maximum, relative to sum|w_i| * max_i |d_i + s|
+AREA_RTOL = 1e-13       # strip-area duality gap, relative to the area
+_AREA_STEPS = 50        # Newton steps before the area minimum counts as failed
+_HALVINGS = 40          # step halvings before a Newton step counts as failed
 _MAX_CELLS = 256        # live branch-and-bound cells kept per level
 _CHUNK = 1024 * 284     # largest temporary of the lift evaluation, in floats
 
@@ -85,39 +96,49 @@ def least_squares_shift(c1: Contour, c2: Contour) -> ShiftVector:
 
 def area_objective(c1: Contour, c2: Contour, spacing: float, shift) -> float:
     """Ruled-strip area between c1 moved by the shift and c2."""
-    _check_counts(c1, c2)
-    tri = RuledTriangulation(c1, c2, spacing)
     # moving the lower contour by s equals moving the upper one by -s
-    return ruled_surface_area(tri, -np.asarray(shift, dtype=float))
+    return ruled_surface_area(RuledTriangulation(c1, c2, spacing), -np.asarray(shift, dtype=float))
 
 
-def minimize_area_shift(c1: Contour, c2: Contour, spacing: float,
-                        seed: tuple[float, float]) -> ShiftVector:
-    """Direct search on the strip area, seeded at the least-squares optimum."""
-    # imported on use: the only scipy call in bladekit, which no default
-    # reaches, so `import bladekit` and the other commands load no scipy
-    from scipy.optimize import minimize
+def minimize_area_shift(c1: Contour, c2: Contour, spacing: float) -> ShiftVector:
+    """Damped Newton on the strip area from the least-squares shift, returned
+    once the duality gap is at most ``AREA_RTOL`` of the area.
 
-    tri = RuledTriangulation(c1, c2, spacing)
-
-    def f(s):
-        return ruled_surface_area(tri, (-s[0], -s[1]))
-
-    res = minimize(f, np.asarray(seed, dtype=float), method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
-    if not res.success:
-        # coarse grid fallback around the seed, then a second local pass
-        span = max(c1.perimeter, c2.perimeter) / 8.0
-        gx = np.linspace(seed[0] - span, seed[0] + span, 41)
-        gy = np.linspace(seed[1] - span, seed[1] + span, 41)
-        vals = np.array([[f((x, y)) for y in gy] for x in gx])
-        i, j = np.unravel_index(np.argmin(vals), vals.shape)
-        res = minimize(f, np.array([gx[i], gy[j]]), method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
-        if not res.success:
-            raise OptimizerFailed("area minimization did not converge")
-    dx, dy = float(res.x[0]), float(res.x[1])
-    return ShiftVector(dx, dy, float(res.fun), "area")
+    The step solves ``H p = -g`` by least squares, so contours whose edge
+    normals do not span the plane take the minimum-norm step.  The dual point
+    is ``v = r / hypot(a, r)``, ``r = b + n t``, projected onto
+    ``sum w_i n_i = 0`` and scaled into [-1, 1]: at the minimum it is v.
+    """
+    a, b, n = RuledTriangulation(c1, c2, spacing).affine_terms
+    lsq = least_squares_shift(c1, c2)
+    t = -np.array([lsq.dx, lsq.dy])
+    project = np.linalg.pinv(n.T @ n)
+    r = b + n @ t
+    rho = np.hypot(a, r)
+    area = 0.5 * float(rho.sum())
+    for steps in range(_AREA_STEPS + 1):
+        v = r / rho
+        w = v - n @ (project @ (n.T @ v))       # sum w_i n_i = 0 ...
+        w /= max(1.0, float(np.abs(w).max()))   # ... and |w_i| <= 1: a dual point
+        gap = area - 0.5 * float(a @ np.sqrt((1.0 - w) * (1.0 + w)) + b @ w)
+        if gap <= AREA_RTOL * area:
+            return ShiftVector(-float(t[0]), -float(t[1]), area, "area")
+        if steps == _AREA_STEPS:
+            break
+        g = 0.5 * n.T @ v
+        p = np.linalg.lstsq(0.5 * (n.T * (a * a / rho**3)) @ n, -g, rcond=None)[0]
+        for halvings in range(_HALVINGS):
+            step = 0.5**halvings
+            trial_r = b + n @ (t + step * p)
+            trial_rho = np.hypot(a, trial_r)
+            trial = 0.5 * float(trial_rho.sum())
+            if trial <= area + 1e-4 * step * float(g @ p):     # Armijo
+                t, r, rho, area = t + step * p, trial_r, trial_rho, trial
+                break
+        else:
+            break
+    raise OptimizerFailed(f"strip area {area:.17g} not certified after {steps} Newton "
+                          f"steps: duality gap {gap:.3g}")
 
 
 def _lift_terms(c1: Contour, c2: Contour, p: NodePartition):

@@ -12,6 +12,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from bladekit.geometry import arc_length_table
 from bladekit.harmonic import AnalyticSeries, evaluate_series
 from bladekit.inverse import (
     VelocityDistribution,
@@ -215,6 +216,74 @@ def grid_lift_optimum(c1, c2, p, box) -> tuple[float, float, float]:
         elif abs(cand[0] - best[0]) <= 1e-15 and np.hypot(cand[1], cand[2]) < np.hypot(best[1], best[2]):
             best = cand
     return best
+
+
+def _strip_cross_products(c1, c2, spacing, shift) -> np.ndarray:
+    """Per triangle of the strip, the 3D cross product of its two edges from its
+    first vertex: c1 moved by the shift in h = 0, c2 in h = spacing, triangles
+    (c1 i, c1 i+1, c2 i) and (c2 i, c2 i+1, c1 i+1)."""
+    n = len(c1)
+    lo = np.column_stack([c1.points + np.asarray(shift, dtype=float), np.zeros(n)])
+    up = np.column_stack([c2.points, np.full(n, float(spacing))])
+    nxt = np.roll(np.arange(n), -1)
+    a, b, c = (np.concatenate(pair) for pair in ((lo, up), (lo[nxt], up[nxt]), (up, lo[nxt])))
+    return np.cross(b - a, c - a)
+
+
+def strip_area_by_cross_products(c1, c2, spacing, shift) -> float:
+    """Strip area between c1 moved by the shift and c2, from 3D cross products:
+    the formula `geometry.ruled_surface_area` had before its affine form."""
+    return 0.5 * float(np.linalg.norm(_strip_cross_products(c1, c2, spacing, shift), axis=1).sum())
+
+
+def strip_area_lower_bound(c1, c2, spacing, shift) -> float:
+    """A lower bound on the strip area over all shifts, from the unit triangle
+    normals at the given shift.
+
+    Each cross product is ``X_i(s) = X_i(0) + M_i s``, so for unit vectors u_i
+    with ``sum M_i^T u_i = 0``, ``sum |X_i(s)| >= sum u_i . X_i(0)`` for every s.
+    Only the h part of X_i moves with s: it is projected onto that constraint
+    and clipped into [-1, 1], and the plane part rescaled to keep u_i unit.
+    """
+    x0 = _strip_cross_products(c1, c2, spacing, (0.0, 0.0))
+    m = np.stack([_strip_cross_products(c1, c2, spacing, e) - x0 for e in np.eye(2)], axis=-1)
+    x = _strip_cross_products(c1, c2, spacing, shift)
+    u = x / np.linalg.norm(x, axis=1)[:, None]
+    mz = m[:, 2, :]
+    z = u[:, 2] - mz @ (np.linalg.pinv(mz.T @ mz) @ (mz.T @ u[:, 2]))
+    z /= max(1.0, np.abs(z).max())
+    plane = u[:, :2] / np.linalg.norm(u[:, :2], axis=1)[:, None]
+    u = np.column_stack([plane * np.sqrt(1.0 - z * z)[:, None], z])
+    return 0.5 * float(np.einsum("ij,ij->", u, x0))
+
+
+def area_shift_by_nelder_mead(c1, c2, spacing) -> tuple[float, float, float]:
+    """Direct search on the strip area: ``(dx, dy, area)``.
+
+    Nelder-Mead from the least-squares shift; if it does not converge, the
+    best point of a 41x41 grid around the seed and a second Nelder-Mead.  This
+    was `positioning.minimize_area_shift` before its certified Newton.
+    """
+    # imported on use: the benchmark imports this module for other oracles
+    from scipy.optimize import minimize
+
+    seed = np.mean(c2.points - c1.points, axis=0)
+
+    def f(s):
+        return strip_area_by_cross_products(c1, c2, spacing, s)
+
+    options = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000}
+    res = minimize(f, seed, method="Nelder-Mead", options=options)
+    if not res.success:
+        span = max(arc_length_table(c1)[-1], arc_length_table(c2)[-1]) / 8.0
+        gx = np.linspace(seed[0] - span, seed[0] + span, 41)
+        gy = np.linspace(seed[1] - span, seed[1] + span, 41)
+        vals = np.array([[f((x, y)) for y in gy] for x in gx])
+        i, j = np.unravel_index(np.argmin(vals), vals.shape)
+        res = minimize(f, np.array([gx[i], gy[j]]), method="Nelder-Mead", options=options)
+        if not res.success:
+            raise AssertionError("area minimization did not converge")
+    return float(res.x[0]), float(res.x[1]), float(res.fun)
 
 
 def fd_residuals_by_velocity(field, grid, step: float = 1e-4) -> tuple[float, list]:

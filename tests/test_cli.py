@@ -93,6 +93,11 @@ MALFORMED = [
      "samples must be pairs of JSON numbers"),
     (["sections", 0, "lower", "samples", 1], [0.1, 0.2, 0.3], "/sections/0/lower",
      "samples must be pairs of JSON numbers"),
+    # bytes are a file's text: the config's own at the empty path, else that
+    # of a file the config names there
+    (["sections", 0, "lower"], b'{"samples": [', "/sections/0/lower", "invalid JSON"),
+    ([], b'{"sections": "\xff"}', "/", "invalid JSON: 'utf-8' codec can't decode"),
+    ([], b"[" * 100_000 + b"]" * 100_000, "/", "invalid JSON: maximum recursion depth"),
 ]
 
 
@@ -100,14 +105,22 @@ MALFORMED = [
                          ids=[case[2] for case in MALFORMED])
 def test_malformed_config_exits_2(design, tmp_path, caplog, path, value, pointer, message):
     cfg = json.loads(json.dumps(design))
+    if isinstance(value, bytes) and path:
+        (tmp_path / "named.json").write_bytes(value)
+        value = "named.json"
     node = cfg
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
-    config = _write_config(tmp_path, cfg)
+    if path:
+        node[path[-1]] = value
+        config = _write_config(tmp_path, cfg)
+    else:
+        config = str(tmp_path / "design.json")
+        (tmp_path / "design.json").write_bytes(value)
+    written = sorted(os.listdir(tmp_path))
     assert cli.main(["solve", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert f"{pointer}: {message}" in caplog.text
-    assert os.listdir(tmp_path) == ["design.json"]
+    assert sorted(os.listdir(tmp_path)) == written
 
 
 def test_section_solvable_only_after_its_transversal_term_exits_0(tmp_path):
@@ -219,6 +232,7 @@ BAD_CONTOURS = {
     # a cell past the header is refused, not dropped
     "extra cell": ("index,x,y\n0,1,2,3\n1,1.0,0.0\n2,1.0,1.0\n3,0.0,1.0\n", 2),
     "extra cell past v": ("index,x,y,v\n0,0.0,0.0,1.0\n1,1.0,0.0,1.0,9\n2,1.0,1.0,1.0\n", 3),
+    "not utf-8": (b"index,x,y\n0,0.0,0.0\n\n1,1.0,\xe90.0\n2,1.0,1.0\n", 4),
 }
 
 
@@ -226,10 +240,10 @@ BAD_CONTOURS = {
 def test_malformed_contour_csv_exits_2(tmp_path, caplog, case):
     text, line = BAD_CONTOURS[case]
     bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
-    bad.write_text(text, encoding="utf-8")
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     good.write_text(GOOD_CONTOUR, encoding="utf-8")
     assert cli.main(["position", "--contours", str(bad), str(good)]) == 2
-    assert f"line {line}:" in caplog.text
+    assert f"{bad}: line {line}:" in caplog.text
 
 
 @pytest.mark.parametrize("message, argv", [

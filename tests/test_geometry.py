@@ -12,7 +12,7 @@ from bladekit.geometry import (
     resample_uniform,
     ruled_surface_area,
 )
-from oracles import hausdorff_distance
+from oracles import hausdorff_distance, strip_area_by_cross_products
 
 
 def unit_square():
@@ -83,7 +83,8 @@ class TestRuledArea:
         ang = np.arctan2(pts[:, 1] - pts[:, 1].mean(), pts[:, 0] - pts[:, 0].mean())
         c = Contour(pts[np.argsort(ang)])
         t = RuledTriangulation(c, c, 0.7)
-        assert abs(ruled_surface_area(t) - c.perimeter * 0.7) < 1e-12 * c.perimeter
+        perimeter = arc_length_table(c)[-1]
+        assert abs(ruled_surface_area(t) - perimeter * 0.7) < 1e-12 * perimeter
 
     def test_monotone_growth_away_from_optimum(self):
         t = RuledTriangulation(unit_square(), unit_square(), 1.0)
@@ -107,6 +108,16 @@ class TestRuledArea:
         k = int(np.argmin(line))
         assert all(line[i] >= line[i + 1] - 1e-12 for i in range(k))
         assert all(line[i] <= line[i + 1] + 1e-12 for i in range(k, len(line) - 1))
+
+    @pytest.mark.parametrize("spacing", [0.05, 1.0, 2.0])
+    def test_affine_form_matches_cross_products(self, spacing):
+        lo = circle(64)
+        th = 0.3 + 2 * np.pi * np.arange(64) / 64
+        up = Contour(np.column_stack([np.cos(th), 0.5 * np.sin(th)]) + (0.2, -0.1))
+        t = RuledTriangulation(lo, up, spacing)
+        for shift in ((0.0, 0.0), (0.3, -0.7), (-2.0, 5.0)):
+            ref = strip_area_by_cross_products(lo, up, spacing, -np.asarray(shift))
+            assert abs(ruled_surface_area(t, shift) - ref) <= 1e-12 * ref
 
     def test_count_mismatch(self):
         with pytest.raises(CountMismatch):

@@ -1,5 +1,5 @@
-"""What a fresh process loads: ``import bladekit`` and the ``blade`` commands
-run without scipy; only ``blade position --method area`` imports it."""
+"""What a fresh process loads: ``import bladekit`` and every ``blade`` command,
+each positioning method included, run without scipy."""
 
 import json
 import os
@@ -47,6 +47,7 @@ def configs(tmp_path_factory):
     paths = {}
     for name, extra, positioning in (
             ("lsq", {}, {"method": "lsq"}),
+            ("area", {}, {"method": "area", "spacing": 0.5}),
             ("lift", {"degree": 2, "w2": 0.1},
              {"method": "lift", "box": [-0.3, -0.5, 0.5, 0.3], "partition": 32})):
         cfg = {"sections": [{**section, **extra}], "discretization": {"n_boundary": 64},
@@ -62,7 +63,7 @@ def test_import_loads_no_scipy(tmp_path):
     assert _blade(tmp_path) == [0, []]
 
 
-@pytest.mark.parametrize("name", ["lsq", "lift"])
+@pytest.mark.parametrize("name", ["lsq", "area", "lift"])
 def test_solve_loads_no_scipy(tmp_path, configs, name):
     assert _blade(tmp_path, "solve", "--config", configs[name], "--out", tmp_path / "out") == [0, []]
     report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
@@ -75,21 +76,15 @@ def test_verify_loads_no_scipy(tmp_path, configs):
 
 @pytest.mark.parametrize("argv", [
     ["--method", "lsq"],
+    ["--method", "area"],
     ["--method", "lift", "--box", "-0.5", "-0.5", "0.5", "0.5", "--partition", "2"],
-], ids=["lsq", "lift"])
+], ids=["lsq", "area", "lift"])
 def test_position_loads_no_scipy(tmp_path, configs, argv):
     out = tmp_path / "shift.json"
     code, loaded = _blade(tmp_path, "position", "--contours", configs["csv"], configs["csv"],
                           *argv, "--out", out)
     assert (code, loaded) == (0, [])
-    assert json.loads(out.read_text(encoding="utf-8"))["method"] == argv[1]
-
-
-def test_position_by_area_still_works(tmp_path, configs):
-    out = tmp_path / "shift.json"
-    code, loaded = _blade(tmp_path, "position", "--contours", configs["csv"], configs["csv"],
-                          "--method", "area", "--out", out)
-    assert code == 0 and "scipy.optimize" in loaded
     shift = json.loads(out.read_text(encoding="utf-8"))
-    assert shift["method"] == "area"
-    assert abs(shift["dx"]) < 1e-6 and abs(shift["dy"]) < 1e-6
+    assert shift["method"] == argv[1]
+    if argv[1] == "area":       # a contour against itself
+        assert abs(shift["dx"]) < 1e-6 and abs(shift["dy"]) < 1e-6

@@ -4,9 +4,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bladekit.errors import BladekitError, CountMismatch
+from bladekit import positioning
+from bladekit.errors import BladekitError, CountMismatch, OptimizerFailed
 from bladekit.geometry import Contour
 from bladekit.positioning import (
+    AREA_RTOL,
     LIFT_RTOL,
     NodePartition,
     ShiftVector,
@@ -17,7 +19,11 @@ from bladekit.positioning import (
     maximize_lift,
     minimize_area_shift,
 )
-from oracles import grid_lift_optimum
+from oracles import (
+    area_shift_by_nelder_mead,
+    grid_lift_optimum,
+    strip_area_lower_bound,
+)
 
 
 def circle(n, r=1.0, center=(0.0, 0.0)):
@@ -123,7 +129,7 @@ class TestAreaObjective:
         c1 = circle(128)
         c2 = Contour(c1.points + (0.21, -0.13))
         lsq = least_squares_shift(c1, c2)
-        area = minimize_area_shift(c1, c2, 1.0, (0.0, 0.0))
+        area = minimize_area_shift(c1, c2, 1.0)
         assert np.hypot(area.dx - lsq.dx, area.dy - lsq.dy) < 1e-6
 
 
@@ -135,7 +141,7 @@ def similar_optima(c1, scale, spacing):
     c = c1.points.mean(axis=0)
     c2 = Contour(c + scale * (c1.points - c))
     lsq = least_squares_shift(c1, c2)
-    area = minimize_area_shift(c1, c2, spacing, (lsq.dx, lsq.dy))
+    area = minimize_area_shift(c1, c2, spacing)
     return c2, lsq, area, float(np.hypot(lsq.dx - area.dx, lsq.dy - area.dy))
 
 
@@ -164,6 +170,54 @@ class TestVerifyStatement:
         sq = Contour(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
         _, lsq, area, dist = similar_optima(sq, 0.9, 1.0)
         assert np.isfinite(dist)
+
+
+@st.composite
+def star_pairs(draw):
+    """Two random star-shaped contours with the same node count, each a scaled,
+    offset radius r(theta) of three random harmonics, and a plane spacing."""
+    n = draw(st.integers(8, 512))
+
+    def star():
+        c = draw(hnp.arrays(float, 6, elements=st.floats(-0.15, 0.15)))
+        phase, scale = draw(st.floats(0, 1)), draw(st.floats(0.3, 2))
+        centre = draw(hnp.arrays(float, 2, elements=st.floats(-1, 1)))
+        t = 2 * np.pi * (np.arange(n) + phase) / n
+        k = np.arange(1, 4)[:, None]
+        r = 1 + c[:3] @ np.cos(k * t) + c[3:] @ np.sin(k * t)
+        return Contour(centre + scale * np.column_stack([r * np.cos(t), r * np.sin(t)]))
+
+    return star(), star(), draw(st.floats(0.05, 2))
+
+
+class TestAreaAgainstNelderMead:
+    @given(star_pairs())
+    def test_never_above_oracle_and_certified(self, problem):
+        c1, c2, spacing = problem
+        s = minimize_area_shift(c1, c2, spacing)
+        assert s.objective == area_objective(c1, c2, spacing, (s.dx, s.dy))
+        _, _, oracle = area_shift_by_nelder_mead(c1, c2, spacing)
+        assert s.objective <= oracle + AREA_RTOL * s.objective
+        lower = strip_area_lower_bound(c1, c2, spacing, (s.dx, s.dy))
+        assert s.objective - lower <= AREA_RTOL * s.objective
+
+    def test_collinear_contours(self):
+        # every edge normal is vertical: the area does not depend on dx, and
+        # both n^T n and the Hessian are singular
+        c1 = Contour(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [2.0, 0.0]]))
+        c2 = Contour(np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [5.0, 1.0]]))
+        s = minimize_area_shift(c1, c2, 1.0)
+        assert np.isfinite([s.dx, s.dy]).all() and abs(s.dy - 1.0) < 1e-12
+        lower = strip_area_lower_bound(c1, c2, 1.0, (s.dx, s.dy))
+        assert s.objective - lower <= AREA_RTOL * s.objective
+
+    def test_step_cap_names_the_gap(self, monkeypatch):
+        # a limacon over a circle: the least-squares seed is not the minimum
+        th = 2 * np.pi * np.arange(64) / 64
+        c2 = Contour((1 + 0.3 * np.cos(th))[:, None] * np.column_stack([np.cos(th), np.sin(th)]))
+        monkeypatch.setattr(positioning, "_AREA_STEPS", 0)
+        with pytest.raises(OptimizerFailed, match="after 0 Newton steps: duality gap"):
+            minimize_area_shift(circle(64), c2, 1.0)
 
 
 class TestLiftScore:
