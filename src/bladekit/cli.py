@@ -14,12 +14,7 @@ from .config import parse_config
 from .errors import BladekitError
 from .geometry import contour_from_csv
 from .pipeline import run_pipeline, write_artifacts
-from .positioning import (
-    NodePartition,
-    least_squares_shift,
-    maximize_lift,
-    minimize_area_shift,
-)
+from .positioning import AREA_SPACING, METHODS, NodePartition, position
 
 log = logging.getLogger("bladekit")
 
@@ -81,12 +76,8 @@ def _cmd_position(args) -> int:
             raise BladekitError(f"{path}: {exc}") from None
         contours.append(contour)
         velocities.append(vel)
-    c1, c2 = contours
-    if args.method == "lsq":
-        shift = least_squares_shift(c1, c2)
-    elif args.method == "area":
-        shift = minimize_area_shift(c1, c2, args.spacing)
-    else:
+
+    def lift_inputs():
         if args.box is None:
             raise BladekitError("--box is required for the lift method")
         if args.partition is None:
@@ -96,8 +87,9 @@ def _cmd_position(args) -> int:
             raise BladekitError(
                 "lift positioning needs a 'v' column in both contour files"
             )
-        part = NodePartition(args.partition, np.abs(v1), np.abs(v2))
-        shift = maximize_lift(c1, c2, part, tuple(args.box))
+        return tuple(args.box), NodePartition(args.partition, np.abs(v1), np.abs(v2))
+
+    shift = position(*contours, args.method, args.spacing, lift_inputs)
     text = json.dumps(shift.to_json(), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -125,11 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pos = sub.add_parser("position", help="position two contours from CSV files")
     p_pos.add_argument("--contours", nargs=2, required=True, metavar=("A", "B"))
-    p_pos.add_argument("--method", choices=("lsq", "area", "lift"), default="lsq")
+    p_pos.add_argument("--method", choices=METHODS, default=METHODS[0])
     p_pos.add_argument("--box", nargs=4, type=float, default=None,
                        metavar=("X0", "Y0", "X1", "Y1"))
     p_pos.add_argument("--partition", type=int, default=None)
-    p_pos.add_argument("--spacing", type=float, default=1.0)
+    p_pos.add_argument("--spacing", type=float, default=AREA_SPACING)
     p_pos.add_argument("--out", default=None, help="write the shift JSON here")
     p_pos.set_defaults(func=_cmd_position)
     return parser

@@ -1,16 +1,21 @@
-"""Design configuration: parsing and validation with JSON-pointer errors."""
+"""Design configuration: parsing and validation with JSON-pointer errors.
+
+The dataclasses here are built by `parse_config_dict` alone, which holds
+every default.
+"""
 
 from __future__ import annotations
 
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadValue, MissingField, NotPowerOfTwo
 from .inverse import VelocityDistribution
+from .positioning import AREA_SPACING, METHODS
 
-_METHODS = ("lsq", "area", "lift")
+FORMATS = ("csv", "json", "svg")
 
 
 @dataclass(frozen=True)
@@ -28,29 +33,29 @@ class SectionConfig:
     lower: VelocityDistribution
     upper: VelocityDistribution
     w1: "float | TransversalDatum"
-    w2: "float | None" = None
+    w2: "float | None"
 
 
 @dataclass(frozen=True)
 class PositioningConfig:
-    method: str = "lsq"
-    box: "tuple[float, float, float, float] | None" = None
-    partition: "int | None" = None
-    spacing: float = 1.0
+    method: str
+    box: "tuple[float, float, float, float] | None"
+    partition: "int | None"
+    spacing: float
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = "out"
-    formats: tuple = ("csv", "json", "svg")
+    directory: str
+    formats: tuple
 
 
 @dataclass(frozen=True)
 class DesignConfig:
     sections: tuple
-    n_boundary: int = 256
-    positioning: PositioningConfig = field(default_factory=PositioningConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
+    n_boundary: int
+    positioning: PositioningConfig
+    output: OutputConfig
 
 
 def _need(obj: dict, key: str, pointer: str):
@@ -176,9 +181,9 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         raise BadValue("/sections", "section ids must be unique")
 
     pos_raw = _as_object(raw.get("positioning", {}), "/positioning")
-    method = pos_raw.get("method", "lsq")
-    if method not in _METHODS:
-        raise BadValue("/positioning/method", f"method must be one of {_METHODS}")
+    method = pos_raw.get("method", METHODS[0])
+    if method not in METHODS:
+        raise BadValue("/positioning/method", f"method must be one of {METHODS}")
     box = None
     if "box" in pos_raw:
         b = pos_raw["box"]
@@ -190,7 +195,11 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
     partition = pos_raw.get("partition")
     if partition is not None and (type(partition) is not int or partition < 1):
         raise BadValue("/positioning/partition", "partition must be a positive integer")
-    spacing = _as_number(pos_raw.get("spacing", 1.0), "/positioning/spacing")
+    # the contours have n_boundary nodes, and the upper surface needs one
+    if partition is not None and partition >= n_boundary:
+        raise BadValue("/positioning/partition",
+                       f"partition must be below n_boundary = {n_boundary}")
+    spacing = _as_number(pos_raw.get("spacing", AREA_SPACING), "/positioning/spacing")
     if spacing <= 0:
         raise BadValue("/positioning/spacing", "spacing must be positive")
     if method == "lift":
@@ -203,12 +212,12 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
     directory = out_raw.get("directory", "out")
     if not isinstance(directory, str):
         raise BadValue("/output/directory", "expected a string")
-    formats = out_raw.get("formats", ["csv", "json", "svg"])
+    formats = out_raw.get("formats", list(FORMATS))
     if not isinstance(formats, list):
         raise BadValue("/output/formats", f"expected a list, got {formats!r}")
     formats = tuple(formats)
     for j, f in enumerate(formats):
-        if f not in ("csv", "json", "svg"):
+        if f not in FORMATS:
             raise BadValue(f"/output/formats/{j}", f"unknown format {f!r}")
 
     return DesignConfig(tuple(sections), n_boundary,

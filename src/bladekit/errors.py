@@ -29,10 +29,6 @@ class StagnationOffCircle(BladekitError):
     """Circulation too large for stagnation points to lie on the unit circle."""
 
 
-class SingularityMismatch(BladekitError):
-    """Boundary speed does not vanish at a mapped stagnation angle."""
-
-
 class QuasisolutionDiverged(BladekitError):
     """Newton iteration on the correction parameters failed to converge."""
 
@@ -65,7 +61,3 @@ class NotPowerOfTwo(ConfigError):
 
     def __init__(self, pointer: str, value: int):
         super().__init__(pointer, f"{value} is not a power of two")
-
-
-class EmptyPlot(BladekitError):
-    """SVG export called with no contours."""

@@ -34,18 +34,15 @@ class BoundarySamples:
     """Real or complex samples at the n equispaced circle angles."""
 
     values: np.ndarray
-    n: int = 0
 
     def __post_init__(self):
         values = np.asarray(self.values)
         if not np.all(np.isfinite(values)):
             raise BladekitError("boundary samples must be finite")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "n", len(values))
-        if self.n < 8 or not _is_power_of_two(self.n):
-            raise BladekitError(
-                f"sample count must be a power of two >= 8, got {self.n}"
-            )
+        n = len(values)
+        if n < 8 or not _is_power_of_two(n):
+            raise BladekitError(f"sample count must be a power of two >= 8, got {n}")
 
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.values)

@@ -40,7 +40,6 @@ from .errors import (
     BladekitError,
     InconsistentDistribution,
     QuasisolutionDiverged,
-    SingularityMismatch,
     StagnationOffCircle,
 )
 from .geometry import Contour
@@ -368,10 +367,6 @@ class CircleCorrespondence:
     deltac_plus: float
     deltac_minus: float
 
-    @property
-    def v_inf(self) -> float:
-        return self.dist.v_inf
-
     def canonical_potential(self, gamma):
         return _canonical_potential(gamma, self.canonical_speed, self.flow_angle,
                                     self.circulation)
@@ -480,8 +475,8 @@ def gauge_angle(corr: CircleCorrespondence, n: int) -> float:
     return float(best[1])
 
 
-def solve_zhukovsky(d: VelocityDistribution, corr: CircleCorrespondence, n: int = 256) -> AnalyticSeries:
-    """Regularized Zhukovsky function from the boundary speed data.
+def solve_zhukovsky(corr: CircleCorrespondence, n: int) -> AnalyticSeries:
+    """Regularized Zhukovsky function from the boundary speed data ``corr.dist``.
 
     The boundary datum is ``ln(V / |dw_c/dzeta|)``, evaluated through the
     correspondence as ``-ln(ds/dgamma)`` plus the per-arc normalization
@@ -490,12 +485,7 @@ def solve_zhukovsky(d: VelocityDistribution, corr: CircleCorrespondence, n: int 
     """
     if n < 8 or n & (n - 1):
         raise BladekitError("boundary grid size must be a power of two >= 8")
-    for s_val in corr.dist.rise_interval:
-        if abs(float(d.speed_at(s_val))) > 1e-8 * np.max(np.abs(d.speeds)):
-            raise SingularityMismatch(
-                "boundary speed does not vanish at a mapped stagnation angle"
-            )
-    L = d.total_length
+    L = corr.dist.total_length
     alpha = gauge_angle(corr, n)
     gamma_work = 2 * np.pi * np.arange(n) / n
     s_raw = corr.s_of_gamma(gamma_work + alpha)
@@ -547,20 +537,20 @@ def _eval_n(chi: AnalyticSeries) -> int:
     return n
 
 
-def closure_conditions(chi: AnalyticSeries, corr: CircleCorrespondence) -> ClosureReport:
+def closure_conditions(chi: AnalyticSeries) -> ClosureReport:
     """Measure the closure and far-field-speed defects spectrally.
 
     The closure defect is the loop integral of ``dz = exp(-chi) dzeta``
-    (two real conditions); the speed defect is Re chi at infinity minus
-    ``ln(v_inf / A)``, which vanishes when the far-field speed comes out as
-    prescribed.
+    (two real conditions); the speed defect is Re chi at infinity, the log
+    of the far-field speed over the canonical flow's A.  `canonical_map`
+    takes A = v_inf, so it vanishes when that speed comes out as prescribed.
     """
     n = _eval_n(chi)
     gamma = 2 * np.pi * np.arange(n) / n
     zprime = np.exp(-boundary_values(chi, n))
     a1 = np.mean(zprime * np.exp(1j * gamma))
     closure = 2j * np.pi * a1
-    vinf = float(chi.coefficient(0).real - np.log(corr.v_inf / corr.canonical_speed))
+    vinf = float(chi.coefficient(0).real)
     return ClosureReport(complex(closure), vinf)
 
 
@@ -569,8 +559,7 @@ def _with_correction(chi: AnalyticSeries, lams: np.ndarray) -> AnalyticSeries:
     return chi + delta
 
 
-def quasisolution_correct(chi: AnalyticSeries,
-                          corr: CircleCorrespondence) -> tuple[AnalyticSeries, ClosureReport]:
+def quasisolution_correct(chi: AnalyticSeries) -> tuple[AnalyticSeries, ClosureReport]:
     """Restore the three solvability conditions by a low-harmonic correction.
 
     The boundary datum gains ``lam0 + lam1*cos + lam2*sin``, so chi gains
@@ -582,7 +571,7 @@ def quasisolution_correct(chi: AnalyticSeries,
     zeroed by scalar complex Newton with the exact ``F'(c)`` from c = 0.
     Already-solvable data returns unchanged with zero correction.
     """
-    report = closure_conditions(chi, corr)
+    report = closure_conditions(chi)
     closure = report.closure_defect
     if max(abs(closure.real), abs(closure.imag), abs(report.vinf_defect)) < 10 * _NEWTON_TOL:
         return chi, report
@@ -605,7 +594,7 @@ def quasisolution_correct(chi: AnalyticSeries,
             f"no convergence in {_NEWTON_MAXITER} iterations; closure defect {closure}"
         )
     corrected = _with_correction(chi, np.array([lam0, c.real, c.imag]))
-    report = closure_conditions(corrected, corr)
+    report = closure_conditions(corrected)
     norm = float(np.sqrt(lam0 ** 2 + 0.5 * abs(c) ** 2))
     return corrected, replace(report, corrected=True, correction_norm=norm)
 
@@ -682,7 +671,7 @@ class PlanarSolution:
         return (p_series * e_series).trimmed(1e-14)
 
 
-def solve_distribution(d: VelocityDistribution, n: int = 256,
+def solve_distribution(d: VelocityDistribution, n: int,
                        z_start: complex = 0.0, w1: float = 0.0) -> PlanarSolution:
     """Run the full per-blade pipeline, optionally on the modified data.
 
@@ -691,12 +680,12 @@ def solve_distribution(d: VelocityDistribution, n: int = 256,
     """
     eff = d.modified(w1)
     corr = canonical_map(eff)
-    chi0 = solve_zhukovsky(eff, corr, n)
-    chi, report = quasisolution_correct(chi0, corr)
+    chi0 = solve_zhukovsky(corr, n)
+    chi, report = quasisolution_correct(chi0)
     return PlanarSolution(corr, n, chi, report, complex(z_start), float(w1))
 
 
-def solve_modified(d: VelocityDistribution, w1: float, n: int = 256,
+def solve_modified(d: VelocityDistribution, w1: float, n: int,
                    z_start: complex = 0.0) -> tuple[AnalyticSeries, CircleCorrespondence, PlanarSolution]:
     """Modified-problem solve returning the analytic datum and correspondence.
 

@@ -34,6 +34,9 @@ import numpy as np
 
 from . import __version__
 from .assembly import (
+    FD_AGREEMENT_TOL,
+    RESIDUAL_TOL_ANALYTIC,
+    RESIDUAL_TOL_FD,
     FieldResiduals,
     GridSpec,
     SplineField,
@@ -44,24 +47,16 @@ from .assembly import (
     trace_defect,
 )
 from .config import DesignConfig, SectionConfig, TransversalDatum
-from .errors import BadValue, BladekitError
+from .errors import BladekitError
 from .geometry import Contour, Point2, contour_to_csv
 from .harmonic import boundary_values
 from .inverse import PlanarSolution, solve_distribution
 from .planefield import Pullback
-from .positioning import (
-    NodePartition,
-    ShiftVector,
-    least_squares_shift,
-    maximize_lift,
-    minimize_area_shift,
-)
+from .positioning import NodePartition, ShiftVector, position
 from .svgplot import export_svg
 
 log = logging.getLogger("bladekit")
 
-RESIDUAL_TOL_ANALYTIC = 1e-8
-RESIDUAL_TOL_FD = 1e-6
 CLOSURE_TOL = 1e-10
 GLUE_TOL = 1e-10
 
@@ -85,6 +80,11 @@ class CheckEntry:
     tolerance: "float | None"
     passed: "bool | None"
 
+    @classmethod
+    def gate(cls, name: str, value: float, tolerance: float) -> "CheckEntry":
+        """A check that passes when ``value < tolerance``; NaN fails."""
+        return cls(name, value, tolerance, value < tolerance)
+
     def to_json(self) -> dict:
         return {"name": self.name, "value": self.value,
                 "tolerance": self.tolerance, "passed": self.passed}
@@ -103,7 +103,6 @@ class SectionResult:
     shift: ShiftVector
     checks: list = dc_field(default_factory=list)
     glue_info: "dict | None" = None
-    error: "str | None" = None
 
     @property
     def passed(self) -> bool:
@@ -113,7 +112,6 @@ class SectionResult:
 @dataclass
 class RunReport:
     sections: list
-    version: str = __version__
     timing_seconds: float = 0.0
     errors: list = dc_field(default_factory=list)
 
@@ -124,7 +122,7 @@ class RunReport:
     def to_json(self) -> dict:
         """Artifact form of the report; timing stays out for determinism."""
         return {
-            "version": self.version,
+            "version": __version__,
             "passed": self.passed,
             "errors": list(self.errors),
             "sections": [
@@ -135,7 +133,7 @@ class RunReport:
                     "w2": s.w2,
                     "closure_lower": s.lower.closure.to_json(),
                     "closure_upper": s.upper.closure.to_json(),
-                    "residuals": s.residuals.to_json(RESIDUAL_TOL_ANALYTIC),
+                    "residuals": s.residuals.to_json(),
                     "shift": s.shift.to_json(),
                     "glue": s.glue_info,
                     "checks": [c.to_json() for c in s.checks],
@@ -163,21 +161,6 @@ def _residual_grid(contours: "list[Contour]") -> GridSpec:
 def _node_speeds(sol: PlanarSolution) -> np.ndarray:
     """Boundary speed magnitude at the reconstructed contour nodes."""
     return np.abs(boundary_values(sol.velocity_series, sol.n))
-
-
-def _position(cfg: DesignConfig, sol_lo: PlanarSolution,
-              sol_up: PlanarSolution) -> ShiftVector:
-    pos = cfg.positioning
-    lower, upper = sol_lo.contour, sol_up.contour
-    if pos.method == "lsq":
-        return least_squares_shift(lower, upper)
-    if pos.method == "area":
-        return minimize_area_shift(lower, upper, pos.spacing)
-    k = pos.partition
-    if not 1 <= k < len(lower):
-        raise BadValue("/positioning/partition", f"partition {k} out of range")
-    part = NodePartition(k, _node_speeds(sol_lo), _node_speeds(sol_up))
-    return maximize_lift(lower, upper, part, pos.box)
 
 
 def run_section(cfg: DesignConfig, section: SectionConfig,
@@ -212,35 +195,28 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
                    w1c, Point2(zb.real, zb.imag), w2)
     grid = _residual_grid(involved)
     residuals = field_residuals(fld, grid)
-    shift = _position(cfg, sol_lo, sol_up)
+    pos = cfg.positioning
+    shift = position(sol_lo.contour, sol_up.contour, pos.method, pos.spacing,
+                     lambda: (pos.box, NodePartition(pos.partition, _node_speeds(sol_lo),
+                                                     _node_speeds(sol_up))))
 
-    fd_worst = max(residuals.fd_max_div, *residuals.fd_max_curl)
+    gate = CheckEntry.gate
     checks = [
-        CheckEntry("closure_lower", abs(sol_lo.closure.closure_defect), CLOSURE_TOL,
-                   abs(sol_lo.closure.closure_defect) < CLOSURE_TOL),
-        CheckEntry("vinf_lower", abs(sol_lo.closure.vinf_defect), CLOSURE_TOL,
-                   abs(sol_lo.closure.vinf_defect) < CLOSURE_TOL),
-        CheckEntry("closure_upper", abs(sol_up.closure.closure_defect), CLOSURE_TOL,
-                   abs(sol_up.closure.closure_defect) < CLOSURE_TOL),
-        CheckEntry("vinf_upper", abs(sol_up.closure.vinf_defect), CLOSURE_TOL,
-                   abs(sol_up.closure.vinf_defect) < CLOSURE_TOL),
-        CheckEntry("residual_fd_agreement",
-                   max(abs(residuals.max_div - residuals.fd_max_div),
-                       max(abs(a - b) for a, b in
-                           zip(residuals.max_curl, residuals.fd_max_curl))),
-                   1e-6, residuals.paths_agree),
-        CheckEntry("residual_analytic", residuals.worst(), RESIDUAL_TOL_ANALYTIC,
-                   residuals.worst() < RESIDUAL_TOL_ANALYTIC),
-        CheckEntry("residual_fd", fd_worst, RESIDUAL_TOL_FD, fd_worst < RESIDUAL_TOL_FD),
+        gate("closure_lower", abs(sol_lo.closure.closure_defect), CLOSURE_TOL),
+        gate("vinf_lower", abs(sol_lo.closure.vinf_defect), CLOSURE_TOL),
+        gate("closure_upper", abs(sol_up.closure.closure_defect), CLOSURE_TOL),
+        gate("vinf_upper", abs(sol_up.closure.vinf_defect), CLOSURE_TOL),
+        gate("residual_fd_agreement", residuals.fd_agreement, FD_AGREEMENT_TOL),
+        gate("residual_analytic", residuals.worst(), RESIDUAL_TOL_ANALYTIC),
+        gate("residual_fd", residuals.fd_worst(), RESIDUAL_TOL_FD),
     ]
     if prev is not None:
         du, dv, dw = trace_defect(prev.field, fld, grid)
-        rule = abs(fld.absorbed - sol_lo.w1)
         checks += [
-            CheckEntry("glue_du", du, GLUE_TOL, du < GLUE_TOL),
-            CheckEntry("glue_dv", dv, GLUE_TOL, dv < GLUE_TOL),
+            gate("glue_du", du, GLUE_TOL),
+            gate("glue_dv", dv, GLUE_TOL),
             CheckEntry("glue_dw", dw, None, None),
-            CheckEntry("glue_w1_rule", rule, GLUE_TOL, rule < GLUE_TOL),
+            gate("glue_w1_rule", abs(fld.absorbed - sol_lo.w1), GLUE_TOL),
         ]
 
     return SectionResult(section.id, section.degree, w1c,
@@ -302,7 +278,7 @@ def write_artifacts(cfg: DesignConfig, report: RunReport, out_dir: str) -> list:
             written.append(path)
             path = os.path.join(sdir, "residuals.json")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(_json_text(res.residuals.to_json(RESIDUAL_TOL_ANALYTIC)))
+                fh.write(_json_text(res.residuals.to_json()))
             written.append(path)
         if "svg" in formats:
             path = os.path.join(sdir, "section.svg")

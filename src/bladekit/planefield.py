@@ -25,6 +25,9 @@ from .harmonic import (
     integrate_series,
 )
 
+_INVERT_MAXITER = 60    # Newton steps of `SeriesMap.invert`
+_INVERT_TOL = 1e-13     # its residual |z(zeta) - z|, relative to max(|z|, 1)
+
 
 class SeriesMap:
     """Analytic map ``z(zeta)`` from the circle exterior, with Newton inverse."""
@@ -39,7 +42,7 @@ class SeriesMap:
         if abs(self._slope) < 1e-12:
             raise BladekitError("map must be nondegenerate at infinity")
 
-    def invert(self, z, maxiter: int = 60, tol: float = 1e-13, start=None):
+    def invert(self, z, start=None):
         """Solve ``z(zeta) = z`` for points on or outside the unit circle.
 
         Newton starts from ``start`` when given, else from the map's linear
@@ -54,9 +57,9 @@ class SeriesMap:
         zeta = np.where(small, np.exp(1j * np.angle(np.where(small, zeta, 1.0))), zeta)
         scale = np.maximum(np.abs(z), 1.0)
         converged = False
-        for _ in range(maxiter):
+        for _ in range(_INVERT_MAXITER):
             fz = _raw_eval(self.series, zeta) - z
-            if np.all(np.abs(fz) <= tol * scale):
+            if np.all(np.abs(fz) <= _INVERT_TOL * scale):
                 converged = True
                 break
             step = fz / _raw_eval(self.deriv, zeta)
@@ -65,7 +68,7 @@ class SeriesMap:
             zeta = zeta - step
         if not converged:
             fz = _raw_eval(self.series, zeta) - z
-            if not np.all(np.abs(fz) <= 1e3 * tol * scale):
+            if not np.all(np.abs(fz) <= 1e3 * _INVERT_TOL * scale):
                 raise OutsideDomain("map inversion did not converge")
         r = np.abs(zeta)
         if np.any(r < 1.0 - 1e-6):

@@ -1,5 +1,8 @@
 """Mutual placement of adjacent blade contours.
 
+`position` is the one entry point: it places two contours by one of
+`METHODS`, for the design pipeline and for ``blade position`` alike.
+
 A shift (dx, dy) always means the displacement of the second contour's
 nodes relative to the first: the least-squares optimum is the mean of the
 nodewise differences.  The ruled-strip objective is evaluated between the
@@ -23,14 +26,17 @@ overview", JOTA 103, 1999) to a stated tolerance; see ``maximize_lift``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import BladekitError, CountMismatch, OptimizerFailed
 from .geometry import Contour, RuledTriangulation, ruled_surface_area
 
+METHODS = ("lsq", "area", "lift")    # the first is the default
 LIFT_RTOL = 1e-12       # lift maximum, relative to sum|w_i| * max_i |d_i + s|
 AREA_RTOL = 1e-13       # strip-area duality gap, relative to the area
+AREA_SPACING = 1.0      # plane spacing of the strip area unless one is given
 _AREA_STEPS = 50        # Newton steps before the area minimum counts as failed
 _HALVINGS = 40          # step halvings before a Newton step counts as failed
 _MAX_CELLS = 256        # live branch-and-bound cells kept per level
@@ -47,7 +53,7 @@ class ShiftVector:
     def __post_init__(self):
         if not (np.isfinite(self.dx) and np.isfinite(self.dy) and np.isfinite(self.objective)):
             raise BladekitError("shift must be finite")
-        if self.method not in ("lsq", "area", "lift"):
+        if self.method not in METHODS:
             raise BladekitError(f"unknown method {self.method!r}")
 
     def to_json(self) -> dict:
@@ -217,3 +223,22 @@ def maximize_lift(c1: Contour, c2: Contour, p: NodePartition, box) -> ShiftVecto
     norms = np.where(vals >= best - eps, np.hypot(*pts.T), np.inf)
     dx, dy = (float(v) for v in pts[np.argmin(norms)])
     return ShiftVector(dx, dy, lift_score(c1, c2, p, (dx, dy)), "lift")
+
+
+def position(c1: Contour, c2: Contour, method: str, spacing: float,
+             lift_inputs: Callable[[], tuple[tuple, NodePartition]]) -> ShiftVector:
+    """Shift of c2 relative to c1 by ``method``, one of `METHODS`.
+
+    ``spacing`` is the plane spacing of the area method.  ``lift_inputs()``
+    returns the box and node partition of the lift method and is called for
+    it alone, so callers derive node speeds, or refuse their absence, only
+    when lift needs them.
+    """
+    if method == "lsq":
+        return least_squares_shift(c1, c2)
+    if method == "area":
+        return minimize_area_shift(c1, c2, spacing)
+    if method == "lift":
+        box, partition = lift_inputs()
+        return maximize_lift(c1, c2, partition, box)
+    raise BladekitError(f"unknown method {method!r}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BladekitError, EmptyPlot
+from .errors import BladekitError
 from .geometry import Contour
 
 CANVAS_W = 800
@@ -13,19 +13,12 @@ MARGIN = 20
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-def render_svg(contours: list[Contour], shifts: "list[tuple[float, float]] | None" = None) -> str:
+def render_svg(contours: list[Contour], shifts: list[tuple[float, float]]) -> str:
     """Render closed polylines on a fixed 800x600 canvas, equal aspect.
 
     ``shifts[k]`` translates contour k before plotting (the first entry is
     conventionally (0, 0)); output bytes depend only on the inputs.
     """
-    if not contours:
-        raise EmptyPlot("no contours to plot")
-    if shifts is None:
-        shifts = [(0.0, 0.0)] * len(contours)
-    if len(shifts) != len(contours):
-        raise EmptyPlot("need one shift per contour")
-
     moved = [c.points + np.array([sx, sy]) for c, (sx, sy) in zip(contours, shifts)]
     allpts = np.vstack(moved)
     x0, y0 = allpts.min(axis=0)
@@ -58,7 +51,7 @@ def render_svg(contours: list[Contour], shifts: "list[tuple[float, float]] | Non
 
 
 def export_svg(contours: list[Contour], path: str,
-               shifts: "list[tuple[float, float]] | None" = None) -> None:
+               shifts: list[tuple[float, float]]) -> None:
     text = render_svg(contours, shifts)
     try:
         with open(path, "w", encoding="utf-8") as fh:

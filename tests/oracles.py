@@ -307,7 +307,7 @@ def fd_residuals_by_velocity(field, grid, step: float = 1e-4) -> tuple[float, li
     return fd_div, fd_curl
 
 
-def quasisolution_by_fd_newton(chi, corr, tol: float = 1e-12, maxiter: int = 50):
+def quasisolution_by_fd_newton(chi, tol: float = 1e-12, maxiter: int = 50):
     """Correction parameters ``(lam0, lam1, lam2)`` by Newton on all three defects.
 
     Treats the defects as an unstructured 3x3 system: central-difference
@@ -316,7 +316,7 @@ def quasisolution_by_fd_newton(chi, corr, tol: float = 1e-12, maxiter: int = 50)
     """
 
     def defects(lams):
-        rep = closure_conditions(_with_correction(chi, lams), corr)
+        rep = closure_conditions(_with_correction(chi, lams))
         return np.array([rep.closure_defect.real, rep.closure_defect.imag, rep.vinf_defect])
 
     lams = np.zeros(3)

@@ -4,6 +4,10 @@ import numpy as np
 
 import oracles
 from bladekit.assembly import (
+    FD_AGREEMENT_TOL,
+    RESIDUAL_TOL_ANALYTIC,
+    RESIDUAL_TOL_FD,
+    FieldResiduals,
     GridSpec,
     SplineField,
     assemble,
@@ -65,9 +69,17 @@ class TestCauchyRiemann:
         rng = np.random.default_rng(1)
         fld = assemble(rand_plane(rng), rand_plane(rng), 0.4, Point2(2.0, 0.0))
         res = field_residuals(fld, GRID)
-        assert res.paths_agree
+        assert res.fd_agreement < FD_AGREEMENT_TOL
         assert abs(res.max_div - res.fd_max_div) < 1e-6
         assert abs(res.max_curl[0] - res.fd_max_curl[0]) < 1e-6
+
+    def test_nan_residual_fails_every_bound(self):
+        nan = float("nan")
+        res = FieldResiduals(1e-12, (0.0, nan, 0.0), 1e-12, (0.0, 0.0, nan), GRID)
+        assert not res.worst() < RESIDUAL_TOL_ANALYTIC
+        assert not res.fd_worst() < RESIDUAL_TOL_FD
+        assert not res.fd_agreement < FD_AGREEMENT_TOL
+        assert res.to_json()["tolerance_pass"] is False
 
 
 class TestComputeW0:
@@ -183,7 +195,7 @@ class TestAssembleLinear:
         res = field_residuals(f, GRID)
         assert res.worst() < 1e-8
         assert res.fd_max_div < 1e-6
-        assert res.paths_agree
+        assert res.fd_agreement < FD_AGREEMENT_TOL
 
     def test_linearity_in_analytic_data(self):
         rng = np.random.default_rng(13)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bladekit import cli
+from bladekit import cli, pipeline
 from bladekit.errors import StagnationOffCircle
 from bladekit.inverse import canonical_map
 
@@ -71,6 +71,9 @@ MALFORMED = [
     (["sections", 0, "degree"], 1.0, "/sections/0/degree", "degree must be 1 or 2"),
     (["positioning"], {"method": "lift", "box": [-0.3, -0.5, 0.5, 0.3], "partition": True},
      "/positioning/partition", "partition must be a positive integer"),
+    # the design's contours have n_boundary = 64 nodes, the upper surface none
+    (["positioning"], {"method": "lift", "box": [-0.3, -0.5, 0.5, 0.3], "partition": 64},
+     "/positioning/partition", "partition must be below n_boundary = 64"),
     # json.load reads NaN and Infinity; a distribution takes finite reals only
     (["sections", 0, "lower", "v_inf"], float("inf"), "/sections/0/lower",
      "v_inf must be a finite real number"),
@@ -208,6 +211,26 @@ def test_degree2_section_with_positioning(design, tmp_path, method):
         assert x0 <= shift["dx"] <= x1 and y0 <= shift["dy"] <= y1
 
 
+@pytest.mark.parametrize("positioning, argv", [
+    ({"method": "lsq"}, ["--method", "lsq"]),
+    ({"method": "area", "spacing": 2.5}, ["--method", "area", "--spacing", "2.5"]),
+], ids=["lsq", "area"])
+def test_position_command_repeats_the_solve_shift(design, tmp_path, monkeypatch,
+                                                  positioning, argv):
+    # lsq and area never need the node speeds that only lift reads
+    def no_speeds(sol):
+        raise AssertionError("node speeds computed for " + positioning["method"])
+
+    monkeypatch.setattr(pipeline, "_node_speeds", no_speeds)
+    cfg = json.loads(json.dumps(design))
+    cfg["positioning"] = positioning
+    s0 = _solve(tmp_path, cfg, positioning["method"]) / "s0"
+    shift = tmp_path / "shift.json"
+    assert cli.main(["position", "--contours", str(s0 / "lower.csv"), str(s0 / "upper.csv"),
+                     *argv, "--out", str(shift)]) == 0
+    assert shift.read_bytes() == (s0 / "shift.json").read_bytes()
+
+
 def test_degree2_without_w2_is_degree1(design, tmp_path):
     # degree 1 is the degree-2 field with w2 = 0: same residuals, same shift
     outs = []
@@ -222,6 +245,7 @@ def test_degree2_without_w2_is_degree1(design, tmp_path):
 
 
 GOOD_CONTOUR = "index,x,y\n0,0.0,0.0\n1,1.0,0.0\n2,1.0,1.0\n3,0.0,1.0\n"
+SPEED_CONTOUR = GOOD_CONTOUR.replace("y\n", "y,v\n").replace(".0\n", ".0,1.0\n")
 BAD_CONTOURS = {
     # file text, 1-based line of the bad row
     "short row": ("index,x,y\n0,0.0,0.0\n1,1.0\n2,1.0,1.0\n", 3),
@@ -253,7 +277,22 @@ def test_malformed_contour_csv_exits_2(tmp_path, caplog, case):
 ], ids=["box", "spacing"])
 def test_non_finite_position_option_exits_2(tmp_path, caplog, message, argv):
     path = tmp_path / "c.csv"
-    path.write_text(GOOD_CONTOUR.replace("y\n", "y,v\n").replace(".0\n", ".0,1.0\n"),
-                    encoding="utf-8")
+    path.write_text(SPEED_CONTOUR, encoding="utf-8")
     assert cli.main(["position", "--contours", str(path), str(path), *argv]) == 2
     assert message in caplog.text
+
+
+@pytest.mark.parametrize("message, v_column, argv", [
+    ("--box is required for the lift method", True, ["--partition", "2"]),
+    ("--partition is required for the lift method", True, ["--box", "0", "0", "1", "1"]),
+    ("lift positioning needs a 'v' column in both contour files", False,
+     ["--box", "0", "0", "1", "1", "--partition", "2"]),
+], ids=["box", "partition", "v column"])
+def test_lift_position_without_its_inputs_exits_2(tmp_path, caplog, message, v_column, argv):
+    path = tmp_path / "c.csv"
+    path.write_text(SPEED_CONTOUR if v_column else GOOD_CONTOUR, encoding="utf-8")
+    out = tmp_path / "shift.json"
+    assert cli.main(["position", "--contours", str(path), str(path), "--method", "lift",
+                     *argv, "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert not out.exists()
