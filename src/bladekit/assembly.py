@@ -15,8 +15,8 @@ differences, from one inversion of each blade map at the grid nodes: the
 h-differences reuse the plane values there, and each point set shifted in x
 or y is inverted from one first-order step off the nodes.  Each blade
 plane is a modified planar problem whose conj(z) coefficient is dw/dh
-there: w1 on the plane h = 0 and ``w1 + 2*w2`` on h = 1, which is what a
-section stacked on top starts from (`glue_sections`).
+there: w1 on the plane h = 0 and ``w1 + 2*w2`` on h = 1, which is the w1
+of a section stacked on top (`config.parse_config_dict` resolves it).
 """
 
 from __future__ import annotations
@@ -225,48 +225,13 @@ def _fd_residuals(field, z, hs, zetas, dzs, planes):
     return fd_div, fd_curl
 
 
-def datum_rule(w_ref: float, h_ref: float, w1: "float | None" = None,
-               w2: "float | None" = None) -> float:
-    """Solve the transversal datum ``h_ref*w1 + h_ref^2*w2 = w_ref`` for the unknown.
-
-    w0 vanishes over the branch point, so this is ``w(B, h_ref) = w_ref``.
-    First sections know w2 and solve for w1; chained sections know w1 and
-    solve for w2.
-    """
-    if w1 is None:
-        return (w_ref - h_ref**2 * w2) / h_ref
-    return (w_ref - h_ref * w1) / h_ref**2
-
-
-def glue_sections(first: SplineField, transversal: "tuple[float, float] | None" = None) -> dict:
-    """Chaining data for the section stacked on top of ``first``.
-
-    The new section's lower plane is ``first``'s upper blade, solved as the
-    modified problem with conj(z) coefficient ``first.w1 + 2*first.w2``,
-    the slope dw/dh of ``first`` at h = 1.  That slope is the new section's
-
-    * ``w1_const``, so u and v continue ``first`` and the new field is
-      divergence free with the shared blade as it was solved;
-    * ``w2`` comes from the optional (w_ref, h_ref) datum through
-      `datum_rule`, stated in the new section's w, which vanishes over its
-      own branch point at h = 0; it is 0 without a datum.
-
-    `trace_defect` measures how well a section assembled from these data
-    continues ``first``.
-    """
-    w1_const = first.w1 + 2.0 * first.w2
-    w2 = 0.0
-    if transversal is not None:
-        w2 = datum_rule(*transversal, w1=w1_const)
-    return {"w1_const": float(w1_const), "w2": float(w2)}
-
-
 def trace_defect(first, second, grid: GridSpec) -> tuple[float, float, float]:
     """Largest |u|, |v| and |w| jumps between ``first`` at h = 1 and ``second`` at h = 0.
 
     Compared by value on the grid's plane nodes, which must lie clear of
     every blade either field is evaluated over.  The u and v jumps vanish
-    for a section built from `glue_sections`.  The w jump cannot, so it is
+    for a section whose lower plane is ``first``'s upper one and whose w1 is
+    ``first``'s slope ``w1 + 2*w2`` there.  The w jump cannot, so it is
     a measurement, not a gate:
 
     * its constant part, ``first.w1 + first.w2`` over the branch point, is

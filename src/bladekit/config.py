@@ -1,12 +1,15 @@
 """Design configuration: parsing and validation with JSON-pointer errors.
 
 The dataclasses here are built by `parse_config_dict` alone, which holds
-every default.
+every default and resolves each section's transversal constants w1 and w2,
+in section order, from a literal, a datum ``w(B, h_ref) = w_ref`` or the
+section below.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -19,21 +22,15 @@ FORMATS = ("csv", "json", "svg")
 
 
 @dataclass(frozen=True)
-class TransversalDatum:
-    """Prescribed transversal speed w_ref at height h_ref over the branch point."""
-
-    w_ref: float
-    h_ref: float
-
-
-@dataclass(frozen=True)
 class SectionConfig:
+    """One section; w1 and w2 are its resolved transversal constants (w2 = 0 at degree 1)."""
+
     id: str
     degree: int
     lower: VelocityDistribution
     upper: VelocityDistribution
-    w1: "float | TransversalDatum"
-    w2: "float | None"
+    w1: float
+    w2: float
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,8 @@ def _load_distribution(value, pointer: str, base_dir: str) -> VelocityDistributi
         raise BadValue(pointer, str(exc)) from exc
 
 
-def _parse_w1(value, pointer: str):
+def _parse_w1(value, pointer: str) -> "float | tuple[float, float]":
+    """A literal w1, or the datum's (w_ref, h_ref) pair."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return _as_number(value, pointer)
     if isinstance(value, dict) and "from_transversal" in value:
@@ -113,8 +111,36 @@ def _parse_w1(value, pointer: str):
         h_ref = _as_number(_need(datum, "h_ref", ptr), f"{ptr}/h_ref")
         if h_ref == 0.0:
             raise BadValue(f"{ptr}/h_ref", "reference height must be nonzero")
-        return TransversalDatum(w_ref, h_ref)
+        return w_ref, h_ref
     raise BadValue(pointer, "expected a number or {'from_transversal': {...}}")
+
+
+def datum_rule(w_ref: float, h_ref: float, w1: "float | None" = None,
+               w2: "float | None" = None) -> float:
+    """Solve the transversal datum ``h_ref*w1 + h_ref^2*w2 = w_ref`` for the unknown.
+
+    w0 vanishes over the branch point, so this is ``w(B, h_ref) = w_ref``,
+    stated in the section's own w.  First sections know w2 and solve for
+    w1; chained sections know w1 and solve for w2.
+    """
+    if w1 is None:
+        return (w_ref - h_ref**2 * w2) / h_ref
+    return (w_ref - h_ref * w1) / h_ref**2
+
+
+def _finite(value: float, pointer: str, name: str) -> float:
+    if not math.isfinite(value):
+        raise BadValue(pointer, f"{name} = {value!r} is not a finite number")
+    return value
+
+
+def _solve_datum(datum: "tuple[float, float]", pointer: str, name: str, **known) -> float:
+    """`datum_rule` for the constant ``name``, refused at ``pointer`` unless finite."""
+    try:
+        value = datum_rule(*datum, **known)
+    except (OverflowError, ZeroDivisionError) as exc:  # h_ref**2 beyond the float range
+        raise BadValue(pointer, f"cannot solve for {name}: {exc}") from None
+    return _finite(value, pointer, name)
 
 
 def parse_config(path: str) -> DesignConfig:
@@ -155,6 +181,8 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         # the id names the section's artifact directory under the output one
         if sid in (".", "..") or any(ch in sid for ch in "/\\\0"):
             raise BadValue(f"{ptr}/id", f"section id must be a plain file name, got {sid!r}")
+        if sid == "report.json":
+            raise BadValue(f"{ptr}/id", "section id report.json is the report's file name")
         degree = sec.get("degree", 1)
         if type(degree) is not int or degree not in (1, 2):  # True and 1.0 equal 1
             raise BadValue(f"{ptr}/degree", f"degree must be 1 or 2, got {degree!r}")
@@ -162,17 +190,25 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         lower = _load_distribution(_need(sec, "lower", ptr), f"{ptr}/lower", base_dir)
         upper = _load_distribution(_need(sec, "upper", ptr), f"{ptr}/upper", base_dir)
         w1 = _parse_w1(sec.get("w1", 0.0), f"{ptr}/w1")
-        w2 = None
-        if degree == 2:
-            if i == 0:
-                if "w2" not in sec:
-                    raise MissingField(f"{ptr}/w2")
-                w2 = _as_number(sec["w2"], f"{ptr}/w2")
-            elif "w2" in sec:
-                raise BadValue(f"{ptr}/w2",
-                               "w2 of a chained section comes from its data")
+        datum = w1 if isinstance(w1, tuple) else None
+        datum_ptr = f"{ptr}/w1/from_transversal"
+        chained = degree == 2 and i > 0
+        w2 = 0.0
+        if degree == 2 and not chained:
+            if "w2" not in sec:
+                raise MissingField(f"{ptr}/w2")
+            w2 = _as_number(sec["w2"], f"{ptr}/w2")
         elif "w2" in sec:
-            raise BadValue(f"{ptr}/w2", "w2 is a degree-2 parameter")
+            raise BadValue(f"{ptr}/w2", "w2 of a chained section comes from its data"
+                           if chained else "w2 is a degree-2 parameter")
+        if chained:
+            # the shared blade's slope dw/dh; this drops a literal w1 (ROADMAP item 5)
+            prev = sections[-1]
+            w1 = _finite(prev.w1 + 2.0 * prev.w2, f"{ptr}/w1", "w1")
+            if datum is not None:
+                w2 = _solve_datum(datum, datum_ptr, "w2", w1=w1)
+        elif datum is not None:
+            w1 = _solve_datum(datum, datum_ptr, "w1", w2=w2)
         sections.append(SectionConfig(sid, degree, lower, upper, w1, w2))
     if len(degrees) > 1:
         raise BadValue("/sections", "degree must be uniform across sections")

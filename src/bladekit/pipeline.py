@@ -11,15 +11,15 @@ contours.
 Degree-1 chains treat sections independently (the shared blade carries no
 information across).  A degree-2 section after the first is chained onto
 the previous one: its lower blade is the previous upper blade (the same
-solve), and `assembly.glue_sections` gives its constants.  The shared
-blade was solved with the previous field's slope dw/dh at h = 1 as its
-conj(z) coefficient; that slope is the new w1, so every section is a
-solution of the field equations and carries the same gated residual
-checks.  Chained sections add the glue checks: ``glue_du`` and ``glue_dv``
-compare the new field at h = 0 with the previous one at h = 1 at the
-residual-grid nodes, ``glue_w1_rule`` the new field's conj(z) coefficient
-with the w1 the shared blade was solved with, and ``glue_dw`` measures the
-w jump without a verdict (see `assembly.trace_defect`).
+solve).  The shared blade was solved with the previous field's slope dw/dh
+at h = 1 as its conj(z) coefficient; that slope is the new w1, resolved
+with w2 by `config.parse_config_dict`, so every section is a solution of
+the field equations and carries the same gated residual checks.  Chained
+sections add the glue checks: ``glue_du`` and ``glue_dv`` compare the new
+field at h = 0 with the previous one at h = 1 at the residual-grid nodes,
+``glue_w1_rule`` the new field's conj(z) coefficient with the w1 the
+shared blade was solved with, and ``glue_dw`` measures the w jump without
+a verdict (see `assembly.trace_defect`).
 """
 
 from __future__ import annotations
@@ -41,36 +41,22 @@ from .assembly import (
     GridSpec,
     SplineField,
     assemble,
-    datum_rule,
     field_residuals,
-    glue_sections,
     trace_defect,
 )
-from .config import DesignConfig, SectionConfig, TransversalDatum
+from .config import DesignConfig, SectionConfig
 from .errors import BladekitError
 from .geometry import Contour, Point2, contour_to_csv
 from .harmonic import boundary_values
 from .inverse import PlanarSolution, solve_distribution
 from .planefield import Pullback
 from .positioning import NodePartition, ShiftVector, position
-from .svgplot import export_svg
+from .svgplot import render_svg
 
 log = logging.getLogger("bladekit")
 
 CLOSURE_TOL = 1e-10
 GLUE_TOL = 1e-10
-
-
-def determine_w1(section: SectionConfig, w2: float = 0.0) -> float:
-    """Transversal constant of a first section, literal or from a reference datum.
-
-    A prescribed transversal speed w_ref at height h_ref over the branch
-    point gives w1 through `assembly.datum_rule` with the section's w2
-    (``w1 = w_ref / h_ref`` at degree 1).
-    """
-    if isinstance(section.w1, TransversalDatum):
-        return datum_rule(section.w1.w_ref, section.w1.h_ref, w2=w2)
-    return float(section.w1)
 
 
 @dataclass(frozen=True)
@@ -171,28 +157,23 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
     upper blade is this section's lower one.
     """
     n = cfg.n_boundary
+    w1, w2 = section.w1, section.w2
     if prev is None:
         glue_info = None
-        w2 = section.w2 if section.degree == 2 else 0.0
-        w1c = determine_w1(section, w2)
-        sol_lo = solve_distribution(section.lower, n, z_start=0.0, w1=w1c)
+        sol_lo = solve_distribution(section.lower, n, z_start=0.0, w1=w1)
         involved = [sol_lo.contour]
     else:
-        datum = section.w1
-        glue_info = glue_sections(prev.field,
-                                  (datum.w_ref, datum.h_ref)
-                                  if isinstance(datum, TransversalDatum) else None)
-        w1c, w2 = glue_info["w1_const"], glue_info["w2"]
+        glue_info = {"w1_const": w1, "w2": w2}
         sol_lo = prev.upper                   # shared blade, same solve
         # trace_defect evaluates the previous field too
         involved = [prev.lower.contour, sol_lo.contour]
     # the upper plane's conj(z) coefficient is dw/dh there
-    sol_up = solve_distribution(section.upper, n, z_start=0.0, w1=w1c + 2.0 * w2)
+    sol_up = solve_distribution(section.upper, n, z_start=0.0, w1=w1 + 2.0 * w2)
     involved.append(sol_up.contour)
 
     zb = sol_lo.z_start
     fld = assemble(_pullback_field(sol_lo), _pullback_field(sol_up),
-                   w1c, Point2(zb.real, zb.imag), w2)
+                   w1, Point2(zb.real, zb.imag), w2)
     grid = _residual_grid(involved)
     residuals = field_residuals(fld, grid)
     pos = cfg.positioning
@@ -219,7 +200,7 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
             gate("glue_w1_rule", abs(fld.absorbed - sol_lo.w1), GLUE_TOL),
         ]
 
-    return SectionResult(section.id, section.degree, w1c,
+    return SectionResult(section.id, section.degree, w1,
                          w2 if section.degree == 2 else None,
                          sol_lo, sol_up, fld, residuals, shift, checks,
                          glue_info)
@@ -257,37 +238,33 @@ def _json_text(obj) -> str:
 
 
 def write_artifacts(cfg: DesignConfig, report: RunReport, out_dir: str) -> list:
-    """Write per-section CSV/JSON/SVG artifacts plus the global report."""
+    """Write per-section CSV/JSON/SVG artifacts plus the global report.
+
+    Each section's files go to the directory named by its id; returns the
+    written paths.
+    """
     written = []
+
+    def put(path: str, text: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        written.append(path)
+
     os.makedirs(out_dir, exist_ok=True)
     formats = cfg.output.formats
     for res in report.sections:
         sdir = os.path.join(out_dir, res.id)
         os.makedirs(sdir, exist_ok=True)
         if "csv" in formats:
-            for name, contour in (("lower", res.lower.contour),
-                                  ("upper", res.upper.contour)):
-                path = os.path.join(sdir, f"{name}.csv")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(contour_to_csv(contour))
-                written.append(path)
+            put(os.path.join(sdir, "lower.csv"), contour_to_csv(res.lower.contour))
+            put(os.path.join(sdir, "upper.csv"), contour_to_csv(res.upper.contour))
         if "json" in formats:
-            path = os.path.join(sdir, "shift.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(_json_text(res.shift.to_json()))
-            written.append(path)
-            path = os.path.join(sdir, "residuals.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(_json_text(res.residuals.to_json()))
-            written.append(path)
+            put(os.path.join(sdir, "shift.json"), _json_text(res.shift.to_json()))
+            put(os.path.join(sdir, "residuals.json"), _json_text(res.residuals.to_json()))
         if "svg" in formats:
-            path = os.path.join(sdir, "section.svg")
-            export_svg([res.lower.contour, res.upper.contour], path,
-                       shifts=[(0.0, 0.0), (res.shift.dx, res.shift.dy)])
-            written.append(path)
+            put(os.path.join(sdir, "section.svg"),
+                render_svg([res.lower.contour, res.upper.contour],
+                           [(0.0, 0.0), (res.shift.dx, res.shift.dy)]))
     if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(report.to_json()))
-        written.append(path)
+        put(os.path.join(out_dir, "report.json"), _json_text(report.to_json()))
     return written

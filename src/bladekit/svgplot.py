@@ -1,10 +1,9 @@
-"""Deterministic SVG export of contour sets."""
+"""Deterministic SVG rendering of contour sets."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BladekitError
 from .geometry import Contour
 
 CANVAS_W = 800
@@ -48,13 +47,3 @@ def render_svg(contours: list[Contour], shifts: list[tuple[float, float]]) -> st
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def export_svg(contours: list[Contour], path: str,
-               shifts: list[tuple[float, float]]) -> None:
-    text = render_svg(contours, shifts)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise BladekitError(f"cannot write {path}: {exc}") from exc

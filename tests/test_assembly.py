@@ -12,7 +12,6 @@ from bladekit.assembly import (
     SplineField,
     assemble,
     field_residuals,
-    glue_sections,
     trace_defect,
 )
 from bladekit.geometry import Point2
@@ -291,52 +290,44 @@ class TestFdPassAgainstVelocity:
 
 
 class TestGlue:
+    """A section stacked on ``q``: its plane h = 0 is q's upper blade.
+
+    The config gives it w1 = q.w1 + 2*q.w2, q's slope dw/dh at h = 1
+    (`tests/test_config.py` checks that rule); here the fields assembled
+    from it are checked to continue q.
+    """
+
     B = Point2(2.0, 0.0)
 
     def _quad(self, w2=0.1, w1c=0.3):
         rng = np.random.default_rng(18)
         return assemble(rand_plane(rng), rand_plane(rng), w1c, self.B, w2)
 
-    def _next(self, q, spec, w1=None):
-        # the next section's plane h = 0 is q's upper blade
+    def _next(self, q, w1=None, w2=0.0):
         rng = np.random.default_rng(21)
-        w1 = spec["w1_const"] if w1 is None else w1
-        return assemble(q.upper, rand_plane(rng), w1, self.B, spec["w2"])
-
-    def test_w1_chaining_rule(self):
-        # the slope dw/dh of q at h = 1: 0.3 + 2*0.1
-        q = self._quad(w2=0.1, w1c=0.3)
-        spec = glue_sections(q)
-        assert abs(spec["w1_const"] - 0.5) < 1e-14
+        w1 = q.w1 + 2.0 * q.w2 if w1 is None else w1
+        return assemble(q.upper, rand_plane(rng), w1, self.B, w2)
 
     def test_trace_matches_field_at_top(self):
         q = self._quad()
-        nxt = self._next(q, glue_sections(q))
+        nxt = self._next(q)
         x, y = np.array([1.3, -1.8]), np.array([0.5, 0.1])
         assert np.allclose(nxt.velocity(x, y, 0.0)[0], q.velocity(x, y, 1.0)[0], atol=1e-13)
         assert np.allclose(nxt.velocity(x, y, 0.0)[1], q.velocity(x, y, 1.0)[1], atol=1e-13)
 
-    def test_transversal_datum_fixes_w2(self):
-        q = self._quad(w2=0.1, w1c=0.3)
-        spec = glue_sections(q, transversal=(0.9, 1.0))
-        # w(B, 1) = w1 + w2 = 0.9 with w1 = 0.5 gives w2 = 0.4
-        assert abs(spec["w2"] - 0.4) < 1e-13
-
     def test_flat_continuation(self):
         q = self._quad(w2=0.0, w1c=0.0)
-        spec = glue_sections(q)
-        nxt = self._next(q, spec)
+        nxt = self._next(q)
         x, y = np.array([1.4]), np.array([-0.6])
         assert np.allclose(nxt.velocity(x, y, 0.0)[0], q.velocity(x, y, 1.0)[0], atol=1e-14)
-        assert abs(spec["w1_const"] - q.w1) < 1e-14
+        assert nxt.w1 == q.w1
 
     def test_trace_defect_sees_a_missing_shift(self):
-        # a section assembled from the glue data continues q exactly; the
+        # a section assembled from the slope rule continues q exactly; the
         # value rule w1 = w(B, 1) = q.w1 + q.w2 misses the in-plane shift
         # q.w2 of the conj(z) term, a jump of (w2/2)*|z| that trace_defect sees
         q = self._quad(w2=0.1, w1c=0.3)
-        spec = glue_sections(q)
         for w1, glued in ((None, True), (q.w1 + q.w2, False)):
-            du, dv, _ = trace_defect(q, self._next(q, spec, w1), GRID)
+            du, dv, _ = trace_defect(q, self._next(q, w1), GRID)
             assert (max(du, dv) < 1e-12) is glued
 

@@ -66,6 +66,9 @@ MALFORMED = [
     (["sections", 0, "id"], "a\\b", "/sections/0/id", "section id must be a plain file name"),
     (["sections", 0, "id"], ".", "/sections/0/id", "section id must be a plain file name"),
     (["sections", 0, "id"], "..", "/sections/0/id", "section id must be a plain file name"),
+    # the section directory would take the report's place beside it
+    (["sections", 0, "id"], "report.json", "/sections/0/id",
+     "section id report.json is the report's file name"),
     # bools are ints to Python, not to the config
     (["sections", 0, "degree"], True, "/sections/0/degree", "degree must be 1 or 2"),
     (["sections", 0, "degree"], 1.0, "/sections/0/degree", "degree must be 1 or 2"),
@@ -179,6 +182,53 @@ def test_non_finite_config_number_exits_2(design, tmp_path, caplog, updates, poi
     assert cli.main(["solve", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert f"{pointer}: expected a finite number" in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+def _datum(w_ref, h_ref):
+    return {"from_transversal": {"w_ref": w_ref, "h_ref": h_ref}}
+
+
+NON_FINITE_CONSTANTS = {
+    # degree, first section's w1 and w2, second section's w1 (None: no second
+    # section), the reported pointer and message
+    "chained datum, h_ref**2 underflows":
+        (2, 0.05, 0.1, _datum(0.2, 1e-200), "/sections/1/w1/from_transversal",
+         "cannot solve for w2: float division by zero"),
+    "chained datum, w2 overflows":
+        (2, 0.05, 0.1, _datum(1e308, 1e-10), "/sections/1/w1/from_transversal",
+         "w2 = inf is not a finite number"),
+    "chain rule overflows":
+        (2, 0.05, 1e308, 0.0, "/sections/1/w1", "w1 = inf is not a finite number"),
+    "chain rule overflows before the datum":
+        (2, 0.05, 1e308, _datum(0.2, 1.0), "/sections/1/w1", "w1 = inf is not a finite number"),
+    "degree-1 datum overflows":
+        (1, _datum(1e300, 1e-300), None, None, "/sections/0/w1/from_transversal",
+         "w1 = inf is not a finite number"),
+    "degree-1 datum, h_ref**2 overflows":
+        (1, _datum(0.1, 1e200), None, None, "/sections/0/w1/from_transversal",
+         "cannot solve for w1:"),
+}
+
+
+@pytest.mark.parametrize("degree, w1, w2, next_w1, pointer, message",
+                         NON_FINITE_CONSTANTS.values(), ids=NON_FINITE_CONSTANTS)
+def test_non_finite_transversal_constant_exits_2(design, tmp_path, caplog, degree, w1, w2,
+                                                 next_w1, pointer, message):
+    # the constants are resolved at parse time: a run whose w1 or w2 is not a
+    # finite number is refused there with a pointer and writes nothing
+    cfg = json.loads(json.dumps(design))
+    first = cfg["sections"][0]
+    first.update(degree=degree, w1=w1)
+    if w2 is not None:
+        first["w2"] = w2
+    if next_w1 is not None:
+        cfg["sections"].append({**first, "id": "s1", "w1": next_w1})
+        del cfg["sections"][1]["w2"]
+    config = _write_config(tmp_path, cfg)
+    written = sorted(os.listdir(tmp_path))
+    assert cli.main(["solve", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert f"{pointer}: {message}" in caplog.text
+    assert sorted(os.listdir(tmp_path)) == written
 
 
 # for this design the lift score is largest just past the box's edge x1 = 0.5

@@ -1,11 +1,13 @@
 """End-to-end pipeline runs on oracle data: a chain of degree-2 sections."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
-from bladekit import assembly, pipeline
-from bladekit.config import parse_config_dict
+from bladekit import assembly
+from bladekit.config import datum_rule, parse_config_dict
 from bladekit.pipeline import GLUE_TOL, _residual_grid, run_pipeline
 from bladekit.planefield import SeriesMap
 
@@ -70,17 +72,18 @@ class TestDegree2Chain:
             assert check.tolerance == 1e-8 and check.passed is True
             assert check.value < 1e-8
 
-    def test_zero_shift_breaks_the_glue(self, chain_report, monkeypatch):
+    def test_zero_shift_breaks_the_glue(self):
         # negative control: chained by the value rule w1 = w(B, 1), without
         # the in-plane shift prev.w2 of the conj(z) term, a chained section
         # no longer continues the one below it, and the report fails
-        def value_rule(first, transversal=None):
-            w1 = first.w1 + first.w2
-            w2 = 0.0 if transversal is None else assembly.datum_rule(*transversal, w1=w1)
-            return {"w1_const": w1, "w2": w2}
-
-        monkeypatch.setattr(pipeline, "glue_sections", value_rule)
-        report = run_pipeline(_chain_config())
+        cfg = _chain_config()
+        sections = list(cfg.sections)
+        for k in range(1, len(sections)):
+            prev = sections[k - 1]
+            w1 = prev.w1 + prev.w2
+            w2 = datum_rule(**CHAIN[k][4]["from_transversal"], w1=w1)
+            sections[k] = dataclasses.replace(sections[k], w1=w1, w2=w2)
+        report = run_pipeline(dataclasses.replace(cfg, sections=tuple(sections)))
         assert not report.passed
         for prev, sec in zip(report.sections, report.sections[1:]):
             assert sec.lower.w1 - sec.w1 == pytest.approx(prev.field.w2) != 0.0
