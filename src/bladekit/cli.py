@@ -6,6 +6,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 
 import numpy as np
@@ -61,6 +62,9 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+# numbers near the float range overflow in differences and squares: refused,
+# naming the file while it is read
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _cmd_position(args) -> int:
     contours = []
     velocities = []
@@ -72,7 +76,7 @@ def _cmd_position(args) -> int:
         except UnicodeDecodeError as exc:
             line = raw[:exc.start].count(b"\n") + 1
             raise BladekitError(f"{path}: line {line}: not UTF-8 text") from None
-        except BladekitError as exc:
+        except (BladekitError, FloatingPointError) as exc:
             raise BladekitError(f"{path}: {exc}") from None
         contours.append(contour)
         velocities.append(vel)
@@ -89,7 +93,10 @@ def _cmd_position(args) -> int:
             )
         return tuple(args.box), NodePartition(args.partition, np.abs(v1), np.abs(v2))
 
-    shift = position(*contours, args.method, args.spacing, lift_inputs)
+    try:
+        shift = position(*contours, args.method, args.spacing, lift_inputs)
+    except FloatingPointError as exc:
+        raise BladekitError(f"{args.method} positioning: {exc}") from None
     text = json.dumps(shift.to_json(), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -124,6 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pos.add_argument("--spacing", type=float, default=AREA_SPACING)
     p_pos.add_argument("--out", default=None, help="write the shift JSON here")
     p_pos.set_defaults(func=_cmd_position)
+    # argparse takes a token such as "-1e-05" for an option; no option of this
+    # command starts with "-" and a digit, so every such token is a number
+    p_pos._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -121,26 +121,19 @@ def datum_rule(w_ref: float, h_ref: float, w1: "float | None" = None,
 
     w0 vanishes over the branch point, so this is ``w(B, h_ref) = w_ref``,
     stated in the section's own w.  First sections know w2 and solve for
-    w1; chained sections know w1 and solve for w2.
+    w1; chained sections know w1 and solve for w2.  Dividing by h_ref
+    first forms no h_ref**2, which over- or underflows where the unknown
+    need not.
     """
     if w1 is None:
-        return (w_ref - h_ref**2 * w2) / h_ref
-    return (w_ref - h_ref * w1) / h_ref**2
+        return w_ref / h_ref - h_ref * w2
+    return (w_ref / h_ref - w1) / h_ref
 
 
 def _finite(value: float, pointer: str, name: str) -> float:
     if not math.isfinite(value):
         raise BadValue(pointer, f"{name} = {value!r} is not a finite number")
     return value
-
-
-def _solve_datum(datum: "tuple[float, float]", pointer: str, name: str, **known) -> float:
-    """`datum_rule` for the constant ``name``, refused at ``pointer`` unless finite."""
-    try:
-        value = datum_rule(*datum, **known)
-    except (OverflowError, ZeroDivisionError) as exc:  # h_ref**2 beyond the float range
-        raise BadValue(pointer, f"cannot solve for {name}: {exc}") from None
-    return _finite(value, pointer, name)
 
 
 def parse_config(path: str) -> DesignConfig:
@@ -206,9 +199,9 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
             prev = sections[-1]
             w1 = _finite(prev.w1 + 2.0 * prev.w2, f"{ptr}/w1", "w1")
             if datum is not None:
-                w2 = _solve_datum(datum, datum_ptr, "w2", w1=w1)
+                w2 = _finite(datum_rule(*datum, w1=w1), datum_ptr, "w2")
         elif datum is not None:
-            w1 = _solve_datum(datum, datum_ptr, "w1", w2=w2)
+            w1 = _finite(datum_rule(*datum, w2=w2), datum_ptr, "w1")
         sections.append(SectionConfig(sid, degree, lower, upper, w1, w2))
     if len(degrees) > 1:
         raise BadValue("/sections", "degree must be uniform across sections")

@@ -131,7 +131,8 @@ def contour_from_csv(text: str) -> tuple[Contour, np.ndarray | None]:
         raise BladekitError("empty contour file")
     header = [h.strip().lower() for h in lines[0][1].split(",")]
     if header[:3] != ["index", "x", "y"]:
-        raise BladekitError(f"expected header 'index,x,y', got {lines[0][1]!r}")
+        raise BladekitError(f"line {lines[0][0]}: expected header 'index,x,y', "
+                            f"got {lines[0][1]!r}")
     width = 4 if len(header) > 3 and header[3] == "v" else 3
     pts, vel = [], []
     for lineno, ln in lines[1:]:

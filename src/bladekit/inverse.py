@@ -165,9 +165,6 @@ class VelocityDistribution:
         v = np.concatenate([self.speeds, [self.speeds[0]]])
         return PeriodicCubic.interpolate(s, v)
 
-    def speed_at(self, s) -> np.ndarray:
-        return self._speed_spline(s)
-
     def potential_at(self, s) -> np.ndarray:
         """Smooth running integral of the speed, unwrapped over periods."""
         return self._speed_spline.integral(s)

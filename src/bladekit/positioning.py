@@ -20,7 +20,9 @@ Christiansen, Conn & Overton, SIAM J. Sci. Comput. 22(1), 2000).
 
 The lift score is a difference of two convex sums, so its maximum over a
 box is found by DC branch and bound (Horst & Thoai, "DC programming:
-overview", JOTA 103, 1999) to a stated tolerance; see ``maximize_lift``.
+overview", JOTA 103, 1999) to a stated tolerance.  A cell's bound replaces
+the subtracted sum by its least tangent plane at the five points the cell
+evaluates, each below that sum by convexity; see ``maximize_lift``.
 """
 
 from __future__ import annotations
@@ -163,8 +165,9 @@ def _distance_sums(d: np.ndarray, weights: np.ndarray, shifts: np.ndarray) -> li
     for j in range(0, len(shifts), rows):
         ex, ey = d[:, 0] + shifts[j:j + rows, :1], d[:, 1] + shifts[j:j + rows, 1:]
         r = np.hypot(ex, ey)
-        inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0)   # 0: a subgradient
-        out.append((r @ weights, (ex * inv) @ weights, (ey * inv) @ weights))
+        # 0 where r = 0 is a subgradient; 1 / r would overflow at a subnormal r
+        ux, uy = (np.divide(e, r, out=np.zeros_like(r), where=r > 0) for e in (ex, ey))
+        out.append((r @ weights, ux @ weights, uy @ weights))
     return [np.concatenate(col) for col in zip(*out)]
 
 
@@ -180,9 +183,14 @@ def maximize_lift(c1: Contour, c2: Contour, p: NodePartition, box) -> ShiftVecto
     """Maximum of ``lift_score`` over the box (F is unbounded on the plane).
 
     Cells keep their exact endpoints and split at their midpoints.  With
-    ``F = P - N`` over the positive and the negative weights, a cell's bound
-    is the lesser of ``max over corners of (P - tangent plane of N at the
-    centre)`` and ``F(centre) + sum|w_i| * half-diagonal``.  With ``tol =
+    ``F = P - N`` over the positive and the negative weights and ``T_q`` the
+    tangent plane of N at q, a cell's bound is the lesser of ``min over q
+    of max over corners of (P - T_q)``, q its centre or a corner, and
+    ``F(centre) + sum|w_i| * half-diagonal``.  N is convex, so ``T_q <= N``
+    (where ``d_i + q = 0`` the zero gradient is a subgradient of ``|.|``)
+    and ``F <= P - T_q``, a convex function and so largest at a corner.  At
+    q itself ``P - T_q`` is F(q), so a maximum on a corner of the box is
+    certified after few splits.  With ``tol =
     LIFT_RTOL * sum|w_i| * max_i |d_i + s|`` over the box corners, cells
     bounded by the best value + tol/2 are dropped, so the floor is a
     half-diagonal of ``tol / (2 sum|w_i|)``.  Tie rule: the smallest-norm
@@ -212,8 +220,10 @@ def maximize_lift(c1: Contour, c2: Contour, p: NodePartition, box) -> ShiftVecto
         pnv, gx, gy = (a.reshape(len(cells), 5, 2) for a in _distance_sums(d, pn, pts[-1]))
         vals.append((pnv @ (1.0, -1.0)).ravel())
         best = max(best, float(vals[-1].max()))
-        tangent = pnv[:, :1, 1] + gx[:, :1, 1] * (xs - mx[:, None]) + gy[:, :1, 1] * (ys - my[:, None])
-        bound = np.minimum((pnv[..., 0] - tangent).max(axis=1),
+        # tangent[c, q, k]: N's tangent plane at point q of cell c, at its corner k
+        tangent = (pnv[..., 1, None] + gx[..., 1, None] * (xs[:, None, 1:] - xs[..., None])
+                   + gy[..., 1, None] * (ys[:, None, 1:] - ys[..., None]))
+        bound = np.minimum((pnv[:, None, 1:, 0] - tangent).max(axis=2).min(axis=1),
                            vals[-1][::5] + 0.5 * lip * np.hypot(cx1 - cx0, cy1 - cy0))
         alive = (bound > best + eps) & (cx0 < mx) & (mx < cx1) & (cy0 < my) & (my < cy1)
         alive[np.argsort(np.where(alive, -bound, np.inf), kind="stable")[_MAX_CELLS:]] = False

@@ -21,6 +21,13 @@ from bladekit.inverse import (
     _with_correction,
     closure_conditions,
 )
+from bladekit.positioning import (
+    _MAX_CELLS,
+    LIFT_RTOL,
+    _distance_sums,
+    _lift_terms,
+    lift_score,
+)
 
 _N_DENSE = 16384
 
@@ -218,6 +225,47 @@ def grid_lift_optimum(c1, c2, p, box) -> tuple[float, float, float]:
     return best
 
 
+def lift_by_centre_tangent(c1, c2, p, box) -> tuple[float, float, float]:
+    """Lift maximum over the box by DC branch and bound: ``(dx, dy, score)``.
+
+    A cell's bound is the lesser of ``max over corners of (P - tangent plane
+    of N at the centre)`` and ``F(centre) + sum|w_i| * half-diagonal``;
+    tolerance, tie rule, midpoint splits and the level cap are those of
+    `positioning.maximize_lift`.  This was that function before it bounded
+    cells by the tangent planes of N at all five evaluated points.
+    """
+    d, w = _lift_terms(c1, c2, p)
+    x0, y0, x1, y1 = map(float, box)
+    pn = np.column_stack([np.maximum(w, 0.0), np.maximum(-w, 0.0)])
+    lip = float(np.abs(w).sum())
+    reach = np.hypot(d[:, :1] + [x0, x1, x0, x1], d[:, 1:] + [y0, y0, y1, y1]).max()
+    eps = 0.5 * LIFT_RTOL * lip * reach
+    pts = [np.array([[min(max(0.0, x0), x1), min(max(0.0, y0), y1)]])]
+    vals = [_distance_sums(d, pn, pts[0])[0] @ (1.0, -1.0)]
+    best = float(vals[0][0])
+    cells = np.array([[x0, x1, y0, y1]])
+    while len(cells):
+        cx0, cx1, cy0, cy1 = cells.T
+        mx, my = 0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1)
+        xs = np.column_stack([mx, cx0, cx1, cx0, cx1])
+        ys = np.column_stack([my, cy0, cy0, cy1, cy1])
+        pts.append(np.column_stack([xs.ravel(), ys.ravel()]))
+        pnv, gx, gy = (a.reshape(len(cells), 5, 2) for a in _distance_sums(d, pn, pts[-1]))
+        vals.append((pnv @ (1.0, -1.0)).ravel())
+        best = max(best, float(vals[-1].max()))
+        tangent = pnv[:, :1, 1] + gx[:, :1, 1] * (xs - mx[:, None]) + gy[:, :1, 1] * (ys - my[:, None])
+        bound = np.minimum((pnv[..., 0] - tangent).max(axis=1),
+                           vals[-1][::5] + 0.5 * lip * np.hypot(cx1 - cx0, cy1 - cy0))
+        alive = (bound > best + eps) & (cx0 < mx) & (mx < cx1) & (cy0 < my) & (my < cy1)
+        alive[np.argsort(np.where(alive, -bound, np.inf), kind="stable")[_MAX_CELLS:]] = False
+        ends = np.column_stack([cx0, mx, cx1, cy0, my, cy1])[alive]
+        cells = np.concatenate([ends[:, [i, i + 1, j, j + 1]] for j in (3, 4) for i in (0, 1)])
+    pts, vals = np.concatenate(pts), np.concatenate(vals)
+    norms = np.where(vals >= best - eps, np.hypot(*pts.T), np.inf)
+    dx, dy = (float(v) for v in pts[np.argmin(norms)])
+    return dx, dy, lift_score(c1, c2, p, (dx, dy))
+
+
 def _strip_cross_products(c1, c2, spacing, shift) -> np.ndarray:
     """Per triangle of the strip, the 3D cross product of its two edges from its
     first vertex: c1 moved by the shift in h = 0, c2 in h = spacing, triangles
@@ -379,6 +427,12 @@ def s_of_gamma_by_bisection(corr, gamma) -> np.ndarray:
         targ = phi(s_b) + tau * corr.delta_minus
         out[~rising] = _bisect_monotone(phi, s_b, s_a + L, targ)
     return np.mod(out, L)
+
+
+def speed_at(d: VelocityDistribution, s) -> np.ndarray:
+    """A distribution's periodic speed spline at the arc positions s; this was
+    `VelocityDistribution.speed_at`, which the library itself never called."""
+    return d._speed_spline(s)
 
 
 def speed_spline_by_scipy(d: VelocityDistribution):

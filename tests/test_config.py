@@ -78,6 +78,13 @@ class TestChainRule:
         consts = _constants(1, [0.05, _datum(0.3, 2.0), -0.1])
         assert consts == [(0.05, 0.0), (0.15, 0.0), (-0.1, 0.0)]
 
+    def test_datum_past_the_square_of_h_ref(self):
+        # h_ref * w1 = 1e350 and h_ref**2 = 4e308 leave the float range; the
+        # constants they solve for do not
+        _, (w1, w2) = _constants(2, [1e250, _datum(0.1, 1e100)], w2=0.0)
+        assert w1 == 1e250 and w2 == -1e150
+        assert _constants(1, [_datum(1.0, 2e154)]) == [(5e-155, 0.0)]
+
     def test_chained_w1_is_still_type_checked(self):
         with pytest.raises(BadValue) as err:
             _constants(2, [0.05, "0.1"], w2=0.1)

@@ -34,6 +34,7 @@ from oracles import (
     quasisolution_by_fd_newton,
     s_of_gamma_by_bisection,
     smooth_map,
+    speed_at,
     step_distribution,
 )
 
@@ -131,7 +132,7 @@ class TestPotential:
         L = d.total_length
         ends = np.array([L - 1e-12, L + 1e-12])
         assert abs(np.diff(d.potential_at(ends))[0]) < 1e-11
-        assert abs(np.diff(d.speed_at(ends))[0]) < 1e-11
+        assert abs(np.diff(speed_at(d, ends))[0]) < 1e-11
         assert abs(d.circulation_smooth - cyl_dist.circulation_smooth) < 1e-12
 
     def test_monotone_violation(self):
@@ -259,7 +260,7 @@ class TestCorrespondence:
         # the stop's 4 ulp, two quartic evaluations of ~2 ulp each (the
         # solver's and potential_at's), and rounding s to a float
         scale = max(np.max(np.abs(arc.values)) for arc in arcs)
-        tol = 8 * np.spacing(scale) + 2 * np.abs(d.speed_at(s_arc)) * np.spacing(s_arc)
+        tol = 8 * np.spacing(scale) + 2 * np.abs(speed_at(d, s_arc)) * np.spacing(s_arc)
         assert np.all(np.abs(d.potential_at(s_arc) - target) <= tol)
 
     def test_overshooting_spline_matches_bisection(self):
@@ -268,7 +269,7 @@ class TestCorrespondence:
         # still falls from knot to knot
         d = step_distribution(v1=0.9, v33=-0.002, v34=-1.0)
         ss = np.linspace(np.pi, 2 * np.pi, 4097)
-        assert np.max(d.speed_at(ss)) > 0.04
+        assert np.max(speed_at(d, ss)) > 0.04
         corr = canonical_map(d)
         for n in (64, 256, 1024, 4096):
             g = gauge_nodes(corr, n)
@@ -304,7 +305,7 @@ class TestCorrespondence:
             y = arc.values[0] + frac * (arc.values[-1] - arc.values[0])
             s = arc.solve(y)
             tol = (8 * np.spacing(np.max(np.abs(arc.values)))
-                   + 2 * np.abs(d.speed_at(s)) * np.spacing(s))
+                   + 2 * np.abs(speed_at(d, s)) * np.spacing(s))
             assert np.all(np.abs(d.potential_at(s) - y) <= tol)
 
     def test_unconverged_points_raise(self, jouk_dist, monkeypatch):

@@ -22,8 +22,22 @@ from bladekit.positioning import (
 from oracles import (
     area_shift_by_nelder_mead,
     grid_lift_optimum,
+    lift_by_centre_tangent,
     strip_area_lower_bound,
 )
+
+
+def count_shifts(monkeypatch) -> list:
+    """Count the shifts `positioning._distance_sums` evaluates from now on."""
+    count = [0]
+    evaluate = positioning._distance_sums
+
+    def counted(d, weights, shifts):
+        count[0] += len(shifts)
+        return evaluate(d, weights, shifts)
+
+    monkeypatch.setattr(positioning, "_distance_sums", counted)
+    return count
 
 
 def circle(n, r=1.0, center=(0.0, 0.0)):
@@ -246,6 +260,13 @@ class TestLiftScore:
         s_m = lift_score(c1, c2, p_low, (0.0, -0.2))
         assert abs(s + s_m) < 1e-12
 
+    def test_unit_gradient_at_a_subnormal_distance(self):
+        # |d_i + s| = 1e-320: each term's gradient is still the unit vector
+        s = np.array([[1e-320, 0.0], [0.0, -1e-320]])
+        values, gx, gy = positioning._distance_sums(np.zeros((3, 2)), np.ones((3, 1)), s)
+        assert values.ravel().tolist() == [3e-320, 3e-320]
+        assert gx.ravel().tolist() == [3.0, 0.0] and gy.ravel().tolist() == [0.0, -3.0]
+
     def test_continuity_in_shift(self):
         c1, c2 = circle(32), circle(32, r=0.5)
         p = NodePartition(16, np.ones(32), 2 * np.ones(32))
@@ -288,6 +309,18 @@ class TestMaximizeLift:
         s = maximize_lift(c1, c2, p, (-0.4, -0.4, 0.4, 0.4))
         on_boundary = (abs(abs(s.dx) - 0.4) < 1e-6) or (abs(abs(s.dy) - 0.4) < 1e-6)
         assert on_boundary
+
+    def test_box_corner_optimum_needs_few_shifts(self, monkeypatch):
+        # the maximum sits on a box corner: the tangent planes of N at the
+        # corners certify it after one split, where the centre tangent alone
+        # needs cells of ~1e-6 (345 shifts over 16 levels)
+        n = 1024
+        c1, c2 = circle(n), circle(n, r=0.6)
+        p = NodePartition(n - 1, np.ones(n), np.ones(n))
+        count = count_shifts(monkeypatch)
+        s = maximize_lift(c1, c2, p, (-0.4, -0.4, 0.4, 0.4))
+        assert (s.dx, s.dy) == (-0.4, 0.4)
+        assert count[0] <= 64
 
     def test_far_corner_stays_in_box(self):
         # congruent contours and lower-surface weights only: the score is
@@ -339,15 +372,18 @@ class TestMaximizeLift:
         assert (s.dx, s.dy) == (0.5, 0.25)
         assert abs(s.objective - lift_score(c1, c2, p, (0.5, -0.75))) < 1e-14
 
-    def test_flat_score_returns_smallest_norm_point(self):
+    def test_flat_score_returns_smallest_norm_point(self, monkeypatch):
         # congruent contours with weights summing to zero: F vanishes on the
         # box up to rounding, but the bounds stay loose around the cone point
         # of N at (0.3, 0.1), so the level cap has to end the search
         c = circle(16)
         p = NodePartition(8, 0.5 * np.ones(16), 0.5 * np.ones(16))
+        count = count_shifts(monkeypatch)
         s = maximize_lift(c, Contour(c.points + (0.3, 0.1)), p, (-0.5, -0.5, 0.5, 0.5))
         assert (s.dx, s.dy) == (0.0, 0.0)
         assert abs(s.objective) < 1e-14
+        # the origin, 5 shifts per cell over 41 capped levels, the final score
+        assert count[0] <= 1 + 5 * 32749 + 1
 
 
 def _contour(points):
@@ -372,6 +408,15 @@ def lift_problems(draw):
     return c1, c2, p, (x0, y0, x0 + wx, y0 + wy)
 
 
+def lift_tolerance(c1, c2, p, box) -> float:
+    """``LIFT_RTOL * sum|w_i| * max_i |d_i + s|`` over the box corners."""
+    x0, y0, x1, y1 = box
+    d = c1.points - c2.points
+    corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
+    reach = max(np.hypot(*(d + c).T).max() for c in corners)
+    return LIFT_RTOL * np.abs(p.v1 + p.v2).sum() * reach
+
+
 class TestLiftAgainstGrid:
     @given(lift_problems())
     def test_never_below_grid_optimum(self, problem):
@@ -381,11 +426,16 @@ class TestLiftAgainstGrid:
         assert x0 <= s.dx <= x1 and y0 <= s.dy <= y1
         assert s.objective == lift_score(c1, c2, p, (s.dx, s.dy))
         score, _, _ = grid_lift_optimum(c1, c2, p, box)
-        d = c1.points - c2.points
-        corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
-        reach = max(np.hypot(*(d + c).T).max() for c in corners)
-        tol = LIFT_RTOL * np.abs(p.v1 + p.v2).sum() * reach
-        assert s.objective >= score - tol
+        assert s.objective >= score - lift_tolerance(c1, c2, p, box)
+
+    @given(lift_problems())
+    def test_never_below_centre_tangent_oracle(self, problem):
+        c1, c2, p, box = problem
+        s = maximize_lift(c1, c2, p, box)
+        x0, y0, x1, y1 = box
+        assert x0 <= s.dx <= x1 and y0 <= s.dy <= y1
+        _, _, score = lift_by_centre_tangent(c1, c2, p, box)
+        assert s.objective >= score - lift_tolerance(c1, c2, p, box)
 
 
 class TestShiftVector:
