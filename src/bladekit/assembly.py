@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Point2
 from .harmonic import evaluate_series
 from .planefield import Pullback
 
@@ -122,7 +121,7 @@ class SplineField:
     upper_primitive: Pullback
     w1: float
     w2: float
-    branch_point: Point2
+    branch_point: complex
     absorbed: float
     w0_anchor: float = 0.0
 
@@ -153,7 +152,7 @@ class SplineField:
         return self.spline(z, self.planes(self.zetas(z)), h)
 
 
-def assemble(lower: Pullback, upper: Pullback, w1: float, B: Point2,
+def assemble(lower: Pullback, upper: Pullback, w1: float, B: complex,
              w2: float = 0.0) -> SplineField:
     """Build the spline between the planes h = 0 (``lower``) and h = 1 (``upper``).
 
@@ -161,12 +160,11 @@ def assemble(lower: Pullback, upper: Pullback, w1: float, B: Point2,
     so ``w(B, h)`` is exactly ``h*w1 + h^2*w2``.  The primitives hold B
     inverted on each map, so the anchor needs no inversion of its own.
     """
-    zb = complex(B.x, B.y)
-    w1, w2 = float(w1), float(w2)
-    lo, up = lower.primitive(zb), upper.primitive(zb)
+    B, w1, w2 = complex(B), float(w1), float(w2)
+    lo, up = lower.primitive(B), upper.primitive(B)
     fld = SplineField(lower, upper, lo, up, w1, w2, B, w1)
     planes = fld.planes((lo.zeta_ref, up.zeta_ref))
-    return replace(fld, w0_anchor=float(fld.spline(np.asarray(zb), planes, 0.0)[2]))
+    return replace(fld, w0_anchor=float(fld.spline(np.asarray(B), planes, 0.0)[2]))
 
 
 def field_residuals(field: SplineField, grid: GridSpec) -> FieldResiduals:

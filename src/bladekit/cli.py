@@ -62,9 +62,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-# numbers near the float range overflow in differences and squares: refused,
-# naming the file while it is read
-@np.errstate(over="raise", invalid="raise", divide="raise")
 def _cmd_position(args) -> int:
     contours = []
     velocities = []
@@ -72,7 +69,10 @@ def _cmd_position(args) -> int:
         with open(path, "rb") as fh:
             raw = fh.read()
         try:
-            contour, vel = contour_from_csv(raw.decode("utf-8"))
+            # numbers near the float range overflow in edge lengths: refused,
+            # naming the file
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                contour, vel = contour_from_csv(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
             line = raw[:exc.start].count(b"\n") + 1
             raise BladekitError(f"{path}: line {line}: not UTF-8 text") from None
@@ -93,10 +93,7 @@ def _cmd_position(args) -> int:
             )
         return tuple(args.box), NodePartition(args.partition, np.abs(v1), np.abs(v2))
 
-    try:
-        shift = position(*contours, args.method, args.spacing, lift_inputs)
-    except FloatingPointError as exc:
-        raise BladekitError(f"{args.method} positioning: {exc}") from None
+    shift = position(*contours, args.method, args.spacing, lift_inputs)
     text = json.dumps(shift.to_json(), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -86,9 +86,12 @@ def _read_json(path: str, pointer: str):
 def _load_distribution(value, pointer: str, base_dir: str) -> VelocityDistribution:
     if isinstance(value, str):
         path = value if os.path.isabs(value) else os.path.join(base_dir, value)
-        if not os.path.exists(path):
-            raise BadValue(pointer, f"file not found: {path}")
-        value = _read_json(path, pointer)
+        try:
+            value = _read_json(path, pointer)
+        except FileNotFoundError:
+            raise BadValue(pointer, f"file not found: {path}") from None
+        except OSError as exc:      # a directory, no read permission
+            raise BadValue(pointer, f"cannot read {path}: {exc.strerror}") from None
     if not isinstance(value, dict):
         raise BadValue(pointer, "expected a distribution object or a file path")
     for key in ("samples", "total_length", "branch_indices", "v_inf"):

@@ -1,26 +1,15 @@
-"""Planar contours, resampling, ruled-strip areas, and contour CSV files."""
+"""Planar contours, resampling, and contour CSV files."""
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import BladekitError, CountMismatch, DegenerateContour
+from .errors import BladekitError, DegenerateContour
 
 _EDGE_EPS = 1e-14
-
-
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise BladekitError("point coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -67,49 +56,6 @@ def resample_uniform(c: Contour, n: int) -> Contour:
     x = np.interp(targets, table, pts[:, 0])
     y = np.interp(targets, table, pts[:, 1])
     return Contour(np.column_stack([x, y]))
-
-
-@dataclass(frozen=True)
-class RuledTriangulation:
-    """Strip between two stacked contours, split into the 2n standard triangles.
-
-    Triangle ``D1[i]`` uses (lower i, lower i+1, upper i) and ``D2[i]`` uses
-    (upper i, upper i+1, lower i+1), indices modulo n, with the lower contour
-    in the plane h = 0 and the upper one in h = spacing.
-    """
-
-    lower: Contour
-    upper: Contour
-    spacing: float
-
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper):
-            raise CountMismatch(
-                f"contours have {len(self.lower)} and {len(self.upper)} nodes"
-            )
-        if not 0 < self.spacing < np.inf:
-            raise BladekitError("plane spacing must be positive and finite")
-
-    @cached_property
-    def affine_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(a, b, n)``: twice triangle i's area with the upper contour moved by
-        t is ``hypot(a_i, b_i + n_i . t)``.  Its edge e_i inside one contour
-        stays put, so with ``n_i = (-e_iy, e_ix)`` its cross product is
-        ``(spacing * n_i, n_i . (d_i + t))`` up to signs, d_i running from the
-        lower node to the upper: ``up_i - lo_i`` (D1), ``up_i - lo_{i+1}`` (D2).
-        """
-        lo, up = self.lower.points, self.upper.points
-        lo_next = np.roll(lo, -1, axis=0)
-        e = np.concatenate([lo_next - lo, np.roll(up, -1, axis=0) - up])
-        d = np.concatenate([up - lo, up - lo_next])
-        n = np.column_stack([-e[:, 1], e[:, 0]])
-        return self.spacing * np.hypot(*e.T), np.einsum("ij,ij->i", n, d), n
-
-
-def ruled_surface_area(t: RuledTriangulation, shift: tuple[float, float] = (0.0, 0.0)) -> float:
-    """Total area of the ruled strip with the upper contour translated by shift."""
-    a, b, n = t.affine_terms
-    return 0.5 * float(np.hypot(a, b + n @ np.asarray(shift, dtype=float)).sum())
 
 
 # -- CSV interchange --------------------------------------------------------

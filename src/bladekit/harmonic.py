@@ -30,25 +30,6 @@ def _is_power_of_two(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class BoundarySamples:
-    """Real or complex samples at the n equispaced circle angles."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if not np.all(np.isfinite(values)):
-            raise BladekitError("boundary samples must be finite")
-        object.__setattr__(self, "values", values)
-        n = len(values)
-        if n < 8 or not _is_power_of_two(n):
-            raise BladekitError(f"sample count must be a power of two >= 8, got {n}")
-
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values)
-
-
-@dataclass(frozen=True)
 class AnalyticSeries:
     """Finite Laurent series ``sum_k c_k zeta**k`` for k in [low, low+len-1].
 
@@ -241,17 +222,23 @@ def boundary_values(f: AnalyticSeries, n: int) -> np.ndarray:
     return np.fft.ifft(spectrum) * n
 
 
-def analytic_from_real_boundary(re: BoundarySamples) -> AnalyticSeries:
-    """Exterior Schwarz operator: series in powers <= 0 whose boundary real part matches.
+def analytic_from_real_boundary(values) -> AnalyticSeries:
+    """Exterior Schwarz operator: series in powers <= 0 whose real part matches
+    the real samples ``values`` at the n equispaced circle angles.
 
     Truncates at n/2 - 1 harmonics (the Nyquist sine is not observable on
     the grid); the imaginary part has zero mean, i.e. Im c_0 = 0.  The
     exterior problem is the interior one for angle-reversed data.
     """
-    if not re.is_real():
-        raise BladekitError("Schwarz data must be real")
-    values = np.roll(re.values[::-1], 1)       # gamma -> -gamma on the grid
+    values = np.asarray(values)
+    if not np.all(np.isfinite(values)):
+        raise BladekitError("boundary samples must be finite")
     n = len(values)
+    if n < 8 or not _is_power_of_two(n):
+        raise BladekitError(f"sample count must be a power of two >= 8, got {n}")
+    if np.iscomplexobj(values):
+        raise BladekitError("Schwarz data must be real")
+    values = np.roll(values[::-1], 1)          # gamma -> -gamma on the grid
     spec = np.fft.rfft(values)
     c = np.empty(n // 2, dtype=complex)
     c[0] = spec[0].real / n

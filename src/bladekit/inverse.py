@@ -45,7 +45,6 @@ from .errors import (
 from .geometry import Contour
 from .harmonic import (
     AnalyticSeries,
-    BoundarySamples,
     analytic_from_real_boundary,
     boundary_values,
     differentiate_boundary,
@@ -497,7 +496,7 @@ def solve_zhukovsky(corr: CircleCorrespondence, n: int) -> AnalyticSeries:
                       np.log(corr.delta_plus / corr.deltac_plus),
                       np.log(corr.delta_minus / corr.deltac_minus))
     data = -np.log(sprime) + offset
-    return analytic_from_real_boundary(BoundarySamples(data))
+    return analytic_from_real_boundary(data)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .assembly import (
 )
 from .config import DesignConfig, SectionConfig
 from .errors import BladekitError
-from .geometry import Contour, Point2, contour_to_csv
+from .geometry import Contour, contour_to_csv
 from .harmonic import boundary_values
 from .inverse import PlanarSolution, solve_distribution
 from .planefield import Pullback
@@ -171,9 +171,7 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
     sol_up = solve_distribution(section.upper, n, z_start=0.0, w1=w1 + 2.0 * w2)
     involved.append(sol_up.contour)
 
-    zb = sol_lo.z_start
-    fld = assemble(_pullback_field(sol_lo), _pullback_field(sol_up),
-                   w1, Point2(zb.real, zb.imag), w2)
+    fld = assemble(_pullback_field(sol_lo), _pullback_field(sol_up), w1, sol_lo.z_start, w2)
     grid = _residual_grid(involved)
     residuals = field_residuals(fld, grid)
     pos = cfg.positioning

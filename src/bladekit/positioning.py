@@ -12,7 +12,7 @@ the translation between them).
 
 The strip area is a convex sum of Euclidean norms: with the upper contour
 translated by t, twice a triangle's area is ``hypot(a_i, b_i + n_i . t)``
-(``RuledTriangulation.affine_terms``), smooth as every ``a_i > 0``.  Since
+(``_strip_terms``), smooth as every ``a_i > 0``.  Since
 ``hypot(a, r) >= a sqrt(1 - w^2) + r w`` for ``|w| <= 1``, any w with
 ``sum w_i n_i = 0`` gives the lower bound ``sum (a_i sqrt(1 - w_i^2) +
 b_i w_i) / 2`` on the minimum, whose gap to the area certifies it (Andersen,
@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BladekitError, CountMismatch, OptimizerFailed
-from .geometry import Contour, RuledTriangulation, ruled_surface_area
+from .geometry import Contour
 
 METHODS = ("lsq", "area", "lift")    # the first is the default
 LIFT_RTOL = 1e-12       # lift maximum, relative to sum|w_i| * max_i |d_i + s|
@@ -102,10 +102,32 @@ def least_squares_shift(c1: Contour, c2: Contour) -> ShiftVector:
     return ShiftVector(dx, dy, lsq_objective(c1, c2, (dx, dy)), "lsq")
 
 
+def _strip_terms(lower: Contour, upper: Contour, spacing: float):
+    """``(a, b, n)``: the strip between ``lower`` in the plane h = 0 and ``upper``
+    in h = spacing splits into 2n triangles, (lower i, lower i+1, upper i) and
+    (upper i, upper i+1, lower i+1) with indices modulo n, and twice triangle
+    i's area with the upper contour moved by t is ``hypot(a_i, b_i + n_i . t)``.
+    Its edge e_i inside one contour stays put, so with ``n_i = (-e_iy, e_ix)``
+    its cross product is ``(spacing * n_i, n_i . (d_i + t))`` up to signs, d_i
+    running from the lower node to the upper: ``up_i - lo_i`` in the first
+    triangles, ``up_i - lo_{i+1}`` in the second.
+    """
+    _check_counts(lower, upper)
+    if not 0 < spacing < np.inf:
+        raise BladekitError("plane spacing must be positive and finite")
+    lo, up = lower.points, upper.points
+    lo_next = np.roll(lo, -1, axis=0)
+    e = np.concatenate([lo_next - lo, np.roll(up, -1, axis=0) - up])
+    d = np.concatenate([up - lo, up - lo_next])
+    n = np.column_stack([-e[:, 1], e[:, 0]])
+    return spacing * np.hypot(*e.T), np.einsum("ij,ij->i", n, d), n
+
+
 def area_objective(c1: Contour, c2: Contour, spacing: float, shift) -> float:
     """Ruled-strip area between c1 moved by the shift and c2."""
+    a, b, n = _strip_terms(c1, c2, spacing)
     # moving the lower contour by s equals moving the upper one by -s
-    return ruled_surface_area(RuledTriangulation(c1, c2, spacing), -np.asarray(shift, dtype=float))
+    return 0.5 * float(np.hypot(a, b + n @ -np.asarray(shift, dtype=float)).sum())
 
 
 def minimize_area_shift(c1: Contour, c2: Contour, spacing: float) -> ShiftVector:
@@ -117,7 +139,7 @@ def minimize_area_shift(c1: Contour, c2: Contour, spacing: float) -> ShiftVector
     is ``v = r / hypot(a, r)``, ``r = b + n t``, projected onto
     ``sum w_i n_i = 0`` and scaled into [-1, 1]: at the minimum it is v.
     """
-    a, b, n = RuledTriangulation(c1, c2, spacing).affine_terms
+    a, b, n = _strip_terms(c1, c2, spacing)
     lsq = least_squares_shift(c1, c2)
     t = -np.array([lsq.dx, lsq.dy])
     project = np.linalg.pinv(n.T @ n)
@@ -242,13 +264,20 @@ def position(c1: Contour, c2: Contour, method: str, spacing: float,
     ``spacing`` is the plane spacing of the area method.  ``lift_inputs()``
     returns the box and node partition of the lift method and is called for
     it alone, so callers derive node speeds, or refuse their absence, only
-    when lift needs them.
+    when lift needs them.  A floating-point overflow, invalid operation or
+    division by zero is refused, naming the method, instead of being carried
+    into the shift.
     """
-    if method == "lsq":
-        return least_squares_shift(c1, c2)
-    if method == "area":
-        return minimize_area_shift(c1, c2, spacing)
+    if method not in METHODS:
+        raise BladekitError(f"unknown method {method!r}")
     if method == "lift":
         box, partition = lift_inputs()
-        return maximize_lift(c1, c2, partition, box)
-    raise BladekitError(f"unknown method {method!r}")
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if method == "lsq":
+                return least_squares_shift(c1, c2)
+            if method == "area":
+                return minimize_area_shift(c1, c2, spacing)
+            return maximize_lift(c1, c2, partition, box)
+    except FloatingPointError as exc:
+        raise BladekitError(f"{method} positioning: {exc}") from None

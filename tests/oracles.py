@@ -280,7 +280,7 @@ def _strip_cross_products(c1, c2, spacing, shift) -> np.ndarray:
 
 def strip_area_by_cross_products(c1, c2, spacing, shift) -> float:
     """Strip area between c1 moved by the shift and c2, from 3D cross products:
-    the formula `geometry.ruled_surface_area` had before its affine form."""
+    the formula `positioning.area_objective` had before its affine form."""
     return 0.5 * float(np.linalg.norm(_strip_cross_products(c1, c2, spacing, shift), axis=1).sum())
 
 

@@ -14,7 +14,6 @@ from bladekit.assembly import (
     field_residuals,
     trace_defect,
 )
-from bladekit.geometry import Point2
 from bladekit.harmonic import AnalyticSeries
 from bladekit.planefield import Pullback, SeriesMap
 
@@ -46,7 +45,7 @@ def fd_grad(f, x, y):
 class TestCauchyRiemann:
     def test_classical_analytic_pair(self):
         # upper plane i*z gives v = -y, u = x at h = 1
-        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, Point2(2.0, 2.0))
+        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, complex(2.0, 2.0))
         x, y = GRID.plane_nodes()
         assert np.allclose(fld.velocity(x, y, 1.0)[0], x, atol=1e-13)
         assert np.allclose(fld.velocity(x, y, 1.0)[1], -y, atol=1e-13)
@@ -57,7 +56,7 @@ class TestCauchyRiemann:
         # no analytic data: the conj(z) term alone, u = -w1*x/2, v = -w1*y/2,
         # absorbs dw/dh = w1
         w1 = 0.7
-        fld = assemble(ZERO, ZERO, w1, Point2(2.0, 0.0))
+        fld = assemble(ZERO, ZERO, w1, complex(2.0, 0.0))
         x, y = GRID.plane_nodes()
         assert np.allclose(fld.velocity(x, y, 0.4)[0], -0.5 * w1 * x, atol=1e-14)
         assert np.allclose(fld.velocity(x, y, 0.4)[1], -0.5 * w1 * y, atol=1e-14)
@@ -66,7 +65,7 @@ class TestCauchyRiemann:
 
     def test_fd_cross_check(self):
         rng = np.random.default_rng(1)
-        fld = assemble(rand_plane(rng), rand_plane(rng), 0.4, Point2(2.0, 0.0))
+        fld = assemble(rand_plane(rng), rand_plane(rng), 0.4, complex(2.0, 0.0))
         res = field_residuals(fld, GRID)
         assert res.fd_agreement < FD_AGREEMENT_TOL
         assert abs(res.max_div - res.fd_max_div) < 1e-6
@@ -84,7 +83,7 @@ class TestCauchyRiemann:
 class TestComputeW0:
     def test_f1_iz(self):
         # upper plane i*z: u1 = x, v1 = -y, w = (x^2 - y^2)/2, zero at B = (2, 2)
-        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, Point2(2.0, 2.0))
+        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, complex(2.0, 2.0))
         x = np.array([1.3, -1.2, 2.9])
         y = np.array([0.1, 1.4, -0.8])
         assert np.allclose(fld.velocity(x, y, 0.5)[2], (x**2 - y**2) / 2, atol=1e-13)
@@ -92,14 +91,14 @@ class TestComputeW0:
     def test_f1_constant(self):
         # upper plane a + ib: v1 = a, u1 = b, w = b*x + a*y up to its value at B
         a, b = 0.8, -0.3
-        B = Point2(1.5, -0.5)
+        B = complex(1.5, -0.5)
         fld = assemble(ZERO, plane([a + 1j * b]), 0.0, B)
         x, y = np.array([1.4]), np.array([-2.2])
-        assert np.allclose(fld.velocity(x, y, 0.0)[2], b * (x - B.x) + a * (y - B.y), atol=1e-13)
+        assert np.allclose(fld.velocity(x, y, 0.0)[2], b * (x - B.real) + a * (y - B.imag), atol=1e-13)
 
     def test_f1_iz2_harmonic(self):
         # upper plane i*z^2: w = x^3/3 - x*y^2 up to a constant, harmonic
-        B = Point2(2.0, 0.0)
+        B = complex(2.0, 0.0)
         fld = assemble(ZERO, plane([0, 0, 1.0j]), 0.0, B)
         gx, gy = np.meshgrid(np.linspace(1.5, 3.0, 7), np.linspace(-1, 1, 7))
 
@@ -115,7 +114,7 @@ class TestComputeW0:
         # grad w = (du/dh, dv/dh); u and v are linear in h
         rng = np.random.default_rng(10)
         for _ in range(20):
-            fld = assemble(rand_plane(rng), rand_plane(rng), 0.0, Point2(2.0, 0.0))
+            fld = assemble(rand_plane(rng), rand_plane(rng), 0.0, complex(2.0, 0.0))
             x = rng.uniform(1.5, 3.0, 8)
             y = rng.uniform(-1, 1, 8)
             gx, gy = fd_grad(lambda x, y: fld.velocity(x, y, 0.0)[2], x, y)
@@ -127,13 +126,13 @@ class TestComputeW0:
 class TestFixConstant:
     def test_already_zero(self):
         # both primitives vanish at B, so the anchor only removes roundoff
-        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, Point2(2.0, 2.0))
+        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, complex(2.0, 2.0))
         assert fld.velocity(2.0, 2.0, 0.0)[2] == 0.0
         assert abs(fld.w0_anchor) < 1e-14
 
     def test_shift_constant(self):
         # the radial term of w2 is what the anchor shifts: w = -(w2/2)*(|z|^2 - |B|^2)
-        fld = assemble(ZERO, ZERO, 0.0, Point2(2.0, 0.0), w2=0.4)
+        fld = assemble(ZERO, ZERO, 0.0, complex(2.0, 0.0), w2=0.4)
         assert abs(fld.w0_anchor + 0.8) < 1e-14
         assert abs(fld.velocity(2.0, 0.0, 0.0)[2]) < 1e-14
         assert abs(fld.velocity(3.0, 0.0, 0.0)[2] + 1.0) < 1e-14
@@ -141,18 +140,18 @@ class TestFixConstant:
     def test_any_point_lands_below_1e14(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            b = Point2(rng.uniform(1.5, 3.0), rng.uniform(-1, 1))
+            b = complex(rng.uniform(1.5, 3.0), rng.uniform(-1, 1))
             w1, w2 = rng.uniform(-0.5, 0.5, 2)
             fld = assemble(rand_plane(rng), rand_plane(rng), w1, b, w2)
-            assert abs(fld.velocity(b.x, b.y, 0.0)[2]) < 1e-14
-            assert fld.velocity(b.x, b.y, 1.0)[2] == fld.w1 + fld.w2
+            assert abs(fld.velocity(b.real, b.imag, 0.0)[2]) < 1e-14
+            assert fld.velocity(b.real, b.imag, 1.0)[2] == fld.w1 + fld.w2
 
 
 class TestAnalyticCorrection:
     def test_unpacked_pair_satisfies_modified_relations(self):
         rng = np.random.default_rng(7)
         for w1 in (0.0, 0.3, -1.0):
-            fld = assemble(rand_plane(rng), rand_plane(rng), w1, Point2(2.0, 0.0))
+            fld = assemble(rand_plane(rng), rand_plane(rng), w1, complex(2.0, 0.0))
             res = field_residuals(fld, GRID)
             assert res.worst() < 1e-10
 
@@ -161,14 +160,14 @@ class TestAnalyticCorrection:
         # instead of 1/2, leaves a divergence of |w1| in both passes
         rng = np.random.default_rng(8)
         w1 = 0.3
-        fld = assemble(rand_plane(rng), rand_plane(rng), w1, Point2(2.0, 0.0))
+        fld = assemble(rand_plane(rng), rand_plane(rng), w1, complex(2.0, 0.0))
         res = field_residuals(dataclasses.replace(fld, absorbed=2 * w1), GRID)
         assert abs(res.max_div - w1) < 1e-10
         assert abs(res.fd_max_div - w1) < 1e-6
 
     def test_explicit_w1_two(self):
         # no analytic data, w1 = 2: the plane h = 0 is u0 = -x, v0 = -y
-        fld = assemble(ZERO, ZERO, 2.0, Point2(2.0, 0.0))
+        fld = assemble(ZERO, ZERO, 2.0, complex(2.0, 0.0))
         x, y = np.array([1.7]), np.array([-1.1])
         assert np.allclose(fld.velocity(x, y, 0.0)[0], -x, atol=1e-14)
         assert np.allclose(fld.velocity(x, y, 0.0)[1], -y, atol=1e-14)
@@ -177,20 +176,20 @@ class TestAnalyticCorrection:
 
 class TestAssembleLinear:
     def test_zero_field(self):
-        f = assemble(ZERO, ZERO, 0.0, Point2(2.0, 0.0))
+        f = assemble(ZERO, ZERO, 0.0, complex(2.0, 0.0))
         x, y = np.array([1.3]), np.array([0.4])
         assert abs(f.velocity(x, y, 0.7)[0]) < 1e-15
         assert abs(f.velocity(x, y, 0.7)[2]) < 1e-15
 
     def test_w_shape_from_f1_iz(self):
-        f = assemble(ZERO, plane([0, 1.0j]), 0.0, Point2(2.0, -2.0))
+        f = assemble(ZERO, plane([0, 1.0j]), 0.0, complex(2.0, -2.0))
         x, y = np.array([1.5, -1.3]), np.array([0.2, 0.8])
         for h in (0.0, 0.5, 1.0):
             assert np.allclose(f.velocity(x, y, h)[2], (x**2 - y**2) / 2, atol=1e-13)
 
     def test_residuals_small(self):
         rng = np.random.default_rng(12)
-        f = assemble(rand_plane(rng), rand_plane(rng), 0.45, Point2(2.2, -0.1))
+        f = assemble(rand_plane(rng), rand_plane(rng), 0.45, complex(2.2, -0.1))
         res = field_residuals(f, GRID)
         assert res.worst() < 1e-8
         assert res.fd_max_div < 1e-6
@@ -201,7 +200,7 @@ class TestAssembleLinear:
         g1, g2 = rand_plane(rng), rand_plane(rng)
         h1, h2 = rand_plane(rng), rand_plane(rng)
         a, b = 0.7, -1.3
-        B = Point2(2.1, 0.3)
+        B = complex(2.1, 0.3)
         fa = assemble(g1, h1, 0.0, B)
         fb = assemble(g2, h2, 0.0, B)
         fc = assemble(Pullback(g1.series * a + g2.series * b, IDENTITY),
@@ -217,7 +216,7 @@ class TestAssembleLinear:
         # a 1/z term in the upper plane integrates to a log; curl_x and curl_y
         # test the primitive, so dropping its log term fails both passes
         upper = Pullback(AnalyticSeries.exterior([0.3, 0.5j, 0.2]), IDENTITY)
-        fld = assemble(ZERO, upper, 0.2, Point2(2.0, 0.0), 0.1)
+        fld = assemble(ZERO, upper, 0.2, complex(2.0, 0.0), 0.1)
         assert abs(fld.upper_primitive.log - 0.5j) < 1e-15
         res = field_residuals(fld, GRID)
         assert res.worst() < 1e-8 and max(res.fd_max_curl) < 1e-6
@@ -231,7 +230,7 @@ class TestAssembleQuadratic:
         rng = np.random.default_rng(15)
         for _ in range(3):
             q = assemble(rand_plane(rng), rand_plane(rng), rng.uniform(-0.5, 0.5),
-                         Point2(2.1, 0.1), rng.uniform(-0.5, 0.5))
+                         complex(2.1, 0.1), rng.uniform(-0.5, 0.5))
             res = field_residuals(q, GRID)
             assert res.worst() < 1e-8
             assert res.fd_max_div < 1e-6
@@ -241,7 +240,7 @@ class TestAssembleQuadratic:
 class TestResidualInjection:
     def test_perturbing_u1_breaks_continuity_by_eps(self):
         rng = np.random.default_rng(17)
-        f = assemble(rand_plane(rng), rand_plane(rng), 0.0, Point2(2.0, 0.0))
+        f = assemble(rand_plane(rng), rand_plane(rng), 0.0, complex(2.0, 0.0))
         eps = 1e-3
 
         class Perturbed(SplineField):
@@ -257,7 +256,7 @@ class TestResidualInjection:
         # the conj(z) term is fixed with the planes: a field whose w1 moves
         # afterwards leaves the difference as divergence in both passes
         rng = np.random.default_rng(19)
-        fld = assemble(rand_plane(rng), rand_plane(rng), 0.2, Point2(2.0, 0.0), 0.1)
+        fld = assemble(rand_plane(rng), rand_plane(rng), 0.2, complex(2.0, 0.0), 0.1)
         res = field_residuals(dataclasses.replace(fld, w1=fld.w1 + 0.3), GRID)
         assert abs(res.max_div - 0.3) < 1e-10
         assert abs(res.fd_max_div - 0.3) < 1e-6
@@ -265,7 +264,7 @@ class TestResidualInjection:
     def test_wrong_plane_difference_breaks_irrotationality(self):
         # P built from f_lo - f_up instead of f_up - f_lo
         rng = np.random.default_rng(20)
-        fld = assemble(rand_plane(rng), rand_plane(rng), 0.2, Point2(2.0, 0.0))
+        fld = assemble(rand_plane(rng), rand_plane(rng), 0.2, complex(2.0, 0.0))
         swapped = dataclasses.replace(fld, lower_primitive=fld.upper_primitive,
                                       upper_primitive=fld.lower_primitive)
         res = field_residuals(swapped, GRID)
@@ -280,8 +279,8 @@ class TestFdPassAgainstVelocity:
         rng = np.random.default_rng(22)
         upper = Pullback(AnalyticSeries.exterior([0.3, 0.5j, 0.2]), IDENTITY)
         fields = [assemble(rand_plane(rng), rand_plane(rng), rng.uniform(-0.5, 0.5),
-                           Point2(2.1, 0.1), rng.uniform(-0.5, 0.5)) for _ in range(3)]
-        fields.append(assemble(rand_plane(rng), upper, 0.2, Point2(2.0, 0.0), 0.1))
+                           complex(2.1, 0.1), rng.uniform(-0.5, 0.5)) for _ in range(3)]
+        fields.append(assemble(rand_plane(rng), upper, 0.2, complex(2.0, 0.0), 0.1))
         for fld in fields:
             res = field_residuals(fld, GRID)
             fd_div, fd_curl = oracles.fd_residuals_by_velocity(fld, GRID)
@@ -297,7 +296,7 @@ class TestGlue:
     from it are checked to continue q.
     """
 
-    B = Point2(2.0, 0.0)
+    B = complex(2.0, 0.0)
 
     def _quad(self, w2=0.1, w1c=0.3):
         rng = np.random.default_rng(18)

@@ -110,6 +110,9 @@ MALFORMED = [
     (["sections", 0, "lower"], b'{"samples": [', "/sections/0/lower", "invalid JSON"),
     ([], b'{"sections": "\xff"}', "/", "invalid JSON: 'utf-8' codec can't decode"),
     ([], b"[" * 100_000 + b"]" * 100_000, "/", "invalid JSON: maximum recursion depth"),
+    # a distribution path that names no readable file
+    (["sections", 0, "lower"], ".", "/sections/0/lower", "cannot read"),
+    (["sections", 0, "lower"], "missing.json", "/sections/0/lower", "file not found"),
 ]
 
 

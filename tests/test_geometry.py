@@ -4,14 +4,12 @@ import pytest
 from bladekit.errors import CountMismatch, DegenerateContour
 from bladekit.geometry import (
     Contour,
-    Point2,
-    RuledTriangulation,
     arc_length_table,
     contour_from_csv,
     contour_to_csv,
     resample_uniform,
-    ruled_surface_area,
 )
+from bladekit.positioning import area_objective
 from oracles import hausdorff_distance, strip_area_by_cross_products
 
 
@@ -73,38 +71,37 @@ class TestResample:
 
 
 class TestRuledArea:
+    # area_objective moves the lower contour by the shift: the upper one moved
+    # by s is the lower one moved by -s
     def test_prism_between_identical_squares(self):
-        t = RuledTriangulation(unit_square(), unit_square(), 1.0)
-        assert abs(ruled_surface_area(t, (0.0, 0.0)) - 4.0) < 1e-12
+        assert abs(area_objective(unit_square(), unit_square(), 1.0, (0.0, 0.0)) - 4.0) < 1e-12
 
     def test_identical_contours_area_is_perimeter_times_spacing(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(-1, 1, (9, 2))
         ang = np.arctan2(pts[:, 1] - pts[:, 1].mean(), pts[:, 0] - pts[:, 0].mean())
         c = Contour(pts[np.argsort(ang)])
-        t = RuledTriangulation(c, c, 0.7)
         perimeter = arc_length_table(c)[-1]
-        assert abs(ruled_surface_area(t) - perimeter * 0.7) < 1e-12 * perimeter
+        assert abs(area_objective(c, c, 0.7, (0.0, 0.0)) - perimeter * 0.7) < 1e-12 * perimeter
 
     def test_monotone_growth_away_from_optimum(self):
-        t = RuledTriangulation(unit_square(), unit_square(), 1.0)
-        a0 = ruled_surface_area(t, (0.0, 0.0))
-        a1 = ruled_surface_area(t, (10.0, 0.0))
+        a0 = area_objective(unit_square(), unit_square(), 1.0, (0.0, 0.0))
+        a1 = area_objective(unit_square(), unit_square(), 1.0, (-10.0, 0.0))
         assert a1 > a0
 
     def test_concentric_circles_grid_minimum_at_origin(self):
-        t = RuledTriangulation(circle(256), circle(256, r=0.5), 1.0)
+        lo, up = circle(256), circle(256, r=0.5)
         best = None
         for sx in np.arange(-0.5, 0.5001, 0.01):
             for sy in np.arange(-0.5, 0.5001, 0.01):
-                a = ruled_surface_area(t, (sx, sy))
+                a = area_objective(lo, up, 1.0, (-sx, -sy))
                 if best is None or a < best[0]:
                     best = (a, sx, sy)
         assert abs(best[1]) < 1e-12 and abs(best[2]) < 1e-12
 
     def test_unimodal_along_axis_through_minimum(self):
-        t = RuledTriangulation(circle(128), circle(128, r=0.8), 1.0)
-        line = [ruled_surface_area(t, (s, 0.0)) for s in np.linspace(-0.4, 0.4, 33)]
+        lo, up = circle(128), circle(128, r=0.8)
+        line = [area_objective(lo, up, 1.0, (-s, 0.0)) for s in np.linspace(-0.4, 0.4, 33)]
         k = int(np.argmin(line))
         assert all(line[i] >= line[i + 1] - 1e-12 for i in range(k))
         assert all(line[i] <= line[i + 1] + 1e-12 for i in range(k, len(line) - 1))
@@ -114,14 +111,13 @@ class TestRuledArea:
         lo = circle(64)
         th = 0.3 + 2 * np.pi * np.arange(64) / 64
         up = Contour(np.column_stack([np.cos(th), 0.5 * np.sin(th)]) + (0.2, -0.1))
-        t = RuledTriangulation(lo, up, spacing)
-        for shift in ((0.0, 0.0), (0.3, -0.7), (-2.0, 5.0)):
-            ref = strip_area_by_cross_products(lo, up, spacing, -np.asarray(shift))
-            assert abs(ruled_surface_area(t, shift) - ref) <= 1e-12 * ref
+        for shift in ((0.0, 0.0), (-0.3, 0.7), (2.0, -5.0)):
+            ref = strip_area_by_cross_products(lo, up, spacing, shift)
+            assert abs(area_objective(lo, up, spacing, shift) - ref) <= 1e-12 * ref
 
     def test_count_mismatch(self):
-        with pytest.raises(CountMismatch):
-            RuledTriangulation(circle(8), circle(16), 1.0)
+        with pytest.raises(CountMismatch, match="contours have 8 and 16 nodes"):
+            area_objective(circle(8), circle(16), 1.0, (0.0, 0.0))
 
 
 class TestHausdorff:
@@ -170,9 +166,3 @@ class TestCsv:
     def test_deterministic_bytes(self):
         c = circle(33, r=np.pi / 3)
         assert contour_to_csv(c) == contour_to_csv(c)
-
-
-class TestPoint2:
-    def test_finite_required(self):
-        with pytest.raises(Exception):
-            Point2(np.nan, 0.0)

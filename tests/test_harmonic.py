@@ -8,7 +8,6 @@ import oracles
 from bladekit.errors import BladekitError, MultivaluedAntiderivative, OutsideDomain
 from bladekit.harmonic import (
     AnalyticSeries,
-    BoundarySamples,
     analytic_from_real_boundary,
     boundary_values,
     differentiate_boundary,
@@ -27,12 +26,12 @@ class TestSchwarz:
     def test_cos_gives_zeta(self):
         # Re(1/zeta) = cos(gamma) on the circle
         g = angles(16)
-        f = analytic_from_real_boundary(BoundarySamples(np.cos(g)))
+        f = analytic_from_real_boundary(np.cos(g))
         assert abs(f.coefficient(-1) - 1.0) < 1e-13
         assert abs(f.coefficient(0)) < 1e-14
 
     def test_zero(self):
-        f = analytic_from_real_boundary(BoundarySamples(np.zeros(16)))
+        f = analytic_from_real_boundary(np.zeros(16))
         assert np.max(np.abs(f.coefficients)) < 1e-15
 
     def test_band_limited_round_trip(self):
@@ -42,7 +41,7 @@ class TestSchwarz:
         data = rng.standard_normal() * np.ones(n)
         for k in range(1, n // 2):
             data += rng.standard_normal() * np.cos(k * g) + rng.standard_normal() * np.sin(k * g)
-        f = analytic_from_real_boundary(BoundarySamples(data))
+        f = analytic_from_real_boundary(data)
         vals = evaluate_series(f, np.exp(1j * g)).real
         assert np.max(np.abs(vals - data)) < 1e-10
         # imaginary part has zero mean
@@ -58,11 +57,20 @@ class TestSchwarz:
             a = rng.standard_normal() / (1 + k)
             b = rng.standard_normal() / (1 + k)
             data += a * np.cos(k * g) + b * np.sin(k * g)
-        f = analytic_from_real_boundary(BoundarySamples(data))
+        f = analytic_from_real_boundary(data)
         vals = evaluate_series(f, np.exp(1j * g)).real
         assert np.max(np.abs(vals - data)) < 1e-10
         # bounded at infinity: no positive powers
         assert f.high <= 0
+
+    @pytest.mark.parametrize("data, message", [
+        (np.cos(angles(16)) + 0j, "Schwarz data must be real"),
+        (np.where(np.arange(16) == 3, np.nan, 1.0), "boundary samples must be finite"),
+        (np.ones(12), "sample count must be a power of two >= 8, got 12"),
+    ], ids=["complex", "nan", "twelve"])
+    def test_refused_data(self, data, message):
+        with pytest.raises(BladekitError, match=message):
+            analytic_from_real_boundary(data)
 
 
 class TestSeriesCalculus:

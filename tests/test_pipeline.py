@@ -102,8 +102,8 @@ class TestDegree2Chain:
         # and glue_dw is the largest jump over the residual grid
         for prev, sec in zip(chain_report.sections, chain_report.sections[1:]):
             Bp, Bs = prev.field.branch_point, sec.field.branch_point
-            jump = (prev.field.velocity(Bp.x, Bp.y, 1.0)[2]
-                    - sec.field.velocity(Bs.x, Bs.y, 0.0)[2])
+            jump = (prev.field.velocity(Bp.real, Bp.imag, 1.0)[2]
+                    - sec.field.velocity(Bs.real, Bs.imag, 0.0)[2])
             assert jump == prev.field.w1 + prev.field.w2
             x, y = sec.residuals.grid.plane_nodes()
             dw = {c.name: c for c in sec.checks}["glue_dw"].value
@@ -179,7 +179,7 @@ def test_first_section_datum_holds_with_w2():
     assert report.passed
     fld = report.sections[0].field
     B = fld.branch_point
-    assert abs(float(fld.velocity(B.x, B.y, h_ref)[2]) - w_ref) < 1e-12
+    assert abs(float(fld.velocity(B.real, B.imag, h_ref)[2]) - w_ref) < 1e-12
 
 
 def _degree1_section():
@@ -221,3 +221,21 @@ def test_degree1_section_inverts_each_map_six_times(monkeypatch):
     sec = _degree1_section()
     assert len(calls) == 12
     assert calls.count(sec.lower.map) == calls.count(sec.upper.map) == 6
+
+
+def test_lift_overflow_fails_the_section():
+    # lift bounds over a box near the float range overflow; carried on as NaN
+    # they pruned every cell and certified the origin as the maximum
+    lo_c, lo_b, up_c, up_b, w1 = CHAIN[0]
+    cfg = parse_config_dict({
+        "sections": [{"id": "s0", "degree": 2, "w1": w1, "w2": 0.1,
+                      "lower": _distribution(lo_c, lo_b),
+                      "upper": _distribution(up_c, up_b)}],
+        "discretization": {"n_boundary": 64},
+        "positioning": {"method": "lift", "box": [-1e308, -1e308, 1e308, 1e308],
+                        "partition": 32}})
+    report = run_pipeline(cfg)
+    assert report.sections == []
+    assert len(report.errors) == 1
+    assert report.errors[0].startswith("s0: lift positioning: overflow")
+    assert not report.passed

@@ -139,6 +139,14 @@ class TestAreaObjective:
         a0 = area_objective(sq, sq, 1.0, (0.0, 0.0))
         assert area_objective(sq, sq, 1.0, (10.0, 0.0)) > a0
 
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, np.inf, np.nan])
+    def test_spacing_must_be_positive_and_finite(self, spacing):
+        c = circle(16)
+        for area in (lambda: area_objective(c, c, spacing, (0.0, 0.0)),
+                     lambda: minimize_area_shift(c, c, spacing)):
+            with pytest.raises(BladekitError, match="plane spacing must be positive and finite"):
+                area()
+
     def test_minimum_matches_lsq_for_congruent(self):
         c1 = circle(128)
         c2 = Contour(c1.points + (0.21, -0.13))
