@@ -166,7 +166,6 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         raise NotPowerOfTwo("/discretization/n_boundary", n_boundary)
 
     sections = []
-    degrees = set()
     for i, sec in enumerate(sections_raw):
         ptr = f"/sections/{i}"
         if not isinstance(sec, dict):
@@ -182,7 +181,9 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         degree = sec.get("degree", 1)
         if type(degree) is not int or degree not in (1, 2):  # True and 1.0 equal 1
             raise BadValue(f"{ptr}/degree", f"degree must be 1 or 2, got {degree!r}")
-        degrees.add(degree)
+        if sections and degree != sections[0].degree:
+            raise BadValue(f"{ptr}/degree", "degree must be uniform across sections, "
+                           f"section 0 has degree {sections[0].degree}")
         lower = _load_distribution(_need(sec, "lower", ptr), f"{ptr}/lower", base_dir)
         upper = _load_distribution(_need(sec, "upper", ptr), f"{ptr}/upper", base_dir)
         w1 = _parse_w1(sec.get("w1", 0.0), f"{ptr}/w1")
@@ -198,7 +199,7 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
             raise BadValue(f"{ptr}/w2", "w2 of a chained section comes from its data"
                            if chained else "w2 is a degree-2 parameter")
         if chained:
-            # the shared blade's slope dw/dh; this drops a literal w1 (ROADMAP item 5)
+            # the shared blade's slope dw/dh; this drops a literal w1 (ROADMAP item 6)
             prev = sections[-1]
             w1 = _finite(prev.w1 + 2.0 * prev.w2, f"{ptr}/w1", "w1")
             if datum is not None:
@@ -206,8 +207,6 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         elif datum is not None:
             w1 = _finite(datum_rule(*datum, w2=w2), datum_ptr, "w1")
         sections.append(SectionConfig(sid, degree, lower, upper, w1, w2))
-    if len(degrees) > 1:
-        raise BadValue("/sections", "degree must be uniform across sections")
     ids = [s.id for s in sections]
     if len(set(ids)) != len(ids):
         raise BadValue("/sections", "section ids must be unique")

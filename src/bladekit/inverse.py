@@ -52,7 +52,7 @@ from .harmonic import (
     integrate_series,
 )
 from .planefield import SeriesMap
-from .spline import PeriodicCubic
+from .spline import horner, periodic_potential
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAXITER = 50
@@ -142,55 +142,41 @@ class VelocityDistribution:
         return self.samples[:, 1]
 
     @cached_property
-    def _rising_branch(self) -> int:
-        """Index (into branch_indices order ia<ib) of the branch starting V>0."""
+    def potential_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Knots x and quartic pieces c of the potential over two periods.
+
+        The potential is the running integral from s_0 of the periodic cubic
+        speed spline on the knots s_0 .. s_0 + L.  Between knots k and k+1
+        it is ``c[0, k]*t**4 + ... + c[4, k]`` in ``t = s - x[k]``, so
+        ``c[4, k]`` is its value at knot k.  The second period repeats the
+        first with every constant raised by the circulation, so an arc from
+        knot a to knot b <= a + m, for m samples, is one slice.
+        """
+        s, v = self.arc_positions, self.speeds
+        knots = np.concatenate([s, [s[0] + self.total_length]])
+        pieces, circulation = periodic_potential(knots, np.concatenate([v, v[:1]]))
+        c = np.concatenate([pieces, pieces], axis=1)
+        c[-1, len(s):] += circulation
+        return np.concatenate([s, knots + self.total_length]), c
+
+    @property
+    def rise_knots(self) -> tuple[int, int]:
+        """Knot indices (a, b) of the table with V > 0 between them, b > a."""
         ia, ib = self.branch_indices
-        return 0 if self.speeds[ia + 1] > 0 else 1
+        if self.speeds[ia + 1] > 0:
+            return ia, ib
+        return ib, ia + len(self.speeds)
 
     @property
     def rise_interval(self) -> tuple[float, float]:
         """(s_a, s_b) with V > 0 on (s_a, s_b), unwrapped so s_b > s_a."""
-        ia, ib = self.branch_indices
-        s = self.arc_positions
-        if self._rising_branch == 0:
-            return float(s[ia]), float(s[ib])
-        return float(s[ib]), float(s[ia] + self.total_length)
-
-    @cached_property
-    def _speed_spline(self) -> PeriodicCubic:
-        # knots s_0 .. s_0 + L: the period is L wherever the first sample sits
-        s = self.arc_positions
-        s = np.concatenate([s, [s[0] + self.total_length]])
-        v = np.concatenate([self.speeds, [self.speeds[0]]])
-        return PeriodicCubic.interpolate(s, v)
-
-    def potential_at(self, s) -> np.ndarray:
-        """Smooth running integral of the speed, unwrapped over periods."""
-        return self._speed_spline.integral(s)
-
-    @property
-    def knot_potentials(self) -> np.ndarray:
-        """The potential at the knots s_0 .. s_0 + L; the last is the circulation."""
-        return self._speed_spline.knot_integrals
+        x, _ = self.potential_table
+        a, b = self.rise_knots
+        return float(x[a]), float(x[b])
 
     @property
     def circulation_smooth(self) -> float:
-        return float(self.knot_potentials[-1])
-
-    def _potential_pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Knots x and quartic coefficients c of the potential over two periods.
-
-        Between knots k and k+1 the potential is ``c[0, k]*t**4 + ... +
-        c[4, k]`` in ``t = s - x[k]``, so ``c[4, k]`` is its value at knot k.
-        The second period repeats the first with every constant raised by
-        the circulation, so an arc [lo, hi] with hi <= lo + L never wraps.
-        """
-        spline = self._speed_spline
-        L = self.total_length
-        x = np.concatenate([spline.x[:-1], spline.x + L])
-        c = np.concatenate([spline.quartics, spline.quartics], axis=1)
-        c[-1, spline.quartics.shape[1]:] += self.circulation_smooth
-        return x, c
+        return float(self.potential_table[1][-1, len(self.speeds)])
 
     def branch_distance(self, s) -> np.ndarray:
         """Arc distance along the contour to the nearest branch point."""
@@ -267,16 +253,6 @@ def _stagnation_angles(A, beta, G):
     return lo_mod, lo_mod + (hi - lo)
 
 
-def _quartic(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and slope of ``c[0]*t**4 + ... + c[4]``, by one Horner pass."""
-    p = c[0]
-    dp = np.zeros_like(t)
-    for ck in c[1:]:
-        dp = dp * t + p
-        p = p * t + ck
-    return p, dp
-
-
 @dataclass(frozen=True)
 class _PotentialArc:
     """The potential along one arc, bracketed at its knots for inversion.
@@ -310,7 +286,7 @@ class _PotentialArc:
         y = y[idx]
         t = 0.5 * (a + b)
         for _ in range(_CORRESPONDENCE_MAXITER):
-            p, dp = _quartic(c, t)
+            p, dp = horner(c, t)
             f = p - y
             a = np.where(f < 0, t, a)
             b = np.where(f > 0, t, b)
@@ -332,15 +308,10 @@ class _PotentialArc:
         )
 
 
-def _potential_arc(x: np.ndarray, c: np.ndarray, lo: float, hi: float) -> _PotentialArc:
-    """Bracket the potential with knots x and pieces c on the arc [lo, hi]."""
-    j0 = int(np.searchsorted(x, lo, side="right"))
-    j1 = int(np.searchsorted(x, hi, side="left"))
-    origins = x[j0 - 1:j1]
-    coeffs = c[:, j0 - 1:j1]
-    ends, _ = _quartic(coeffs[:, [0, -1]], np.array([lo, hi]) - origins[[0, -1]])
-    values = np.concatenate([ends[:1], c[-1, j0:j1], ends[1:]])
-    return _PotentialArc(np.concatenate([[lo], x[j0:j1], [hi]]), values, origins, coeffs)
+def _potential_arc(x: np.ndarray, c: np.ndarray, a: int, b: int) -> _PotentialArc:
+    """Bracket the potential with knots x and pieces c on the arc from knot a to b."""
+    end, _ = horner(c[:, b - 1], x[b] - x[b - 1])
+    return _PotentialArc(x[a:b + 1], np.append(c[-1, a:b], end), x[a:b], c[:, a:b])
 
 
 @dataclass(frozen=True)
@@ -369,11 +340,11 @@ class CircleCorrespondence:
 
     def arcs(self) -> tuple[_PotentialArc, _PotentialArc]:
         """The potential on the rising and on the falling arc, bracketed at
-        its knots; built per call, so a kept correspondence holds no table."""
-        s_a, s_b = self.dist.rise_interval
-        x, c = self.dist._potential_pieces()
-        return (_potential_arc(x, c, s_a, s_b),
-                _potential_arc(x, c, s_b, s_a + self.dist.total_length))
+        its knots."""
+        x, c = self.dist.potential_table
+        a, b = self.dist.rise_knots
+        return (_potential_arc(x, c, a, b),
+                _potential_arc(x, c, b, a + len(self.dist.speeds)))
 
     def on_rising_arc(self, gamma) -> np.ndarray:
         """Whether each canonical angle lies on the rising arc [th_lo, th_hi]."""
@@ -417,7 +388,8 @@ def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
 
     The potential is the antiderivative of the periodic cubic speed spline,
     a quartic on each knot interval; its full-turn value is the circulation.
-    `CircleCorrespondence.arcs` tabulates it at each arc's knots for
+    Everything here reads `VelocityDistribution.potential_table` at its
+    knots, and `CircleCorrespondence.arcs` brackets each arc by them for
     `s_of_gamma`.  Knot values that are not strictly monotone along an arc
     are refused here: the spline's integral over a whole interval has the
     wrong sign there, though every sample has the right one, and the arc
@@ -428,8 +400,9 @@ def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
     A = float(d.v_inf)
     beta = -float(d.incidence)
     th_lo, th_hi = _stagnation_angles(A, beta, G)
-    s_a, s_b = d.rise_interval
-    dplus = float(d.potential_at(s_b) - d.potential_at(s_a))
+    knot_values = d.potential_table[1][-1]
+    a, b = d.rise_knots
+    dplus = float(knot_values[b] - knot_values[a])
     dminus = G - dplus
     dc_plus = float(_canonical_potential(th_hi, A, beta, G)
                     - _canonical_potential(th_lo, A, beta, G))
@@ -439,7 +412,7 @@ def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
             "potential range mismatch between the data and the canonical flow"
         )
     v = d.speeds
-    if not np.all(np.diff(d.knot_potentials) * (v + np.roll(v, -1)) > 0):
+    if not np.all(np.diff(knot_values[:len(v) + 1]) * (v + np.roll(v, -1)) > 0):
         raise InconsistentDistribution("speed spline changes sign inside an arc")
     return CircleCorrespondence(d, G, A, beta, (th_lo, th_hi),
                                 dplus, dminus, dc_plus, dc_minus)

@@ -205,22 +205,27 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
 
 
 def run_pipeline(cfg: DesignConfig) -> RunReport:
-    """Run every section; failures are isolated and reported per section."""
+    """Run every section; failures are isolated and reported per section.
+
+    A section whose arithmetic overflows, divides by zero or forms a NaN
+    fails there, with numpy's message, instead of carrying the value on.
+    """
     t0 = time.perf_counter()
     results = []
     errors = []
     prev: "SectionResult | None" = None
     for idx, section in enumerate(cfg.sections):
         try:
-            if section.degree == 2 and idx > 0:
-                if prev is None:
-                    raise BladekitError("cannot chain onto a failed section")
-                res = run_section(cfg, section, prev=prev)
-            else:
-                res = run_section(cfg, section)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                if section.degree == 2 and idx > 0:
+                    if prev is None:
+                        raise BladekitError("cannot chain onto a failed section")
+                    res = run_section(cfg, section, prev=prev)
+                else:
+                    res = run_section(cfg, section)
             results.append(res)
             prev = res if section.degree == 2 else None
-        except BladekitError as exc:
+        except (BladekitError, FloatingPointError) as exc:
             log.error("section %s failed: %s", section.id, exc)
             errors.append(f"{section.id}: {exc}")
             prev = None

@@ -1,4 +1,4 @@
-"""Periodic cubic spline interpolation and its running integral, in numpy.
+"""The running integral of a periodic cubic spline, in numpy.
 
 The interpolant is the C2 cubic through (x_i, y_i), i = 0..m, with
 ``x_m = x_0 + period`` and ``y_m = y_0``, whose value, slope and curvature
@@ -12,13 +12,11 @@ parallel cyclic reduction (Hockney & Jesshope, *Parallel Computers*, 1981):
 each step combines every row with its neighbours ``stride`` rows away to
 eliminate them, so row i then couples to the slopes 2*stride away.  A
 stride past the period wraps onto the same unknowns, which keeps every
-combined row a true equation.
+combined row a true equation.  The library reads the spline only through
+its running integral, one quartic piece per knot interval.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -67,69 +65,28 @@ def periodic_slopes(h: np.ndarray, d: np.ndarray) -> np.ndarray:
 _POWERS = np.array([[4.0], [3.0], [2.0], [1.0]])     # integrates t**3 .. t**0
 
 
-def _horner(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+def horner(c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and slope of ``c[0]*t**k + ... + c[k]``, by one Horner pass."""
     p = c[0]
+    dp = np.zeros_like(t)
     for ck in c[1:]:
+        dp = dp * t + p
         p = p * t + ck
-    return p
+    return p, dp
 
 
-@dataclass(frozen=True)
-class PeriodicCubic:
-    """Periodic cubic spline on knots x[0] .. x[-1] = x[0] + period.
-
-    Between knots i and i+1 it is ``coeffs[0, i]*t**3 + ... + coeffs[3, i]``
-    in ``t = s - x[i]``; its running integral from x[0] is the quartic
-    ``quartics[:, i]`` there.  Both repeat with the period, the integral
-    raised by its full-period value each turn.
-    """
-
-    x: np.ndarray
-    coeffs: np.ndarray
-
-    @staticmethod
-    def interpolate(x, y) -> "PeriodicCubic":
-        """The periodic C2 cubic through (x, y); y[-1] must equal y[0]."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h = np.diff(x)
-        d = np.diff(y) / h
-        s0 = periodic_slopes(h, d)
-        s1 = np.roll(s0, -1)
-        c = (s0 + s1 - 2 * d) / h
-        return PeriodicCubic(x, np.array([c / h, (d - s0) / h - c, s0, y[:-1]]))
-
-    @property
-    def period(self) -> float:
-        return float(self.x[-1] - self.x[0])
-
-    @cached_property
-    def knot_integrals(self) -> np.ndarray:
-        """The running integral at every knot x[0] .. x[-1]; the last entry is
-        the integral over one period."""
-        h = np.diff(self.x)
-        pieces = _horner(self.coeffs / _POWERS, h) * h
-        return np.concatenate([[0.0], np.cumsum(pieces)])
-
-    @cached_property
-    def quartics(self) -> np.ndarray:
-        """(5, m) coefficients of the running integral on each knot interval,
-        the last row its value at the interval's left knot."""
-        return np.vstack([self.coeffs / _POWERS, self.knot_integrals[:-1]])
-
-    def _locate(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Knot interval, offset in it, and whole periods of each s from x[0]."""
-        s = np.asarray(s, dtype=float)
-        turns = np.floor((s - self.x[0]) / self.period)
-        s = s - turns * self.period
-        i = np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, len(self.x) - 2)
-        return i, s - self.x[i], turns
-
-    def __call__(self, s) -> np.ndarray:
-        i, t, _ = self._locate(s)
-        return _horner(self.coeffs[:, i], t)
-
-    def integral(self, s) -> np.ndarray:
-        """Running integral from x[0], unwrapped over periods."""
-        i, t, turns = self._locate(s)
-        return _horner(self.quartics[:, i], t) + turns * self.knot_integrals[-1]
+def periodic_potential(x, y) -> tuple[np.ndarray, float]:
+    """The running integral from x[0] of the periodic C2 cubic through (x, y),
+    y[-1] equal to y[0]: its (5, m) quartic pieces, piece i
+    ``c[0, i]*t**4 + ... + c[4, i]`` in ``t = s - x[i]``, so ``c[4, i]`` is
+    its value at knot i; and its value over one period, the circulation."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.diff(x)
+    d = np.diff(y) / h
+    s0 = periodic_slopes(h, d)
+    s1 = np.roll(s0, -1)
+    c = (s0 + s1 - 2 * d) / h
+    pieces = np.array([c / h, (d - s0) / h - c, s0, y[:-1]]) / _POWERS
+    knots = np.concatenate([[0.0], np.cumsum(horner(pieces, h)[0] * h)])
+    return np.vstack([pieces, knots[:-1]]), float(knots[-1])

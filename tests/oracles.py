@@ -7,7 +7,7 @@ forms, arc length from a dense spectral quadrature of ``|z'|``.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -28,6 +28,7 @@ from bladekit.positioning import (
     _lift_terms,
     lift_score,
 )
+from bladekit.spline import horner
 
 _N_DENSE = 16384
 
@@ -404,8 +405,8 @@ def _bisect_monotone(f, lo: float, hi: float, targets: np.ndarray, iters: int = 
 def s_of_gamma_by_bisection(corr, gamma) -> np.ndarray:
     """Arc position at canonical angle gamma by two 80-step bisections.
 
-    Each step evaluates the potential spline through
-    `VelocityDistribution.potential_at`.  The reference for
+    Each step evaluates the potential through `potential_at`, which reads
+    the table's pieces at any arc position.  The reference for
     `inverse.CircleCorrespondence.s_of_gamma`, which solves one quartic
     piece per target.
     """
@@ -416,7 +417,7 @@ def s_of_gamma_by_bisection(corr, gamma) -> np.ndarray:
     gm = np.mod(gamma - th_lo, 2 * np.pi)
     rising = gm <= (th_hi - th_lo) + 1e-15
     out = np.empty_like(gm)
-    phi = corr.dist.potential_at
+    phi = partial(potential_at, corr.dist)
     phic = corr.canonical_potential
     if np.any(rising):
         tau = (phic(th_lo + gm[rising]) - phic(th_lo)) / corr.deltac_plus
@@ -429,18 +430,46 @@ def s_of_gamma_by_bisection(corr, gamma) -> np.ndarray:
     return np.mod(out, L)
 
 
+def pieces_at(x, c, s) -> tuple:
+    """The quartic pieces c on the knots x[0] .. x[-1], one period, at the arc
+    positions s wrapped into it: value, slope, and the whole periods each s
+    was moved by."""
+    s = np.asarray(s, dtype=float)
+    period = x[-1] - x[0]
+    turns = np.floor((s - x[0]) / period)
+    s = s - turns * period
+    i = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
+    return (*horner(c[:, i], s - x[i]), turns)
+
+
+def _first_period(d: VelocityDistribution) -> tuple:
+    x, c = d.potential_table
+    m = len(d.speeds)
+    return x[:m + 1], c[:, :m]
+
+
+def potential_at(d: VelocityDistribution, s) -> np.ndarray:
+    """A distribution's speed potential at the arc positions s, unwrapped over
+    periods; this was `VelocityDistribution.potential_at`, which the library
+    read only at knots."""
+    p, _, turns = pieces_at(*_first_period(d), s)
+    return p + turns * d.circulation_smooth
+
+
 def speed_at(d: VelocityDistribution, s) -> np.ndarray:
-    """A distribution's periodic speed spline at the arc positions s; this was
-    `VelocityDistribution.speed_at`, which the library itself never called."""
-    return d._speed_spline(s)
+    """A distribution's periodic speed spline at the arc positions s, the
+    potential's slope; this was `VelocityDistribution.speed_at`, which the
+    library itself never called."""
+    return pieces_at(*_first_period(d), s)[1]
 
 
 def speed_spline_by_scipy(d: VelocityDistribution):
     """scipy's periodic ``CubicSpline`` through a distribution's samples on the
     knots s_0 .. s_0 + L, and its antiderivative from s_0.
 
-    The reference for the numpy spline of `VelocityDistribution`
-    (`bladekit.spline.PeriodicCubic`), which replaced it in the library.
+    The reference for the numpy spline whose running integral is
+    `VelocityDistribution.potential_table` (`bladekit.spline.periodic_potential`),
+    which replaced it in the library.
     """
     # imported on use: the benchmark imports this module for other oracles
     from scipy.interpolate import CubicSpline

@@ -55,6 +55,13 @@ def test_verify_passes(design, tmp_path):
     assert cli.main(["verify", "--config", _write_config(tmp_path, design)]) == 0
 
 
+SMALL = oracles.joukowski_flow().distribution(64, 64).to_json()
+
+
+def _section(sid, degree=1, **extra):
+    return {"id": sid, "degree": degree, "lower": SMALL, "upper": SMALL, **extra}
+
+
 MALFORMED = [
     # (where in the config, the bad value, the reported pointer, the message)
     (["discretization"], [1], "/discretization", "expected an object"),
@@ -113,6 +120,38 @@ MALFORMED = [
     # a distribution path that names no readable file
     (["sections", 0, "lower"], ".", "/sections/0/lower", "cannot read"),
     (["sections", 0, "lower"], "missing.json", "/sections/0/lower", "file not found"),
+    # appended below the rows above, so that their ids keep their numbers
+    ([], b"[1]", "/", "top level must be an object"),
+    ([], b"{}", "/sections", "required field is missing"),
+    (["sections"], [], "/sections", "need a nonempty list of sections"),
+    (["sections", 0], 3, "/sections/0", "section must be an object"),
+    (["sections", 0, "id"], "", "/sections/0/id", "section id must be a nonempty string"),
+    (["sections", 0, "lower"], 3, "/sections/0/lower",
+     "expected a distribution object or a file path"),
+    (["sections", 0, "lower"], {"total_length": 1.0}, "/sections/0/lower/samples",
+     "required field is missing"),
+    (["discretization"], {"n_boundary": 64.0}, "/discretization/n_boundary",
+     "expected an integer"),
+    (["discretization"], {"n_boundary": 32}, "/discretization/n_boundary", "must be at least 64"),
+    (["discretization"], {"n_boundary": 96}, "/discretization/n_boundary",
+     "96 is not a power of two"),
+    (["sections", 0, "degree"], 2, "/sections/0/w2", "required field is missing"),
+    (["sections"], [_section("s0", 2, w2=0.1), _section("s1", 2, w2=0.1)], "/sections/1/w2",
+     "w2 of a chained section comes from its data"),
+    # refused where the degree is read, before the section's blades or w2
+    (["sections"], [_section("s0"), {"id": "s1", "degree": 2, "w2": 0.1}], "/sections/1/degree",
+     "degree must be uniform across sections, section 0 has degree 1"),
+    (["sections"], [_section("s0"), _section("s0")], "/sections", "section ids must be unique"),
+    (["positioning"], {"method": "simplex"}, "/positioning/method", "method must be one of"),
+    (["positioning"], {"box": [0, 0, 1]}, "/positioning/box", "box must be [x0, y0, x1, y1]"),
+    (["positioning"], {"box": [0, 0, 0, 1]}, "/positioning/box", "box must have positive extent"),
+    (["positioning"], {"method": "area", "spacing": 0}, "/positioning/spacing",
+     "spacing must be positive"),
+    (["positioning"], {"method": "lift", "partition": 32}, "/positioning/box",
+     "required field is missing"),
+    (["positioning"], {"method": "lift", "box": [0, 0, 1, 1]}, "/positioning/partition",
+     "required field is missing"),
+    (["output"], {"formats": ["pdf"]}, "/output/formats/0", "unknown format 'pdf'"),
 ]
 
 
@@ -472,3 +511,42 @@ def test_position_exits_0_or_2_on_any_numbers(method, files, box, spacing):
         assert np.isfinite([shift["dx"], shift["dy"], shift["objective"]]).all()
         if method == "lift":
             assert box[0] <= shift["dx"] <= box[2] and box[1] <= shift["dy"] <= box[3]
+
+
+def test_position_prints_the_shift_without_out(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text(GOOD_CONTOUR, encoding="utf-8")
+    out = tmp_path / "shift.json"
+    assert cli.main(["position", "--contours", str(path), str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["position", "--contours", str(path), str(path)]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["missing contour", "out under a missing directory"])
+def test_position_os_error_exits_2(tmp_path, caplog, case):
+    path = tmp_path / "c.csv"
+    path.write_text(GOOD_CONTOUR, encoding="utf-8")
+    missing = tmp_path / "missing" / "shift.json"
+    argv = (["--contours", str(path), str(tmp_path / "none.csv")] if case == "missing contour"
+            else ["--contours", str(path), str(path), "--out", str(missing)])
+    assert cli.main(["position", *argv]) == 2
+    assert "No such file or directory" in caplog.text
+    assert not missing.parent.exists()
+
+
+def test_solve_out_naming_a_file_exits_2(design, tmp_path, caplog):
+    out = tmp_path / "out"
+    out.write_text("", encoding="utf-8")
+    assert cli.main(["solve", "--config", _write_config(tmp_path, design),
+                     "--out", str(out)]) == 2
+    assert "File exists" in caplog.text
+    assert out.read_text(encoding="utf-8") == ""
+
+
+def test_empty_contour_file_exits_2(tmp_path, caplog):
+    empty, good = tmp_path / "empty.csv", tmp_path / "good.csv"
+    empty.write_text("\n \n", encoding="utf-8")
+    good.write_text(GOOD_CONTOUR, encoding="utf-8")
+    assert cli.main(["position", "--contours", str(empty), str(good)]) == 2
+    assert f"{empty}: empty contour file" in caplog.text

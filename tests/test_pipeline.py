@@ -239,3 +239,24 @@ def test_lift_overflow_fails_the_section():
     assert len(report.errors) == 1
     assert report.errors[0].startswith("s0: lift positioning: overflow")
     assert not report.passed
+
+
+@pytest.mark.parametrize("speed, length, v_inf, message", [
+    # the data's potential range underflows against the canonical one
+    (1e-150, 1.0, 1e300, "divide by zero encountered in log"),
+    # the blade's dz/dzeta = exp(-chi) leaves the float range
+    (1e-20, 1e20, 1e300, "overflow encountered in exp"),
+], ids=["log", "exp"])
+def test_floating_point_fault_fails_its_section(speed, length, v_inf, message):
+    # a scaled lower blade used to warn on stderr and fail later with a
+    # misleading message (non-finite boundary samples, an unconverged NaN
+    # closure); the first overflow or zero division is now the section's error
+    d = oracles.joukowski_flow().distribution(64, 64).to_json()
+    lower = dict(d, samples=[[s * length, v * speed] for s, v in d["samples"]],
+                 total_length=d["total_length"] * length, v_inf=d["v_inf"] * v_inf)
+    cfg = parse_config_dict({"sections": [{"id": "s0", "degree": 1, "lower": lower,
+                                           "upper": d}],
+                             "discretization": {"n_boundary": 64}})
+    report = run_pipeline(cfg)
+    assert report.sections == []
+    assert report.errors == [f"s0: {message}"]

@@ -1,13 +1,14 @@
-"""The numpy periodic speed spline against scipy's periodic ``CubicSpline``."""
+"""The numpy periodic speed spline, read through its running integral
+`VelocityDistribution.potential_table`, against scipy's periodic ``CubicSpline``."""
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bladekit.inverse import VelocityDistribution
-from bladekit.spline import PeriodicCubic
+from bladekit.spline import periodic_potential
 
-from oracles import speed_at, speed_spline_by_scipy
+from oracles import pieces_at, potential_at, speed_at, speed_spline_by_scipy
 
 EPS = np.finfo(float).eps
 
@@ -46,10 +47,10 @@ def _slope_system(x, y, slopes):
 @given(distributions())
 def test_matches_scipy_periodic_cubic(d):
     ref, ref_potential = speed_spline_by_scipy(d)
-    spline = d._speed_spline
-    x, c = spline.x, spline.coeffs
+    m = len(d.speeds)
+    x, pieces = d.potential_table
+    x, c = x[:m + 1], pieces[:4, :m] * np.array([[4.0], [3.0], [2.0], [1.0]])
     h = np.diff(x)
-    m = len(h)
     y = np.append(d.speeds, d.speeds[0])
     rng = np.random.default_rng(m)
 
@@ -82,10 +83,10 @@ def test_matches_scipy_periodic_cubic(d):
     # integral by h**2/12 times it, and each side sums m pieces, each within
     # h times its scale, recursively.
     p_tol = np.sum(h * (h * slope_tol / 6 + 2 * (m + 8) * EPS * piece_scale))
-    assert np.max(np.abs(d.knot_potentials - ref_potential(x))) <= p_tol
+    assert np.max(np.abs(pieces[4, :m + 1] - ref_potential(x))) <= p_tol
     assert abs(d.circulation_smooth - ref_potential(x[-1])) <= p_tol
     s = rng.uniform(x[0], x[-1], 512)
-    assert np.max(np.abs(d.potential_at(s) - ref_potential(s))) <= p_tol + v_tol * np.max(h)
+    assert np.max(np.abs(potential_at(d, s) - ref_potential(s))) <= p_tol + v_tol * np.max(h)
 
 
 def test_converges_at_fourth_order():
@@ -93,7 +94,7 @@ def test_converges_at_fourth_order():
     # also outside the first period, and the full-period integral is exact
     for m, tol in ((64, 4e-7), (256, 1.5e-9)):
         x = np.linspace(0.0, 2 * np.pi, m + 1)
-        spline = PeriodicCubic.interpolate(x, np.sin(x + 0.3) + 0.5)
+        pieces, circulation = periodic_potential(x, np.sin(x + 0.3) + 0.5)
         s = np.linspace(-7.0, 13.0, 1001)
-        assert np.max(np.abs(spline(s) - np.sin(s + 0.3) - 0.5)) < tol
-        assert abs(spline.knot_integrals[-1] - np.pi) < 1e-14
+        assert np.max(np.abs(pieces_at(x, pieces, s)[1] - np.sin(s + 0.3) - 0.5)) < tol
+        assert abs(circulation - np.pi) < 1e-14
