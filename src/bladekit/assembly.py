@@ -121,7 +121,6 @@ class SplineField:
     upper_primitive: Pullback
     w1: float
     w2: float
-    branch_point: complex
     absorbed: float
     w0_anchor: float = 0.0
 
@@ -162,7 +161,7 @@ def assemble(lower: Pullback, upper: Pullback, w1: float, B: complex,
     """
     B, w1, w2 = complex(B), float(w1), float(w2)
     lo, up = lower.primitive(B), upper.primitive(B)
-    fld = SplineField(lower, upper, lo, up, w1, w2, B, w1)
+    fld = SplineField(lower, upper, lo, up, w1, w2, w1)
     planes = fld.planes((lo.zeta_ref, up.zeta_ref))
     return replace(fld, w0_anchor=float(fld.spline(np.asarray(B), planes, 0.0)[2]))
 

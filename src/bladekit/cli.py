@@ -36,7 +36,7 @@ def _print_report(report):
             else:
                 verdict = "PASS" if check.passed else "FAIL"
             tol = "-" if check.tolerance is None else f"{check.tolerance:g}"
-            log.info("%s %s/%s value=%.3e tol=%s", verdict, sec.id,
+            log.info("%s %s/%s value=%.3e tol=%s", verdict, sec.section.id,
                      check.name, check.value, tol)
     for err in report.errors:
         log.error("section error: %s", err)
@@ -44,20 +44,17 @@ def _print_report(report):
              "PASS" if report.passed else "FAIL", report.timing_seconds)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_run(args) -> int:
+    """``solve`` and ``verify``: run the pipeline; ``solve`` also writes artifacts."""
     cfg = parse_config(args.config)
+    write = args.command == "solve"
+    if write:
+        out_dir = args.out or cfg.output.directory
+        os.makedirs(out_dir, exist_ok=True)     # refused before any section is solved
     report = run_pipeline(cfg)
-    out_dir = args.out or cfg.output.directory
-    written = write_artifacts(cfg, report, out_dir)
-    for path in written:
-        log.debug("wrote %s", path)
-    _print_report(report)
-    return 0 if report.passed else 1
-
-
-def _cmd_verify(args) -> int:
-    cfg = parse_config(args.config)
-    report = run_pipeline(cfg)
+    if write:
+        for path in write_artifacts(cfg, report, out_dir):
+            log.debug("wrote %s", path)
     _print_report(report)
     return 0 if report.passed else 1
 
@@ -113,11 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the design pipeline and write artifacts")
     p_solve.add_argument("--config", required=True, help="design configuration JSON")
     p_solve.add_argument("--out", default=None, help="output directory (overrides config)")
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the pipeline checks without artifacts")
     p_verify.add_argument("--config", required=True)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_run)
 
     p_pos = sub.add_parser("position", help="position two contours from CSV files")
     p_pos.add_argument("--contours", nargs=2, required=True, metavar=("A", "B"))
@@ -140,10 +137,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BladekitError as exc:
-        log.error("%s", exc)
-        return 2
-    except OSError as exc:
+    except (BladekitError, OSError) as exc:
         log.error("%s", exc)
         return 2
 

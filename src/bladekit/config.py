@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .errors import BadValue, MissingField, NotPowerOfTwo
+from .errors import BadValue, BladekitError, MissingField
 from .inverse import VelocityDistribution
 from .positioning import AREA_SPACING, METHODS
 
@@ -99,7 +99,7 @@ def _load_distribution(value, pointer: str, base_dir: str) -> VelocityDistributi
             raise MissingField(f"{pointer}/{key}")
     try:
         return VelocityDistribution.from_json(value)
-    except Exception as exc:
+    except BladekitError as exc:
         raise BadValue(pointer, str(exc)) from exc
 
 
@@ -163,7 +163,7 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
     if n_boundary < 64:
         raise BadValue("/discretization/n_boundary", "must be at least 64")
     if n_boundary & (n_boundary - 1):
-        raise NotPowerOfTwo("/discretization/n_boundary", n_boundary)
+        raise BadValue("/discretization/n_boundary", f"{n_boundary} is not a power of two")
 
     sections = []
     for i, sec in enumerate(sections_raw):
@@ -178,6 +178,8 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
             raise BadValue(f"{ptr}/id", f"section id must be a plain file name, got {sid!r}")
         if sid == "report.json":
             raise BadValue(f"{ptr}/id", "section id report.json is the report's file name")
+        if any(s.id == sid for s in sections):
+            raise BadValue(f"{ptr}/id", "section ids must be unique")
         degree = sec.get("degree", 1)
         if type(degree) is not int or degree not in (1, 2):  # True and 1.0 equal 1
             raise BadValue(f"{ptr}/degree", f"degree must be 1 or 2, got {degree!r}")
@@ -207,9 +209,6 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         elif datum is not None:
             w1 = _finite(datum_rule(*datum, w2=w2), datum_ptr, "w1")
         sections.append(SectionConfig(sid, degree, lower, upper, w1, w2))
-    ids = [s.id for s in sections]
-    if len(set(ids)) != len(ids):
-        raise BadValue("/sections", "section ids must be unique")
 
     pos_raw = _as_object(raw.get("positioning", {}), "/positioning")
     method = pos_raw.get("method", METHODS[0])

@@ -54,10 +54,3 @@ class MissingField(ConfigError):
 
 class BadValue(ConfigError):
     """Configuration value has the wrong type or an inadmissible value."""
-
-
-class NotPowerOfTwo(ConfigError):
-    """Boundary grid size must be a power of two."""
-
-    def __init__(self, pointer: str, value: int):
-        super().__init__(pointer, f"{value} is not a power of two")

@@ -40,17 +40,11 @@ class Contour:
         return np.hypot(*(np.roll(self.points, -1, axis=0) - self.points).T)
 
 
-def arc_length_table(c: Contour) -> np.ndarray:
-    """Cumulative arc length at each node and back at the start: n+1 entries,
-    from 0 to the perimeter."""
-    return np.concatenate([[0.0], np.cumsum(c._edge_lengths())])
-
-
 def resample_uniform(c: Contour, n: int) -> Contour:
     """Resample to n nodes at equal arc-length steps, keeping start and orientation."""
     if n < 3:
         raise BladekitError("need at least 3 points")
-    table = arc_length_table(c)
+    table = np.concatenate([[0.0], np.cumsum(c._edge_lengths())])
     pts = np.vstack([c.points, c.points[:1]])
     targets = table[-1] * np.arange(n) / n
     x = np.interp(targets, table, pts[:, 0])

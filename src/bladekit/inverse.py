@@ -96,7 +96,7 @@ class VelocityDistribution:
         if not (L > 0 and v_inf > 0):
             raise InconsistentDistribution("total_length and v_inf must be positive")
         s = samples[:, 0]
-        if not (np.all(np.diff(s) > 0) and s[0] >= 0 and s[-1] < L):
+        if not (np.all(s[1:] > s[:-1]) and s[0] >= 0 and s[-1] < L):
             raise InconsistentDistribution(
                 "arc positions must increase strictly inside [0, L)"
             )
@@ -168,13 +168,6 @@ class VelocityDistribution:
         return ib, ia + len(self.speeds)
 
     @property
-    def rise_interval(self) -> tuple[float, float]:
-        """(s_a, s_b) with V > 0 on (s_a, s_b), unwrapped so s_b > s_a."""
-        x, _ = self.potential_table
-        a, b = self.rise_knots
-        return float(x[a]), float(x[b])
-
-    @property
     def circulation_smooth(self) -> float:
         return float(self.potential_table[1][-1, len(self.speeds)])
 
@@ -191,14 +184,13 @@ class VelocityDistribution:
     def modified(self, w1: float) -> "VelocityDistribution":
         """Distribution with the transversal term ``w1 * |s|`` added.
 
-        ``|s|`` is the arc distance to the nearest branch point, so the
-        branch samples stay exact zeros; the sign structure must survive.
+        ``|s|`` is the arc distance to the nearest branch point, exactly 0 at
+        the branch samples, which stay zeros; the sign structure must survive.
         """
         if w1 == 0.0:
             return self
         v = self.speeds + w1 * self.branch_distance(self.arc_positions)
         samples = np.column_stack([self.arc_positions, v])
-        samples[list(self.branch_indices), 1] = 0.0
         try:
             return replace(self, samples=samples)
         except InconsistentDistribution as exc:
@@ -226,8 +218,12 @@ class VelocityDistribution:
         # JSON numbers parse to int and float; np.asarray would also read "0.1" and true
         if not set(map(type, values)) <= {int, float}:
             raise InconsistentDistribution("samples must be pairs of JSON numbers")
+        try:
+            samples = np.array(values, dtype=float).reshape(len(rows), 2)
+        except OverflowError:       # an integer beyond the float range
+            raise InconsistentDistribution("samples must be finite") from None
         return VelocityDistribution(
-            samples=np.array(values, dtype=float).reshape(len(rows), 2),
+            samples=samples,
             total_length=obj["total_length"],
             branch_indices=obj["branch_indices"],
             v_inf=obj["v_inf"],
@@ -259,12 +255,11 @@ class _PotentialArc:
 
     ``nodes`` are the arc's ends with the knots strictly between them and
     ``values`` the potential there, strictly monotone.  Between nodes i and
-    i+1 the potential is the quartic ``coeffs[:, i]`` in ``t = s - origins[i]``.
+    i+1 the potential is the quartic ``coeffs[:, i]`` in ``t = s - nodes[i]``.
     """
 
     nodes: np.ndarray
     values: np.ndarray
-    origins: np.ndarray
     coeffs: np.ndarray
 
     def solve(self, targets: np.ndarray) -> np.ndarray:
@@ -280,8 +275,8 @@ class _PotentialArc:
         idx = np.flatnonzero((y > v[0]) & (y < v[-1]))
         k = np.searchsorted(v, y[idx], side="right") - 1
         c = sign * self.coeffs[:, k]
-        origin = self.origins[k]
-        a = self.nodes[k] - origin
+        origin = self.nodes[k]
+        a = np.zeros_like(origin)
         b = self.nodes[k + 1] - origin
         y = y[idx]
         t = 0.5 * (a + b)
@@ -311,7 +306,7 @@ class _PotentialArc:
 def _potential_arc(x: np.ndarray, c: np.ndarray, a: int, b: int) -> _PotentialArc:
     """Bracket the potential with knots x and pieces c on the arc from knot a to b."""
     end, _ = horner(c[:, b - 1], x[b] - x[b - 1])
-    return _PotentialArc(x[a:b + 1], np.append(c[-1, a:b], end), x[a:b], c[:, a:b])
+    return _PotentialArc(x[a:b + 1], np.append(c[-1, a:b], end), c[:, a:b])
 
 
 @dataclass(frozen=True)
@@ -325,18 +320,13 @@ class CircleCorrespondence:
     """
 
     dist: VelocityDistribution
-    circulation: float
-    canonical_speed: float
-    flow_angle: float
     stagnation_angles: tuple[float, float]
     delta_plus: float
-    delta_minus: float
     deltac_plus: float
-    deltac_minus: float
 
     def canonical_potential(self, gamma):
-        return _canonical_potential(gamma, self.canonical_speed, self.flow_angle,
-                                    self.circulation)
+        d = self.dist
+        return _canonical_potential(gamma, d.v_inf, -d.incidence, d.circulation_smooth)
 
     def arcs(self) -> tuple[_PotentialArc, _PotentialArc]:
         """The potential on the rising and on the falling arc, bracketed at
@@ -373,10 +363,11 @@ class CircleCorrespondence:
         phic = self.canonical_potential(th_lo + np.mod(gamma - th_lo, 2 * np.pi))
         rising = self.on_rising_arc(gamma)
         rising_arc, falling_arc = self.arcs()
+        G = self.dist.circulation_smooth
         out = np.empty_like(gamma)
         for mask, arc, start, dc, delta in (
                 (rising, rising_arc, th_lo, self.deltac_plus, self.delta_plus),
-                (~rising, falling_arc, th_hi, self.deltac_minus, self.delta_minus)):
+                (~rising, falling_arc, th_hi, G - self.deltac_plus, G - self.delta_plus)):
             if np.any(mask):
                 tau = (phic[mask] - self.canonical_potential(start)) / dc
                 out[mask] = arc.solve(arc.values[0] + tau * delta)
@@ -414,8 +405,7 @@ def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
     v = d.speeds
     if not np.all(np.diff(knot_values[:len(v) + 1]) * (v + np.roll(v, -1)) > 0):
         raise InconsistentDistribution("speed spline changes sign inside an arc")
-    return CircleCorrespondence(d, G, A, beta, (th_lo, th_hi),
-                                dplus, dminus, dc_plus, dc_minus)
+    return CircleCorrespondence(d, (th_lo, th_hi), dplus, dc_plus)
 
 
 # -- boundary grid gauge -------------------------------------------------------
@@ -465,9 +455,10 @@ def solve_zhukovsky(corr: CircleCorrespondence, n: int) -> AnalyticSeries:
     sprime = L / (2 * np.pi) + differentiate_boundary(p - p.mean())
     if np.any(sprime <= 0):
         raise InconsistentDistribution("correspondence is not monotone")
+    G = corr.dist.circulation_smooth
     offset = np.where(corr.on_rising_arc(gamma_work + alpha),
                       np.log(corr.delta_plus / corr.deltac_plus),
-                      np.log(corr.delta_minus / corr.deltac_minus))
+                      np.log((G - corr.delta_plus) / (G - corr.deltac_plus)))
     data = -np.log(sprime) + offset
     return analytic_from_real_boundary(data)
 
@@ -627,9 +618,8 @@ class PlanarSolution:
         """
         n = self.n
         alpha = self.gauge
-        A = self.corr.canonical_speed
-        b = self.corr.flow_angle
-        G = self.corr.circulation
+        d = self.corr.dist
+        A, b, G = d.v_inf, -d.incidence, d.circulation_smooth
         p_coeffs = np.array([
             -A * np.exp(-1j * b),
             G / (2j * np.pi) * np.exp(-1j * alpha),

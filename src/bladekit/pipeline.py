@@ -78,17 +78,16 @@ class CheckEntry:
 
 @dataclass
 class SectionResult:
-    id: str
-    degree: int
-    w1: float
-    w2: "float | None"
+    """One solved section; ``chained`` when its lower blade is the previous upper one."""
+
+    section: SectionConfig
+    chained: bool
     lower: PlanarSolution
     upper: PlanarSolution
     field: SplineField
     residuals: FieldResiduals
     shift: ShiftVector
     checks: list = dc_field(default_factory=list)
-    glue_info: "dict | None" = None
 
     @property
     def passed(self) -> bool:
@@ -113,15 +112,16 @@ class RunReport:
             "errors": list(self.errors),
             "sections": [
                 {
-                    "id": s.id,
-                    "degree": s.degree,
-                    "w1": s.w1,
-                    "w2": s.w2,
+                    "id": s.section.id,
+                    "degree": s.section.degree,
+                    "w1": s.section.w1,
+                    "w2": s.section.w2 if s.section.degree == 2 else None,
                     "closure_lower": s.lower.closure.to_json(),
                     "closure_upper": s.upper.closure.to_json(),
                     "residuals": s.residuals.to_json(),
                     "shift": s.shift.to_json(),
-                    "glue": s.glue_info,
+                    "glue": ({"w1_const": s.section.w1, "w2": s.section.w2}
+                             if s.chained else None),
                     "checks": [c.to_json() for c in s.checks],
                 }
                 for s in self.sections
@@ -159,11 +159,9 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
     n = cfg.n_boundary
     w1, w2 = section.w1, section.w2
     if prev is None:
-        glue_info = None
         sol_lo = solve_distribution(section.lower, n, z_start=0.0, w1=w1)
         involved = [sol_lo.contour]
     else:
-        glue_info = {"w1_const": w1, "w2": w2}
         sol_lo = prev.upper                   # shared blade, same solve
         # trace_defect evaluates the previous field too
         involved = [prev.lower.contour, sol_lo.contour]
@@ -198,10 +196,8 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
             gate("glue_w1_rule", abs(fld.absorbed - sol_lo.w1), GLUE_TOL),
         ]
 
-    return SectionResult(section.id, section.degree, w1,
-                         w2 if section.degree == 2 else None,
-                         sol_lo, sol_up, fld, residuals, shift, checks,
-                         glue_info)
+    return SectionResult(section, prev is not None, sol_lo, sol_up, fld, residuals,
+                         shift, checks)
 
 
 def run_pipeline(cfg: DesignConfig) -> RunReport:
@@ -243,8 +239,8 @@ def _json_text(obj) -> str:
 def write_artifacts(cfg: DesignConfig, report: RunReport, out_dir: str) -> list:
     """Write per-section CSV/JSON/SVG artifacts plus the global report.
 
-    Each section's files go to the directory named by its id; returns the
-    written paths.
+    ``out_dir`` must exist.  Each section's files go to the directory
+    named by its id; returns the written paths.
     """
     written = []
 
@@ -253,10 +249,9 @@ def write_artifacts(cfg: DesignConfig, report: RunReport, out_dir: str) -> list:
             fh.write(text)
         written.append(path)
 
-    os.makedirs(out_dir, exist_ok=True)
     formats = cfg.output.formats
     for res in report.sections:
-        sdir = os.path.join(out_dir, res.id)
+        sdir = os.path.join(out_dir, res.section.id)
         os.makedirs(sdir, exist_ok=True)
         if "csv" in formats:
             put(os.path.join(sdir, "lower.csv"), contour_to_csv(res.lower.contour))

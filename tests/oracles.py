@@ -12,7 +12,6 @@ from functools import cached_property, partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from bladekit.geometry import arc_length_table
 from bladekit.harmonic import AnalyticSeries, evaluate_series
 from bladekit.inverse import (
     VelocityDistribution,
@@ -31,6 +30,19 @@ from bladekit.positioning import (
 from bladekit.spline import horner
 
 _N_DENSE = 16384
+
+
+def arc_length_table(c) -> np.ndarray:
+    """Cumulative arc length of a contour at each node and back at the start:
+    n+1 entries, from 0 to the perimeter."""
+    return np.concatenate([[0.0], np.cumsum(c._edge_lengths())])
+
+
+def rise_interval(d: VelocityDistribution) -> tuple:
+    """(s_a, s_b) with V > 0 on (s_a, s_b), unwrapped so s_b > s_a."""
+    x, _ = d.potential_table
+    a, b = d.rise_knots
+    return float(x[a]), float(x[b])
 
 
 @dataclass(frozen=True)
@@ -412,7 +424,7 @@ def s_of_gamma_by_bisection(corr, gamma) -> np.ndarray:
     """
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
     L = corr.dist.total_length
-    s_a, s_b = corr.dist.rise_interval
+    s_a, s_b = rise_interval(corr.dist)
     th_lo, th_hi = corr.stagnation_angles
     gm = np.mod(gamma - th_lo, 2 * np.pi)
     rising = gm <= (th_hi - th_lo) + 1e-15
@@ -424,8 +436,9 @@ def s_of_gamma_by_bisection(corr, gamma) -> np.ndarray:
         targ = phi(s_a) + tau * corr.delta_plus
         out[rising] = _bisect_monotone(phi, s_a, s_b, targ)
     if np.any(~rising):
-        tau = (phic(th_lo + gm[~rising]) - phic(th_hi)) / corr.deltac_minus
-        targ = phi(s_b) + tau * corr.delta_minus
+        G = corr.dist.circulation_smooth
+        tau = (phic(th_lo + gm[~rising]) - phic(th_hi)) / (G - corr.deltac_plus)
+        targ = phi(s_b) + tau * (G - corr.delta_plus)
         out[~rising] = _bisect_monotone(phi, s_b, s_a + L, targ)
     return np.mod(out, L)
 

@@ -141,7 +141,8 @@ MALFORMED = [
     # refused where the degree is read, before the section's blades or w2
     (["sections"], [_section("s0"), {"id": "s1", "degree": 2, "w2": 0.1}], "/sections/1/degree",
      "degree must be uniform across sections, section 0 has degree 1"),
-    (["sections"], [_section("s0"), _section("s0")], "/sections", "section ids must be unique"),
+    (["sections"], [_section("s0"), _section("s0")], "/sections/1/id",
+     "section ids must be unique"),
     (["positioning"], {"method": "simplex"}, "/positioning/method", "method must be one of"),
     (["positioning"], {"box": [0, 0, 1]}, "/positioning/box", "box must be [x0, y0, x1, y1]"),
     (["positioning"], {"box": [0, 0, 0, 1]}, "/positioning/box", "box must have positive extent"),
@@ -152,6 +153,12 @@ MALFORMED = [
     (["positioning"], {"method": "lift", "box": [0, 0, 1, 1]}, "/positioning/partition",
      "required field is missing"),
     (["output"], {"formats": ["pdf"]}, "/output/formats/0", "unknown format 'pdf'"),
+    # a duplicate id is refused where it is read, before the section's blades
+    (["sections"], [_section("s0"), {"id": "s0"}], "/sections/1/id",
+     "section ids must be unique"),
+    # an integer that no float holds
+    (["sections", 0, "lower", "samples", 1, 1], 10 ** 400, "/sections/0/lower",
+     "samples must be finite"),
 ]
 
 
@@ -535,13 +542,17 @@ def test_position_os_error_exits_2(tmp_path, caplog, case):
     assert not missing.parent.exists()
 
 
-def test_solve_out_naming_a_file_exits_2(design, tmp_path, caplog):
+def test_solve_out_naming_a_file_exits_2(design, tmp_path, caplog, monkeypatch):
+    # refused before the pipeline runs: no section is solved for nothing
+    calls = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda cfg: calls.append(cfg))
     out = tmp_path / "out"
     out.write_text("", encoding="utf-8")
     assert cli.main(["solve", "--config", _write_config(tmp_path, design),
                      "--out", str(out)]) == 2
     assert "File exists" in caplog.text
     assert out.read_text(encoding="utf-8") == ""
+    assert calls == []
 
 
 def test_empty_contour_file_exits_2(tmp_path, caplog):

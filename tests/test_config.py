@@ -1,4 +1,5 @@
-"""Transversal constants, resolved once by the config parser.
+"""Transversal constants, resolved once by the config parser, and the
+parser on mutated configs.
 
 A section's w1 is a literal, a datum ``w(B, h_ref) = w_ref`` or, for a
 chained degree-2 section, the slope ``prev.w1 + 2*prev.w2`` of the section
@@ -6,7 +7,9 @@ below; w2 is a literal on a first degree-2 section, the datum's solution or
 0 on a chained one, and 0 at degree 1.
 """
 
+import copy
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -15,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from bladekit.config import parse_config_dict
+from bladekit.config import DesignConfig, parse_config_dict
 from bladekit.errors import BadValue, ConfigError
 
 DIST = oracles.joukowski_flow().distribution(64, 64).to_json()
@@ -128,3 +131,61 @@ def test_constants_are_finite_and_obey_both_rules(degree, specs, w2):
                 assert w1 == spec
         if datum is not None:
             assert _datum_holds(datum["w_ref"], datum["h_ref"], w1, w2_k), (k, w1, w2_k)
+
+
+def _lift_chain() -> dict:
+    """A valid config: two chained degree-2 sections positioned by lift."""
+    dist = oracles.joukowski_flow().distribution(8, 8).to_json()
+    return {"sections": [{"id": "a", "degree": 2, "w1": 0.05, "w2": 0.1,
+                          "lower": dist, "upper": copy.deepcopy(dist)},
+                         {"id": "b", "degree": 2, "w1": _datum(0.3, 1.0),
+                          "lower": copy.deepcopy(dist), "upper": copy.deepcopy(dist)}],
+            "discretization": {"n_boundary": 64},
+            "positioning": {"method": "lift", "box": [-0.5, -0.5, 0.5, 0.5],
+                            "partition": 32, "spacing": 0.5},
+            "output": {"directory": "out", "formats": ["csv", "json"]}}
+
+
+def _key_paths(node, path=()):
+    """The key path of every node below the root of a JSON tree."""
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _key_paths(child, path + (key,))
+
+
+DROP = object()
+JSON_VALUES = st.one_of(
+    st.just(DROP),
+    # json.load reads NaN, Infinity and integers past the float range
+    st.sampled_from((10 ** 400, -(10 ** 400), math.nan, math.inf, -math.inf)),
+    st.sampled_from((None, True, False, "", "a", ".", "0.1", 0, 1, 2, 3, 64, 96, -1, [], {})),
+    NUMBERS,
+    st.lists(NUMBERS, max_size=4),
+)
+MUTATIONS = st.lists(st.tuples(st.sampled_from(list(_key_paths(_lift_chain()))), JSON_VALUES),
+                     min_size=1, max_size=3)
+
+
+@given(MUTATIONS)
+def test_mutated_config_parses_or_is_refused_with_a_pointer(mutations):
+    # each mutation drops or replaces one node, down to single samples; a
+    # path that an earlier mutation removed or retyped is skipped
+    raw = _lift_chain()
+    for path, value in mutations:
+        node = raw
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            if value is DROP:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue
+    try:
+        cfg = parse_config_dict(raw)
+    except ConfigError as exc:
+        assert re.fullmatch(r"/|(/[^/]+)+", exc.pointer), exc.pointer
+        return
+    assert isinstance(cfg, DesignConfig)

@@ -4,13 +4,12 @@ import pytest
 from bladekit.errors import CountMismatch, DegenerateContour
 from bladekit.geometry import (
     Contour,
-    arc_length_table,
     contour_from_csv,
     contour_to_csv,
     resample_uniform,
 )
 from bladekit.positioning import area_objective
-from oracles import hausdorff_distance, strip_area_by_cross_products
+from oracles import arc_length_table, hausdorff_distance, strip_area_by_cross_products
 
 
 def unit_square():

@@ -33,6 +33,7 @@ from oracles import (
     perturbed_cylinder,
     potential_at,
     quasisolution_by_fd_newton,
+    rise_interval,
     s_of_gamma_by_bisection,
     smooth_map,
     speed_at,
@@ -89,6 +90,20 @@ class TestVelocityDistribution:
         assert np.array_equal(back.samples, cyl_dist.samples)
         assert back.total_length == cyl_dist.total_length
         assert back.branch_indices == cyl_dist.branch_indices
+
+    def test_json_sample_past_the_float_range_rejected(self, cyl_dist):
+        # an integer sample that no float holds is refused like inf
+        obj = cyl_dist.to_json()
+        obj["samples"][1][1] = 10 ** 400
+        with pytest.raises(InconsistentDistribution, match="samples must be finite"):
+            VelocityDistribution.from_json(obj)
+
+    def test_arc_positions_far_apart_rejected_without_overflow(self, cyl_dist):
+        # compared, not subtracted: 1.7e308 - (-1.7e308) overflows
+        samples = cyl_dist.samples.copy()
+        samples[2, 0], samples[3, 0] = 1.7e308, -1.7e308
+        with pytest.raises(InconsistentDistribution, match="arc positions must increase"):
+            VelocityDistribution(samples, cyl_dist.total_length, cyl_dist.branch_indices, 1.0)
 
     def test_modified_zero_is_same_object(self, cyl_dist):
         assert cyl_dist.modified(0.0) is cyl_dist
@@ -175,7 +190,7 @@ class TestCanonicalMap:
         corr = canonical_map(jouk_dist)
         th_lo = corr.stagnation_angles[0]
         g = th_lo + np.linspace(0.3, 2 * np.pi - 0.3, 101)
-        s_a, _ = jouk_dist.rise_interval
+        s_a, _ = rise_interval(jouk_dist)
         s = s_a + np.mod(corr.s_of_gamma(g) - s_a, jouk_dist.total_length)
         lhs = potential_at(jouk_dist, s) - potential_at(jouk_dist, s_a)
         rhs = corr.canonical_potential(g) - corr.canonical_potential(th_lo)
@@ -248,15 +263,16 @@ class TestCorrespondence:
         L = d.total_length
         assert on_circle_gap(s, s_of_gamma_by_bisection(corr, g), L) <= 1e-12 * L
         th_lo, th_hi = corr.stagnation_angles
+        G = d.circulation_smooth
         rising = corr.on_rising_arc(g)
         start = np.where(rising, th_lo, th_hi)
         tau = ((corr.canonical_potential(th_lo + np.mod(g - th_lo, 2 * np.pi))
                 - corr.canonical_potential(start))
-               / np.where(rising, corr.deltac_plus, corr.deltac_minus))
+               / np.where(rising, corr.deltac_plus, G - corr.deltac_plus))
         arcs = corr.arcs()
         lo = np.where(rising, *(arc.nodes[0] for arc in arcs))
         target = (np.where(rising, *(arc.values[0] for arc in arcs))
-                  + tau * np.where(rising, corr.delta_plus, corr.delta_minus))
+                  + tau * np.where(rising, corr.delta_plus, G - corr.delta_plus))
         s_arc = lo + np.mod(s - lo, L)
         # the stop's 4 ulp, two quartic evaluations of ~2 ulp each (the
         # solver's and potential_at's), and rounding s to a float
@@ -548,7 +564,7 @@ class TestReconstruct:
         dz_dgamma = np.exp(1j * sol.gauge) * zprime * 1j * np.exp(1j * gam)
         dphi = (g_vals * dz_dgamma).real          # d(potential) along the contour
         got = np.sum(dphi) * 2 * np.pi / n
-        assert abs(got - sol.corr.circulation) < 1e-8
+        assert abs(got - sol.corr.dist.circulation_smooth) < 1e-8
 
 
 class TestModified:
@@ -592,6 +608,6 @@ class TestModified:
         far = 6.0 - 1.5j
         zeta = sol.map.invert(np.array([far]))[0]
         mine = evaluate_series(sol.velocity_series, zeta)
-        A, b = sol.corr.canonical_speed, sol.corr.flow_angle
+        A, b = sol.corr.dist.v_inf, -sol.corr.dist.incidence
         # far away the conjugate velocity tends to -A e^{-i b}
         assert abs(mine - (-A * np.exp(-1j * b))) < 0.2

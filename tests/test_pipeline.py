@@ -46,17 +46,19 @@ def chain_report():
 class TestDegree2Chain:
     def test_chain_passes(self, chain_report):
         assert chain_report.errors == []
-        assert [s.id for s in chain_report.sections] == ["c0", "c1", "c2"]
+        assert [s.section.id for s in chain_report.sections] == ["c0", "c1", "c2"]
+        assert [s.chained for s in chain_report.sections] == [False, True, True]
         assert chain_report.passed
 
     def test_chained_sections_carry_glue_checks(self, chain_report):
-        for sec in chain_report.sections[1:]:
+        report = chain_report.to_json()["sections"]
+        for sec, entry in zip(chain_report.sections[1:], report[1:]):
             checks = {c.name: c for c in sec.checks}
             for name in ("glue_du", "glue_dv", "glue_w1_rule"):
                 assert checks[name].passed is True
             assert checks["glue_du"].value < GLUE_TOL
             assert checks["glue_dv"].value < GLUE_TOL
-            assert sec.glue_info == {"w1_const": sec.w1, "w2": sec.w2}
+            assert entry["glue"] == {"w1_const": sec.section.w1, "w2": sec.section.w2}
 
     def test_shared_blade_is_one_solve(self, chain_report):
         secs = chain_report.sections
@@ -67,7 +69,7 @@ class TestDegree2Chain:
         # the shared blade was solved with the previous slope dw/dh at h = 1;
         # the chained section takes it as w1 and is divergence free
         for prev, sec in zip(chain_report.sections, chain_report.sections[1:]):
-            assert sec.w1 == prev.field.w1 + 2 * prev.field.w2 == sec.lower.w1
+            assert sec.section.w1 == prev.field.w1 + 2 * prev.field.w2 == sec.lower.w1
             check = {c.name: c for c in sec.checks}["residual_analytic"]
             assert check.tolerance == 1e-8 and check.passed is True
             assert check.value < 1e-8
@@ -86,10 +88,10 @@ class TestDegree2Chain:
         report = run_pipeline(dataclasses.replace(cfg, sections=tuple(sections)))
         assert not report.passed
         for prev, sec in zip(report.sections, report.sections[1:]):
-            assert sec.lower.w1 - sec.w1 == pytest.approx(prev.field.w2) != 0.0
+            assert sec.lower.w1 - sec.section.w1 == pytest.approx(prev.field.w2) != 0.0
             checks = {c.name: c for c in sec.checks}
             for name in ("glue_du", "glue_dv", "glue_w1_rule"):
-                assert checks[name].passed is False, (sec.id, name)
+                assert checks[name].passed is False, (sec.section.id, name)
 
     def test_only_glue_dw_is_ungated(self, chain_report):
         for sec in chain_report.sections:
@@ -101,7 +103,7 @@ class TestDegree2Chain:
         # w jumps by the previous w(B, 1) = w1 + w2 between the two anchors,
         # and glue_dw is the largest jump over the residual grid
         for prev, sec in zip(chain_report.sections, chain_report.sections[1:]):
-            Bp, Bs = prev.field.branch_point, sec.field.branch_point
+            Bp, Bs = prev.lower.z_start, sec.lower.z_start
             jump = (prev.field.velocity(Bp.real, Bp.imag, 1.0)[2]
                     - sec.field.velocity(Bs.real, Bs.imag, 0.0)[2])
             assert jump == prev.field.w1 + prev.field.w2
@@ -148,7 +150,7 @@ class TestDegree2Chain:
         assert rule.value == abs(sec.field.absorbed - sec.lower.w1) == 0.0
         fld = sec.field
         misanchored = assembly.assemble(fld.lower, fld.upper, prev.field.w1 + prev.field.w2,
-                                        fld.branch_point, fld.w2)
+                                        sec.lower.z_start, fld.w2)
         assert abs(misanchored.absorbed - sec.lower.w1) > GLUE_TOL
 
 
@@ -178,7 +180,7 @@ def test_first_section_datum_holds_with_w2():
     report = run_pipeline(cfg)
     assert report.passed
     fld = report.sections[0].field
-    B = fld.branch_point
+    B = report.sections[0].lower.z_start
     assert abs(float(fld.velocity(B.real, B.imag, h_ref)[2]) - w_ref) < 1e-12
 
 
@@ -200,7 +202,7 @@ def test_fd_pass_matches_cold_velocity_differences(which, chain_report):
     if which == "degree1":
         sec = _degree1_section()
     else:
-        sec = {s.id: s for s in chain_report.sections}[which]
+        sec = {s.section.id: s for s in chain_report.sections}[which]
     res = sec.residuals
     fd_div, fd_curl = oracles.fd_residuals_by_velocity(sec.field, res.grid)
     assert abs(res.fd_max_div - fd_div) < 1e-11
