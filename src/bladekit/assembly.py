@@ -1,22 +1,25 @@
 """The velocity field of a section: a linear spline in h between two blades.
 
-The blade planes sit at h = 0 and h = 1.  With ``f_lo`` and ``f_up`` the
-analytic completions ``v + i*u`` of the two blades' in-plane velocities,
-the field is::
+The blade planes sit at h = 0 and h = 1.  Each plane is given by its
+complex potential F, the canonical flow's potential carried through the
+blade's map (`inverse.PlanarSolution.potential`); its derivative
+``f = F' = v + i*u`` is the analytic completion of the blade's in-plane
+velocity.  With ``F_lo``, ``F_up`` the two potentials the field is::
 
     v + i*u = (1-h)*f_lo(z) + h*f_up(z) - (i/2)*(w1 + 2*w2*h)*conj(z)
-    w = Im P(z) - (w2/2)*|z|^2 + h*w1 + h^2*w2,   P = int (f_up - f_lo) dz
+    w = Im P(z) - (w2/2)*|z|^2 + h*w1 + h^2*w2 - w0,   P = F_up - F_lo
 
-with constant w1 and w2 (degree 1 is w2 = 0) and P vanishing at the branch
-point B.  The conj(z) term absorbs dw/dh, so the field is divergence free,
-and grad w = du/dh, dv/dh makes it irrotational.  `field_residuals` checks
-both with the spline's derivatives in closed form and again by central
-differences, from one inversion of each blade map at the grid nodes: the
-h-differences reuse the plane values there, and each point set shifted in x
-or y is inverted from one first-order step off the nodes.  Each blade
-plane is a modified planar problem whose conj(z) coefficient is dw/dh
-there: w1 on the plane h = 0 and ``w1 + 2*w2`` on h = 1, which is the w1
-of a section stacked on top (`config.parse_config_dict` resolves it).
+with constant w1 and w2 (degree 1 is w2 = 0) and the constant w0 making w
+vanish over the branch point B at h = 0.  The conj(z) term absorbs dw/dh,
+so the field is divergence free, and grad w = du/dh, dv/dh makes it
+irrotational.  `field_residuals` checks the field with the spline's
+derivatives in closed form and again by central differences, from one
+inversion of each blade map at the grid nodes: the h-differences reuse the
+plane values there, and each point set shifted in x or y is inverted from
+one first-order step off the nodes.  Each blade plane is a modified planar
+problem whose conj(z) coefficient is dw/dh there: w1 on the plane h = 0
+and ``w1 + 2*w2`` on h = 1, which is the w1 of a section stacked on top
+(`config.parse_config_dict` resolves it).
 """
 
 from __future__ import annotations
@@ -68,8 +71,10 @@ class FieldResiduals:
 
     ``max_div`` and ``max_curl`` use the spline's derivatives in closed form;
     the ``fd_*`` twins repeat the computation with central differences at
-    step 1e-4.  The figures below are NaN where a residual is, so a NaN
-    fails every bound on them.
+    step 1e-4.  In closed form ``max_curl[1:]`` is 0.0: du/dh - dw/dx and
+    dv/dh - dw/dy compare f_up - f_lo with P', which is that difference
+    by construction; the FD pass measures them.  The figures below are NaN
+    where a residual is, so a NaN fails every bound on them.
     """
 
     max_div: float
@@ -105,20 +110,17 @@ class FieldResiduals:
 
 @dataclass(frozen=True)
 class SplineField:
-    """The spline of the module docstring, from the analytic data of its planes.
+    """The spline of the module docstring, from the potentials of its planes.
 
-    ``lower`` and ``upper`` are f_lo and f_up; ``P`` is the difference of
-    their primitives, both zero at the branch point.  ``w0_anchor`` is
-    subtracted from w so that w vanishes over the branch point at h = 0.
-    ``absorbed`` is w1 as assembled, the dw/dh that the conj(z) term
-    absorbs at h = 0; it is fixed with the planes, so div = w1 - absorbed,
-    and a field whose w1 is changed afterwards fails continuity.
+    ``lower`` and ``upper`` are F_lo and F_up.  ``w0_anchor`` is subtracted
+    from w so that w vanishes over the branch point at h = 0.  ``absorbed``
+    is w1 as assembled, the dw/dh that the conj(z) term absorbs at h = 0; it
+    is fixed with the planes, so div = w1 - absorbed, and a field whose w1
+    is changed afterwards fails continuity.
     """
 
     lower: Pullback
     upper: Pullback
-    lower_primitive: Pullback
-    upper_primitive: Pullback
     w1: float
     w2: float
     absorbed: float
@@ -129,11 +131,17 @@ class SplineField:
         return (self.lower.map.invert(z, start=start[0]),
                 self.upper.map.invert(z, start=start[1]))
 
-    def planes(self, zetas):
-        """Values of f_lo, f_up and P at the points ``zetas`` inverted."""
+    def planes(self, zetas, dzs=None):
+        """Values of f_lo, f_up and P at the points ``zetas`` inverted.
+
+        ``dzs`` are the maps' z'(zeta) there, evaluated here when not given.
+        """
         lo, up = zetas
-        p = self.upper_primitive.value(up) - self.lower_primitive.value(lo)
-        return self.lower.value(lo), self.upper.value(up), p
+        if dzs is None:
+            dzs = (evaluate_series(self.lower.map.deriv, lo),
+                   evaluate_series(self.upper.map.deriv, up))
+        p = self.upper.value(up) - self.lower.value(lo)
+        return self.lower.derivatives(lo, dzs[0]), self.upper.derivatives(up, dzs[1]), p
 
     def spline(self, z, planes, h):
         """``(u, v, w)`` at plane points z and heights h from the plane values there."""
@@ -155,44 +163,39 @@ def assemble(lower: Pullback, upper: Pullback, w1: float, B: complex,
              w2: float = 0.0) -> SplineField:
     """Build the spline between the planes h = 0 (``lower``) and h = 1 (``upper``).
 
-    Both primitives vanish at B, and w is anchored by evaluating it there,
-    so ``w(B, h)`` is exactly ``h*w1 + h^2*w2``.  The primitives hold B
-    inverted on each map, so the anchor needs no inversion of its own.
+    w is anchored by evaluating it at B, which inverts each map there once,
+    so ``w(B, h)`` is exactly ``h*w1 + h^2*w2``.
     """
     B, w1, w2 = complex(B), float(w1), float(w2)
-    lo, up = lower.primitive(B), upper.primitive(B)
-    fld = SplineField(lower, upper, lo, up, w1, w2, w1)
-    planes = fld.planes((lo.zeta_ref, up.zeta_ref))
-    return replace(fld, w0_anchor=float(fld.spline(np.asarray(B), planes, 0.0)[2]))
+    fld = SplineField(lower, upper, w1, w2, w1)
+    return replace(fld, w0_anchor=float(fld.velocity(B.real, B.imag, 0.0)[2]))
 
 
 def field_residuals(field: SplineField, grid: GridSpec) -> FieldResiduals:
     """Residuals of continuity and the three irrotationality relations.
 
     The exact pass writes ``v + i*u = G(z) + K*conj(z)``, so ``F_x = G' + K``
-    and ``F_y = i*(G' - K)``; du/dh - dw/dx and dv/dh - dw/dy reduce to the
-    gap between f_up - f_lo and the primitive's own derivative P' (the w2
-    terms cancel).  The finite-difference pass uses central differences at
-    step 1e-4 in x, y, and h.  Both passes share each map's inverse at the
-    nodes, and its z'(zeta) serves the derivatives of a plane and its primitive.
+    and ``F_y = i*(G' - K)``, with each plane's f' = F'' from the map's
+    z''(zeta); du/dh - dw/dx and dv/dh - dw/dy hold by construction (see
+    `FieldResiduals`).  The finite-difference pass uses central differences
+    at step 1e-4 in x, y, and h.  Both passes share each map's inverse and
+    z'(zeta) at the nodes.
     """
     x, y = grid.plane_nodes()
     z = x + 1j * y
     hs = grid.h_nodes()
     h = hs[:, None]
-    zetas = z_lo, z_up = field.zetas(z)
-    dzs = dz_lo, dz_up = (evaluate_series(field.lower.map.deriv, z_lo),
-                          evaluate_series(field.upper.map.deriv, z_up))
-    planes = f_lo, f_up, _ = field.planes(zetas)
-    dg = (1.0 - h) * field.lower.derivative(z_lo, dz_lo) + h * field.upper.derivative(z_up, dz_up)
-    dp = (field.upper_primitive.derivative(z_up, dz_up)
-          - field.lower_primitive.derivative(z_lo, dz_lo))
+    zetas = field.zetas(z)
+    dzs = tuple(evaluate_series(plane.map.deriv, zeta)
+                for plane, zeta in zip((field.lower, field.upper), zetas))
+    planes = field.planes(zetas, dzs)
+    df_lo, df_up = (plane.derivatives(zeta, dz, evaluate_series(plane.map.deriv2, zeta))[1]
+                    for plane, zeta, dz in zip((field.lower, field.upper), zetas, dzs))
+    dg = (1.0 - h) * df_lo + h * df_up
     k = -0.5j * (field.absorbed + 2.0 * field.w2 * h)
     fx, fy = dg + k, 1j * (dg - k)
     div = fx.imag + fy.real + field.w1 + 2.0 * h * field.w2
-    gap = f_up - f_lo - dp
-    max_curl = (float(np.max(np.abs(fy.imag - fx.real))),
-                float(np.max(np.abs(gap.imag))), float(np.max(np.abs(gap.real))))
+    max_curl = (float(np.max(np.abs(fy.imag - fx.real))), 0.0, 0.0)
     fd_div, fd_curl = _fd_residuals(field, z, hs, zetas, dzs, planes)
     return FieldResiduals(float(np.max(np.abs(div))), max_curl, fd_div, tuple(fd_curl), grid)
 

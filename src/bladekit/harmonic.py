@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import BladekitError, MultivaluedAntiderivative, OutsideDomain
 
-_SLICE = 2048          # points per pass of series evaluation
-
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -100,9 +98,6 @@ class AnalyticSeries:
         c[other.low - low: other.low - low + len(other.coefficients)] += other.coefficients
         return AnalyticSeries(c, low=low)
 
-    def __sub__(self, other: "AnalyticSeries") -> "AnalyticSeries":
-        return self + (other * (-1.0))
-
     def __mul__(self, factor) -> "AnalyticSeries":
         if isinstance(factor, AnalyticSeries):
             c = np.convolve(self.coefficients, factor.coefficients)
@@ -138,28 +133,23 @@ def evaluate_series_unchecked(f: AnalyticSeries, z):
 
     The powers >= 0 form a polynomial in z and the negative powers one in
     ``w = 1/z`` times ``w**(-stop)``; each is summed by `_polynomial`.
-    Points go through in slices of `_SLICE`, which bounds the power tables.
     """
     z = np.asarray(z, dtype=complex)
     c = f.coefficients
-    flat = z.ravel()
-    out = np.empty_like(flat)
-    for i in range(0, len(flat), _SLICE):
-        x = flat[i: i + _SLICE]
-        acc = np.zeros_like(x)
-        if f.high >= 0:
-            start = max(f.low, 0)
-            val = _polynomial(c[start - f.low:], x)
-            if start > 0:
-                val = val * x ** start
-            acc = acc + val
-        if f.low < 0:
-            stop = min(f.high, -1)
-            w = 1.0 / x
-            val = _polynomial(c[stop - f.low:: -1], w)   # powers stop..low
-            acc = acc + val * w ** (-stop)
-        out[i: i + _SLICE] = acc
-    return out.reshape(z.shape) if z.shape else complex(out[0])
+    x = z.ravel()
+    acc = np.zeros_like(x)
+    if f.high >= 0:
+        start = max(f.low, 0)
+        val = _polynomial(c[start - f.low:], x)
+        if start > 0:
+            val = val * x ** start
+        acc = acc + val
+    if f.low < 0:
+        stop = min(f.high, -1)
+        w = 1.0 / x
+        val = _polynomial(c[stop - f.low:: -1], w)   # powers stop..low
+        acc = acc + val * w ** (-stop)
+    return acc.reshape(z.shape) if z.shape else complex(acc[0])
 
 
 def _polynomial(c: np.ndarray, x: np.ndarray) -> np.ndarray:

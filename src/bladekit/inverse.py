@@ -51,7 +51,7 @@ from .harmonic import (
     exterior_projection,
     integrate_series,
 )
-from .planefield import SeriesMap
+from .planefield import Pullback, SeriesMap
 from .spline import horner, periodic_potential
 
 _NEWTON_TOL = 1e-12
@@ -613,8 +613,8 @@ class PlanarSolution:
         """Analytic completion g(zeta) = (dw_c/dzeta)(zeta*e^{i*gauge}) * e^chi.
 
         Its pullback ``g(zeta(z))`` is the conjugate in-plane velocity of
-        the modified problem; multiplied by i it is the analytic datum the
-        field assembly consumes.
+        the modified problem, with e^chi cut to its n/2 exterior modes; its
+        values on the circle are the blade's node speeds.
         """
         n = self.n
         alpha = self.gauge
@@ -628,6 +628,22 @@ class PlanarSolution:
         p_series = AnalyticSeries.exterior(p_coeffs)
         e_series = exterior_projection(np.exp(boundary_values(self.chi, n)))
         return (p_series * e_series).trimmed(1e-14)
+
+    @cached_property
+    def potential(self) -> Pullback:
+        """The blade's plane ``F = i*W(zeta(z))``, with W the canonical potential
+        ``w_c(zeta*e^{i*gauge})`` up to a constant.
+
+        ``F' = i*W'(zeta)/z'(zeta)`` is the analytic datum of the field
+        assembly; its zeta-derivative is ``i*e^{i*gauge}`` times the three-term
+        factor of `velocity_series`.  The flow it carries is tangent to the
+        contour, the map's image of the circle, exactly.
+        """
+        d = self.corr.dist
+        A, G = d.v_inf, d.circulation_smooth
+        r = np.exp(1j * (self.gauge + d.incidence))
+        return Pullback(AnalyticSeries(1j * np.array([-A / r, 0.0, -A * r]), low=-1),
+                        self.map, log=G / (2 * np.pi))
 
 
 def solve_distribution(d: VelocityDistribution, n: int,

@@ -2,8 +2,8 @@
 
 Each section solves two planar inverse problems (one per blade, both as
 modified problems with the section's transversal constants) and builds its
-velocity field with `assembly.assemble` from the two blades' analytic
-completions: the lower blade is the plane h = 0, the upper blade the plane
+velocity field with `assembly.assemble` from the two blades' complex
+potentials: the lower blade is the plane h = 0, the upper blade the plane
 h = 1.  It then measures the field's residuals on a box clear of every
 blade the field is evaluated over, and positions the reconstructed
 contours.
@@ -49,7 +49,6 @@ from .errors import BladekitError
 from .geometry import Contour, contour_to_csv
 from .harmonic import boundary_values
 from .inverse import PlanarSolution, solve_distribution
-from .planefield import Pullback
 from .positioning import NodePartition, ShiftVector, position
 from .svgplot import render_svg
 
@@ -129,11 +128,6 @@ class RunReport:
         }
 
 
-def _pullback_field(solution: PlanarSolution) -> Pullback:
-    """The blade's plane: i times the analytic completion of its in-plane velocity."""
-    return Pullback(solution.velocity_series * 1j, solution.map)
-
-
 def _residual_grid(contours: "list[Contour]") -> GridSpec:
     """Evaluation box to the right of every involved blade."""
     pts = np.vstack([c.points for c in contours])
@@ -169,7 +163,7 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
     sol_up = solve_distribution(section.upper, n, z_start=0.0, w1=w1 + 2.0 * w2)
     involved.append(sol_up.contour)
 
-    fld = assemble(_pullback_field(sol_lo), _pullback_field(sol_up), w1, sol_lo.z_start, w2)
+    fld = assemble(sol_lo.potential, sol_up.potential, w1, sol_lo.z_start, w2)
     grid = _residual_grid(involved)
     residuals = field_residuals(fld, grid)
     pos = cfg.positioning

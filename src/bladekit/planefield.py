@@ -2,13 +2,14 @@
 
 A blade's flow lives outside the unit circle of its canonical variable
 zeta; `SeriesMap` is the map ``z(zeta)`` with a Newton inverse.  A
-`Pullback` is ``S(zeta(z))`` for a Laurent series S, plus the log term
-that circulation gives its primitive.  It is evaluated at points that have
-already been inverted, so one inversion per map and point set serves every
-function over that map: its value, and where asked its exact z-derivative
-``S'(zeta)/z'(zeta)`` from a z'(zeta) the caller evaluates once per map.
-A point set close to one already inverted is inverted from a start near
-its answer (`SeriesMap.invert`'s ``start``).
+`Pullback` is ``S(zeta(z)) + log*ln(zeta(z))`` for a Laurent series S: a
+blade plane's complex potential is one, the canonical potential carried
+through the blade's map.  It is evaluated at points that have already been
+inverted, so one inversion per map and point set serves every function over
+that map: its value, and where asked its exact z-derivatives from the
+map's z'(zeta) and z''(zeta), which the caller evaluates once per map.  A
+point set close to one already inverted is inverted from a start near its
+answer (`SeriesMap.invert`'s ``start``).
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BladekitError, OutsideDomain
-from .harmonic import (
-    AnalyticSeries,
-    evaluate_series,
-    evaluate_series_unchecked as _raw_eval,
-    integrate_series,
-)
+from .harmonic import AnalyticSeries, evaluate_series, evaluate_series_unchecked as _raw_eval
 
 _INVERT_MAXITER = 60    # Newton steps of `SeriesMap.invert`
 _INVERT_TOL = 1e-13     # its residual |z(zeta) - z|, relative to max(|z|, 1)
@@ -37,6 +33,7 @@ class SeriesMap:
             raise BladekitError("map series may carry at most a linear term")
         self.series = series
         self.deriv = series.derivative()
+        self.deriv2 = self.deriv.derivative()
         self._center = series.coefficient(0)
         self._slope = series.coefficient(1)
         if abs(self._slope) < 1e-12:
@@ -78,40 +75,29 @@ class SeriesMap:
 
 @dataclass(frozen=True)
 class Pullback:
-    """Analytic ``f(z) = S(zeta(z)) + log*(ln zeta(z) - ln zeta_ref)`` over a map.
+    """Analytic ``F(z) = S(zeta(z)) + log*ln(zeta(z))`` over a map.
 
-    ``zeta(z)`` inverts ``map``.  The log term carries the circulation of a
-    primitive; a blade's in-plane velocity has none (``log = 0``).
+    ``zeta(z)`` inverts ``map``, and ln is the principal branch.  A blade
+    plane's log is the circulation over 2*pi.
     """
 
     series: AnalyticSeries
     map: SeriesMap
     log: complex = 0.0
-    zeta_ref: complex = 1.0
 
     def value(self, zeta):
-        """``f`` at points ``zeta`` already obtained from ``map.invert``."""
-        f = evaluate_series(self.series, zeta)
-        if self.log != 0.0:
-            f = f + self.log * (np.log(zeta) - np.log(self.zeta_ref))
-        return f
+        """``F`` at points ``zeta`` already obtained from ``map.invert``."""
+        return evaluate_series(self.series, zeta) + self.log * np.log(zeta)
 
-    def derivative(self, zeta, dz):
-        """``df/dz`` at inverted points ``zeta``, where the map's z'(zeta) is ``dz``."""
-        df = evaluate_series(self.series.derivative(), zeta) / dz
-        if self.log != 0.0:
-            df = df + self.log / (zeta * dz)
-        return df
+    def derivatives(self, zeta, dz, ddz=None):
+        """``F'`` at inverted points ``zeta``, where the map's z'(zeta) is ``dz``.
 
-    def primitive(self, z_ref: complex) -> "Pullback":
-        """``int f dz``, zero at ``z_ref``; the residue becomes the log term."""
-        if self.log != 0.0:
-            raise BladekitError("log terms are never integrated")
-        integrand = self.series * self.map.deriv
-        residue = integrand.coefficient(-1)
-        body = integrand - AnalyticSeries(np.array([residue]), low=-1)
-        zeta_ref = self.map.invert(np.array([complex(z_ref)]))[0]
-        anti = integrate_series(body.trimmed(1e-15), zeta_ref)
-        if abs(residue) <= 1e-14 * max(np.max(np.abs(integrand.coefficients)), 1e-300):
-            residue = 0.0
-        return Pullback(anti, self.map, residue, zeta_ref)
+        Given the map's z''(zeta) ``ddz`` as well, returns ``(F', F'')``.
+        """
+        ds = self.series.derivative()
+        d1 = evaluate_series(ds, zeta) + self.log / zeta
+        f1 = d1 / dz
+        if ddz is None:
+            return f1
+        d2 = evaluate_series(ds.derivative(), zeta) - self.log / zeta**2
+        return f1, (d2 - f1 * ddz) / dz**2

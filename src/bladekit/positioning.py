@@ -206,13 +206,13 @@ def maximize_lift(c1: Contour, c2: Contour, p: NodePartition, box) -> ShiftVecto
 
     Cells keep their exact endpoints and split at their midpoints.  With
     ``F = P - N`` over the positive and the negative weights and ``T_q`` the
-    tangent plane of N at q, a cell's bound is the lesser of ``min over q
-    of max over corners of (P - T_q)``, q its centre or a corner, and
-    ``F(centre) + sum|w_i| * half-diagonal``.  N is convex, so ``T_q <= N``
-    (where ``d_i + q = 0`` the zero gradient is a subgradient of ``|.|``)
-    and ``F <= P - T_q``, a convex function and so largest at a corner.  At
-    q itself ``P - T_q`` is F(q), so a maximum on a corner of the box is
-    certified after few splits.  With ``tol =
+    tangent plane of N at q, a cell's bound is ``min over q of max over
+    corners of (P - T_q)``, q its centre or a corner.  N is convex, so
+    ``T_q <= N`` (where ``d_i + q = 0`` the zero gradient is a subgradient
+    of ``|.|``) and ``F <= P - T_q``, a convex function and so largest at a
+    corner.  At q itself ``P - T_q`` is F(q), so a maximum on a corner of
+    the box is certified after few splits.  At the centre the bound is at
+    most ``F(centre) + sum|w_i| * half-diagonal``.  With ``tol =
     LIFT_RTOL * sum|w_i| * max_i |d_i + s|`` over the box corners, cells
     bounded by the best value + tol/2 are dropped, so the floor is a
     half-diagonal of ``tol / (2 sum|w_i|)``.  Tie rule: the smallest-norm
@@ -245,8 +245,7 @@ def maximize_lift(c1: Contour, c2: Contour, p: NodePartition, box) -> ShiftVecto
         # tangent[c, q, k]: N's tangent plane at point q of cell c, at its corner k
         tangent = (pnv[..., 1, None] + gx[..., 1, None] * (xs[:, None, 1:] - xs[..., None])
                    + gy[..., 1, None] * (ys[:, None, 1:] - ys[..., None]))
-        bound = np.minimum((pnv[:, None, 1:, 0] - tangent).max(axis=2).min(axis=1),
-                           vals[-1][::5] + 0.5 * lip * np.hypot(cx1 - cx0, cy1 - cy0))
+        bound = (pnv[:, None, 1:, 0] - tangent).max(axis=2).min(axis=1)
         alive = (bound > best + eps) & (cx0 < mx) & (mx < cx1) & (cy0 < my) & (my < cy1)
         alive[np.argsort(np.where(alive, -bound, np.inf), kind="stable")[_MAX_CELLS:]] = False
         ends = np.column_stack([cx0, mx, cx1, cy0, my, cy1])[alive]

@@ -14,20 +14,29 @@ from bladekit.assembly import (
     field_residuals,
     trace_defect,
 )
-from bladekit.harmonic import AnalyticSeries
+from bladekit.harmonic import AnalyticSeries, integrate_series
 from bladekit.planefield import Pullback, SeriesMap
 
 FD = 1e-4
 
-# z = zeta: arbitrary analytic data as plane functions, defined for |z| >= 1,
+# z = zeta: arbitrary analytic data as plane potentials, defined for |z| >= 1,
 # so every box and anchor below lies outside the unit circle
 IDENTITY = SeriesMap(AnalyticSeries.interior([0.0, 1.0]))
 GRID = GridSpec(x0=1.5, x1=3.0, y0=-0.75, y1=0.75)
 ZERO = Pullback(AnalyticSeries.zero(), IDENTITY)
 
 
-def plane(coeffs) -> Pullback:
-    return Pullback(AnalyticSeries.interior(coeffs), IDENTITY)
+def velocity_plane(f: AnalyticSeries, z0: complex = 1.0) -> Pullback:
+    """The plane whose velocity F' is the series f(z): its primitive, with the
+    1/z term as the log and the rest zero at z0."""
+    res = f.coefficient(-1)
+    body = integrate_series(f + AnalyticSeries(np.array([-res]), low=-1), z0)
+    return Pullback(body, IDENTITY, log=res)
+
+
+def plane(coeffs, z0: complex = 1.0) -> Pullback:
+    """The plane whose velocity is the polynomial ``sum_k coeffs[k] * z**k``."""
+    return velocity_plane(AnalyticSeries.interior(coeffs), z0)
 
 
 def rand_plane(rng, degree=5, scale=1.0) -> Pullback:
@@ -125,8 +134,9 @@ class TestComputeW0:
 
 class TestFixConstant:
     def test_already_zero(self):
-        # both primitives vanish at B, so the anchor only removes roundoff
-        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, complex(2.0, 2.0))
+        # both potentials vanish at B, so the anchor only removes roundoff
+        B = complex(2.0, 2.0)
+        fld = assemble(ZERO, plane([0.0, 1.0j], z0=B), 0.0, B)
         assert fld.velocity(2.0, 2.0, 0.0)[2] == 0.0
         assert abs(fld.w0_anchor) < 1e-14
 
@@ -213,16 +223,22 @@ class TestAssembleLinear:
             assert np.allclose(wc, a * wa + b * wb, atol=1e-12)
 
     def test_circulation_gives_a_log_term(self):
-        # a 1/z term in the upper plane integrates to a log; curl_x and curl_y
-        # test the primitive, so dropping its log term fails both passes
-        upper = Pullback(AnalyticSeries.exterior([0.3, 0.5j, 0.2]), IDENTITY)
+        # a 1/z term in the upper velocity is a log in its potential; curl_x
+        # and curl_y read P against f_up - f_lo, so a log dropped from P alone
+        # fails the FD pass (in closed form they hold by construction)
+        upper = velocity_plane(AnalyticSeries.exterior([0.3, 0.5j, 0.2]))
         fld = assemble(ZERO, upper, 0.2, complex(2.0, 0.0), 0.1)
-        assert abs(fld.upper_primitive.log - 0.5j) < 1e-15
+        assert upper.log == 0.5j
         res = field_residuals(fld, GRID)
         assert res.worst() < 1e-8 and max(res.fd_max_curl) < 1e-6
-        no_log = dataclasses.replace(fld.upper_primitive, log=0.0)
-        res = field_residuals(dataclasses.replace(fld, upper_primitive=no_log), GRID)
-        assert max(res.max_curl[1:]) > 1e-2 and max(res.fd_max_curl[1:]) > 1e-2
+
+        class NoLogInP(SplineField):
+            def planes(self, zetas, dzs=None):
+                f_lo, f_up, p = super().planes(zetas, dzs)
+                return f_lo, f_up, p - self.upper.log * np.log(zetas[1])
+
+        res = field_residuals(NoLogInP(**vars(fld)), GRID)
+        assert res.max_curl[1:] == (0.0, 0.0) and max(res.fd_max_curl[1:]) > 1e-2
 
 
 class TestAssembleQuadratic:
@@ -262,14 +278,17 @@ class TestResidualInjection:
         assert abs(res.fd_max_div - 0.3) < 1e-6
 
     def test_wrong_plane_difference_breaks_irrotationality(self):
-        # P built from f_lo - f_up instead of f_up - f_lo
+        # P taken as F_lo - F_up instead of F_up - F_lo, which the FD pass sees
         rng = np.random.default_rng(20)
         fld = assemble(rand_plane(rng), rand_plane(rng), 0.2, complex(2.0, 0.0))
-        swapped = dataclasses.replace(fld, lower_primitive=fld.upper_primitive,
-                                      upper_primitive=fld.lower_primitive)
-        res = field_residuals(swapped, GRID)
-        assert max(res.max_curl[1:]) > 1e-8
-        assert max(res.fd_max_curl[1:]) > 1e-8
+
+        class Swapped(SplineField):
+            def planes(self, zetas, dzs=None):
+                f_lo, f_up, p = super().planes(zetas, dzs)
+                return f_lo, f_up, -p
+
+        res = field_residuals(Swapped(**vars(fld)), GRID)
+        assert max(res.fd_max_curl[1:]) > 1e-2
 
 
 class TestFdPassAgainstVelocity:
@@ -277,7 +296,7 @@ class TestFdPassAgainstVelocity:
         # the FD pass reuses the base planes and warm-starts its shifted
         # inversions; the reference differences six cold velocity calls
         rng = np.random.default_rng(22)
-        upper = Pullback(AnalyticSeries.exterior([0.3, 0.5j, 0.2]), IDENTITY)
+        upper = velocity_plane(AnalyticSeries.exterior([0.3, 0.5j, 0.2]))
         fields = [assemble(rand_plane(rng), rand_plane(rng), rng.uniform(-0.5, 0.5),
                            complex(2.1, 0.1), rng.uniform(-0.5, 0.5)) for _ in range(3)]
         fields.append(assemble(rand_plane(rng), upper, 0.2, complex(2.0, 0.0), 0.1))

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from bladekit import assembly
 from bladekit.config import datum_rule, parse_config_dict
+from bladekit.harmonic import evaluate_series
 from bladekit.pipeline import GLUE_TOL, _residual_grid, run_pipeline
 from bladekit.planefield import SeriesMap
 
@@ -114,12 +115,13 @@ class TestDegree2Chain:
 
     def test_chained_fields_do_not_grow(self, chain_report):
         # every field is the spline between its own two blades, however long
-        # the chain: each plane is one blade's completion over that blade's map
+        # the chain: each plane is one blade's potential over that blade's map,
+        # three terms and the circulation's log
         for sec in chain_report.sections:
             for plane, blade in ((sec.field.lower, sec.lower), (sec.field.upper, sec.upper)):
-                assert plane.map is blade.map and plane.log == 0.0
-                assert np.array_equal(plane.series.coefficients,
-                                      (blade.velocity_series * 1j).coefficients)
+                assert plane is blade.potential and plane.map is blade.map
+                assert (plane.series.low, len(plane.series.coefficients)) == (-1, 3)
+                assert plane.log == blade.corr.dist.circulation_smooth / (2 * np.pi)
 
     def test_chained_residual_box_clears_the_evaluated_blades(self, chain_report):
         # the box clears the previous lower blade (trace_defect evaluates the
@@ -209,9 +211,24 @@ def test_fd_pass_matches_cold_velocity_differences(which, chain_report):
     assert np.max(np.abs(np.subtract(res.fd_max_curl, fd_curl))) < 1e-11
 
 
+@pytest.mark.parametrize("which", ["degree1", "c0", "c1", "c2"])
+def test_planes_carry_no_flux_through_their_contours(which, chain_report):
+    # each plane's flow is tangent to its blade, the map's image of the circle:
+    # the normal part of f*z'(zeta)*i*zeta is roundoff against its size
+    if which == "degree1":
+        sec = _degree1_section()
+    else:
+        sec = {s.section.id: s for s in chain_report.sections}[which]
+    zeta = np.exp(2j * np.pi * np.arange(sec.lower.n) / sec.lower.n)
+    f_lo, f_up, _ = sec.field.planes((zeta, zeta))
+    for f, blade in ((f_lo, sec.lower), (f_up, sec.upper)):
+        fz = f * evaluate_series(blade.map.deriv, zeta)
+        assert np.max(np.abs((-1j * fz * 1j * zeta).imag)) <= 1e-13 * np.max(np.abs(fz))
+
+
 def test_degree1_section_inverts_each_map_six_times(monkeypatch):
-    # per map: the branch point once (the primitive's zeta_ref, which the w
-    # anchor reuses), the residual nodes once and the four FD shifts
+    # per map: the branch point once (for the w anchor), the residual nodes
+    # once and the four FD shifts
     calls = []
     invert = SeriesMap.invert
 
