@@ -12,8 +12,10 @@ velocity.  With ``F_lo``, ``F_up`` the two potentials the field is::
 with constant w1 and w2 (degree 1 is w2 = 0) and the constant w0 making w
 vanish over the branch point B at h = 0.  The conj(z) term absorbs dw/dh,
 so the field is divergence free, and grad w = du/dh, dv/dh makes it
-irrotational.  `field_residuals` checks the field with the spline's
-derivatives in closed form and again by central differences, from one
+irrotational.  Both hold whatever the planes are, so the closed-form
+residuals of `field_residuals` are identities of the ansatz that guard only
+a hand-built field whose w1 differs from ``absorbed`` (`FieldResiduals`).
+The check that measures the planes is the central-difference pass, from one
 inversion of each blade map at the grid nodes: the h-differences reuse the
 plane values there, and each point set shifted in x or y is inverted from
 one first-order step off the nodes.  Each blade plane is a modified planar
@@ -69,12 +71,15 @@ class GridSpec:
 class FieldResiduals:
     """Maximal residuals of the governing system over a grid.
 
-    ``max_div`` and ``max_curl`` use the spline's derivatives in closed form;
-    the ``fd_*`` twins repeat the computation with central differences at
-    step 1e-4.  In closed form ``max_curl[1:]`` is 0.0: du/dh - dw/dx and
-    dv/dh - dw/dy compare f_up - f_lo with P', which is that difference
-    by construction; the FD pass measures them.  The figures below are NaN
-    where a residual is, so a NaN fails every bound on them.
+    ``max_div`` and ``max_curl`` are closed-form identities of the ansatz:
+    writing ``v + i*u = G(z) + K*conj(z)`` with K imaginary, div is
+    ``w1 - absorbed`` and curl_z is ``-2*Re K = 0`` whatever G is, and
+    curl_x, curl_y compare f_up - f_lo with P', which is that difference.
+    So ``max_div`` guards a hand-built field whose w1 differs from
+    ``absorbed`` (``test_changed_w1_breaks_continuity``), and ``max_curl``
+    is zero.  The ``fd_*`` twins, central differences at step 1e-4, measure
+    the planes.  The figures below are NaN where a residual is, so a NaN
+    fails every bound on them.
     """
 
     max_div: float
@@ -95,6 +100,12 @@ class FieldResiduals:
     def fd_worst(self) -> float:
         return float(np.max((self.fd_max_div, *self.fd_max_curl)))
 
+    def gates(self) -> tuple:
+        """``(name, figure, tolerance)`` of each gated residual check; NaN fails."""
+        return (("residual_fd_agreement", self.fd_agreement, FD_AGREEMENT_TOL),
+                ("residual_analytic", self.worst(), RESIDUAL_TOL_ANALYTIC),
+                ("residual_fd", self.fd_worst(), RESIDUAL_TOL_FD))
+
     def to_json(self) -> dict:
         return {
             "max_div": self.max_div,
@@ -102,7 +113,7 @@ class FieldResiduals:
             "fd_max_div": self.fd_max_div,
             "fd_max_curl": list(self.fd_max_curl),
             "grid": self.grid.to_json(),
-            "tolerance_pass": bool(self.worst() < RESIDUAL_TOL_ANALYTIC),
+            "tolerance_pass": all(value < tol for _, value, tol in self.gates()),
         }
 
 
@@ -114,9 +125,8 @@ class SplineField:
 
     ``lower`` and ``upper`` are F_lo and F_up.  ``w0_anchor`` is subtracted
     from w so that w vanishes over the branch point at h = 0.  ``absorbed``
-    is w1 as assembled, the dw/dh that the conj(z) term absorbs at h = 0; it
-    is fixed with the planes, so div = w1 - absorbed, and a field whose w1
-    is changed afterwards fails continuity.
+    is w1 as assembled, the dw/dh that the conj(z) term absorbs at h = 0,
+    fixed with the planes: div = w1 - absorbed (see `FieldResiduals`).
     """
 
     lower: Pullback
@@ -141,7 +151,7 @@ class SplineField:
             dzs = (evaluate_series(self.lower.map.deriv, lo),
                    evaluate_series(self.upper.map.deriv, up))
         p = self.upper.value(up) - self.lower.value(lo)
-        return self.lower.derivatives(lo, dzs[0]), self.upper.derivatives(up, dzs[1]), p
+        return self.lower.derivative(lo, dzs[0]), self.upper.derivative(up, dzs[1]), p
 
     def spline(self, z, planes, h):
         """``(u, v, w)`` at plane points z and heights h from the plane values there."""
@@ -174,30 +184,18 @@ def assemble(lower: Pullback, upper: Pullback, w1: float, B: complex,
 def field_residuals(field: SplineField, grid: GridSpec) -> FieldResiduals:
     """Residuals of continuity and the three irrotationality relations.
 
-    The exact pass writes ``v + i*u = G(z) + K*conj(z)``, so ``F_x = G' + K``
-    and ``F_y = i*(G' - K)``, with each plane's f' = F'' from the map's
-    z''(zeta); du/dh - dw/dx and dv/dh - dw/dy hold by construction (see
-    `FieldResiduals`).  The finite-difference pass uses central differences
-    at step 1e-4 in x, y, and h.  Both passes share each map's inverse and
-    z'(zeta) at the nodes.
+    The closed-form figures are `FieldResiduals`' identities; the FD pass
+    starts from each map's inverse and z'(zeta) at the nodes.
     """
     x, y = grid.plane_nodes()
     z = x + 1j * y
-    hs = grid.h_nodes()
-    h = hs[:, None]
     zetas = field.zetas(z)
     dzs = tuple(evaluate_series(plane.map.deriv, zeta)
                 for plane, zeta in zip((field.lower, field.upper), zetas))
-    planes = field.planes(zetas, dzs)
-    df_lo, df_up = (plane.derivatives(zeta, dz, evaluate_series(plane.map.deriv2, zeta))[1]
-                    for plane, zeta, dz in zip((field.lower, field.upper), zetas, dzs))
-    dg = (1.0 - h) * df_lo + h * df_up
-    k = -0.5j * (field.absorbed + 2.0 * field.w2 * h)
-    fx, fy = dg + k, 1j * (dg - k)
-    div = fx.imag + fy.real + field.w1 + 2.0 * h * field.w2
-    max_curl = (float(np.max(np.abs(fy.imag - fx.real))), 0.0, 0.0)
-    fd_div, fd_curl = _fd_residuals(field, z, hs, zetas, dzs, planes)
-    return FieldResiduals(float(np.max(np.abs(div))), max_curl, fd_div, tuple(fd_curl), grid)
+    fd_div, fd_curl = _fd_residuals(field, z, grid.h_nodes(), zetas, dzs,
+                                    field.planes(zetas, dzs))
+    return FieldResiduals(abs(field.w1 - field.absorbed), (0.0, 0.0, 0.0),
+                          fd_div, tuple(fd_curl), grid)
 
 
 def _fd_residuals(field, z, hs, zetas, dzs, planes):

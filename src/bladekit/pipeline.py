@@ -20,6 +20,15 @@ field at h = 0 with the previous one at h = 1 at the residual-grid nodes,
 ``glue_w1_rule`` the new field's conj(z) coefficient with the w1 the
 shared blade was solved with, and ``glue_dw`` measures the w jump without
 a verdict (see `assembly.trace_defect`).
+
+On a parsed config only ``closure_*`` and ``residual_fd`` can fail, and
+``residual_fd_agreement``, which equals ``residual_fd``'s figure whenever
+w1 is the ``absorbed`` of the assembly.  The rest are identities that guard
+hand-built `SplineField` and `SectionConfig` objects: ``vinf_*`` (the
+quasisolution sets ``lam0 = -Re c0``), ``residual_analytic``
+(``|w1 - absorbed|``) and ``glue_du``/``glue_dv``/``glue_w1_rule``, whose
+negative control is ``test_zero_shift_breaks_the_glue``.  ``glue_dw`` is
+ungated.
 """
 
 from __future__ import annotations
@@ -34,9 +43,6 @@ import numpy as np
 
 from . import __version__
 from .assembly import (
-    FD_AGREEMENT_TOL,
-    RESIDUAL_TOL_ANALYTIC,
-    RESIDUAL_TOL_FD,
     FieldResiduals,
     GridSpec,
     SplineField,
@@ -177,9 +183,7 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
         gate("vinf_lower", abs(sol_lo.closure.vinf_defect), CLOSURE_TOL),
         gate("closure_upper", abs(sol_up.closure.closure_defect), CLOSURE_TOL),
         gate("vinf_upper", abs(sol_up.closure.vinf_defect), CLOSURE_TOL),
-        gate("residual_fd_agreement", residuals.fd_agreement, FD_AGREEMENT_TOL),
-        gate("residual_analytic", residuals.worst(), RESIDUAL_TOL_ANALYTIC),
-        gate("residual_fd", residuals.fd_worst(), RESIDUAL_TOL_FD),
+        *(gate(*g) for g in residuals.gates()),
     ]
     if prev is not None:
         du, dv, dw = trace_defect(prev.field, fld, grid)

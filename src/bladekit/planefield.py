@@ -6,10 +6,10 @@ zeta; `SeriesMap` is the map ``z(zeta)`` with a Newton inverse.  A
 blade plane's complex potential is one, the canonical potential carried
 through the blade's map.  It is evaluated at points that have already been
 inverted, so one inversion per map and point set serves every function over
-that map: its value, and where asked its exact z-derivatives from the
-map's z'(zeta) and z''(zeta), which the caller evaluates once per map.  A
-point set close to one already inverted is inverted from a start near its
-answer (`SeriesMap.invert`'s ``start``).
+that map: its value, and where asked its exact z-derivative from the
+map's z'(zeta), which the caller evaluates once per map.  A point set
+close to one already inverted is inverted from a start near its answer
+(`SeriesMap.invert`'s ``start``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class SeriesMap:
             raise BladekitError("map series may carry at most a linear term")
         self.series = series
         self.deriv = series.derivative()
-        self.deriv2 = self.deriv.derivative()
         self._center = series.coefficient(0)
         self._slope = series.coefficient(1)
         if abs(self._slope) < 1e-12:
@@ -89,15 +88,6 @@ class Pullback:
         """``F`` at points ``zeta`` already obtained from ``map.invert``."""
         return evaluate_series(self.series, zeta) + self.log * np.log(zeta)
 
-    def derivatives(self, zeta, dz, ddz=None):
-        """``F'`` at inverted points ``zeta``, where the map's z'(zeta) is ``dz``.
-
-        Given the map's z''(zeta) ``ddz`` as well, returns ``(F', F'')``.
-        """
-        ds = self.series.derivative()
-        d1 = evaluate_series(ds, zeta) + self.log / zeta
-        f1 = d1 / dz
-        if ddz is None:
-            return f1
-        d2 = evaluate_series(ds.derivative(), zeta) - self.log / zeta**2
-        return f1, (d2 - f1 * ddz) / dz**2
+    def derivative(self, zeta, dz):
+        """``F'`` at inverted points ``zeta``, where the map's z'(zeta) is ``dz``."""
+        return (evaluate_series(self.series.derivative(), zeta) + self.log / zeta) / dz

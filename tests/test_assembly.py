@@ -274,7 +274,7 @@ class TestResidualInjection:
         rng = np.random.default_rng(19)
         fld = assemble(rand_plane(rng), rand_plane(rng), 0.2, complex(2.0, 0.0), 0.1)
         res = field_residuals(dataclasses.replace(fld, w1=fld.w1 + 0.3), GRID)
-        assert abs(res.max_div - 0.3) < 1e-10
+        assert res.max_div == abs(fld.w1 + 0.3 - fld.absorbed)
         assert abs(res.fd_max_div - 0.3) < 1e-6
 
     def test_wrong_plane_difference_breaks_irrotationality(self):
@@ -289,6 +289,7 @@ class TestResidualInjection:
 
         res = field_residuals(Swapped(**vars(fld)), GRID)
         assert max(res.fd_max_curl[1:]) > 1e-2
+        assert res.to_json()["tolerance_pass"] is False
 
 
 class TestFdPassAgainstVelocity:

@@ -134,6 +134,16 @@ class TestDegree2Chain:
             for blade in blades:
                 assert blade.points[:, 0].max() < grid.x0
 
+    def test_closed_form_residuals_are_identities(self, chain_report):
+        # on an assembled field the closed-form figures are exact zeros, so
+        # the FD agreement check reads the FD check's figure
+        for sec in chain_report.sections:
+            res = sec.residuals
+            assert res.max_div == 0.0
+            assert res.max_curl == (0.0, 0.0, 0.0)
+            checks = {c.name: c for c in sec.checks}
+            assert checks["residual_fd_agreement"].value == checks["residual_fd"].value
+
     def test_residual_fd_reports_the_gated_figure(self, chain_report):
         # the first section's FD check shows the figure it compares with the
         # tolerance: the worst of the FD divergence and the three FD curls

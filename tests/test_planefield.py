@@ -77,6 +77,6 @@ def test_potential_derivative_is_the_velocity_series(n):
     # series are the same plane on the residual grid
     sol = solve_distribution(oracles.joukowski_flow().distribution(512, 512), n, w1=0.05)
     zeta = sol.map.invert(_grid_points(sol))
-    f = sol.potential.derivatives(zeta, evaluate_series(sol.map.deriv, zeta))
+    f = sol.potential.derivative(zeta, evaluate_series(sol.map.deriv, zeta))
     gap = np.max(np.abs(f - 1j * evaluate_series(sol.velocity_series, zeta)))
     assert gap < 1e-7 * np.max(np.abs(f))
