@@ -85,6 +85,8 @@ def _read_json(path: str, pointer: str):
 
 def _load_distribution(value, pointer: str, base_dir: str) -> VelocityDistribution:
     if isinstance(value, str):
+        if "\0" in value:          # no file name holds one; open() raises ValueError
+            raise BadValue(pointer, f"path contains a NUL character: {value!r}")
         path = value if os.path.isabs(value) else os.path.join(base_dir, value)
         try:
             value = _read_json(path, pointer)
@@ -242,6 +244,9 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
     directory = out_raw.get("directory", "out")
     if not isinstance(directory, str):
         raise BadValue("/output/directory", "expected a string")
+    if not directory or "\0" in directory:
+        raise BadValue("/output/directory",
+                       f"expected a nonempty path without NUL characters, got {directory!r}")
     formats = out_raw.get("formats", list(FORMATS))
     if not isinstance(formats, list):
         raise BadValue("/output/formats", f"expected a list, got {formats!r}")

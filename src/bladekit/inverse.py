@@ -12,8 +12,8 @@ one) are measured spectrally, and a minimal low-harmonic boundary correction
 ``lam0 + lam1*cos(gamma) + lam2*sin(gamma)`` restores them.  The blade is
 then one object, the map ``z(zeta)``: the exterior modes of
 ``dz/dzeta = exp(-chi)`` on the circle nodes, integrated term by term.  The
-contour is that map's image of the circle nodes, and the velocity series
-is projected from the same nodes.
+contour is that map's image of the circle nodes, and the blade's flow is its
+canonical potential carried through that map (`PlanarSolution.potential`).
 
 The canonical flow past the unit circle with circulation is
 
@@ -485,27 +485,16 @@ class ClosureReport:
         }
 
 
-def _eval_n(chi: AnalyticSeries) -> int:
-    """Evaluation grid of the solve that produced chi (degree n/2 - 1).
-
-    Defects are measured on the same grid the reconstruction projects
-    from, so a corrected solution closes on that grid exactly.
-    """
-    n = 8
-    while n < 2 * (chi.degree + 1):
-        n *= 2
-    return n
-
-
-def closure_conditions(chi: AnalyticSeries) -> ClosureReport:
+def closure_conditions(chi: AnalyticSeries, n: int) -> ClosureReport:
     """Measure the closure and far-field-speed defects spectrally.
 
     The closure defect is the loop integral of ``dz = exp(-chi) dzeta``
     (two real conditions); the speed defect is Re chi at infinity, the log
     of the far-field speed over the canonical flow's A.  `canonical_map`
     takes A = v_inf, so it vanishes when that speed comes out as prescribed.
+    The loop integral is measured on the solve's n circle nodes, the grid
+    the reconstruction projects from, so a corrected chi closes there exactly.
     """
-    n = _eval_n(chi)
     gamma = 2 * np.pi * np.arange(n) / n
     zprime = np.exp(-boundary_values(chi, n))
     a1 = np.mean(zprime * np.exp(1j * gamma))
@@ -519,7 +508,7 @@ def _with_correction(chi: AnalyticSeries, lams: np.ndarray) -> AnalyticSeries:
     return chi + delta
 
 
-def quasisolution_correct(chi: AnalyticSeries) -> tuple[AnalyticSeries, ClosureReport]:
+def quasisolution_correct(chi: AnalyticSeries, n: int) -> tuple[AnalyticSeries, ClosureReport]:
     """Restore the three solvability conditions by a low-harmonic correction.
 
     The boundary datum gains ``lam0 + lam1*cos + lam2*sin``, so chi gains
@@ -531,13 +520,12 @@ def quasisolution_correct(chi: AnalyticSeries) -> tuple[AnalyticSeries, ClosureR
     zeroed by scalar complex Newton with the exact ``F'(c)`` from c = 0.
     Already-solvable data returns unchanged with zero correction.
     """
-    report = closure_conditions(chi)
+    report = closure_conditions(chi, n)
     closure = report.closure_defect
     if max(abs(closure.real), abs(closure.imag), abs(report.vinf_defect)) < 10 * _NEWTON_TOL:
         return chi, report
 
     tol = _NEWTON_TOL * max(1.0, float(np.max(np.abs(chi.coefficients))))
-    n = _eval_n(chi)
     zeta = np.exp(2j * np.pi * np.arange(n) / n)
     zprime = np.exp(-boundary_values(chi, n))
     lam0 = -report.vinf_defect
@@ -554,7 +542,7 @@ def quasisolution_correct(chi: AnalyticSeries) -> tuple[AnalyticSeries, ClosureR
             f"no convergence in {_NEWTON_MAXITER} iterations; closure defect {closure}"
         )
     corrected = _with_correction(chi, np.array([lam0, c.real, c.imag]))
-    report = closure_conditions(corrected)
+    report = closure_conditions(corrected, n)
     norm = float(np.sqrt(lam0 ** 2 + 0.5 * abs(c) ** 2))
     return corrected, replace(report, corrected=True, correction_norm=norm)
 
@@ -613,8 +601,10 @@ class PlanarSolution:
         """Analytic completion g(zeta) = (dw_c/dzeta)(zeta*e^{i*gauge}) * e^chi.
 
         Its pullback ``g(zeta(z))`` is the conjugate in-plane velocity of
-        the modified problem, with e^chi cut to its n/2 exterior modes; its
-        values on the circle are the blade's node speeds.
+        the modified problem, with e^chi cut to its n/2 exterior modes: a
+        second projection of the flow that `potential` carries, which
+        nothing in the library reads.  It is kept only for the benchmark's
+        ``SolveOp`` and for tests; ROADMAP item 6 deletes it.
         """
         n = self.n
         alpha = self.gauge
@@ -656,7 +646,7 @@ def solve_distribution(d: VelocityDistribution, n: int,
     eff = d.modified(w1)
     corr = canonical_map(eff)
     chi0 = solve_zhukovsky(corr, n)
-    chi, report = quasisolution_correct(chi0)
+    chi, report = quasisolution_correct(chi0, n)
     return PlanarSolution(corr, n, chi, report, complex(z_start), float(w1))
 
 

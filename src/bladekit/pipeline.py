@@ -6,7 +6,8 @@ velocity field with `assembly.assemble` from the two blades' complex
 potentials: the lower blade is the plane h = 0, the upper blade the plane
 h = 1.  It then measures the field's residuals on a box clear of every
 blade the field is evaluated over, and positions the reconstructed
-contours.
+contours.  The lift reads each contour's node speeds as |F'| of the
+field's own plane there, so every figure reads one flow per blade.
 
 Degree-1 chains treat sections independently (the shared blade carries no
 information across).  A degree-2 section after the first is chained onto
@@ -145,8 +146,9 @@ def _residual_grid(contours: "list[Contour]") -> GridSpec:
 
 
 def _node_speeds(sol: PlanarSolution) -> np.ndarray:
-    """Boundary speed magnitude at the reconstructed contour nodes."""
-    return np.abs(boundary_values(sol.velocity_series, sol.n))
+    """|F'| of the blade's plane at its contour nodes, the images of the circle nodes."""
+    zeta = np.exp(2j * np.pi * np.arange(sol.n) / sol.n)
+    return np.abs(sol.potential.derivative(zeta, boundary_values(sol.map.deriv, sol.n)))
 
 
 def run_section(cfg: DesignConfig, section: SectionConfig,

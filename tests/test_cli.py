@@ -184,6 +184,29 @@ def test_malformed_config_exits_2(design, tmp_path, caplog, path, value, pointer
     assert sorted(os.listdir(tmp_path)) == written
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("path, value, pointer", [
+    (["sections", 0, "lower"], "a\x00b.json", "/sections/0/lower"),
+    (["output", "directory"], "a\x00b", "/output/directory"),
+    (["output", "directory"], "", "/output/directory"),
+], ids=["lower with NUL", "directory with NUL", "empty directory"])
+def test_unusable_path_exits_2(design, tmp_path, monkeypatch, caplog, command, path, value,
+                               pointer):
+    # refused at parse time with a pointer, not a traceback; solve writes into
+    # the config's directory, resolved from the working directory
+    cfg = dict(json.loads(json.dumps(design)), output={})
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = _write_config(tmp_path, cfg)
+    monkeypatch.chdir(tmp_path)
+    written = sorted(os.listdir(tmp_path))
+    assert cli.main([command, "--config", config]) == 2
+    assert f"{pointer}: " in caplog.text
+    assert sorted(os.listdir(tmp_path)) == written
+
+
 def test_section_solvable_only_after_its_transversal_term_exits_0(tmp_path):
     # each distribution as given has a circulation 1% above 4*pi*v_inf, which
     # puts the canonical stagnation points off the circle; the section's w1

@@ -159,7 +159,8 @@ JSON_VALUES = st.one_of(
     st.just(DROP),
     # json.load reads NaN, Infinity and integers past the float range
     st.sampled_from((10 ** 400, -(10 ** 400), math.nan, math.inf, -math.inf)),
-    st.sampled_from((None, True, False, "", "a", ".", "0.1", 0, 1, 2, 3, 64, 96, -1, [], {})),
+    st.sampled_from((None, True, False, "", "a", ".", "a\x00b", "0.1", 0, 1, 2, 3, 64, 96, -1,
+                     [], {})),
     NUMBERS,
     st.lists(NUMBERS, max_size=4),
 )
@@ -189,3 +190,25 @@ def test_mutated_config_parses_or_is_refused_with_a_pointer(mutations):
         assert re.fullmatch(r"/|(/[^/]+)+", exc.pointer), exc.pointer
         return
     assert isinstance(cfg, DesignConfig)
+
+
+PATHS = {
+    # the path's place in the config, the value; open() and os.makedirs raise
+    # ValueError on a NUL, and makedirs("") names no directory
+    "lower with NUL": (("sections", 0, "lower"), "a\x00b.json", "/sections/0/lower"),
+    "upper with NUL": (("sections", 0, "upper"), "a\x00b.json", "/sections/0/upper"),
+    "directory with NUL": (("output", "directory"), "a\x00b", "/output/directory"),
+    "empty directory": (("output", "directory"), "", "/output/directory"),
+}
+
+
+@pytest.mark.parametrize("path, value, pointer", PATHS.values(), ids=PATHS)
+def test_unusable_path_is_refused_at_its_pointer(path, value, pointer):
+    raw = _lift_chain()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(BadValue) as err:
+        parse_config_dict(raw)
+    assert err.value.pointer == pointer

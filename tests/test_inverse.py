@@ -379,7 +379,7 @@ class TestClosure:
     def test_cylinder_zero(self, cyl_dist):
         corr = canonical_map(cyl_dist)
         chi = solve_zhukovsky(corr, 256)
-        rep = closure_conditions(chi)
+        rep = closure_conditions(chi, 256)
         assert abs(rep.closure_defect) < 1e-12
         assert abs(rep.vinf_defect) < 1e-12
 
@@ -387,7 +387,7 @@ class TestClosure:
         corr = canonical_map(cyl_dist)
         chi = solve_zhukovsky(corr, 256)
         bumped = chi + AnalyticSeries(np.array([0.1 + 0.0j]), low=-1)
-        rep = closure_conditions(bumped)
+        rep = closure_conditions(bumped, 256)
         # independent quadrature of the loop integral (trapezoid = Riemann
         # sum on a full period of a periodic integrand)
         m = 8192
@@ -400,7 +400,7 @@ class TestClosure:
     def test_joukowski_solvable_before_correction(self, jouk_dist):
         corr = canonical_map(jouk_dist)
         chi = solve_zhukovsky(corr, 256)
-        rep = closure_conditions(chi)
+        rep = closure_conditions(chi, 256)
         assert rep.max_defect < 1e-8
 
 
@@ -408,7 +408,7 @@ class TestQuasisolution:
     def test_fixed_point(self, jouk_dist):
         corr = canonical_map(jouk_dist)
         chi = solve_zhukovsky(corr, 256)
-        chi2, rep = quasisolution_correct(chi)
+        chi2, rep = quasisolution_correct(chi, 256)
         assert chi2 is chi
         assert rep.correction_norm == 0.0
 
@@ -416,12 +416,12 @@ class TestQuasisolution:
         d = perturbed_cylinder(0.05)
         corr = canonical_map(d)
         chi = solve_zhukovsky(corr, 256)
-        before = closure_conditions(chi)
+        before = closure_conditions(chi, 256)
         assert before.max_defect > 1e-3
-        chi2, rep = quasisolution_correct(chi)
+        chi2, rep = quasisolution_correct(chi, 256)
         assert rep.max_defect < 1e-10
         assert rep.correction_norm > 0
-        chi3, rep3 = quasisolution_correct(chi2)
+        chi3, rep3 = quasisolution_correct(chi2, 256)
         delta = (chi3 + chi2 * -1.0).coefficients
         assert np.max(np.abs(delta)) < 1e-12
 
@@ -430,9 +430,9 @@ class TestQuasisolution:
                                        cyl_dist.branch_indices, 2.0 * cyl_dist.v_inf)
         corr = canonical_map(doubled)
         chi = solve_zhukovsky(corr, 256)
-        rep0 = closure_conditions(chi)
+        rep0 = closure_conditions(chi, 256)
         assert abs(abs(rep0.vinf_defect) - np.log(2)) < 1e-9
-        chi2, rep = quasisolution_correct(chi)
+        chi2, rep = quasisolution_correct(chi, 256)
         assert abs(rep.correction_norm - np.log(2)) < 1e-9
         assert rep.max_defect < 1e-10
 
@@ -442,8 +442,8 @@ class TestQuasisolution:
         d = perturbed_cylinder(0.05)
         corr = canonical_map(d)
         chi = solve_zhukovsky(corr, 256)
-        base = closure_conditions(_with_correction(chi, np.array([0.0, c.real, c.imag])))
-        moved = closure_conditions(_with_correction(chi, np.array([t, c.real, c.imag])))
+        base = closure_conditions(_with_correction(chi, np.array([0.0, c.real, c.imag])), 256)
+        moved = closure_conditions(_with_correction(chi, np.array([t, c.real, c.imag])), 256)
         assert abs(moved.closure_defect - np.exp(-t) * base.closure_defect) \
             < 1e-13 * abs(moved.closure_defect)
         assert abs(moved.vinf_defect - base.vinf_defect - t) < 1e-15
@@ -455,8 +455,8 @@ class TestQuasisolution:
                 eff = d.modified(w1)
                 corr = canonical_map(eff)
                 chi0 = solve_zhukovsky(corr, n)
-                rep0 = closure_conditions(chi0)
-                chi, rep = quasisolution_correct(chi0)
+                rep0 = closure_conditions(chi0, n)
+                chi, rep = quasisolution_correct(chi0, n)
                 assert rep.max_defect < 1e-11
                 delta = chi + chi0 * -1.0
                 powers = range(delta.low, delta.high + 1)
@@ -475,17 +475,17 @@ class TestQuasisolution:
         chi0 = solve_zhukovsky(canonical_map(d), 256)
         monkeypatch.setattr(inverse, "_NEWTON_MAXITER", 1)
         with pytest.raises(QuasisolutionDiverged, match="no convergence in 1 iterations"):
-            quasisolution_correct(chi0)
+            quasisolution_correct(chi0, 256)
         monkeypatch.setattr(inverse, "_NEWTON_MAXITER", 2)
-        assert quasisolution_correct(chi0)[1].max_defect < 1e-10
+        assert quasisolution_correct(chi0, 256)[1].max_defect < 1e-10
 
     @pytest.mark.parametrize("eps, w1", [(0.02, 0.0), (0.05, -0.3), (0.05, 0.25)])
     def test_matches_fd_jacobian_newton(self, eps, w1):
         d = perturbed_cylinder(eps).modified(w1)
         corr = canonical_map(d)
         chi0 = solve_zhukovsky(corr, 256)
-        chi, _ = quasisolution_correct(chi0)
-        ref = _with_correction(chi0, quasisolution_by_fd_newton(chi0))
+        chi, _ = quasisolution_correct(chi0, 256)
+        ref = _with_correction(chi0, quasisolution_by_fd_newton(chi0, 256))
         assert np.max(np.abs((chi + ref * -1.0).coefficients)) < 1e-12
 
 
@@ -588,11 +588,11 @@ class TestModified:
     def test_small_w1_defect_scale(self, cyl_dist):
         corr0 = canonical_map(cyl_dist)
         chi0 = solve_zhukovsky(corr0, 256)
-        base = closure_conditions(chi0).max_defect
+        base = closure_conditions(chi0, 256).max_defect
         mod = cyl_dist.modified(0.01)
         corr = canonical_map(mod)
         chi = solve_zhukovsky(corr, 256)
-        defect = closure_conditions(chi).max_defect
+        defect = closure_conditions(chi, 256).max_defect
         assert defect > 10 * max(base, 1e-14)
         assert defect < 0.1                     # stays O(w1)
 

@@ -9,7 +9,8 @@ import oracles
 from bladekit import assembly
 from bladekit.config import datum_rule, parse_config_dict
 from bladekit.harmonic import evaluate_series
-from bladekit.pipeline import GLUE_TOL, _residual_grid, run_pipeline
+from bladekit.inverse import solve_distribution
+from bladekit.pipeline import GLUE_TOL, _node_speeds, _residual_grid, run_pipeline
 from bladekit.planefield import SeriesMap
 
 # (lower centre, lower beta, upper centre, upper beta, w1) per section; the
@@ -234,6 +235,19 @@ def test_planes_carry_no_flux_through_their_contours(which, chain_report):
     for f, blade in ((f_lo, sec.lower), (f_up, sec.upper)):
         fz = f * evaluate_series(blade.map.deriv, zeta)
         assert np.max(np.abs((-1j * fz * 1j * zeta).imag)) <= 1e-13 * np.max(np.abs(fz))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_lift_node_speeds_are_the_fields_speed(n):
+    # the lift partitions |F'| of the plane the field assembles, at the
+    # contour nodes found by inverting the map there; at w1 != 0 a second
+    # projection of e^chi differs from it by 8.3e-4 (n 64) and 2.9e-5 (n 256)
+    d = oracles.joukowski_flow(center=-0.08 + 0.05j, beta=0.1).distribution(2048, 2048)
+    sol = solve_distribution(d, n, w1=0.1)
+    circle = np.exp(2j * np.pi * np.arange(n) / n)
+    zeta = sol.map.invert(sol.contour.points @ (1, 1j), start=circle)
+    speed = np.abs(sol.potential.derivative(zeta, evaluate_series(sol.map.deriv, zeta)))
+    assert np.max(np.abs(_node_speeds(sol) - speed)) <= 1e-12 * np.max(speed)
 
 
 def test_degree1_section_inverts_each_map_six_times(monkeypatch):
