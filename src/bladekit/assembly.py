@@ -7,10 +7,10 @@ blade's map (`inverse.PlanarSolution.potential`); its derivative
 velocity.  With ``F_lo``, ``F_up`` the two potentials the field is::
 
     v + i*u = (1-h)*f_lo(z) + h*f_up(z) - (i/2)*(w1 + 2*w2*h)*conj(z)
-    w = Im P(z) - (w2/2)*|z|^2 + h*w1 + h^2*w2 - w0,   P = F_up - F_lo
+    w = Im P(z) - (w2/2)*|z|^2 + h*w1 + h^2*w2,   P = F_up - F_lo
 
-with constant w1 and w2 (degree 1 is w2 = 0) and the constant w0 making w
-vanish over the branch point B at h = 0.  The conj(z) term absorbs dw/dh,
+with constant w1 and w2 (degree 1 is w2 = 0); P vanishes at the origin B,
+where both blades are pinned, so w(B, 0) = 0.  The conj(z) term absorbs dw/dh,
 so the field is divergence free, and grad w = du/dh, dv/dh makes it
 irrotational.  Both hold whatever the planes are, so the closed-form
 residuals of `field_residuals` are identities of the ansatz that guard only
@@ -26,7 +26,7 @@ and ``w1 + 2*w2`` on h = 1, which is the w1 of a section stacked on top
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,10 +123,10 @@ class FieldResiduals:
 class SplineField:
     """The spline of the module docstring, from the potentials of its planes.
 
-    ``lower`` and ``upper`` are F_lo and F_up.  ``w0_anchor`` is subtracted
-    from w so that w vanishes over the branch point at h = 0.  ``absorbed``
-    is w1 as assembled, the dw/dh that the conj(z) term absorbs at h = 0,
-    fixed with the planes: div = w1 - absorbed (see `FieldResiduals`).
+    ``lower`` and ``upper`` are F_lo and F_up, which vanish at B, the
+    origin, the blades' common branch point.  ``absorbed`` is w1 as
+    assembled, the dw/dh that the conj(z) term absorbs at h = 0, fixed with
+    the planes: div = w1 - absorbed (see `FieldResiduals`).
     """
 
     lower: Pullback
@@ -134,7 +134,6 @@ class SplineField:
     w1: float
     w2: float
     absorbed: float
-    w0_anchor: float = 0.0
 
     def zetas(self, z, start=(None, None)):
         """The lower and upper maps inverted at z, Newton started from ``start``."""
@@ -159,8 +158,7 @@ class SplineField:
         h = np.asarray(h, dtype=float)
         c = self.absorbed + 2.0 * self.w2 * h
         f = (1.0 - h) * f_lo + h * f_up - 0.5j * c * np.conj(z)
-        w = (p.imag - 0.5 * self.w2 * (z.real**2 + z.imag**2) - self.w0_anchor
-             + h * self.w1 + h**2 * self.w2)
+        w = p.imag - 0.5 * self.w2 * (z.real**2 + z.imag**2) + h * self.w1 + h**2 * self.w2
         return f.imag, f.real, w
 
     def velocity(self, x, y, h):
@@ -169,16 +167,14 @@ class SplineField:
         return self.spline(z, self.planes(self.zetas(z)), h)
 
 
-def assemble(lower: Pullback, upper: Pullback, w1: float, B: complex,
-             w2: float = 0.0) -> SplineField:
+def assemble(lower: Pullback, upper: Pullback, w1: float, w2: float = 0.0) -> SplineField:
     """Build the spline between the planes h = 0 (``lower``) and h = 1 (``upper``).
 
-    w is anchored by evaluating it at B, which inverts each map there once,
-    so ``w(B, h)`` is exactly ``h*w1 + h^2*w2``.
+    Both potentials vanish at B, the origin, where `pipeline.run_section`
+    pins both blades' branch points, so ``w(0, h)`` is ``h*w1 + h^2*w2``
+    to roundoff.
     """
-    B, w1, w2 = complex(B), float(w1), float(w2)
-    fld = SplineField(lower, upper, w1, w2, w1)
-    return replace(fld, w0_anchor=float(fld.velocity(B.real, B.imag, 0.0)[2]))
+    return SplineField(lower, upper, float(w1), float(w2), float(w1))
 
 
 def field_residuals(field: SplineField, grid: GridSpec) -> FieldResiduals:
@@ -232,9 +228,9 @@ def trace_defect(first, second, grid: GridSpec) -> tuple[float, float, float]:
     ``first``'s slope ``w1 + 2*w2`` there.  The w jump cannot, so it is
     a measurement, not a gate:
 
-    * its constant part, ``first.w1 + first.w2`` over the branch point, is
-      the anchor ``w(B, 0) = 0`` of each section, in which the transversal
-      datum of the next section is stated;
+    * its constant part is ``first.w1 + first.w2`` over B, the origin: every
+      potential vanishes there, so each section has ``w(B, 0) = 0``, and the
+      next section's transversal datum is stated in that w;
     * the rest is fixed by the planes.  Within a section grad w = d(u, v)/dh,
       which jumps across the interface unless the three blade completions
       form an arithmetic progression in h and the two sections share w2.

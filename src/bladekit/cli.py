@@ -136,6 +136,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) == "":    # an explicit --out is never replaced
+            raise BladekitError("--out: empty path")
         return args.func(args)
     except (BladekitError, OSError) as exc:
         log.error("%s", exc)

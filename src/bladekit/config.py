@@ -124,11 +124,11 @@ def datum_rule(w_ref: float, h_ref: float, w1: "float | None" = None,
                w2: "float | None" = None) -> float:
     """Solve the transversal datum ``h_ref*w1 + h_ref^2*w2 = w_ref`` for the unknown.
 
-    w0 vanishes over the branch point, so this is ``w(B, h_ref) = w_ref``,
-    stated in the section's own w.  First sections know w2 and solve for
-    w1; chained sections know w1 and solve for w2.  Dividing by h_ref
-    first forms no h_ref**2, which over- or underflows where the unknown
-    need not.
+    Every potential vanishes at B, the origin, the blades' common branch
+    point, so this is ``w(B, h_ref) = w_ref``, stated in the section's own
+    w.  First sections know w2 and solve for w1; chained sections know w1
+    and solve for w2.  Dividing by h_ref first forms no h_ref**2, which
+    over- or underflows where the unknown need not.
     """
     if w1 is None:
         return w_ref / h_ref - h_ref * w2

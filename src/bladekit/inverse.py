@@ -336,6 +336,10 @@ class CircleCorrespondence:
         return (_potential_arc(x, c, a, b),
                 _potential_arc(x, c, b, a + len(self.dist.speeds)))
 
+    def branch_preimage(self, alpha: float) -> complex:
+        """zeta_B, the rising-arc stagnation point, in the frame of the gauge ``alpha``."""
+        return np.exp(1j * ((self.stagnation_angles[0] - alpha) % (2 * np.pi)))
+
     def on_rising_arc(self, gamma) -> np.ndarray:
         """Whether each canonical angle lies on the rising arc [th_lo, th_hi]."""
         th_lo, th_hi = self.stagnation_angles
@@ -554,14 +558,13 @@ def reconstruction_map(chi: AnalyticSeries, corr: CircleCorrespondence, n: int,
     ``dz/dzeta = exp(-chi)`` at the n circle nodes is projected onto its
     n/2 exterior modes and integrated term by term.  Its residue is
     ``closure_defect / (2*pi*i)``, so an unclosed chi is refused here with
-    `MultivaluedAntiderivative`.  The map sends the rising-arc branch
-    (stagnation) angle to ``z_start``: shifting z_start translates the
+    `MultivaluedAntiderivative`.  The map is fixed at the branch point
+    zeta_B, which lands on ``z_start``: shifting z_start translates the
     blade rigidly and rotating the incidence rotates it about z_start.
     """
     alpha = gauge_angle(corr, n)
     ext = exterior_projection(np.exp(-boundary_values(chi, n)))
-    theta_branch = (corr.stagnation_angles[0] - alpha) % (2 * np.pi)
-    anti = integrate_series(ext, np.exp(1j * theta_branch), residue_rtol=1e-7)
+    anti = integrate_series(ext, corr.branch_preimage(alpha), residue_rtol=1e-7)
     series = anti * np.exp(1j * alpha) + AnalyticSeries.interior([complex(z_start)])
     return SeriesMap(series.trimmed(1e-15))
 
@@ -622,7 +625,7 @@ class PlanarSolution:
     @cached_property
     def potential(self) -> Pullback:
         """The blade's plane ``F = i*W(zeta(z))``, with W the canonical potential
-        ``w_c(zeta*e^{i*gauge})`` up to a constant.
+        ``w_c(zeta*e^{i*gauge})``, which vanishes at the branch point zeta_B.
 
         ``F' = i*W'(zeta)/z'(zeta)`` is the analytic datum of the field
         assembly; its zeta-derivative is ``i*e^{i*gauge}`` times the three-term
@@ -631,17 +634,20 @@ class PlanarSolution:
         """
         d = self.corr.dist
         A, G = d.v_inf, d.circulation_smooth
-        r = np.exp(1j * (self.gauge + d.incidence))
-        return Pullback(AnalyticSeries(1j * np.array([-A / r, 0.0, -A * r]), low=-1),
-                        self.map, log=G / (2 * np.pi))
+        alpha = self.gauge
+        r = np.exp(1j * (alpha + d.incidence))
+        plane = Pullback(AnalyticSeries(1j * np.array([-A / r, 0.0, -A * r]), low=-1),
+                         self.map, log=G / (2 * np.pi))
+        zero = AnalyticSeries.interior([-plane.value(self.corr.branch_preimage(alpha))])
+        return replace(plane, series=plane.series + zero)
 
 
 def solve_distribution(d: VelocityDistribution, n: int,
                        z_start: complex = 0.0, w1: float = 0.0) -> PlanarSolution:
     """Run the full per-blade pipeline, optionally on the modified data.
 
-    For w1 != 0 the data becomes ``V + w1*|s|`` first (the modified
-    problem); w1 = 0 reduces exactly to the classical pipeline.
+    The data becomes ``V + w1*|s|`` first (the modified problem).  Map and
+    potential are fixed at zeta_B, which lands on ``z_start``, where F = 0.
     """
     eff = d.modified(w1)
     corr = canonical_map(eff)
@@ -652,11 +658,7 @@ def solve_distribution(d: VelocityDistribution, n: int,
 
 def solve_modified(d: VelocityDistribution, w1: float, n: int,
                    z_start: complex = 0.0) -> tuple[AnalyticSeries, CircleCorrespondence, PlanarSolution]:
-    """Modified-problem solve returning the analytic datum and correspondence.
-
-    The returned series g(zeta) is the analytic completion of the in-plane
-    velocity; the field assembly takes ``i*g(zeta(z))`` as the blade's plane
-    and adds the ``-(i*w1/2)*conj(z)`` summand of the modified problem.
-    """
+    """Modified-problem solve returning `PlanarSolution.velocity_series`, the
+    correspondence and the solution; the field assembly reads ``potential``."""
     sol = solve_distribution(d, n=n, z_start=z_start, w1=w1)
     return sol.velocity_series, sol.corr, sol

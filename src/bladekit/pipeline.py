@@ -171,7 +171,7 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
     sol_up = solve_distribution(section.upper, n, z_start=0.0, w1=w1 + 2.0 * w2)
     involved.append(sol_up.contour)
 
-    fld = assemble(sol_lo.potential, sol_up.potential, w1, sol_lo.z_start, w2)
+    fld = assemble(sol_lo.potential, sol_up.potential, w1, w2)
     grid = _residual_grid(involved)
     residuals = field_residuals(fld, grid)
     pos = cfg.positioning

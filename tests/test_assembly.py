@@ -20,7 +20,7 @@ from bladekit.planefield import Pullback, SeriesMap
 FD = 1e-4
 
 # z = zeta: arbitrary analytic data as plane potentials, defined for |z| >= 1,
-# so every box and anchor below lies outside the unit circle
+# so every box below lies outside the unit circle; the planes vanish at z = 1
 IDENTITY = SeriesMap(AnalyticSeries.interior([0.0, 1.0]))
 GRID = GridSpec(x0=1.5, x1=3.0, y0=-0.75, y1=0.75)
 ZERO = Pullback(AnalyticSeries.zero(), IDENTITY)
@@ -54,7 +54,7 @@ def fd_grad(f, x, y):
 class TestCauchyRiemann:
     def test_classical_analytic_pair(self):
         # upper plane i*z gives v = -y, u = x at h = 1
-        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, complex(2.0, 2.0))
+        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0)
         x, y = GRID.plane_nodes()
         assert np.allclose(fld.velocity(x, y, 1.0)[0], x, atol=1e-13)
         assert np.allclose(fld.velocity(x, y, 1.0)[1], -y, atol=1e-13)
@@ -65,7 +65,7 @@ class TestCauchyRiemann:
         # no analytic data: the conj(z) term alone, u = -w1*x/2, v = -w1*y/2,
         # absorbs dw/dh = w1
         w1 = 0.7
-        fld = assemble(ZERO, ZERO, w1, complex(2.0, 0.0))
+        fld = assemble(ZERO, ZERO, w1)
         x, y = GRID.plane_nodes()
         assert np.allclose(fld.velocity(x, y, 0.4)[0], -0.5 * w1 * x, atol=1e-14)
         assert np.allclose(fld.velocity(x, y, 0.4)[1], -0.5 * w1 * y, atol=1e-14)
@@ -74,7 +74,7 @@ class TestCauchyRiemann:
 
     def test_fd_cross_check(self):
         rng = np.random.default_rng(1)
-        fld = assemble(rand_plane(rng), rand_plane(rng), 0.4, complex(2.0, 0.0))
+        fld = assemble(rand_plane(rng), rand_plane(rng), 0.4)
         res = field_residuals(fld, GRID)
         assert res.fd_agreement < FD_AGREEMENT_TOL
         assert abs(res.max_div - res.fd_max_div) < 1e-6
@@ -91,30 +91,28 @@ class TestCauchyRiemann:
 
 class TestComputeW0:
     def test_f1_iz(self):
-        # upper plane i*z: u1 = x, v1 = -y, w = (x^2 - y^2)/2, zero at B = (2, 2)
-        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0, complex(2.0, 2.0))
+        # upper plane i*z: u1 = x, v1 = -y, w = (x^2 - y^2 - 1)/2, zero at z = 1
+        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0)
         x = np.array([1.3, -1.2, 2.9])
         y = np.array([0.1, 1.4, -0.8])
-        assert np.allclose(fld.velocity(x, y, 0.5)[2], (x**2 - y**2) / 2, atol=1e-13)
+        assert np.allclose(fld.velocity(x, y, 0.5)[2], (x**2 - y**2 - 1) / 2, atol=1e-13)
 
     def test_f1_constant(self):
-        # upper plane a + ib: v1 = a, u1 = b, w = b*x + a*y up to its value at B
+        # upper plane a + ib: v1 = a, u1 = b, w = b*(x - 1) + a*y, zero at z = 1
         a, b = 0.8, -0.3
-        B = complex(1.5, -0.5)
-        fld = assemble(ZERO, plane([a + 1j * b]), 0.0, B)
+        fld = assemble(ZERO, plane([a + 1j * b]), 0.0)
         x, y = np.array([1.4]), np.array([-2.2])
-        assert np.allclose(fld.velocity(x, y, 0.0)[2], b * (x - B.real) + a * (y - B.imag), atol=1e-13)
+        assert np.allclose(fld.velocity(x, y, 0.0)[2], b * (x - 1) + a * y, atol=1e-13)
 
     def test_f1_iz2_harmonic(self):
-        # upper plane i*z^2: w = x^3/3 - x*y^2 up to a constant, harmonic
-        B = complex(2.0, 0.0)
-        fld = assemble(ZERO, plane([0, 0, 1.0j]), 0.0, B)
+        # upper plane i*z^2: w = x^3/3 - x*y^2 - 1/3, zero at z = 1, harmonic
+        fld = assemble(ZERO, plane([0, 0, 1.0j]), 0.0)
         gx, gy = np.meshgrid(np.linspace(1.5, 3.0, 7), np.linspace(-1, 1, 7))
 
         def w0(x, y):
             return fld.velocity(x, y, 0.0)[2]
 
-        assert np.allclose(w0(gx, gy), gx**3 / 3 - gx * gy**2 - 8.0 / 3, atol=1e-12)
+        assert np.allclose(w0(gx, gy), gx**3 / 3 - gx * gy**2 - 1.0 / 3, atol=1e-12)
         lap = (w0(gx + FD, gy) + w0(gx - FD, gy) + w0(gx, gy + FD) + w0(gx, gy - FD)
                - 4 * w0(gx, gy)) / FD**2
         assert np.max(np.abs(lap)) < 1e-6
@@ -123,7 +121,7 @@ class TestComputeW0:
         # grad w = (du/dh, dv/dh); u and v are linear in h
         rng = np.random.default_rng(10)
         for _ in range(20):
-            fld = assemble(rand_plane(rng), rand_plane(rng), 0.0, complex(2.0, 0.0))
+            fld = assemble(rand_plane(rng), rand_plane(rng), 0.0)
             x = rng.uniform(1.5, 3.0, 8)
             y = rng.uniform(-1, 1, 8)
             gx, gy = fd_grad(lambda x, y: fld.velocity(x, y, 0.0)[2], x, y)
@@ -133,35 +131,37 @@ class TestComputeW0:
 
 
 class TestFixConstant:
+    """w carries no constant of its own: where both potentials vanish, w is
+    ``h*w1 + h^2*w2 - (w2/2)*|z|^2``; the pipeline's planes vanish at the origin."""
+
     def test_already_zero(self):
-        # both potentials vanish at B, so the anchor only removes roundoff
-        B = complex(2.0, 2.0)
-        fld = assemble(ZERO, plane([0.0, 1.0j], z0=B), 0.0, B)
-        assert fld.velocity(2.0, 2.0, 0.0)[2] == 0.0
-        assert abs(fld.w0_anchor) < 1e-14
+        # both potentials vanish at z = 1, and so does w at h = 0
+        fld = assemble(ZERO, plane([0.0, 1.0j]), 0.0)
+        assert fld.velocity(1.0, 0.0, 0.0)[2] == 0.0
 
     def test_shift_constant(self):
-        # the radial term of w2 is what the anchor shifts: w = -(w2/2)*(|z|^2 - |B|^2)
-        fld = assemble(ZERO, ZERO, 0.0, complex(2.0, 0.0), w2=0.4)
-        assert abs(fld.w0_anchor + 0.8) < 1e-14
-        assert abs(fld.velocity(2.0, 0.0, 0.0)[2]) < 1e-14
-        assert abs(fld.velocity(3.0, 0.0, 0.0)[2] + 1.0) < 1e-14
+        # the radial term of w2 is the only constant: w = -(w2/2)*|z|^2 + h^2*w2
+        fld = assemble(ZERO, ZERO, 0.0, w2=0.4)
+        assert abs(fld.velocity(1.0, 0.0, 0.0)[2] + 0.2) < 1e-14
+        assert abs(fld.velocity(2.0, 0.0, 0.0)[2] + 0.8) < 1e-14
+        assert abs(fld.velocity(3.0, 0.0, 1.0)[2] + 1.4) < 1e-14
 
     def test_any_point_lands_below_1e14(self):
+        # w(1, h) = h*w1 + h^2*w2 - w2/2 for any planes vanishing at z = 1
         rng = np.random.default_rng(3)
         for _ in range(10):
-            b = complex(rng.uniform(1.5, 3.0), rng.uniform(-1, 1))
             w1, w2 = rng.uniform(-0.5, 0.5, 2)
-            fld = assemble(rand_plane(rng), rand_plane(rng), w1, b, w2)
-            assert abs(fld.velocity(b.real, b.imag, 0.0)[2]) < 1e-14
-            assert fld.velocity(b.real, b.imag, 1.0)[2] == fld.w1 + fld.w2
+            fld = assemble(rand_plane(rng), rand_plane(rng), w1, w2)
+            for h in (0.0, 0.5, 1.0):
+                w = fld.velocity(1.0, 0.0, h)[2]
+                assert abs(w - (h * w1 + h**2 * w2 - w2 / 2)) < 1e-14
 
 
 class TestAnalyticCorrection:
     def test_unpacked_pair_satisfies_modified_relations(self):
         rng = np.random.default_rng(7)
         for w1 in (0.0, 0.3, -1.0):
-            fld = assemble(rand_plane(rng), rand_plane(rng), w1, complex(2.0, 0.0))
+            fld = assemble(rand_plane(rng), rand_plane(rng), w1)
             res = field_residuals(fld, GRID)
             assert res.worst() < 1e-10
 
@@ -170,14 +170,14 @@ class TestAnalyticCorrection:
         # instead of 1/2, leaves a divergence of |w1| in both passes
         rng = np.random.default_rng(8)
         w1 = 0.3
-        fld = assemble(rand_plane(rng), rand_plane(rng), w1, complex(2.0, 0.0))
+        fld = assemble(rand_plane(rng), rand_plane(rng), w1)
         res = field_residuals(dataclasses.replace(fld, absorbed=2 * w1), GRID)
         assert abs(res.max_div - w1) < 1e-10
         assert abs(res.fd_max_div - w1) < 1e-6
 
     def test_explicit_w1_two(self):
         # no analytic data, w1 = 2: the plane h = 0 is u0 = -x, v0 = -y
-        fld = assemble(ZERO, ZERO, 2.0, complex(2.0, 0.0))
+        fld = assemble(ZERO, ZERO, 2.0)
         x, y = np.array([1.7]), np.array([-1.1])
         assert np.allclose(fld.velocity(x, y, 0.0)[0], -x, atol=1e-14)
         assert np.allclose(fld.velocity(x, y, 0.0)[1], -y, atol=1e-14)
@@ -186,20 +186,20 @@ class TestAnalyticCorrection:
 
 class TestAssembleLinear:
     def test_zero_field(self):
-        f = assemble(ZERO, ZERO, 0.0, complex(2.0, 0.0))
+        f = assemble(ZERO, ZERO, 0.0)
         x, y = np.array([1.3]), np.array([0.4])
         assert abs(f.velocity(x, y, 0.7)[0]) < 1e-15
         assert abs(f.velocity(x, y, 0.7)[2]) < 1e-15
 
     def test_w_shape_from_f1_iz(self):
-        f = assemble(ZERO, plane([0, 1.0j]), 0.0, complex(2.0, -2.0))
+        f = assemble(ZERO, plane([0, 1.0j]), 0.0)
         x, y = np.array([1.5, -1.3]), np.array([0.2, 0.8])
         for h in (0.0, 0.5, 1.0):
-            assert np.allclose(f.velocity(x, y, h)[2], (x**2 - y**2) / 2, atol=1e-13)
+            assert np.allclose(f.velocity(x, y, h)[2], (x**2 - y**2 - 1) / 2, atol=1e-13)
 
     def test_residuals_small(self):
         rng = np.random.default_rng(12)
-        f = assemble(rand_plane(rng), rand_plane(rng), 0.45, complex(2.2, -0.1))
+        f = assemble(rand_plane(rng), rand_plane(rng), 0.45)
         res = field_residuals(f, GRID)
         assert res.worst() < 1e-8
         assert res.fd_max_div < 1e-6
@@ -210,11 +210,10 @@ class TestAssembleLinear:
         g1, g2 = rand_plane(rng), rand_plane(rng)
         h1, h2 = rand_plane(rng), rand_plane(rng)
         a, b = 0.7, -1.3
-        B = complex(2.1, 0.3)
-        fa = assemble(g1, h1, 0.0, B)
-        fb = assemble(g2, h2, 0.0, B)
+        fa = assemble(g1, h1, 0.0)
+        fb = assemble(g2, h2, 0.0)
         fc = assemble(Pullback(g1.series * a + g2.series * b, IDENTITY),
-                      Pullback(h1.series * a + h2.series * b, IDENTITY), 0.0, B)
+                      Pullback(h1.series * a + h2.series * b, IDENTITY), 0.0)
         x, y = np.array([1.4, -1.9]), np.array([-0.2, 0.6])
         for h in (0.0, 0.8):
             (uc, vc, wc), (ua, va, wa), (ub, vb, wb) = (f.velocity(x, y, h) for f in (fc, fa, fb))
@@ -227,7 +226,7 @@ class TestAssembleLinear:
         # and curl_y read P against f_up - f_lo, so a log dropped from P alone
         # fails the FD pass (in closed form they hold by construction)
         upper = velocity_plane(AnalyticSeries.exterior([0.3, 0.5j, 0.2]))
-        fld = assemble(ZERO, upper, 0.2, complex(2.0, 0.0), 0.1)
+        fld = assemble(ZERO, upper, 0.2, 0.1)
         assert upper.log == 0.5j
         res = field_residuals(fld, GRID)
         assert res.worst() < 1e-8 and max(res.fd_max_curl) < 1e-6
@@ -246,7 +245,7 @@ class TestAssembleQuadratic:
         rng = np.random.default_rng(15)
         for _ in range(3):
             q = assemble(rand_plane(rng), rand_plane(rng), rng.uniform(-0.5, 0.5),
-                         complex(2.1, 0.1), rng.uniform(-0.5, 0.5))
+                         rng.uniform(-0.5, 0.5))
             res = field_residuals(q, GRID)
             assert res.worst() < 1e-8
             assert res.fd_max_div < 1e-6
@@ -256,7 +255,7 @@ class TestAssembleQuadratic:
 class TestResidualInjection:
     def test_perturbing_u1_breaks_continuity_by_eps(self):
         rng = np.random.default_rng(17)
-        f = assemble(rand_plane(rng), rand_plane(rng), 0.0, complex(2.0, 0.0))
+        f = assemble(rand_plane(rng), rand_plane(rng), 0.0)
         eps = 1e-3
 
         class Perturbed(SplineField):
@@ -272,7 +271,7 @@ class TestResidualInjection:
         # the conj(z) term is fixed with the planes: a field whose w1 moves
         # afterwards leaves the difference as divergence in both passes
         rng = np.random.default_rng(19)
-        fld = assemble(rand_plane(rng), rand_plane(rng), 0.2, complex(2.0, 0.0), 0.1)
+        fld = assemble(rand_plane(rng), rand_plane(rng), 0.2, 0.1)
         res = field_residuals(dataclasses.replace(fld, w1=fld.w1 + 0.3), GRID)
         assert res.max_div == abs(fld.w1 + 0.3 - fld.absorbed)
         assert abs(res.fd_max_div - 0.3) < 1e-6
@@ -280,7 +279,7 @@ class TestResidualInjection:
     def test_wrong_plane_difference_breaks_irrotationality(self):
         # P taken as F_lo - F_up instead of F_up - F_lo, which the FD pass sees
         rng = np.random.default_rng(20)
-        fld = assemble(rand_plane(rng), rand_plane(rng), 0.2, complex(2.0, 0.0))
+        fld = assemble(rand_plane(rng), rand_plane(rng), 0.2)
 
         class Swapped(SplineField):
             def planes(self, zetas, dzs=None):
@@ -299,8 +298,8 @@ class TestFdPassAgainstVelocity:
         rng = np.random.default_rng(22)
         upper = velocity_plane(AnalyticSeries.exterior([0.3, 0.5j, 0.2]))
         fields = [assemble(rand_plane(rng), rand_plane(rng), rng.uniform(-0.5, 0.5),
-                           complex(2.1, 0.1), rng.uniform(-0.5, 0.5)) for _ in range(3)]
-        fields.append(assemble(rand_plane(rng), upper, 0.2, complex(2.0, 0.0), 0.1))
+                           rng.uniform(-0.5, 0.5)) for _ in range(3)]
+        fields.append(assemble(rand_plane(rng), upper, 0.2, 0.1))
         for fld in fields:
             res = field_residuals(fld, GRID)
             fd_div, fd_curl = oracles.fd_residuals_by_velocity(fld, GRID)
@@ -316,16 +315,14 @@ class TestGlue:
     from it are checked to continue q.
     """
 
-    B = complex(2.0, 0.0)
-
     def _quad(self, w2=0.1, w1c=0.3):
         rng = np.random.default_rng(18)
-        return assemble(rand_plane(rng), rand_plane(rng), w1c, self.B, w2)
+        return assemble(rand_plane(rng), rand_plane(rng), w1c, w2)
 
     def _next(self, q, w1=None, w2=0.0):
         rng = np.random.default_rng(21)
         w1 = q.w1 + 2.0 * q.w2 if w1 is None else w1
-        return assemble(q.upper, rand_plane(rng), w1, self.B, w2)
+        return assemble(q.upper, rand_plane(rng), w1, w2)
 
     def test_trace_matches_field_at_top(self):
         q = self._quad()

@@ -578,6 +578,28 @@ def test_solve_out_naming_a_file_exits_2(design, tmp_path, caplog, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["solve", "position"])
+def test_empty_out_exits_2(design, tmp_path, monkeypatch, caplog, capsys, command):
+    # an explicit empty --out is refused, not replaced by the config's
+    # directory or by stdout, before any section is solved or positioned
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    for name in ("run_pipeline", "position"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real: calls.append(a) or real(*a))
+    if command == "solve":
+        argv = ["solve", "--config", _write_config(tmp_path, design)]
+    else:
+        (tmp_path / "c.csv").write_text(GOOD_CONTOUR, encoding="utf-8")
+        argv = ["position", "--contours", "c.csv", "c.csv"]
+    written = sorted(os.listdir(tmp_path))
+    assert cli.main([*argv, "--out", ""]) == 2
+    assert "--out: empty path" in caplog.text
+    assert sorted(os.listdir(tmp_path)) == written
+    assert capsys.readouterr().out == ""
+    assert calls == []
+
+
 def test_empty_contour_file_exits_2(tmp_path, caplog):
     empty, good = tmp_path / "empty.csv", tmp_path / "good.csv"
     empty.write_text("\n \n", encoding="utf-8")

@@ -549,6 +549,18 @@ class TestReconstruct:
         size = np.max(np.abs(nodes - nodes.mean()))
         assert np.max(np.abs(nodes - on_map)) < 1e-12 * size
 
+    @pytest.mark.parametrize("w1", [0.0, 0.1])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_map_and_potential_are_fixed_at_the_branch_point(self, n, w1):
+        # the map sends zeta_B, the rising-arc stagnation point in the gauge
+        # frame, to z_start, and the blade plane's potential vanishes there
+        d = joukowski_flow(center=-0.08 + 0.05j, beta=0.1).distribution(2048, 2048)
+        sol = solve_distribution(d, n, w1=w1)
+        zeta_b = np.exp(1j * ((sol.corr.stagnation_angles[0] - sol.gauge) % (2 * np.pi)))
+        scale = sol.corr.dist.v_inf + abs(sol.corr.dist.circulation_smooth)
+        assert abs(sol.potential.value(zeta_b)) <= 1e-14 * scale
+        assert abs(evaluate_series(sol.map.series, zeta_b) - sol.z_start) <= 1e-14
+
     def test_refinement_order_at_least_two(self):
         coeffs = 0.35 * (0.5 * np.exp(0.4j)) ** np.arange(1, 9)
         flow = ForwardFlow(smooth_map(coeffs, center=0.1 - 0.05j),
