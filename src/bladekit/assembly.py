@@ -15,12 +15,14 @@ so the field is divergence free, and grad w = du/dh, dv/dh makes it
 irrotational.  Both hold whatever the planes are, so the closed-form
 residuals of `field_residuals` are identities of the ansatz that guard only
 a hand-built field whose w1 differs from ``absorbed`` (`FieldResiduals`).
-The check that measures the planes is the central-difference pass, from one
-inversion of each blade map at the grid nodes: the h-differences reuse the
-plane values there, and each point set shifted in x or y is inverted from
-one first-order step off the nodes.  Each blade plane is a modified planar
-problem whose conj(z) coefficient is dw/dh there: w1 on the plane h = 0
-and ``w1 + 2*w2`` on h = 1, which is the w1 of a section stacked on top
+The check that measures the planes is the central-difference pass, from two
+inversions of each blade map: one at the grid nodes, whose plane values the
+h-differences reuse, and one of the four point sets shifted in x and y,
+stacked into one array and started one first-order step off the nodes.  Off
+the circle each inversion sums only the map terms its tail bound keeps
+(`planefield`).  Each blade plane is a modified planar problem whose
+conj(z) coefficient is dw/dh there: w1 on the plane h = 0 and
+``w1 + 2*w2`` on h = 1, which is the w1 of a section stacked on top
 (`config.parse_config_dict` resolves it).
 """
 
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import evaluate_series
 from .planefield import Pullback
 
 FD_STEP = 1e-4
@@ -136,21 +137,16 @@ class SplineField:
     absorbed: float
 
     def zetas(self, z, start=(None, None)):
-        """The lower and upper maps inverted at z, Newton started from ``start``."""
+        """``(zeta, z'(zeta))`` of the lower and of the upper map inverted at z,
+        Newton started from ``start``."""
         return (self.lower.map.invert(z, start=start[0]),
                 self.upper.map.invert(z, start=start[1]))
 
-    def planes(self, zetas, dzs=None):
-        """Values of f_lo, f_up and P at the points ``zetas`` inverted.
-
-        ``dzs`` are the maps' z'(zeta) there, evaluated here when not given.
-        """
-        lo, up = zetas
-        if dzs is None:
-            dzs = (evaluate_series(self.lower.map.deriv, lo),
-                   evaluate_series(self.upper.map.deriv, up))
+    def planes(self, zetas):
+        """Values of f_lo, f_up and P at the points inverted as ``zetas``."""
+        (lo, dz_lo), (up, dz_up) = zetas
         p = self.upper.value(up) - self.lower.value(lo)
-        return self.lower.derivative(lo, dzs[0]), self.upper.derivative(up, dzs[1]), p
+        return self.lower.derivative(lo, dz_lo), self.upper.derivative(up, dz_up), p
 
     def spline(self, z, planes, h):
         """``(u, v, w)`` at plane points z and heights h from the plane values there."""
@@ -186,34 +182,29 @@ def field_residuals(field: SplineField, grid: GridSpec) -> FieldResiduals:
     x, y = grid.plane_nodes()
     z = x + 1j * y
     zetas = field.zetas(z)
-    dzs = tuple(evaluate_series(plane.map.deriv, zeta)
-                for plane, zeta in zip((field.lower, field.upper), zetas))
-    fd_div, fd_curl = _fd_residuals(field, z, grid.h_nodes(), zetas, dzs,
-                                    field.planes(zetas, dzs))
+    fd_div, fd_curl = _fd_residuals(field, z, grid.h_nodes(), zetas, field.planes(zetas))
     return FieldResiduals(abs(field.w1 - field.absorbed), (0.0, 0.0, 0.0),
                           fd_div, tuple(fd_curl), grid)
 
 
-def _fd_residuals(field, z, hs, zetas, dzs, planes):
+def _fd_residuals(field, z, hs, zetas, planes):
     """Central differences of ``field.spline`` around the nodes z, where the maps'
-    inverses are ``zetas`` with z'(zeta) ``dzs`` and the plane values are ``planes``.
+    inversions are ``zetas`` and the plane values are ``planes``.
 
     The spline is polynomial in h over fixed plane values, so the h-differences
-    reuse ``planes``; a set shifted by d is inverted from ``zeta + d/z'(zeta)``.
+    reuse ``planes``.  The four sets ``z + d``, d = +-e and +-i*e, are stacked
+    into one array, which each map inverts once from ``zeta + d/z'(zeta)``.
     """
     e = FD_STEP
     h = np.asarray(hs)[:, None]
-
-    def shifted(d):
-        start = tuple(zeta + d / dz for zeta, dz in zip(zetas, dzs))
-        return field.spline(z + d, field.planes(field.zetas(z + d, start)), h)
-
-    def diff(plus, minus):
-        return [(p - m) / (2 * e) for p, m in zip(plus, minus)]
-
-    ux, vx, wx = diff(shifted(e), shifted(-e))
-    uy, vy, wy = diff(shifted(1j * e), shifted(-1j * e))
-    uh, vh, wh = diff(field.spline(z, planes, h + e), field.spline(z, planes, h - e))
+    d = np.array([e, -e, 1j * e, -1j * e])[:, None]
+    zs = z + d
+    shifted = field.planes(field.zetas(zs, tuple(zeta + d / dz for zeta, dz in zetas)))
+    u, v, w = field.spline(zs[:, None], [p[:, None] for p in shifted], h)
+    ux, vx, wx = ((a[0] - a[1]) / (2 * e) for a in (u, v, w))
+    uy, vy, wy = ((a[2] - a[3]) / (2 * e) for a in (u, v, w))
+    uh, vh, wh = ((p - m) / (2 * e) for p, m in zip(field.spline(z, planes, h + e),
+                                                    field.spline(z, planes, h - e)))
     fd_div = float(np.max(np.abs(ux + vy + wh)))
     fd_curl = [float(np.max(np.abs(a - b))) for a, b in ((uy, vx), (uh, wx), (vh, wy))]
     return fd_div, fd_curl

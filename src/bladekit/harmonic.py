@@ -153,28 +153,33 @@ def evaluate_series_unchecked(f: AnalyticSeries, z):
 
 
 def _polynomial(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_k c[k] * x**k`` by baby steps and giant steps (Paterson-Stockmeyer).
+    """``sum_k c[..., k] * x**k`` by baby steps and giant steps (Paterson-Stockmeyer).
 
     With block size ``B = ceil(sqrt(m))`` the table ``X[k] = x**k``, k < B,
     turns the coefficients, zero-padded and cut into blocks of B, into block
     values ``Y = C @ X``; Horner in ``x**B`` sums the blocks.  That is about
-    2*sqrt(m) array operations instead of m.
+    2*sqrt(m) array operations instead of m.  Several rows of coefficients
+    share one table and one product; the result has one row per row of c.
     """
-    m = len(c)
+    rows = c.reshape(-1, c.shape[-1])
+    r, m = rows.shape
     b = math.isqrt(m - 1) + 1
     nb = -(-m // b)
-    blocks = np.zeros(nb * b, dtype=complex)
-    blocks[:m] = c
+    blocks = np.zeros((r, nb * b), dtype=complex)
+    blocks[:, :m] = rows
     table = np.empty((b, len(x)), dtype=complex)
     table[0] = 1.0
     for k in range(1, b):
         np.multiply(table[k - 1], x, out=table[k])
-    y = blocks.reshape(nb, b) @ table
-    giant = table[b - 1] * x
+    # block j of every row side by side, so that each Horner step is one flat
+    # product as for a single row (numpy may round a broadcast product apart)
+    y = (blocks.reshape(r * nb, b) @ table).reshape(r, nb, len(x))
+    y = y.transpose(1, 0, 2).reshape(nb, r * len(x))
+    giant = np.tile(table[b - 1] * x, r)
     val = y[nb - 1]
     for j in range(nb - 2, -1, -1):
         val = val * giant + y[j]
-    return val
+    return val.reshape(c.shape[:-1] + (len(x),))
 
 
 def integrate_series(f: AnalyticSeries, z0: complex, residue_rtol: float = 1e-10) -> AnalyticSeries:

@@ -347,22 +347,37 @@ def area_shift_by_nelder_mead(c1, c2, spacing) -> tuple[float, float, float]:
     return float(res.x[0]), float(res.x[1]), float(res.fun)
 
 
+def map_term_bounds(series: AnalyticSeries) -> np.ndarray:
+    """|coefficients| of z - slope*zeta (row 0) and of z' (row 1) of a map
+    series at w**j, w = 1/zeta: c_{-j} at w**j, and the slope at w**0 with
+    j*c_{-j} at w**(j+1).  Summed with |w|**j they bound z and z'."""
+    c = np.abs([series.coefficient(-j) for j in range(max(-series.low, 0) + 1)])
+    rows = np.zeros((2, len(c) + 1))
+    rows[0, :-1] = c
+    rows[1, 0] = abs(series.coefficient(1))
+    rows[1, 2:] = np.arange(1, len(c)) * c[1:]
+    return rows
+
+
 def fd_residuals_by_velocity(field, grid, step: float = 1e-4) -> tuple[float, list]:
     """``(fd_div, fd_curl)`` of a field by central differences of ``field.velocity``.
 
-    Six independent ``velocity`` calls at the grid nodes shifted by ``step``
-    in x, y and h, each inverting both blade maps from the cold start: the
-    reference for the finite-difference pass of ``assembly.field_residuals``.
+    One ``velocity`` call at the grid nodes shifted by +-step in x and y,
+    stacked as the FD pass stacks them, and two at the nodes at h +- step,
+    each inverting both blade maps from the cold start: the reference for
+    the finite-difference pass of ``assembly.field_residuals``, which starts
+    its shifted sets warm.  The sets are stacked alike because the map
+    evaluation of a set depends on the set (the matrix product rounds a
+    column by the array's width, and the tail bound reads the whole set).
     """
     x, y = grid.plane_nodes()
     h = grid.h_nodes()[:, None]
-
-    def diff(plus, minus):
-        return [(p - m) / (2 * step) for p, m in zip(field.velocity(*plus), field.velocity(*minus))]
-
-    ux, vx, wx = diff((x + step, y, h), (x - step, y, h))
-    uy, vy, wy = diff((x, y + step, h), (x, y - step, h))
-    uh, vh, wh = diff((x, y, h + step), (x, y, h - step))
+    d = np.array([step, -step, 1j * step, -1j * step])[:, None, None]
+    u, v, w = field.velocity(x + d.real, y + d.imag, h)
+    ux, vx, wx = ((a[0] - a[1]) / (2 * step) for a in (u, v, w))
+    uy, vy, wy = ((a[2] - a[3]) / (2 * step) for a in (u, v, w))
+    uh, vh, wh = ((p - m) / (2 * step) for p, m in zip(field.velocity(x, y, h + step),
+                                                       field.velocity(x, y, h - step)))
     fd_div = float(np.max(np.abs(ux + vy + wh)))
     fd_curl = [float(np.max(np.abs(a - b))) for a, b in ((uy, vx), (uh, wx), (vh, wy))]
     return fd_div, fd_curl

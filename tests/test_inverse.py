@@ -630,7 +630,7 @@ class TestModified:
     def test_velocity_series_far_field(self, jouk, jouk_dist, jouk_solution):
         sol = jouk_solution
         far = 6.0 - 1.5j
-        zeta = sol.map.invert(np.array([far]))[0]
+        zeta = sol.map.invert(np.array([far]))[0][0]
         mine = evaluate_series(sol.velocity_series, zeta)
         A, b = sol.corr.dist.v_inf, -sol.corr.dist.incidence
         # far away the conjugate velocity tends to -A e^{-i b}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bladekit import assembly
+from bladekit import assembly, planefield
 from bladekit.config import datum_rule, parse_config_dict
 from bladekit.harmonic import evaluate_series
 from bladekit.inverse import solve_distribution
@@ -198,21 +198,21 @@ def test_first_section_datum_holds_with_w2():
     assert abs(float(fld.velocity(B.real, B.imag, h_ref)[2]) - w_ref) < 1e-12
 
 
-def _degree1_section():
-    # the first section of the benchmark's deg1_triple at its full n = 256
+def _degree1_section(n=256):
+    # the first section of the benchmark's deg1_triple, at its full n = 256 by default
     lo_c, lo_b, up_c, up_b, w1 = CHAIN[0]
     cfg = parse_config_dict({
         "sections": [{"id": "t0", "degree": 1, "w1": w1,
                       "lower": _distribution(lo_c, lo_b),
                       "upper": _distribution(up_c, up_b)}],
-        "discretization": {"n_boundary": 256},
+        "discretization": {"n_boundary": n},
         "positioning": {"method": "lsq"}})
     return run_pipeline(cfg).sections[0]
 
 
 @pytest.mark.parametrize("which", ["degree1", "c1", "c2"])
 def test_fd_pass_matches_cold_velocity_differences(which, chain_report):
-    # the FD figures of the report against six cold velocity calls per section
+    # the FD figures of the report against cold velocity calls per section
     if which == "degree1":
         sec = _degree1_section()
     else:
@@ -232,7 +232,8 @@ def test_planes_carry_no_flux_through_their_contours(which, chain_report):
     else:
         sec = {s.section.id: s for s in chain_report.sections}[which]
     zeta = np.exp(2j * np.pi * np.arange(sec.lower.n) / sec.lower.n)
-    f_lo, f_up, _ = sec.field.planes((zeta, zeta))
+    f_lo, f_up, _ = sec.field.planes(tuple((zeta, evaluate_series(blade.map.deriv, zeta))
+                                           for blade in (sec.lower, sec.upper)))
     for f, blade in ((f_lo, sec.lower), (f_up, sec.upper)):
         fz = f * evaluate_series(blade.map.deriv, zeta)
         assert np.max(np.abs((-1j * fz * 1j * zeta).imag)) <= 1e-13 * np.max(np.abs(fz))
@@ -246,14 +247,14 @@ def test_lift_node_speeds_are_the_fields_speed(n):
     d = oracles.joukowski_flow(center=-0.08 + 0.05j, beta=0.1).distribution(2048, 2048)
     sol = solve_distribution(d, n, w1=0.1)
     circle = np.exp(2j * np.pi * np.arange(n) / n)
-    zeta = sol.map.invert(sol.contour.points @ (1, 1j), start=circle)
-    speed = np.abs(sol.potential.derivative(zeta, evaluate_series(sol.map.deriv, zeta)))
+    zeta, dz = sol.map.invert(sol.contour.points @ (1, 1j), start=circle)
+    speed = np.abs(sol.potential.derivative(zeta, dz))
     assert np.max(np.abs(_node_speeds(sol) - speed)) <= 1e-12 * np.max(speed)
 
 
-def test_degree1_section_inverts_each_map_five_times(monkeypatch):
-    # per map: the residual nodes once and the four FD shifts; w needs no
-    # anchor, since both potentials vanish at the branch point
+def test_degree1_section_inverts_each_map_twice(monkeypatch):
+    # per map: the residual nodes once and the four FD shifts, stacked, once;
+    # w needs no anchor, since both potentials vanish at the branch point
     calls = []
     invert = SeriesMap.invert
 
@@ -263,8 +264,37 @@ def test_degree1_section_inverts_each_map_five_times(monkeypatch):
 
     monkeypatch.setattr(SeriesMap, "invert", counted)
     sec = _degree1_section()
-    assert len(calls) == 10
-    assert calls.count(sec.lower.map) == calls.count(sec.upper.map) == 5
+    assert len(calls) == 4
+    assert calls.count(sec.lower.map) == calls.count(sec.upper.map) == 2
+
+
+def test_residual_grid_sums_few_map_terms_and_circle_points_all(monkeypatch):
+    # off the circle (min |zeta| ~3 on the residual grid) each map sums at
+    # most 32 of its 512 powers of 1/zeta; on the circle every power whose
+    # bound exceeds 2**-60 of the whole sum is kept
+    sec = _degree1_section(1024)
+    widths = []
+    polynomial = planefield._polynomial
+
+    def counted(c, x):
+        widths.append(c.shape[-1])
+        return polynomial(c, x)
+
+    monkeypatch.setattr(planefield, "_polynomial", counted)
+    assembly.field_residuals(sec.field, sec.residuals.grid)
+    assert widths and max(widths) <= 32
+    circle = np.exp(2j * np.pi * np.arange(sec.lower.n) / sec.lower.n)
+    for blade in (sec.lower, sec.upper):
+        smap = blade.map
+        bounds = oracles.map_term_bounds(smap.series)
+        assert bounds.shape[1] == 512
+        widths.clear()
+        z, dz = smap.values(circle)
+        kept = widths[0]
+        whole = bounds.sum(axis=1) + (bounds[1, 0], 0.0)
+        assert np.all(bounds[:, kept:].T <= 2.0 ** -60 * whole)
+        assert np.max(np.abs(z - evaluate_series(smap.series, circle))) <= 1e-13 * whole[0]
+        assert np.max(np.abs(dz - evaluate_series(smap.deriv, circle))) <= 1e-13 * whole[1]
 
 
 def test_lift_overflow_fails_the_section():
