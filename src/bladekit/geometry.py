@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +55,9 @@ def resample_uniform(c: Contour, n: int) -> Contour:
 
 def contour_to_csv(c: Contour) -> str:
     """Serialize as ``index,x,y`` rows with shortest round-trip floats."""
-    buf = io.StringIO()
-    buf.write("index,x,y\n")
-    for i, (x, y) in enumerate(c.points):
-        buf.write(f"{i},{float(x)!r},{float(y)!r}\n")
-    return buf.getvalue()
+    # Python floats from one tolist() format faster than numpy scalars, to the same repr
+    return "index,x,y\n" + "".join(
+        f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(c.points.tolist()))
 
 
 def contour_from_csv(text: str) -> tuple[Contour, np.ndarray | None]:

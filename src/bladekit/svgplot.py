@@ -40,7 +40,7 @@ def render_svg(contours: list[Contour], shifts: list[tuple[float, float]]) -> st
     ]
     for k, pts in enumerate(moved):
         px, py = to_canvas(pts)
-        coords = " ".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(px, py))
+        coords = " ".join(f"{a!r},{b!r}" for a, b in zip(px.tolist(), py.tolist()))
         color = _COLORS[k % len(_COLORS)]
         lines.append(
             f'<polygon points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'

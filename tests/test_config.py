@@ -8,6 +8,8 @@ below; w2 is a literal on a first degree-2 section, the datum's solution or
 """
 
 import copy
+import gc
+import json
 import math
 import re
 import sys
@@ -18,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from bladekit.config import DesignConfig, parse_config_dict
+from bladekit.config import DesignConfig, parse_config, parse_config_dict
 from bladekit.errors import BadValue, ConfigError
 
 DIST = oracles.joukowski_flow().distribution(64, 64).to_json()
@@ -212,3 +214,102 @@ def test_unusable_path_is_refused_at_its_pointer(path, value, pointer):
     with pytest.raises(BadValue) as err:
         parse_config_dict(raw)
     assert err.value.pointer == pointer
+
+
+# -- the collector pause ----------------------------------------------------------
+
+@pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
+def collector(request):
+    """Set the cyclic collector on or off for the test, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def _design(lower) -> dict:
+    return {"sections": [{"id": "s0", "lower": lower, "upper": "d.json"}],
+            "discretization": {"n_boundary": 64}}
+
+
+BAD_DIST = dict(DIST, samples=[[0.0, "0.1"]] + DIST["samples"][1:])
+CASES = ("valid", "missing", "directory", "invalid JSON", "bad samples")
+
+
+def _place(path, case, valid, bad_samples):
+    if case == "directory":
+        path.mkdir()
+    elif case != "missing":
+        path.write_text("{" if case == "invalid JSON"
+                        else json.dumps(bad_samples if case == "bad samples" else valid))
+
+
+def _parse(parser, tmp_path):
+    if parser == "parse_config":
+        return parse_config(str(tmp_path / "c.json"))
+    return parse_config_dict(_design("d.json"), base_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("parser, broken", [("parse_config", "c.json"),
+                                            ("parse_config", "d.json"),
+                                            ("parse_config_dict", "d.json")])
+def test_parsers_restore_the_collector(tmp_path, collector, parser, broken, case):
+    # on success and on each refusal, in the config file or in a distribution
+    # file, an enabled collector is enabled again and a disabled one stays off
+    files = {"c.json": (_design("d.json"), _design(BAD_DIST)), "d.json": (DIST, BAD_DIST)}
+    for name, (valid, bad_samples) in files.items():
+        _place(tmp_path / name, case if name == broken else "valid", valid, bad_samples)
+    if case == "valid":
+        assert isinstance(_parse(parser, tmp_path), DesignConfig)
+    else:
+        with pytest.raises((ConfigError, OSError)):
+            _parse(parser, tmp_path)
+    assert gc.isenabled() is collector
+
+
+@pytest.fixture(scope="module")
+def big_design(tmp_path_factory):
+    """A config file and a 4096-sample distribution file it names twice."""
+    path = tmp_path_factory.mktemp("big")
+    (path / "d.json").write_text(json.dumps(
+        oracles.joukowski_flow().distribution(2048, 2048).to_json()))
+    (path / "c.json").write_text(json.dumps(_design("d.json")))
+    return path
+
+
+@pytest.mark.parametrize("parser", ["parse_config", "parse_config_dict"])
+def test_no_collection_starts_while_a_distribution_file_is_parsed(big_design, parser):
+    # the file decodes to 4096 two-element lists, several young collections'
+    # worth of allocations
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()        # empties the young generation: the test's own allocations start none
+    gc.callbacks.append(hook)
+    try:
+        cfg = _parse(parser, big_design)
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if was else gc.disable)()
+    assert len(cfg.sections[0].upper.samples) == 4096
+    assert starts == []
+
+
+@pytest.mark.parametrize("parser", ["parse_config", "parse_config_dict"])
+def test_parsing_leaves_no_cyclic_garbage(big_design, parser):
+    # the premise of the pause: reference counting frees every decoded tree
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        cfg = _parse(parser, big_design)
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(cfg.sections[0].upper.samples) == 4096

@@ -9,6 +9,7 @@ from bladekit.geometry import (
     resample_uniform,
 )
 from bladekit.positioning import area_objective
+from bladekit.svgplot import CANVAS_H, CANVAS_W, MARGIN, render_svg
 from oracles import arc_length_table, hausdorff_distance, strip_area_by_cross_products
 
 
@@ -165,3 +166,46 @@ class TestCsv:
     def test_deterministic_bytes(self):
         c = circle(33, r=np.pi / 3)
         assert contour_to_csv(c) == contour_to_csv(c)
+
+
+# -- writers against the per-element form they replaced ----------------------------
+
+def _csv_by_scalars(c):
+    rows = [f"{i},{float(x)!r},{float(y)!r}\n" for i, (x, y) in enumerate(c.points)]
+    return "index,x,y\n" + "".join(rows)
+
+
+def _svg_coords_by_scalars(contours, shifts):
+    """The polygon ``points`` of `render_svg`, one numpy scalar formatted at a time."""
+    moved = [c.points + np.array(s) for c, s in zip(contours, shifts)]
+    allpts = np.vstack(moved)
+    lo, hi = allpts.min(axis=0), allpts.max(axis=0)
+    w, h = max(hi[0] - lo[0], 1e-300), max(hi[1] - lo[1], 1e-300)
+    scale = min((CANVAS_W - 2 * MARGIN) / w, (CANVAS_H - 2 * MARGIN) / h)
+    cx, cy = 0.5 * (lo + hi)
+    return [" ".join(f"{float(a)!r},{float(b)!r}" for a, b in
+                     zip((p[:, 0] - cx) * scale + CANVAS_W / 2,
+                         CANVAS_H / 2 - (p[:, 1] - cy) * scale)) for p in moved]
+
+
+# -0.0, the least subnormal, a huge value, an exact one and a tiny negative
+AWKWARD = Contour(np.array([[-0.0, 5e-324], [1e300, 1.0], [1.0, -1e-17], [-1e-17, 1.0]]))
+WOBBLY = Contour(np.random.default_rng(3).normal(size=(256, 2)) * [1.0, 1e-3]
+                 + circle(256, r=0.7).points)
+
+
+@pytest.mark.parametrize("c", [AWKWARD, WOBBLY, circle(17, r=1.23, center=(0.4, -0.9))],
+                         ids=["awkward", "wobbly", "circle"])
+def test_csv_bytes_match_the_per_element_form(c):
+    assert contour_to_csv(c) == _csv_by_scalars(c)
+
+
+@pytest.mark.parametrize("contours, shifts", [
+    ([AWKWARD, unit_square()], [(0.0, 0.0), (-0.0, 5e-324)]),
+    ([WOBBLY, circle(64)], [(0.0, 0.0), (1e-17, -0.25)]),
+], ids=["awkward", "wobbly"])
+def test_svg_bytes_match_the_per_element_form(contours, shifts):
+    svg = render_svg(contours, shifts)
+    assert svg.count("<polygon") == len(contours)
+    for coords in _svg_coords_by_scalars(contours, shifts):
+        assert f'<polygon points="{coords}" ' in svg
