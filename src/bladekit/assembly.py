@@ -176,27 +176,27 @@ def assemble(lower: Pullback, upper: Pullback, w1: float, w2: float = 0.0) -> Sp
 def field_residuals(field: SplineField, grid: GridSpec) -> FieldResiduals:
     """Residuals of continuity and the three irrotationality relations.
 
-    The closed-form figures are `FieldResiduals`' identities; the FD pass
-    starts from each map's inverse and z'(zeta) at the nodes.
+    The closed-form figures are `FieldResiduals`' identities, `_fd_residuals` the FD pass.
     """
-    x, y = grid.plane_nodes()
-    z = x + 1j * y
-    zetas = field.zetas(z)
-    fd_div, fd_curl = _fd_residuals(field, z, grid.h_nodes(), zetas, field.planes(zetas))
+    fd_div, fd_curl = _fd_residuals(field, grid)
     return FieldResiduals(abs(field.w1 - field.absorbed), (0.0, 0.0, 0.0),
                           fd_div, tuple(fd_curl), grid)
 
 
-def _fd_residuals(field, z, hs, zetas, planes):
-    """Central differences of ``field.spline`` around the nodes z, where the maps'
-    inversions are ``zetas`` and the plane values are ``planes``.
+def _fd_residuals(field, grid):
+    """Central differences of ``field.spline`` around the grid's nodes.
 
-    The spline is polynomial in h over fixed plane values, so the h-differences
-    reuse ``planes``.  The four sets ``z + d``, d = +-e and +-i*e, are stacked
-    into one array, which each map inverts once from ``zeta + d/z'(zeta)``.
+    Each map inverts the plane nodes z once, and the spline is polynomial in h
+    over fixed plane values, so the h-differences reuse the planes there.  The
+    four sets ``z + d``, d = +-e and +-i*e, are stacked into one array, which
+    each map inverts once from ``zeta + d/z'(zeta)``.
     """
+    x, y = grid.plane_nodes()
+    z = x + 1j * y
+    zetas = field.zetas(z)
+    planes = field.planes(zetas)
     e = FD_STEP
-    h = np.asarray(hs)[:, None]
+    h = grid.h_nodes()[:, None]
     d = np.array([e, -e, 1j * e, -1j * e])[:, None]
     zs = z + d
     shifted = field.planes(field.zetas(zs, tuple(zeta + d / dz for zeta, dz in zetas)))

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import BadValue, BladekitError, MissingField
-from .inverse import VelocityDistribution
+from .inverse import DISTRIBUTION_KEYS, VelocityDistribution
 from .positioning import AREA_SPACING, METHODS
 
 FORMATS = ("csv", "json", "svg")
@@ -32,7 +32,9 @@ FORMATS = ("csv", "json", "svg")
 
 @dataclass(frozen=True)
 class SectionConfig:
-    """One section; w1 and w2 are its resolved transversal constants (w2 = 0 at degree 1)."""
+    """One section: its resolved transversal constants w1 and w2 (w2 = 0 at degree 1),
+    and ``chained``, set on a degree-2 section after the first: its lower blade is the
+    previous section's upper one."""
 
     id: str
     degree: int
@@ -40,6 +42,7 @@ class SectionConfig:
     upper: VelocityDistribution
     w1: float
     w2: float
+    chained: bool
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def _load_distribution(value, pointer: str, base_dir: str) -> VelocityDistributi
             raise BadValue(pointer, f"cannot read {path}: {exc.strerror}") from None
     if not isinstance(value, dict):
         raise BadValue(pointer, "expected a distribution object or a file path")
-    for key in ("samples", "total_length", "branch_indices", "v_inf"):
+    for key in DISTRIBUTION_KEYS:
         if key not in value:
             raise MissingField(f"{pointer}/{key}")
     try:
@@ -241,7 +244,7 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
                 w2 = _finite(datum_rule(*datum, w1=w1), datum_ptr, "w2")
         elif datum is not None:
             w1 = _finite(datum_rule(*datum, w2=w2), datum_ptr, "w1")
-        sections.append(SectionConfig(sid, degree, lower, upper, w1, w2))
+        sections.append(SectionConfig(sid, degree, lower, upper, w1, w2, chained))
 
     pos_raw = _as_object(raw.get("positioning", {}), "/positioning")
     method = pos_raw.get("method", METHODS[0])

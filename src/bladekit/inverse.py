@@ -59,6 +59,7 @@ _NEWTON_MAXITER = 50
 # The correspondence's safeguarded Newton takes 4-12 steps on the test flows;
 # the cap leaves room for bisecting a bracket all the way to 4 ulp (~51).
 _CORRESPONDENCE_MAXITER = 64
+DISTRIBUTION_KEYS = ("samples", "total_length", "branch_indices", "v_inf")  # incidence: 0 if absent
 
 
 def _finite_real(value, key: str) -> float:
@@ -211,6 +212,11 @@ class VelocityDistribution:
 
     @staticmethod
     def from_json(obj: dict) -> "VelocityDistribution":
+        if not isinstance(obj, dict):
+            raise InconsistentDistribution(f"not a distribution object: {type(obj).__name__}")
+        for key in DISTRIBUTION_KEYS:
+            if key not in obj:
+                raise InconsistentDistribution(f"distribution is missing {key!r}")
         rows = obj["samples"]
         if not (isinstance(rows, list) and all(type(r) is list and len(r) == 2 for r in rows)):
             raise InconsistentDistribution("samples must be pairs of JSON numbers")
@@ -317,12 +323,13 @@ class CircleCorrespondence:
     map is a continuous bijection even for data whose potential range does
     not agree with the canonical one (the quasisolution absorbs that
     mismatch later through the constant boundary correction).
+    ``increments`` holds the data's and the canonical potential increments
+    ``(delta, delta_c)`` over the rising and over the falling arc.
     """
 
     dist: VelocityDistribution
     stagnation_angles: tuple[float, float]
-    delta_plus: float
-    deltac_plus: float
+    increments: tuple[tuple[float, float], tuple[float, float]]
 
     def canonical_potential(self, gamma):
         d = self.dist
@@ -363,15 +370,12 @@ class CircleCorrespondence:
         step-only stop bisects toward a bracket end that never moves.
         """
         gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-        th_lo, th_hi = self.stagnation_angles
+        th_lo = self.stagnation_angles[0]
         phic = self.canonical_potential(th_lo + np.mod(gamma - th_lo, 2 * np.pi))
         rising = self.on_rising_arc(gamma)
-        rising_arc, falling_arc = self.arcs()
-        G = self.dist.circulation_smooth
         out = np.empty_like(gamma)
-        for mask, arc, start, dc, delta in (
-                (rising, rising_arc, th_lo, self.deltac_plus, self.delta_plus),
-                (~rising, falling_arc, th_hi, G - self.deltac_plus, G - self.delta_plus)):
+        for mask, arc, start, (delta, dc) in zip((rising, ~rising), self.arcs(),
+                                                 self.stagnation_angles, self.increments):
             if np.any(mask):
                 tau = (phic[mask] - self.canonical_potential(start)) / dc
                 out[mask] = arc.solve(arc.values[0] + tau * delta)
@@ -409,7 +413,7 @@ def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
     v = d.speeds
     if not np.all(np.diff(knot_values[:len(v) + 1]) * (v + np.roll(v, -1)) > 0):
         raise InconsistentDistribution("speed spline changes sign inside an arc")
-    return CircleCorrespondence(d, (th_lo, th_hi), dplus, dc_plus)
+    return CircleCorrespondence(d, (th_lo, th_hi), ((dplus, dc_plus), (dminus, dc_minus)))
 
 
 # -- boundary grid gauge -------------------------------------------------------
@@ -459,11 +463,8 @@ def solve_zhukovsky(corr: CircleCorrespondence, n: int) -> AnalyticSeries:
     sprime = L / (2 * np.pi) + differentiate_boundary(p - p.mean())
     if np.any(sprime <= 0):
         raise InconsistentDistribution("correspondence is not monotone")
-    G = corr.dist.circulation_smooth
-    offset = np.where(corr.on_rising_arc(gamma_work + alpha),
-                      np.log(corr.delta_plus / corr.deltac_plus),
-                      np.log((G - corr.delta_plus) / (G - corr.deltac_plus)))
-    data = -np.log(sprime) + offset
+    rise, fall = (np.log(delta / dc) for delta, dc in corr.increments)
+    data = -np.log(sprime) + np.where(corr.on_rising_arc(gamma_work + alpha), rise, fall)
     return analytic_from_real_boundary(data)
 
 
@@ -551,20 +552,19 @@ def quasisolution_correct(chi: AnalyticSeries, n: int) -> tuple[AnalyticSeries, 
     return corrected, replace(report, corrected=True, correction_norm=norm)
 
 
-def reconstruction_map(chi: AnalyticSeries, corr: CircleCorrespondence, n: int,
+def reconstruction_map(chi: AnalyticSeries, n: int, alpha: float, zeta_b: complex,
                        z_start: complex = 0.0) -> SeriesMap:
-    """Series map z(zeta) of the reconstruction, in the gauge frame.
+    """Series map z(zeta) of the reconstruction, in the frame of the gauge ``alpha``.
 
     ``dz/dzeta = exp(-chi)`` at the n circle nodes is projected onto its
     n/2 exterior modes and integrated term by term.  Its residue is
     ``closure_defect / (2*pi*i)``, so an unclosed chi is refused here with
     `MultivaluedAntiderivative`.  The map is fixed at the branch point
-    zeta_B, which lands on ``z_start``: shifting z_start translates the
+    ``zeta_b``, which lands on ``z_start``: shifting z_start translates the
     blade rigidly and rotating the incidence rotates it about z_start.
     """
-    alpha = gauge_angle(corr, n)
     ext = exterior_projection(np.exp(-boundary_values(chi, n)))
-    anti = integrate_series(ext, corr.branch_preimage(alpha), residue_rtol=1e-7)
+    anti = integrate_series(ext, zeta_b, residue_rtol=1e-7)
     series = anti * np.exp(1j * alpha) + AnalyticSeries.interior([complex(z_start)])
     return SeriesMap(series.trimmed(1e-15))
 
@@ -587,7 +587,7 @@ class PlanarSolution:
     z_start: complex
     w1: float = 0.0
 
-    @property
+    @cached_property
     def gauge(self) -> float:
         return gauge_angle(self.corr, self.n)
 
@@ -597,7 +597,8 @@ class PlanarSolution:
 
     @cached_property
     def map(self) -> SeriesMap:
-        return reconstruction_map(self.chi, self.corr, self.n, self.z_start)
+        return reconstruction_map(self.chi, self.n, self.gauge,
+                                  self.corr.branch_preimage(self.gauge), self.z_start)
 
     @cached_property
     def velocity_series(self) -> AnalyticSeries:

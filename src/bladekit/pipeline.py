@@ -11,11 +11,12 @@ field's own plane there, so every figure reads one flow per blade.
 
 Degree-1 chains treat sections independently (the shared blade carries no
 information across).  A degree-2 section after the first is chained onto
-the previous one: its lower blade is the previous upper blade (the same
-solve).  The shared blade was solved with the previous field's slope dw/dh
-at h = 1 as its conj(z) coefficient; that slope is the new w1, resolved
-with w2 by `config.parse_config_dict`, so every section is a solution of
-the field equations and carries the same gated residual checks.  Chained
+the previous one, and `config.parse_config_dict` marks it so
+(`SectionConfig.chained`): its lower blade is the previous upper blade (the
+same solve).  The shared blade was solved with the previous field's slope
+dw/dh at h = 1 as its conj(z) coefficient; that slope is the new w1,
+resolved with w2 by the parser, so every section is a solution of the
+field equations and carries the same gated residual checks.  Chained
 sections add the glue checks: ``glue_du`` and ``glue_dv`` compare the new
 field at h = 0 with the previous one at h = 1 at the residual-grid nodes,
 ``glue_w1_rule`` the new field's conj(z) coefficient with the w1 the
@@ -84,10 +85,9 @@ class CheckEntry:
 
 @dataclass
 class SectionResult:
-    """One solved section; ``chained`` when its lower blade is the previous upper one."""
+    """One solved section; a chained one's lower blade is the previous upper one."""
 
     section: SectionConfig
-    chained: bool
     lower: PlanarSolution
     upper: PlanarSolution
     field: SplineField
@@ -127,7 +127,7 @@ class RunReport:
                     "residuals": s.residuals.to_json(),
                     "shift": s.shift.to_json(),
                     "glue": ({"w1_const": s.section.w1, "w2": s.section.w2}
-                             if s.chained else None),
+                             if s.section.chained else None),
                     "checks": [c.to_json() for c in s.checks],
                 }
                 for s in self.sections
@@ -155,14 +155,16 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
                 prev: "SectionResult | None" = None) -> SectionResult:
     """Solve, assemble, check and position one section.
 
-    ``prev`` is the finished degree-2 section this one is chained onto; its
-    upper blade is this section's lower one.
+    ``prev`` is the result of the section before, None if it failed; a
+    chained section's lower blade is its upper one.
     """
     n = cfg.n_boundary
     w1, w2 = section.w1, section.w2
-    if prev is None:
+    if not section.chained:
         sol_lo = solve_distribution(section.lower, n, z_start=0.0, w1=w1)
         involved = [sol_lo.contour]
+    elif prev is None:
+        raise BladekitError("cannot chain onto a failed section")
     else:
         sol_lo = prev.upper                   # shared blade, same solve
         # trace_defect evaluates the previous field too
@@ -187,7 +189,7 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
         gate("vinf_upper", abs(sol_up.closure.vinf_defect), CLOSURE_TOL),
         *(gate(*g) for g in residuals.gates()),
     ]
-    if prev is not None:
+    if section.chained:
         du, dv, dw = trace_defect(prev.field, fld, grid)
         checks += [
             gate("glue_du", du, GLUE_TOL),
@@ -196,8 +198,7 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
             gate("glue_w1_rule", abs(fld.absorbed - sol_lo.w1), GLUE_TOL),
         ]
 
-    return SectionResult(section, prev is not None, sol_lo, sol_up, fld, residuals,
-                         shift, checks)
+    return SectionResult(section, sol_lo, sol_up, fld, residuals, shift, checks)
 
 
 def run_pipeline(cfg: DesignConfig) -> RunReport:
@@ -210,17 +211,11 @@ def run_pipeline(cfg: DesignConfig) -> RunReport:
     results = []
     errors = []
     prev: "SectionResult | None" = None
-    for idx, section in enumerate(cfg.sections):
+    for section in cfg.sections:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                if section.degree == 2 and idx > 0:
-                    if prev is None:
-                        raise BladekitError("cannot chain onto a failed section")
-                    res = run_section(cfg, section, prev=prev)
-                else:
-                    res = run_section(cfg, section)
-            results.append(res)
-            prev = res if section.degree == 2 else None
+                prev = run_section(cfg, section, prev)
+            results.append(prev)
         except (BladekitError, FloatingPointError) as exc:
             log.error("section %s failed: %s", section.id, exc)
             errors.append(f"{section.id}: {exc}")

@@ -447,14 +447,14 @@ def s_of_gamma_by_bisection(corr, gamma) -> np.ndarray:
     out = np.empty_like(gm)
     phi = partial(potential_at, corr.dist)
     phic = corr.canonical_potential
+    (d_rise, dc_rise), (d_fall, dc_fall) = corr.increments
     if np.any(rising):
-        tau = (phic(th_lo + gm[rising]) - phic(th_lo)) / corr.deltac_plus
-        targ = phi(s_a) + tau * corr.delta_plus
+        tau = (phic(th_lo + gm[rising]) - phic(th_lo)) / dc_rise
+        targ = phi(s_a) + tau * d_rise
         out[rising] = _bisect_monotone(phi, s_a, s_b, targ)
     if np.any(~rising):
-        G = corr.dist.circulation_smooth
-        tau = (phic(th_lo + gm[~rising]) - phic(th_hi)) / (G - corr.deltac_plus)
-        targ = phi(s_b) + tau * (G - corr.delta_plus)
+        tau = (phic(th_lo + gm[~rising]) - phic(th_hi)) / dc_fall
+        targ = phi(s_b) + tau * d_fall
         out[~rising] = _bisect_monotone(phi, s_b, s_a + L, targ)
     return np.mod(out, L)
 

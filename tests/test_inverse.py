@@ -99,6 +99,18 @@ class TestVelocityDistribution:
         with pytest.raises(InconsistentDistribution, match="samples must be finite"):
             VelocityDistribution.from_json(obj)
 
+    @pytest.mark.parametrize("key", ["samples", "total_length", "branch_indices", "v_inf"])
+    def test_json_missing_key_rejected(self, cyl_dist, key):
+        obj = cyl_dist.to_json()
+        del obj[key]
+        with pytest.raises(InconsistentDistribution, match=f"missing '{key}'"):
+            VelocityDistribution.from_json(obj)
+
+    @pytest.mark.parametrize("obj", [[], "x", None], ids=["list", "string", "null"])
+    def test_json_non_object_rejected(self, obj):
+        with pytest.raises(InconsistentDistribution, match="not a distribution object"):
+            VelocityDistribution.from_json(obj)
+
     def test_arc_positions_far_apart_rejected_without_overflow(self, cyl_dist):
         # compared, not subtracted: 1.7e308 - (-1.7e308) overflows
         samples = cyl_dist.samples.copy()
@@ -264,16 +276,16 @@ class TestCorrespondence:
         L = d.total_length
         assert on_circle_gap(s, s_of_gamma_by_bisection(corr, g), L) <= 1e-12 * L
         th_lo, th_hi = corr.stagnation_angles
-        G = d.circulation_smooth
+        (d_rise, dc_rise), (d_fall, dc_fall) = corr.increments
         rising = corr.on_rising_arc(g)
         start = np.where(rising, th_lo, th_hi)
         tau = ((corr.canonical_potential(th_lo + np.mod(g - th_lo, 2 * np.pi))
                 - corr.canonical_potential(start))
-               / np.where(rising, corr.deltac_plus, G - corr.deltac_plus))
+               / np.where(rising, dc_rise, dc_fall))
         arcs = corr.arcs()
         lo = np.where(rising, *(arc.nodes[0] for arc in arcs))
         target = (np.where(rising, *(arc.values[0] for arc in arcs))
-                  + tau * np.where(rising, corr.delta_plus, G - corr.delta_plus))
+                  + tau * np.where(rising, d_rise, d_fall))
         s_arc = lo + np.mod(s - lo, L)
         # the stop's 4 ulp, two quartic evaluations of ~2 ulp each (the
         # solver's and potential_at's), and rounding s to a float
@@ -532,8 +544,9 @@ class TestReconstruct:
         corr = canonical_map(cyl_dist)
         chi = solve_zhukovsky(corr, 256)
         bumped = chi + AnalyticSeries(np.array([0.1 + 0.0j]), low=-1)
+        alpha = gauge_angle(corr, 256)
         with pytest.raises(MultivaluedAntiderivative):
-            reconstruction_map(bumped, corr, 256)
+            reconstruction_map(bumped, 256, alpha, corr.branch_preimage(alpha))
 
     @pytest.mark.parametrize("blade", ["joukowski_w1", "perturbed_cylinder"])
     def test_contour_is_the_map_on_the_circle(self, jouk, jouk_dist, blade):

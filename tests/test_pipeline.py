@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bladekit import assembly, planefield
+from bladekit import assembly, inverse, planefield
 from bladekit.config import datum_rule, parse_config_dict
 from bladekit.harmonic import evaluate_series
 from bladekit.inverse import solve_distribution
@@ -49,7 +49,7 @@ class TestDegree2Chain:
     def test_chain_passes(self, chain_report):
         assert chain_report.errors == []
         assert [s.section.id for s in chain_report.sections] == ["c0", "c1", "c2"]
-        assert [s.chained for s in chain_report.sections] == [False, True, True]
+        assert [s.section.chained for s in chain_report.sections] == [False, True, True]
         assert chain_report.passed
 
     def test_chained_sections_carry_glue_checks(self, chain_report):
@@ -169,14 +169,68 @@ class TestDegree2Chain:
 
 
 def test_chain_onto_a_failed_section_is_refused():
-    # at w1 = -50 the first section's blade solve fails, and neither chained
-    # section has a lower blade to start from
-    report = run_pipeline(_chain_config(c0_w1=-50.0))
-    assert report.sections == []
-    assert len(report.errors) == 3
-    assert [e.split(":")[0] for e in report.errors] == ["c0", "c1", "c2"]
-    assert all("cannot chain onto a failed section" in e for e in report.errors[1:])
-    assert not report.passed
+    # at w1 = -50 or 50 the first section's blade solve fails, and neither
+    # chained section has a lower blade to start from; the errors keep their order
+    for w1 in (-50.0, 50.0):
+        report = run_pipeline(_chain_config(c0_w1=w1))
+        assert report.sections == []
+        assert report.errors == [
+            f"c0: transversal term w1={w1} destroys the branch structure",
+            "c1: cannot chain onto a failed section",
+            "c2: cannot chain onto a failed section",
+        ]
+        assert not report.passed
+
+
+def _degree1_pair(d0_w1):
+    sections = []
+    for i, w1 in enumerate((d0_w1, 0.05)):
+        lo_c, lo_b, up_c, up_b, _ = CHAIN[i]
+        sections.append({"id": f"d{i}", "degree": 1, "w1": w1,
+                         "lower": _distribution(lo_c, lo_b),
+                         "upper": _distribution(up_c, up_b)})
+    return parse_config_dict({"sections": sections,
+                              "discretization": {"n_boundary": 64},
+                              "positioning": {"method": "lsq"}})
+
+
+def test_degree1_section_after_a_failed_one_still_runs():
+    report = run_pipeline(_degree1_pair(50.0))
+    assert report.errors == ["d0: transversal term w1=50.0 destroys the branch structure"]
+    assert [s.section.id for s in report.sections] == ["d1"]
+    assert report.sections[0].passed
+    assert report.to_json()["sections"][0]["glue"] is None
+
+
+def test_parser_marks_chained_sections():
+    assert [s.chained for s in _chain_config().sections] == [False, True, True]
+    assert [s.chained for s in _degree1_pair(0.05).sections] == [False, False]
+
+
+@pytest.mark.parametrize("degree, positioning", [
+    (1, {"method": "lsq"}),
+    (2, {"method": "lift", "box": [-0.5, -0.5, 0.5, 0.5], "partition": 32}),
+])
+def test_each_blade_computes_its_gauge_twice(monkeypatch, degree, positioning):
+    # once for the Zhukovsky datum, once for the solution's map and potential
+    calls = []
+    gauge_angle = inverse.gauge_angle
+
+    def counted(*args):
+        calls.append(args)
+        return gauge_angle(*args)
+
+    monkeypatch.setattr(inverse, "gauge_angle", counted)
+    lo_c, lo_b, up_c, up_b, w1 = CHAIN[0]
+    cfg = parse_config_dict({
+        "sections": [{"id": "g0", "degree": degree, "w1": w1,
+                      **({"w2": 0.1} if degree == 2 else {}),
+                      "lower": _distribution(lo_c, lo_b),
+                      "upper": _distribution(up_c, up_b)}],
+        "discretization": {"n_boundary": 64},
+        "positioning": positioning})
+    assert run_pipeline(cfg).passed
+    assert len(calls) == 4
 
 
 def test_first_section_datum_holds_with_w2():
