@@ -442,18 +442,18 @@ def gauge_angle(corr: CircleCorrespondence, n: int) -> float:
     return float(best[1])
 
 
-def solve_zhukovsky(corr: CircleCorrespondence, n: int) -> AnalyticSeries:
+def solve_zhukovsky(corr: CircleCorrespondence, n: int, alpha: float) -> AnalyticSeries:
     """Regularized Zhukovsky function from the boundary speed data ``corr.dist``.
 
     The boundary datum is ``ln(V / |dw_c/dzeta|)``, evaluated through the
     correspondence as ``-ln(ds/dgamma)`` plus the per-arc normalization
-    offset; the singular factors at the stagnation angles cancel exactly,
-    and the gauge keeps the angles mid-interval so nodes never touch them.
+    offset; the singular factors at the stagnation angles cancel exactly.
+    It is sampled at the n circle nodes of the gauge ``alpha``, the frame the
+    map must be built in, where `gauge_angle` keeps those angles off the nodes.
     """
     if n < 8 or n & (n - 1):
         raise BladekitError("boundary grid size must be a power of two >= 8")
     L = corr.dist.total_length
-    alpha = gauge_angle(corr, n)
     gamma_work = 2 * np.pi * np.arange(n) / n
     s_raw = corr.s_of_gamma(gamma_work + alpha)
     # unwrap into an increasing sequence over one period
@@ -582,18 +582,21 @@ class PlanarSolution:
 
     corr: CircleCorrespondence
     n: int
+    gauge: float                # the frame of the datum, the map, the flow and zeta_B
     chi: AnalyticSeries
     closure: ClosureReport
     z_start: complex
     w1: float = 0.0
 
     @cached_property
-    def gauge(self) -> float:
-        return gauge_angle(self.corr, self.n)
-
-    @cached_property
     def contour(self) -> Contour:
         return reconstruct_contour(self.map, self.n)
+
+    @cached_property
+    def node_speeds(self) -> np.ndarray:
+        """|F'| of the blade's plane at its contour nodes, the images of the circle nodes."""
+        zeta = np.exp(2j * np.pi * np.arange(self.n) / self.n)
+        return np.abs(self.potential.derivative(zeta, boundary_values(self.map.deriv, self.n)))
 
     @cached_property
     def map(self) -> SeriesMap:
@@ -601,45 +604,43 @@ class PlanarSolution:
                                   self.corr.branch_preimage(self.gauge), self.z_start)
 
     @cached_property
+    def canonical_flow(self) -> tuple[AnalyticSeries, float]:
+        """Laurent terms S and log coefficient of ``i*W = S + log*ln(zeta)`` up to a
+        constant, with W the canonical potential ``w_c(zeta*e^{i*gauge})``."""
+        d = self.corr.dist
+        A = d.v_inf
+        r = np.exp(1j * (self.gauge + d.incidence))
+        return (AnalyticSeries(1j * np.array([-A / r, 0.0, -A * r]), low=-1),
+                d.circulation_smooth / (2 * np.pi))
+
+    @cached_property
     def velocity_series(self) -> AnalyticSeries:
         """Analytic completion g(zeta) = (dw_c/dzeta)(zeta*e^{i*gauge}) * e^chi.
 
-        Its pullback ``g(zeta(z))`` is the conjugate in-plane velocity of
-        the modified problem, with e^chi cut to its n/2 exterior modes: a
-        second projection of the flow that `potential` carries, which
+        The first factor is ``(S' + log/zeta)*(-i*e^{-i*gauge})``, from
+        `canonical_flow`.  The pullback ``g(zeta(z))`` is the conjugate in-plane
+        velocity of the modified problem, with e^chi cut to its n/2 exterior
+        modes: a second projection of the flow that `potential` carries, which
         nothing in the library reads.  It is kept only for the benchmark's
         ``SolveOp`` and for tests; ROADMAP item 6 deletes it.
         """
-        n = self.n
-        alpha = self.gauge
-        d = self.corr.dist
-        A, b, G = d.v_inf, -d.incidence, d.circulation_smooth
-        p_coeffs = np.array([
-            -A * np.exp(-1j * b),
-            G / (2j * np.pi) * np.exp(-1j * alpha),
-            A * np.exp(1j * b) * np.exp(-2j * alpha),
-        ])
-        p_series = AnalyticSeries.exterior(p_coeffs)
-        e_series = exterior_projection(np.exp(boundary_values(self.chi, n)))
-        return (p_series * e_series).trimmed(1e-14)
+        series, log = self.canonical_flow
+        dw = series.derivative() + AnalyticSeries([log], low=-1)
+        e_series = exterior_projection(np.exp(boundary_values(self.chi, self.n)))
+        return (dw * (-1j * np.exp(-1j * self.gauge)) * e_series).trimmed(1e-14)
 
     @cached_property
     def potential(self) -> Pullback:
-        """The blade's plane ``F = i*W(zeta(z))``, with W the canonical potential
-        ``w_c(zeta*e^{i*gauge})``, which vanishes at the branch point zeta_B.
+        """The blade's plane ``F = i*W(zeta(z))``: `canonical_flow` carried
+        through the map and pinned to vanish at the branch point zeta_B.
 
         ``F' = i*W'(zeta)/z'(zeta)`` is the analytic datum of the field
-        assembly; its zeta-derivative is ``i*e^{i*gauge}`` times the three-term
-        factor of `velocity_series`.  The flow it carries is tangent to the
-        contour, the map's image of the circle, exactly.
+        assembly.  The flow it carries is tangent to the contour, the map's
+        image of the circle, exactly.
         """
-        d = self.corr.dist
-        A, G = d.v_inf, d.circulation_smooth
-        alpha = self.gauge
-        r = np.exp(1j * (alpha + d.incidence))
-        plane = Pullback(AnalyticSeries(1j * np.array([-A / r, 0.0, -A * r]), low=-1),
-                         self.map, log=G / (2 * np.pi))
-        zero = AnalyticSeries.interior([-plane.value(self.corr.branch_preimage(alpha))])
+        series, log = self.canonical_flow
+        plane = Pullback(series, self.map, log=log)
+        zero = AnalyticSeries.interior([-plane.value(self.corr.branch_preimage(self.gauge))])
         return replace(plane, series=plane.series + zero)
 
 
@@ -647,14 +648,16 @@ def solve_distribution(d: VelocityDistribution, n: int,
                        z_start: complex = 0.0, w1: float = 0.0) -> PlanarSolution:
     """Run the full per-blade pipeline, optionally on the modified data.
 
-    The data becomes ``V + w1*|s|`` first (the modified problem).  Map and
-    potential are fixed at zeta_B, which lands on ``z_start``, where F = 0.
+    The data becomes ``V + w1*|s|`` first (the modified problem).  One gauge
+    serves datum, map and potential; map and potential are fixed at zeta_B,
+    which lands on ``z_start``, where F = 0.
     """
     eff = d.modified(w1)
     corr = canonical_map(eff)
-    chi0 = solve_zhukovsky(corr, n)
+    alpha = gauge_angle(corr, n)
+    chi0 = solve_zhukovsky(corr, n, alpha)
     chi, report = quasisolution_correct(chi0, n)
-    return PlanarSolution(corr, n, chi, report, complex(z_start), float(w1))
+    return PlanarSolution(corr, n, alpha, chi, report, complex(z_start), float(w1))
 
 
 def solve_modified(d: VelocityDistribution, w1: float, n: int,

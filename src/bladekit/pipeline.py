@@ -6,8 +6,9 @@ velocity field with `assembly.assemble` from the two blades' complex
 potentials: the lower blade is the plane h = 0, the upper blade the plane
 h = 1.  It then measures the field's residuals on a box clear of every
 blade the field is evaluated over, and positions the reconstructed
-contours.  The lift reads each contour's node speeds as |F'| of the
-field's own plane there, so every figure reads one flow per blade.
+contours.  The lift reads each blade's `PlanarSolution.node_speeds`, |F'|
+of the field's own plane at its contour nodes, so every figure reads one
+flow per blade, and a chained section reuses the shared blade's speeds.
 
 Degree-1 chains treat sections independently (the shared blade carries no
 information across).  A degree-2 section after the first is chained onto
@@ -55,7 +56,6 @@ from .assembly import (
 from .config import DesignConfig, SectionConfig
 from .errors import BladekitError
 from .geometry import Contour, contour_to_csv
-from .harmonic import boundary_values
 from .inverse import PlanarSolution, solve_distribution
 from .positioning import NodePartition, ShiftVector, position
 from .svgplot import render_svg
@@ -145,12 +145,6 @@ def _residual_grid(contours: "list[Contour]") -> GridSpec:
                     y0=cy - 0.5 * diam, y1=cy + 0.5 * diam)
 
 
-def _node_speeds(sol: PlanarSolution) -> np.ndarray:
-    """|F'| of the blade's plane at its contour nodes, the images of the circle nodes."""
-    zeta = np.exp(2j * np.pi * np.arange(sol.n) / sol.n)
-    return np.abs(sol.potential.derivative(zeta, boundary_values(sol.map.deriv, sol.n)))
-
-
 def run_section(cfg: DesignConfig, section: SectionConfig,
                 prev: "SectionResult | None" = None) -> SectionResult:
     """Solve, assemble, check and position one section.
@@ -178,8 +172,8 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
     residuals = field_residuals(fld, grid)
     pos = cfg.positioning
     shift = position(sol_lo.contour, sol_up.contour, pos.method, pos.spacing,
-                     lambda: (pos.box, NodePartition(pos.partition, _node_speeds(sol_lo),
-                                                     _node_speeds(sol_up))))
+                     lambda: (pos.box, NodePartition(pos.partition, sol_lo.node_speeds,
+                                                     sol_up.node_speeds)))
 
     gate = CheckEntry.gate
     checks = [

@@ -11,10 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from bladekit import cli, pipeline
+from bladekit import cli
 from bladekit.errors import BladekitError, StagnationOffCircle
 from bladekit.geometry import Contour
-from bladekit.inverse import canonical_map
+from bladekit.inverse import PlanarSolution, canonical_map
 from bladekit.positioning import METHODS
 
 SECTION_FILES = ("lower.csv", "upper.csv", "shift.json", "residuals.json", "section.svg")
@@ -346,7 +346,7 @@ def test_position_command_repeats_the_solve_shift(design, tmp_path, monkeypatch,
     def no_speeds(sol):
         raise AssertionError("node speeds computed for " + positioning["method"])
 
-    monkeypatch.setattr(pipeline, "_node_speeds", no_speeds)
+    monkeypatch.setattr(PlanarSolution, "node_speeds", property(no_speeds))
     cfg = json.loads(json.dumps(design))
     cfg["positioning"] = positioning
     s0 = _solve(tmp_path, cfg, positioning["method"]) / "s0"

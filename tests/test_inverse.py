@@ -14,6 +14,7 @@ from bladekit.geometry import Contour, resample_uniform
 from bladekit.harmonic import AnalyticSeries, boundary_values, evaluate_series
 from bladekit.inverse import (
     CircleCorrespondence,
+    PlanarSolution,
     VelocityDistribution,
     _with_correction,
     canonical_map,
@@ -355,17 +356,17 @@ class TestCorrespondence:
         rule = corr.on_rising_arc(g)
         assert np.array_equal(rule, gm <= th_hi - th_lo)
         assert np.array_equal(rule, gm <= (th_hi - th_lo) + 1e-15)
-        chi = solve_zhukovsky(corr, n)
+        chi = solve_zhukovsky(corr, n, gauge_angle(corr, n))
         monkeypatch.setattr(CircleCorrespondence, "on_rising_arc", lambda self, gamma: (
             np.mod(gamma - th_lo, 2 * np.pi) <= (th_hi - th_lo) + 1e-15))
-        assert np.array_equal(solve_zhukovsky(corr, n).coefficients,
+        assert np.array_equal(solve_zhukovsky(corr, n, gauge_angle(corr, n)).coefficients,
                               chi.coefficients)
 
 
 class TestZhukovsky:
     def test_cylinder_chi_zero(self, cyl_dist):
         corr = canonical_map(cyl_dist)
-        chi = solve_zhukovsky(corr, 256)
+        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         assert np.max(np.abs(chi.coefficients)) < 1e-10
 
     def test_scale_invariance(self, cyl_dist):
@@ -373,8 +374,9 @@ class TestZhukovsky:
         scaled = VelocityDistribution(
             np.column_stack([cyl_dist.arc_positions, kappa * cyl_dist.speeds]),
             cyl_dist.total_length, cyl_dist.branch_indices, kappa * cyl_dist.v_inf)
-        chi_a = solve_zhukovsky(canonical_map(cyl_dist), 128)
-        chi_b = solve_zhukovsky(canonical_map(scaled), 128)
+        corr_a, corr_b = canonical_map(cyl_dist), canonical_map(scaled)
+        chi_a = solve_zhukovsky(corr_a, 128, gauge_angle(corr_a, 128))
+        chi_b = solve_zhukovsky(corr_b, 128, gauge_angle(corr_b, 128))
         assert np.max(np.abs(chi_a.coefficients - chi_b.coefficients)) < 1e-10
 
     def test_joukowski_matches_exact_map_log(self, jouk, jouk_dist, jouk_solution):
@@ -390,14 +392,14 @@ class TestZhukovsky:
 class TestClosure:
     def test_cylinder_zero(self, cyl_dist):
         corr = canonical_map(cyl_dist)
-        chi = solve_zhukovsky(corr, 256)
+        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         rep = closure_conditions(chi, 256)
         assert abs(rep.closure_defect) < 1e-12
         assert abs(rep.vinf_defect) < 1e-12
 
     def test_artificial_residue_matches_quadrature(self, cyl_dist):
         corr = canonical_map(cyl_dist)
-        chi = solve_zhukovsky(corr, 256)
+        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         bumped = chi + AnalyticSeries(np.array([0.1 + 0.0j]), low=-1)
         rep = closure_conditions(bumped, 256)
         # independent quadrature of the loop integral (trapezoid = Riemann
@@ -411,7 +413,7 @@ class TestClosure:
 
     def test_joukowski_solvable_before_correction(self, jouk_dist):
         corr = canonical_map(jouk_dist)
-        chi = solve_zhukovsky(corr, 256)
+        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         rep = closure_conditions(chi, 256)
         assert rep.max_defect < 1e-8
 
@@ -419,7 +421,7 @@ class TestClosure:
 class TestQuasisolution:
     def test_fixed_point(self, jouk_dist):
         corr = canonical_map(jouk_dist)
-        chi = solve_zhukovsky(corr, 256)
+        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         chi2, rep = quasisolution_correct(chi, 256)
         assert chi2 is chi
         assert rep.correction_norm == 0.0
@@ -427,7 +429,7 @@ class TestQuasisolution:
     def test_perturbed_cylinder(self):
         d = perturbed_cylinder(0.05)
         corr = canonical_map(d)
-        chi = solve_zhukovsky(corr, 256)
+        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         before = closure_conditions(chi, 256)
         assert before.max_defect > 1e-3
         chi2, rep = quasisolution_correct(chi, 256)
@@ -441,7 +443,7 @@ class TestQuasisolution:
         doubled = VelocityDistribution(cyl_dist.samples, cyl_dist.total_length,
                                        cyl_dist.branch_indices, 2.0 * cyl_dist.v_inf)
         corr = canonical_map(doubled)
-        chi = solve_zhukovsky(corr, 256)
+        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         rep0 = closure_conditions(chi, 256)
         assert abs(abs(rep0.vinf_defect) - np.log(2)) < 1e-9
         chi2, rep = quasisolution_correct(chi, 256)
@@ -453,7 +455,7 @@ class TestQuasisolution:
     def test_constant_scales_closure_and_shifts_speed(self, t, c):
         d = perturbed_cylinder(0.05)
         corr = canonical_map(d)
-        chi = solve_zhukovsky(corr, 256)
+        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         base = closure_conditions(_with_correction(chi, np.array([0.0, c.real, c.imag])), 256)
         moved = closure_conditions(_with_correction(chi, np.array([t, c.real, c.imag])), 256)
         assert abs(moved.closure_defect - np.exp(-t) * base.closure_defect) \
@@ -466,7 +468,7 @@ class TestQuasisolution:
             for w1 in (-0.3, 0.0, 0.1, 0.25):
                 eff = d.modified(w1)
                 corr = canonical_map(eff)
-                chi0 = solve_zhukovsky(corr, n)
+                chi0 = solve_zhukovsky(corr, n, gauge_angle(corr, n))
                 rep0 = closure_conditions(chi0, n)
                 chi, rep = quasisolution_correct(chi0, n)
                 assert rep.max_defect < 1e-11
@@ -484,7 +486,8 @@ class TestQuasisolution:
         # one Newton step leaves a closure defect of 0.12 on this modified
         # blade, which is refused; two close it
         d = joukowski_flow().distribution(512, 512).modified(0.1)
-        chi0 = solve_zhukovsky(canonical_map(d), 256)
+        corr = canonical_map(d)
+        chi0 = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         monkeypatch.setattr(inverse, "_NEWTON_MAXITER", 1)
         with pytest.raises(QuasisolutionDiverged, match="no convergence in 1 iterations"):
             quasisolution_correct(chi0, 256)
@@ -495,7 +498,7 @@ class TestQuasisolution:
     def test_matches_fd_jacobian_newton(self, eps, w1):
         d = perturbed_cylinder(eps).modified(w1)
         corr = canonical_map(d)
-        chi0 = solve_zhukovsky(corr, 256)
+        chi0 = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         chi, _ = quasisolution_correct(chi0, 256)
         ref = _with_correction(chi0, quasisolution_by_fd_newton(chi0, 256))
         assert np.max(np.abs((chi + ref * -1.0).coefficients)) < 1e-12
@@ -542,9 +545,9 @@ class TestReconstruct:
 
     def test_not_closed_without_correction(self, cyl_dist):
         corr = canonical_map(cyl_dist)
-        chi = solve_zhukovsky(corr, 256)
-        bumped = chi + AnalyticSeries(np.array([0.1 + 0.0j]), low=-1)
         alpha = gauge_angle(corr, 256)
+        chi = solve_zhukovsky(corr, 256, alpha)
+        bumped = chi + AnalyticSeries(np.array([0.1 + 0.0j]), low=-1)
         with pytest.raises(MultivaluedAntiderivative):
             reconstruction_map(bumped, 256, alpha, corr.branch_preimage(alpha))
 
@@ -573,6 +576,34 @@ class TestReconstruct:
         scale = sol.corr.dist.v_inf + abs(sol.corr.dist.circulation_smooth)
         assert abs(sol.potential.value(zeta_b)) <= 1e-14 * scale
         assert abs(evaluate_series(sol.map.series, zeta_b) - sol.z_start) <= 1e-14
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    @pytest.mark.parametrize("beta", [0.1, 0.3])
+    def test_blade_does_not_depend_on_its_gauge(self, beta, n):
+        # datum and map in a gauge moved by delta give the same blade, with
+        # the parameter rotated by delta; a datum sampled off the map's frame
+        # does not.  At w1 = 0 the moved blades agree to 8.4e-13 of the chord
+        # and the mismatched one is off by 1.8e-5 (n 4096) or more.  n 64 is
+        # left out: there the same moves shift the blade by up to 2.2e-6, the
+        # under-resolution of ROADMAP item 1.
+        flow = joukowski_flow(beta=beta)
+        corr = canonical_map(flow.distribution(2048, 2048))
+        chord = flow.chord()
+        alpha = gauge_angle(corr, n)
+        step = 2 * np.pi / n
+        zeta = np.exp(2j * np.pi * np.arange(4096) / 4096)
+
+        def blade(datum_gauge, map_gauge, delta=0.0):
+            chi, report = quasisolution_correct(solve_zhukovsky(corr, n, datum_gauge), n)
+            sol = PlanarSolution(corr, n, map_gauge, chi, report, 0j)
+            return evaluate_series(sol.map.series, zeta * np.exp(-1j * delta))
+
+        base = blade(alpha, alpha)
+        for delta in (step / 64, -step / 8):
+            moved = blade(alpha + delta, alpha + delta, delta)
+            assert np.max(np.abs(moved - base)) < 1e-11 * chord
+        mismatched = blade(alpha + step / 64, alpha)
+        assert np.max(np.abs(mismatched - base)) > 1e-6 * chord
 
     def test_refinement_order_at_least_two(self):
         coeffs = 0.35 * (0.5 * np.exp(0.4j)) ** np.arange(1, 9)
@@ -612,11 +643,11 @@ class TestModified:
 
     def test_small_w1_defect_scale(self, cyl_dist):
         corr0 = canonical_map(cyl_dist)
-        chi0 = solve_zhukovsky(corr0, 256)
+        chi0 = solve_zhukovsky(corr0, 256, gauge_angle(corr0, 256))
         base = closure_conditions(chi0, 256).max_defect
         mod = cyl_dist.modified(0.01)
         corr = canonical_map(mod)
-        chi = solve_zhukovsky(corr, 256)
+        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         defect = closure_conditions(chi, 256).max_defect
         assert defect > 10 * max(base, 1e-14)
         assert defect < 0.1                     # stays O(w1)

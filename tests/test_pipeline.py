@@ -1,6 +1,7 @@
 """End-to-end pipeline runs on oracle data: a chain of degree-2 sections."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import oracles
 from bladekit import assembly, inverse, planefield
 from bladekit.config import datum_rule, parse_config_dict
 from bladekit.harmonic import evaluate_series
-from bladekit.inverse import solve_distribution
-from bladekit.pipeline import GLUE_TOL, _node_speeds, _residual_grid, run_pipeline
+from bladekit.inverse import PlanarSolution, solve_distribution
+from bladekit.pipeline import GLUE_TOL, _residual_grid, run_pipeline
 from bladekit.planefield import SeriesMap
 
 # (lower centre, lower beta, upper centre, upper beta, w1) per section; the
@@ -28,7 +29,7 @@ def _distribution(centre, beta):
     return oracles.joukowski_flow(center=centre, beta=beta).distribution(512, 512).to_json()
 
 
-def _chain_config(c0_w1=CHAIN[0][4]):
+def _chain_config(c0_w1=CHAIN[0][4], positioning=None):
     sections = []
     for i, (lo_c, lo_b, up_c, up_b, w1) in enumerate(CHAIN):
         sections.append({"id": f"c{i}", "degree": 2, "w1": w1,
@@ -37,7 +38,7 @@ def _chain_config(c0_w1=CHAIN[0][4]):
     sections[0].update(w1=c0_w1, w2=0.1)
     return parse_config_dict({"sections": sections,
                               "discretization": {"n_boundary": 64},
-                              "positioning": {"method": "lsq"}})
+                              "positioning": positioning or {"method": "lsq"}})
 
 
 @pytest.fixture(scope="module")
@@ -211,8 +212,8 @@ def test_parser_marks_chained_sections():
     (1, {"method": "lsq"}),
     (2, {"method": "lift", "box": [-0.5, -0.5, 0.5, 0.5], "partition": 32}),
 ])
-def test_each_blade_computes_its_gauge_twice(monkeypatch, degree, positioning):
-    # once for the Zhukovsky datum, once for the solution's map and potential
+def test_each_blade_computes_its_gauge_once(monkeypatch, degree, positioning):
+    # the solve picks it, and the datum, map and potential all read that one
     calls = []
     gauge_angle = inverse.gauge_angle
 
@@ -230,7 +231,28 @@ def test_each_blade_computes_its_gauge_twice(monkeypatch, degree, positioning):
         "discretization": {"n_boundary": 64},
         "positioning": positioning})
     assert run_pipeline(cfg).passed
+    assert len(calls) == 2
+
+
+def test_chained_lift_reuses_the_shared_blades_node_speeds(monkeypatch):
+    # a chain of three has four distinct blades; each chained section's lower
+    # blade is the section below's upper one, whose node speeds are cached
+    calls = []
+    node_speeds = PlanarSolution.node_speeds.func
+
+    def counted(sol):
+        calls.append(sol)
+        return node_speeds(sol)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(PlanarSolution, "node_speeds")
+    monkeypatch.setattr(PlanarSolution, "node_speeds", counting)
+    report = run_pipeline(_chain_config(positioning={
+        "method": "lift", "box": [-0.5, -0.5, 0.5, 0.5], "partition": 32}))
+    assert not report.errors
+    assert [s.shift.method for s in report.sections] == ["lift"] * 3
     assert len(calls) == 4
+    assert len({id(sol) for sol in calls}) == 4
 
 
 def test_first_section_datum_holds_with_w2():
@@ -303,7 +325,7 @@ def test_lift_node_speeds_are_the_fields_speed(n):
     circle = np.exp(2j * np.pi * np.arange(n) / n)
     zeta, dz = sol.map.invert(sol.contour.points @ (1, 1j), start=circle)
     speed = np.abs(sol.potential.derivative(zeta, dz))
-    assert np.max(np.abs(_node_speeds(sol) - speed)) <= 1e-12 * np.max(speed)
+    assert np.max(np.abs(sol.node_speeds - speed)) <= 1e-12 * np.max(speed)
 
 
 def test_degree1_section_inverts_each_map_twice(monkeypatch):
