@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from bladekit import cli
-from bladekit.errors import BladekitError, StagnationOffCircle
+from bladekit.config import parse_config_dict
+from bladekit.errors import BadValue, BladekitError, StagnationOffCircle
 from bladekit.geometry import Contour
 from bladekit.inverse import PlanarSolution, canonical_map
 from bladekit.positioning import METHODS
@@ -62,6 +63,22 @@ def _section(sid, degree=1, **extra):
     return {"id": sid, "degree": degree, "lower": SMALL, "upper": SMALL, **extra}
 
 
+def _json_with(obj, literal: str) -> bytes:
+    """``obj`` as JSON text with its one string ``"@"`` replaced by ``literal``."""
+    return json.dumps(obj).replace('"@"', literal).encode()
+
+
+def _samples_with(literal: str) -> bytes:
+    """SMALL with one sample speed written as ``literal``."""
+    rows = [list(row) for row in SMALL["samples"]]
+    rows[1][1] = "@"
+    return _json_with(dict(SMALL, samples=rows), literal)
+
+
+# a config file whose one section names no file, and whose w1 is "@"
+LITERAL_CONFIG = {"sections": [_section("s0", w1="@")], "discretization": {"n_boundary": 64}}
+
+
 MALFORMED = [
     # (where in the config, the bad value, the reported pointer, the message)
     (["discretization"], [1], "/discretization", "expected an object"),
@@ -90,15 +107,17 @@ MALFORMED = [
     # the design's contours have n_boundary = 64 nodes, the upper surface none
     (["positioning"], {"method": "lift", "box": [-0.3, -0.5, 0.5, 0.3], "partition": 64},
      "/positioning/partition", "partition must be below n_boundary = 64"),
-    # json.load reads NaN and Infinity; a distribution takes finite reals only
-    (["sections", 0, "lower", "v_inf"], float("inf"), "/sections/0/lower",
-     "v_inf must be a finite real number"),
-    (["sections", 0, "lower", "total_length"], float("inf"), "/sections/0/lower",
-     "total_length must be a finite real number"),
-    (["sections", 0, "lower", "incidence"], float("nan"), "/sections/0/lower",
-     "incidence must be a finite real number"),
-    (["sections", 0, "upper", "incidence"], float("inf"), "/sections/0/upper",
-     "incidence must be a finite real number"),
+    # a distribution file is strict JSON: no NaN or Infinity literal, no number
+    # past the float range (the finite checks behind it take in-memory trees,
+    # test_config.py::test_non_finite_distribution_number_is_refused_at_its_pointer)
+    (["sections", 0, "lower"], _json_with(dict(SMALL, v_inf="@"), "NaN"), "/sections/0/lower",
+     "invalid JSON"),
+    (["sections", 0, "lower"], _json_with(dict(SMALL, total_length="@"), "Infinity"),
+     "/sections/0/lower", "invalid JSON"),
+    (["sections", 0, "lower"], _json_with(dict(SMALL, incidence="@"), "-Infinity"),
+     "/sections/0/lower", "invalid JSON"),
+    (["sections", 0, "upper"], _json_with(dict(SMALL, incidence="@"), "NaN"), "/sections/0/upper",
+     "invalid JSON"),
     (["sections", 0, "lower", "incidence"], "0.1", "/sections/0/lower",
      "incidence must be a finite real number"),
     (["sections", 0, "lower", "branch_indices", 1], 512.7, "/sections/0/lower",
@@ -115,8 +134,10 @@ MALFORMED = [
     # bytes are a file's text: the config's own at the empty path, else that
     # of a file the config names there
     (["sections", 0, "lower"], b'{"samples": [', "/sections/0/lower", "invalid JSON"),
-    ([], b'{"sections": "\xff"}', "/", "invalid JSON: 'utf-8' codec can't decode"),
-    ([], b"[" * 100_000 + b"]" * 100_000, "/", "invalid JSON: maximum recursion depth"),
+    ([], b'{"sections": "\xff"}', "/", "invalid JSON"),
+    # refused at the config's pointer: as too deep by a decoder that limits
+    # nesting, or as a top level that is not an object by one that does not
+    ([], b"[" * 100_000 + b"]" * 100_000, "/", ""),
     # a distribution path that names no readable file
     (["sections", 0, "lower"], ".", "/sections/0/lower", "cannot read"),
     (["sections", 0, "lower"], "missing.json", "/sections/0/lower", "file not found"),
@@ -156,9 +177,15 @@ MALFORMED = [
     # a duplicate id is refused where it is read, before the section's blades
     (["sections"], [_section("s0"), {"id": "s0"}], "/sections/1/id",
      "section ids must be unique"),
-    # an integer that no float holds
-    (["sections", 0, "lower", "samples", 1, 1], 10 ** 400, "/sections/0/lower",
-     "samples must be finite"),
+    # a number that no float holds
+    (["sections", 0, "lower"], _samples_with("1e400"), "/sections/0/lower", "invalid JSON"),
+    # the config file is strict JSON too
+    ([], _json_with(LITERAL_CONFIG, "NaN"), "/", "invalid JSON"),
+    ([], _json_with(LITERAL_CONFIG, "Infinity"), "/", "invalid JSON"),
+    ([], _json_with(LITERAL_CONFIG, "-Infinity"), "/", "invalid JSON"),
+    ([], _json_with(LITERAL_CONFIG, "1e400"), "/", "invalid JSON"),
+    # a lone surrogate escape, which no file name holds
+    ([], json.dumps({"sections": [_section("s\ud800")]}).encode(), "/", "invalid JSON"),
 ]
 
 
@@ -253,12 +280,18 @@ NON_FINITE = [
 
 @pytest.mark.parametrize("updates, pointer", NON_FINITE, ids=[case[1] for case in NON_FINITE])
 def test_non_finite_config_number_exits_2(design, tmp_path, caplog, updates, pointer):
+    # a library caller's tree may hold NaN and infinities: refused at the
+    # number's pointer; json.dumps writes them as NaN and Infinity literals,
+    # which no config file may hold
     cfg = json.loads(json.dumps(design))
     for key, values in updates.items():
         (cfg["sections"][0] if key == "sections" else cfg[key]).update(values)
+    with pytest.raises(BadValue) as err:
+        parse_config_dict(cfg)
+    assert str(err.value).startswith(f"{pointer}: expected a finite number")
     config = _write_config(tmp_path, cfg)
     assert cli.main(["solve", "--config", config, "--out", str(tmp_path / "out")]) == 2
-    assert f"{pointer}: expected a finite number" in caplog.text
+    assert "/: invalid JSON" in caplog.text
     assert not (tmp_path / "out").exists()
 
 

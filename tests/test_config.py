@@ -11,16 +11,19 @@ import copy
 import gc
 import json
 import math
+import os
 import re
+import struct
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from bladekit.config import DesignConfig, parse_config, parse_config_dict
+from bladekit.config import DesignConfig, _read_json, parse_config, parse_config_dict
 from bladekit.errors import BadValue, ConfigError
 
 DIST = oracles.joukowski_flow().distribution(64, 64).to_json()
@@ -159,7 +162,8 @@ def _key_paths(node, path=()):
 DROP = object()
 JSON_VALUES = st.one_of(
     st.just(DROP),
-    # json.load reads NaN, Infinity and integers past the float range
+    # no config file holds NaN, Infinity or a number past the float range, but
+    # a library caller's tree may
     st.sampled_from((10 ** 400, -(10 ** 400), math.nan, math.inf, -math.inf)),
     st.sampled_from((None, True, False, "", "a", ".", "a\x00b", "0.1", 0, 1, 2, 3, 64, 96, -1,
                      [], {})),
@@ -196,11 +200,17 @@ def test_mutated_config_parses_or_is_refused_with_a_pointer(mutations):
 
 PATHS = {
     # the path's place in the config, the value; open() and os.makedirs raise
-    # ValueError on a NUL, and makedirs("") names no directory
+    # ValueError on a NUL and UnicodeEncodeError on a lone surrogate outside
+    # U+DC80..U+DCFF, and makedirs("") names no directory
     "lower with NUL": (("sections", 0, "lower"), "a\x00b.json", "/sections/0/lower"),
     "upper with NUL": (("sections", 0, "upper"), "a\x00b.json", "/sections/0/upper"),
     "directory with NUL": (("output", "directory"), "a\x00b", "/output/directory"),
     "empty directory": (("output", "directory"), "", "/output/directory"),
+    "lower with a lone surrogate": (("sections", 0, "lower"), "x\ud800.json",
+                                    "/sections/0/lower"),
+    "id with a lone surrogate": (("sections", 0, "id"), "s\ud800", "/sections/0/id"),
+    "directory with a lone surrogate": (("output", "directory"), "out\ud800",
+                                        "/output/directory"),
 }
 
 
@@ -214,6 +224,50 @@ def test_unusable_path_is_refused_at_its_pointer(path, value, pointer):
     with pytest.raises(BadValue) as err:
         parse_config_dict(raw)
     assert err.value.pointer == pointer
+
+
+def test_undecodable_file_name_bytes_are_usable_names(tmp_path):
+    # Python spells a file-name byte that does not decode as a lone surrogate
+    # in U+DC80..U+DCFF, and the file system takes it back as that byte
+    name = os.fsdecode(b"d\xff.json")
+    (tmp_path / name).write_text(json.dumps(DIST))
+    raw = _lift_chain()
+    raw["sections"][0].update(id=os.fsdecode(b"s\x80"), lower=name)
+    raw["output"]["directory"] = os.fsdecode(b"out\xfe")
+    cfg = parse_config_dict(raw, base_dir=str(tmp_path))
+    assert os.fsencode(cfg.sections[0].id) == b"s\x80"
+    assert os.fsencode(cfg.output.directory) == b"out\xfe"
+
+
+NON_FINITE_DISTRIBUTION = {
+    # no distribution file holds NaN, Infinity or a number past the float
+    # range, but a library caller's tree may: the place in section 0, the
+    # value, the reported pointer and message
+    "lower v_inf": (("lower", "v_inf"), math.inf, "/sections/0/lower",
+                    "v_inf must be a finite real number"),
+    "lower total_length": (("lower", "total_length"), math.inf, "/sections/0/lower",
+                           "total_length must be a finite real number"),
+    "lower incidence": (("lower", "incidence"), math.nan, "/sections/0/lower",
+                        "incidence must be a finite real number"),
+    "upper incidence": (("upper", "incidence"), math.inf, "/sections/0/upper",
+                        "incidence must be a finite real number"),
+    "sample past the float range": (("lower", "samples", 1, 1), 10 ** 400, "/sections/0/lower",
+                                    "samples must be finite"),
+}
+
+
+@pytest.mark.parametrize("path, value, pointer, message", NON_FINITE_DISTRIBUTION.values(),
+                         ids=NON_FINITE_DISTRIBUTION)
+def test_non_finite_distribution_number_is_refused_at_its_pointer(path, value, pointer,
+                                                                   message):
+    raw = _lift_chain()
+    node = raw["sections"][0]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(BadValue) as err:
+        parse_config_dict(raw)
+    assert f"{pointer}: {message}" in str(err.value)
 
 
 # -- the collector pause ----------------------------------------------------------
@@ -313,3 +367,70 @@ def test_parsing_leaves_no_cyclic_garbage(big_design, parser):
     finally:
         (gc.enable if was else gc.disable)()
     assert len(cfg.sections[0].upper.samples) == 4096
+
+
+# -- the decoder ------------------------------------------------------------------
+
+def _same(a, b) -> bool:
+    """Equal JSON trees, floats equal bit for bit: -0.0 is not 0.0."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@pytest.fixture(scope="module")
+def decode_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("decode")
+
+
+def _decode(directory, text: str):
+    """``text`` read back as the config parsers read a file."""
+    path = directory / "t.json"
+    path.write_text(text, encoding="utf-8")
+    return _read_json(str(path), "/")
+
+
+FINITE_TREES = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    # JSON integers that both decoders read as ints
+    | st.integers(-(2 ** 63), 2 ** 64 - 1),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24)
+
+
+@given(FINITE_TREES, st.booleans(), st.sampled_from((None, 2)))
+def test_decoder_reads_what_the_stdlib_reads(decode_dir, tree, ensure_ascii, indent):
+    text = json.dumps(tree, ensure_ascii=ensure_ascii, indent=indent)
+    assert _same(_decode(decode_dir, text), json.loads(text)), text
+
+
+@pytest.mark.parametrize("text", [
+    "5e-324", "-0.0", "2.2250738585072014e-308", "1.7976931348623157e308",
+    "1e-400",                   # reads as 0.0
+    "1E+2",
+    # 17 significant digits, the longest repr, and halfway cases near it
+    "0.30000000000000004", "0.10000000000000001", "2.2250738585072011e-308",
+    "9007199254740993.0", "1.0000000000000002",
+    "[-4.9406564584124654e-324, 1.7976931348623157e+308, 123456789012345680.0]",
+])
+def test_decoder_reads_extreme_numbers_as_the_stdlib_does(decode_dir, text):
+    assert _same(_decode(decode_dir, text), json.loads(text))
+
+
+def test_distribution_file_parses_to_the_stdlib_floats(big_design):
+    # to_json's reprs, read through the config file that names the file
+    cfg = parse_config(str(big_design / "c.json"))
+    ref = json.loads((big_design / "d.json").read_text(encoding="utf-8"))
+    samples = np.asarray(ref["samples"], dtype=float)
+    dist = cfg.sections[0].upper
+    assert np.array_equal(dist.samples, samples)
+    assert np.array_equal(dist.samples.view(np.uint64), samples.view(np.uint64))
+    assert _same([dist.total_length, dist.v_inf], [ref["total_length"], ref["v_inf"]])
