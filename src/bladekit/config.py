@@ -126,6 +126,12 @@ def _read_json(path: str, pointer: str):
         raise BadValue(pointer, f"invalid JSON: {exc}") from exc
 
 
+# A decoded tree deeper than Python's recursion limit is refused where a check
+# formats a bad value with repr, which recurses once per level; a decoder that
+# limits nesting refuses the file itself.
+_TOO_DEEP = "invalid JSON: nested too deep"
+
+
 def _encodable(name: str, pointer: str) -> None:
     """Refuse a name that no file name holds: a lone surrogate outside
     U+DC80..U+DCFF, which is how Python spells an undecodable file-name byte."""
@@ -137,7 +143,8 @@ def _encodable(name: str, pointer: str) -> None:
 
 
 def _load_distribution(value, pointer: str, base_dir: str) -> VelocityDistribution:
-    if isinstance(value, str):
+    from_file = isinstance(value, str)
+    if from_file:
         if "\0" in value:          # no file name holds one; open() raises ValueError
             raise BadValue(pointer, f"path contains a NUL character: {value!r}")
         _encodable(value, pointer)
@@ -157,6 +164,10 @@ def _load_distribution(value, pointer: str, base_dir: str) -> VelocityDistributi
         return VelocityDistribution.from_json(value)
     except BladekitError as exc:
         raise BadValue(pointer, str(exc)) from exc
+    except RecursionError:
+        if not from_file:           # the config file's own tree: parse_config's
+            raise
+        raise BadValue(pointer, _TOO_DEEP) from None
 
 
 def _parse_w1(value, pointer: str) -> "float | tuple[float, float]":
@@ -203,7 +214,10 @@ def parse_config(path: str) -> DesignConfig:
     relative to the configuration file.
     """
     raw = _read_json(path, "/")
-    return parse_config_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        return parse_config_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+    except RecursionError:
+        raise BadValue("/", _TOO_DEEP) from None
 
 
 @_collector_paused()

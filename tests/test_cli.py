@@ -77,6 +77,7 @@ def _samples_with(literal: str) -> bytes:
 
 # a config file whose one section names no file, and whose w1 is "@"
 LITERAL_CONFIG = {"sections": [_section("s0", w1="@")], "discretization": {"n_boundary": 64}}
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 MALFORMED = [
@@ -137,7 +138,7 @@ MALFORMED = [
     ([], b'{"sections": "\xff"}', "/", "invalid JSON"),
     # refused at the config's pointer: as too deep by a decoder that limits
     # nesting, or as a top level that is not an object by one that does not
-    ([], b"[" * 100_000 + b"]" * 100_000, "/", ""),
+    ([], DEEP.encode(), "/", ""),
     # a distribution path that names no readable file
     (["sections", 0, "lower"], ".", "/sections/0/lower", "cannot read"),
     (["sections", 0, "lower"], "missing.json", "/sections/0/lower", "file not found"),
@@ -179,13 +180,17 @@ MALFORMED = [
      "section ids must be unique"),
     # a number that no float holds
     (["sections", 0, "lower"], _samples_with("1e400"), "/sections/0/lower", "invalid JSON"),
-    # the config file is strict JSON too
-    ([], _json_with(LITERAL_CONFIG, "NaN"), "/", "invalid JSON"),
-    ([], _json_with(LITERAL_CONFIG, "Infinity"), "/", "invalid JSON"),
-    ([], _json_with(LITERAL_CONFIG, "-Infinity"), "/", "invalid JSON"),
+    # the config file is strict JSON too (its NaN and Infinity literals are
+    # test_non_finite_config_number_exits_2's)
     ([], _json_with(LITERAL_CONFIG, "1e400"), "/", "invalid JSON"),
     # a lone surrogate escape, which no file name holds
     ([], json.dumps({"sections": [_section("s\ud800")]}).encode(), "/", "invalid JSON"),
+    # nesting below the top level, past any recursion limit: refused at the
+    # pointer of the file that holds it, whether the decoder or a check finds it
+    ([], _json_with({"sections": [_section("s0")], "discretization": "@"}, DEEP), "/",
+     "invalid JSON"),
+    (["sections", 0, "lower"], _json_with(dict(SMALL, v_inf="@"), DEEP), "/sections/0/lower",
+     "invalid JSON"),
 ]
 
 
