@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .config import parse_config
+from .config import _encodable, parse_config
 from .errors import BladekitError
 from .geometry import contour_from_csv
 from .pipeline import run_pipeline, write_artifacts
@@ -136,8 +136,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "out", None) == "":    # an explicit --out is never replaced
+        out = getattr(args, "out", None)
+        if out == "":    # an explicit --out is never replaced
             raise BladekitError("--out: empty path")
+        # a library caller can pass a str that no file name holds; argv cannot
+        paths = [("--config", getattr(args, "config", None)), ("--out", out)]
+        paths += [("--contours", p) for p in getattr(args, "contours", None) or ()]
+        for flag, path in paths:
+            if path is None:
+                continue
+            if "\0" in path:
+                raise BladekitError(f"{flag}: path contains a NUL character: {path!r}")
+            _encodable(path, flag)
         return args.func(args)
     except (BladekitError, OSError) as exc:
         log.error("%s", exc)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Contour
+from .geometry import Contour, float_text
 
 CANVAS_W = 800
 CANVAS_H = 600
@@ -16,7 +16,9 @@ def render_svg(contours: list[Contour], shifts: list[tuple[float, float]]) -> st
     """Render closed polylines on a fixed 800x600 canvas, equal aspect.
 
     ``shifts[k]`` translates contour k before plotting (the first entry is
-    conventionally (0, 0)); output bytes depend only on the inputs.
+    conventionally (0, 0)); output bytes depend only on the inputs.  Each
+    canvas coordinate is written as its ``repr``: ``inf`` or ``nan`` where
+    the canvas arithmetic of a huge contour overflows.
     """
     moved = [c.points + np.array([sx, sy]) for c, (sx, sy) in zip(contours, shifts)]
     allpts = np.vstack(moved)
@@ -31,7 +33,7 @@ def render_svg(contours: list[Contour], shifts: list[tuple[float, float]]) -> st
     def to_canvas(pts):
         px = (pts[:, 0] - cx) * scale + CANVAS_W / 2
         py = CANVAS_H / 2 - (pts[:, 1] - cy) * scale
-        return px, py
+        return np.column_stack([px, py])
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_W}" '
@@ -39,8 +41,8 @@ def render_svg(contours: list[Contour], shifts: list[tuple[float, float]]) -> st
         f'<rect width="{CANVAS_W}" height="{CANVAS_H}" fill="white"/>',
     ]
     for k, pts in enumerate(moved):
-        px, py = to_canvas(pts)
-        coords = " ".join(f"{a!r},{b!r}" for a, b in zip(px.tolist(), py.tolist()))
+        t = float_text(to_canvas(pts))
+        coords = " ".join([f"{a},{b}" for a, b in zip(t[0::2], t[1::2])])
         color = _COLORS[k % len(_COLORS)]
         lines.append(
             f'<polygon points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'

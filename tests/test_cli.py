@@ -638,6 +638,34 @@ def test_empty_out_exits_2(design, tmp_path, monkeypatch, caplog, capsys, comman
     assert calls == []
 
 
+@pytest.mark.parametrize("char, message", [
+    ("\ud800", "not encodable as a file name"),
+    ("\x00", "path contains a NUL character"),
+], ids=["surrogate", "NUL"])
+@pytest.mark.parametrize("command, flag", [
+    ("solve", "--config"), ("solve", "--out"), ("position", "--contours"), ("position", "--out"),
+])
+def test_path_no_file_name_holds_exits_2(design, tmp_path, monkeypatch, caplog, capsys,
+                                         command, flag, char, message):
+    # a library caller of main can pass a str that no command line carries; it
+    # is refused before anything is read, solved or written
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    for fn in ("run_pipeline", "position"):
+        monkeypatch.setattr(cli, fn, lambda *a: calls.append(a))
+    (tmp_path / "c.csv").write_text(GOOD_CONTOUR, encoding="utf-8")
+    inputs = ["--config", _write_config(tmp_path, design)] if command == "solve" \
+        else ["--contours", "c.csv", "c.csv"]
+    argv = [command, *inputs, "--out", "out"]
+    argv[argv.index(flag) + 1] = f"a{char}b"
+    written = sorted(os.listdir(tmp_path))
+    assert cli.main(argv) == 2
+    assert f"{flag}: {message}" in caplog.text
+    assert sorted(os.listdir(tmp_path)) == written
+    assert capsys.readouterr().out == ""
+    assert calls == []
+
+
 def test_empty_contour_file_exits_2(tmp_path, caplog):
     empty, good = tmp_path / "empty.csv", tmp_path / "good.csv"
     empty.write_text("\n \n", encoding="utf-8")

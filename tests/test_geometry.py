@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from bladekit.errors import CountMismatch, DegenerateContour
+from bladekit.errors import BladekitError, CountMismatch, DegenerateContour
 from bladekit.geometry import (
     Contour,
     contour_from_csv,
     contour_to_csv,
+    float_text,
     resample_uniform,
 )
 from bladekit.positioning import area_objective
@@ -167,6 +171,17 @@ class TestCsv:
         c = circle(33, r=np.pi / 3)
         assert contour_to_csv(c) == contour_to_csv(c)
 
+    @pytest.mark.parametrize("nan_line, short_line", [(3, 5), (5, 3)],
+                             ids=["nan first", "short row first"])
+    def test_first_bad_row_is_reported(self, nan_line, short_line):
+        # a non-finite row and a row of the wrong width in one file: the earlier line is named
+        rows = ["index,x,y", "0,0.0,0.0", "1,1.0,0.0", "2,1.0,1.0", "3,0.0,1.0", "4,0.5,2.0"]
+        rows[nan_line - 1] = f"{nan_line - 2},nan,1.0"
+        rows[short_line - 1] = f"{short_line - 2},0.5"
+        first = min(nan_line, short_line)
+        with pytest.raises(BladekitError, match=f"^line {first}: expected a index,x,y row"):
+            contour_from_csv("\n".join(rows) + "\n")
+
 
 # -- writers against the per-element form they replaced ----------------------------
 
@@ -198,6 +213,37 @@ WOBBLY = Contour(np.random.default_rng(3).normal(size=(256, 2)) * [1.0, 1e-3]
                          ids=["awkward", "wobbly", "circle"])
 def test_csv_bytes_match_the_per_element_form(c):
     assert contour_to_csv(c) == _csv_by_scalars(c)
+
+
+# the values where orjson's text and repr's part ways: repr switches to an exponent
+# below 1e-4 and from 1e16 on; the least normal and the largest double
+SWITCH_POINTS = (9.999999999999999e-05, 1e-4, 1.2e-05, 9999999999999998.0, 1e16,
+                 2.2250738585072014e-308, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("v", SWITCH_POINTS + tuple(-v for v in SWITCH_POINTS))
+def test_csv_bytes_match_at_the_switch_points(v):
+    for rows in ([[v, 0.0], [0.0, 1.0], [-1.0, 0.0]], [[0.0, v], [1.0, 0.0], [0.0, -1.0]]):
+        c = Contour(np.array(rows))
+        assert contour_to_csv(c) == _csv_by_scalars(c)
+
+
+@given(hnp.arrays(float, st.tuples(st.integers(3, 12), st.just(2)), fill=st.nothing(),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_bytes_match_on_any_finite_contour(points):
+    with np.errstate(over="ignore"):          # edge lengths of huge contours overflow
+        try:
+            c = Contour(points)
+        except DegenerateContour:
+            assume(False)
+    assert contour_to_csv(c) == _csv_by_scalars(c)
+
+
+def test_float_text_writes_repr_never_null():
+    values = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-4, 1e16, 5e-324]
+    assert float_text(np.array(values).reshape(-1, 1)) == [repr(x) for x in values]
+    assert float_text(np.array([[1.5, 2.0], [3.0, 1e-05]])) == ["1.5", "2.0", "3.0", "1e-05"]
+    assert float_text(np.empty((0, 2))) == []
 
 
 @pytest.mark.parametrize("contours, shifts", [
