@@ -31,7 +31,7 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -268,10 +268,12 @@ class _PotentialArc:
     values: np.ndarray
     coeffs: np.ndarray
 
-    def solve(self, targets: np.ndarray) -> np.ndarray:
-        """Arc positions at which the potential takes the given values, by
-        the safeguarded Newton of `CircleCorrespondence.s_of_gamma`.
-        Targets at or past an end of the arc map to that end."""
+    def bracket(self, targets: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Targets at or past an end of the arc at that end, and the Newton
+        state of the others, one column each, for `_newton_sweep`: their
+        indices, the potential's quartic in their knot interval and its
+        origin and width, the target and the residual stop, all with the
+        arc's sign folded in so that the potential rises."""
         sign = 1.0 if self.values[-1] > self.values[0] else -1.0
         y = sign * np.asarray(targets, dtype=float)
         v = sign * self.values
@@ -280,33 +282,45 @@ class _PotentialArc:
         s = np.where(y <= v[0], self.nodes[0], self.nodes[-1])
         idx = np.flatnonzero((y > v[0]) & (y < v[-1]))
         k = np.searchsorted(v, y[idx], side="right") - 1
-        c = sign * self.coeffs[:, k]
         origin = self.nodes[k]
-        a = np.zeros_like(origin)
-        b = self.nodes[k + 1] - origin
-        y = y[idx]
-        t = 0.5 * (a + b)
-        for _ in range(_CORRESPONDENCE_MAXITER):
-            p, dp = horner(c, t)
-            f = p - y
-            a = np.where(f < 0, t, a)
-            b = np.where(f > 0, t, b)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = t - f / dp
-            step = np.where((newton > a) & (newton < b), newton, 0.5 * (a + b)) - t
-            fits = np.abs(f) <= ftol
-            t = np.where(fits, t, t + step)
-            done = fits | (np.abs(step) <= 4 * np.spacing(np.abs(origin + t)))
-            s[idx[done]] = origin[done] + t[done]
-            keep = ~done
-            idx, c, origin, a, b, y, t = (idx[keep], c[:, keep], origin[keep],
-                                          a[keep], b[keep], y[keep], t[keep])
-            if idx.size == 0:
-                return s
-        raise InconsistentDistribution(
-            f"arc-to-angle correspondence unconverged after {_CORRESPONDENCE_MAXITER}"
-            f" iterations at {idx.size} points"
-        )
+        return s, (idx, sign * self.coeffs[:, k], origin, self.nodes[k + 1] - origin,
+                   y[idx], np.full(idx.size, ftol))
+
+    def solve(self, targets: np.ndarray) -> np.ndarray:
+        """Arc positions at which the potential takes the given values, by
+        the safeguarded Newton of `CircleCorrespondence.s_of_gamma`.
+        Targets at or past an end of the arc map to that end."""
+        s, state = self.bracket(targets)
+        return _newton_sweep(s, *state)
+
+
+def _newton_sweep(s, idx, c, origin, b, y, ftol) -> np.ndarray:
+    """Fill ``s[idx]`` with the roots of the rising quartics ``c - y`` in
+    ``origin + [0, b]``, one column a point, as `CircleCorrespondence.s_of_gamma`
+    describes; each point's iterates depend on its own column alone."""
+    a = np.zeros_like(origin)
+    t = 0.5 * (a + b)
+    for _ in range(_CORRESPONDENCE_MAXITER):
+        p, dp = horner(c, t)
+        f = p - y
+        a = np.where(f < 0, t, a)
+        b = np.where(f > 0, t, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - f / dp
+        step = np.where((newton > a) & (newton < b), newton, 0.5 * (a + b)) - t
+        fits = np.abs(f) <= ftol
+        t = np.where(fits, t, t + step)
+        done = fits | (np.abs(step) <= 4 * np.spacing(np.abs(origin + t)))
+        s[idx[done]] = origin[done] + t[done]
+        keep = ~done
+        idx, c, origin, a, b, y, t, ftol = (idx[keep], c[:, keep], origin[keep], a[keep],
+                                            b[keep], y[keep], t[keep], ftol[keep])
+        if idx.size == 0:
+            return s
+    raise InconsistentDistribution(
+        f"arc-to-angle correspondence unconverged after {_CORRESPONDENCE_MAXITER}"
+        f" iterations at {idx.size} points"
+    )
 
 
 def _potential_arc(x: np.ndarray, c: np.ndarray, a: int, b: int) -> _PotentialArc:
@@ -368,18 +382,24 @@ class CircleCorrespondence:
         stagnation point: there the speed vanishes, roundoff in the
         potential keeps the Newton step far above the ulp of s, and a
         step-only stop bisects toward a bracket end that never moves.
+        Both arcs' targets run in one sweep, each with its arc's sign and
+        residual stop; every operation acts on one point's column alone, so
+        a point's result does not depend on the points that share the call.
         """
         gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
         th_lo = self.stagnation_angles[0]
         phic = self.canonical_potential(th_lo + np.mod(gamma - th_lo, 2 * np.pi))
         rising = self.on_rising_arc(gamma)
         out = np.empty_like(gamma)
+        states = []
         for mask, arc, start, (delta, dc) in zip((rising, ~rising), self.arcs(),
                                                  self.stagnation_angles, self.increments):
-            if np.any(mask):
-                tau = (phic[mask] - self.canonical_potential(start)) / dc
-                out[mask] = arc.solve(arc.values[0] + tau * delta)
-        return np.mod(out, self.dist.total_length)
+            where = np.flatnonzero(mask)
+            tau = (phic[where] - self.canonical_potential(start)) / dc
+            out[where], (idx, *state) = arc.bracket(arc.values[0] + tau * delta)
+            states.append((where[idx], *state))
+        # both arcs in one sweep: the quartics' columns side by side, the rest end to end
+        return np.mod(_newton_sweep(out, *map(np.hstack, zip(*states))), self.dist.total_length)
 
 
 def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
@@ -490,6 +510,20 @@ class ClosureReport:
         }
 
 
+@lru_cache(maxsize=32)
+def _circle_nodes(n: int) -> np.ndarray:
+    """The n circle nodes ``exp(2*pi*i*k/n)``, one read-only array per n."""
+    zeta = np.exp(1j * (2 * np.pi * np.arange(n) / n))
+    zeta.flags.writeable = False
+    return zeta
+
+
+def _measured(zprime: np.ndarray, vinf: float) -> ClosureReport:
+    """The loop integral of nodal ``z'`` on its circle nodes, and ``vinf``."""
+    closure = 2j * np.pi * np.mean(zprime * _circle_nodes(len(zprime)))
+    return ClosureReport(complex(closure), vinf)
+
+
 def closure_conditions(chi: AnalyticSeries, n: int) -> ClosureReport:
     """Measure the closure and far-field-speed defects spectrally.
 
@@ -499,13 +533,10 @@ def closure_conditions(chi: AnalyticSeries, n: int) -> ClosureReport:
     takes A = v_inf, so it vanishes when that speed comes out as prescribed.
     The loop integral is measured on the solve's n circle nodes, the grid
     the reconstruction projects from, so a corrected chi closes there exactly.
+    This forms ``z' = exp(-chi)`` there anew; a solve measures the nodal
+    ``z'`` that `quasisolution_correct` keeps, with the same rule.
     """
-    gamma = 2 * np.pi * np.arange(n) / n
-    zprime = np.exp(-boundary_values(chi, n))
-    a1 = np.mean(zprime * np.exp(1j * gamma))
-    closure = 2j * np.pi * a1
-    vinf = float(chi.coefficient(0).real)
-    return ClosureReport(complex(closure), vinf)
+    return _measured(np.exp(-boundary_values(chi, n)), float(chi.coefficient(0).real))
 
 
 def _with_correction(chi: AnalyticSeries, lams: np.ndarray) -> AnalyticSeries:
@@ -513,7 +544,8 @@ def _with_correction(chi: AnalyticSeries, lams: np.ndarray) -> AnalyticSeries:
     return chi + delta
 
 
-def quasisolution_correct(chi: AnalyticSeries, n: int) -> tuple[AnalyticSeries, ClosureReport]:
+def quasisolution_correct(chi: AnalyticSeries, n: int
+                          ) -> tuple[AnalyticSeries, ClosureReport, np.ndarray]:
     """Restore the three solvability conditions by a low-harmonic correction.
 
     The boundary datum gains ``lam0 + lam1*cos + lam2*sin``, so chi gains
@@ -524,15 +556,21 @@ def quasisolution_correct(chi: AnalyticSeries, n: int) -> tuple[AnalyticSeries, 
     ``F(c) = 2*pi*i * mean(z' exp(-c/zeta) zeta)`` over the circle nodes,
     zeroed by scalar complex Newton with the exact ``F'(c)`` from c = 0.
     Already-solvable data returns unchanged with zero correction.
+
+    Returns the corrected chi, its defects and its nodal ``z'``.  That is
+    the only ``exp(-chi)`` at the n circle nodes a solve forms: chi's own
+    before the correction, the last Newton iterate ``z' exp(-c/zeta)``
+    times ``exp(-lam0)`` after it.  Both defects are measured from it, and
+    `reconstruction_map` projects it.
     """
-    report = closure_conditions(chi, n)
+    zeta = _circle_nodes(n)
+    zprime = np.exp(-boundary_values(chi, n))
+    report = _measured(zprime, float(chi.coefficient(0).real))
     closure = report.closure_defect
     if max(abs(closure.real), abs(closure.imag), abs(report.vinf_defect)) < 10 * _NEWTON_TOL:
-        return chi, report
+        return chi, report, zprime
 
     tol = _NEWTON_TOL * max(1.0, float(np.max(np.abs(chi.coefficients))))
-    zeta = np.exp(2j * np.pi * np.arange(n) / n)
-    zprime = np.exp(-boundary_values(chi, n))
     lam0 = -report.vinf_defect
     c = 0j
     for _ in range(_NEWTON_MAXITER):
@@ -547,23 +585,25 @@ def quasisolution_correct(chi: AnalyticSeries, n: int) -> tuple[AnalyticSeries, 
             f"no convergence in {_NEWTON_MAXITER} iterations; closure defect {closure}"
         )
     corrected = _with_correction(chi, np.array([lam0, c.real, c.imag]))
-    report = closure_conditions(corrected, n)
+    zprime = dz * np.exp(-lam0)            # exp(-corrected chi) at the nodes
+    report = _measured(zprime, float(corrected.coefficient(0).real))
     norm = float(np.sqrt(lam0 ** 2 + 0.5 * abs(c) ** 2))
-    return corrected, replace(report, corrected=True, correction_norm=norm)
+    return corrected, replace(report, corrected=True, correction_norm=norm), zprime
 
 
-def reconstruction_map(chi: AnalyticSeries, n: int, alpha: float, zeta_b: complex,
+def reconstruction_map(zprime: np.ndarray, alpha: float, zeta_b: complex,
                        z_start: complex = 0.0) -> SeriesMap:
     """Series map z(zeta) of the reconstruction, in the frame of the gauge ``alpha``.
 
-    ``dz/dzeta = exp(-chi)`` at the n circle nodes is projected onto its
-    n/2 exterior modes and integrated term by term.  Its residue is
+    ``zprime`` is ``dz/dzeta = exp(-chi)`` at the n circle nodes, as
+    `quasisolution_correct` keeps it; it is projected onto its n/2
+    exterior modes and integrated term by term.  Its residue is
     ``closure_defect / (2*pi*i)``, so an unclosed chi is refused here with
     `MultivaluedAntiderivative`.  The map is fixed at the branch point
     ``zeta_b``, which lands on ``z_start``: shifting z_start translates the
     blade rigidly and rotating the incidence rotates it about z_start.
     """
-    ext = exterior_projection(np.exp(-boundary_values(chi, n)))
+    ext = exterior_projection(zprime)
     anti = integrate_series(ext, zeta_b, residue_rtol=1e-7)
     series = anti * np.exp(1j * alpha) + AnalyticSeries.interior([complex(z_start)])
     return SeriesMap(series.trimmed(1e-15))
@@ -578,13 +618,19 @@ def reconstruct_contour(zmap: SeriesMap, n: int) -> Contour:
 
 @dataclass(frozen=True)
 class PlanarSolution:
-    """Everything the downstream assembly needs from one blade solve."""
+    """Everything the downstream assembly needs from one blade solve.
+
+    ``zprime`` is ``z' = exp(-chi)`` at the n circle nodes, formed once by
+    `quasisolution_correct`: the map projects it and `velocity_series`
+    reads ``e^chi`` there as its reciprocal.
+    """
 
     corr: CircleCorrespondence
     n: int
     gauge: float                # the frame of the datum, the map, the flow and zeta_B
     chi: AnalyticSeries
     closure: ClosureReport
+    zprime: np.ndarray
     z_start: complex
     w1: float = 0.0
 
@@ -595,12 +641,12 @@ class PlanarSolution:
     @cached_property
     def node_speeds(self) -> np.ndarray:
         """|F'| of the blade's plane at its contour nodes, the images of the circle nodes."""
-        zeta = np.exp(2j * np.pi * np.arange(self.n) / self.n)
-        return np.abs(self.potential.derivative(zeta, boundary_values(self.map.deriv, self.n)))
+        return np.abs(self.potential.derivative(_circle_nodes(self.n),
+                                                boundary_values(self.map.deriv, self.n)))
 
     @cached_property
     def map(self) -> SeriesMap:
-        return reconstruction_map(self.chi, self.n, self.gauge,
+        return reconstruction_map(self.zprime, self.gauge,
                                   self.corr.branch_preimage(self.gauge), self.z_start)
 
     @cached_property
@@ -619,14 +665,15 @@ class PlanarSolution:
 
         The first factor is ``(S' + log/zeta)*(-i*e^{-i*gauge})``, from
         `canonical_flow`.  The pullback ``g(zeta(z))`` is the conjugate in-plane
-        velocity of the modified problem, with e^chi cut to its n/2 exterior
-        modes: a second projection of the flow that `potential` carries, which
-        nothing in the library reads.  It is kept only for the benchmark's
-        ``SolveOp`` and for tests; ROADMAP item 6 deletes it.
+        velocity of the modified problem, with e^chi, the reciprocal of the
+        nodal ``zprime``, cut to its n/2 exterior modes: a second projection
+        of the flow that `potential` carries, which nothing in the library
+        reads.  It is kept only for the benchmark's ``SolveOp`` and for
+        tests; ROADMAP item 6 deletes it.
         """
         series, log = self.canonical_flow
         dw = series.derivative() + AnalyticSeries([log], low=-1)
-        e_series = exterior_projection(np.exp(boundary_values(self.chi, self.n)))
+        e_series = exterior_projection(1.0 / self.zprime)
         return (dw * (-1j * np.exp(-1j * self.gauge)) * e_series).trimmed(1e-14)
 
     @cached_property
@@ -636,12 +683,16 @@ class PlanarSolution:
 
         ``F' = i*W'(zeta)/z'(zeta)`` is the analytic datum of the field
         assembly.  The flow it carries is tangent to the contour, the map's
-        image of the circle, exactly.
+        image of the circle, exactly.  The pin subtracts ``S(zeta_B) +
+        log*ln(zeta_B)`` from S's constant, summed in plain complex
+        arithmetic from S's three terms.
         """
         series, log = self.canonical_flow
-        plane = Pullback(series, self.map, log=log)
-        zero = AnalyticSeries.interior([-plane.value(self.corr.branch_preimage(self.gauge))])
-        return replace(plane, series=plane.series + zero)
+        inv, const, lin = series.coefficients.tolist()      # powers -1, 0 and 1
+        zeta_b = complex(self.corr.branch_preimage(self.gauge))
+        pin = inv / zeta_b + const + lin * zeta_b + log * complex(np.log(zeta_b))
+        return Pullback(AnalyticSeries(np.array([inv, const - pin, lin]), low=-1),
+                        self.map, log=log)
 
 
 def solve_distribution(d: VelocityDistribution, n: int,
@@ -656,8 +707,8 @@ def solve_distribution(d: VelocityDistribution, n: int,
     corr = canonical_map(eff)
     alpha = gauge_angle(corr, n)
     chi0 = solve_zhukovsky(corr, n, alpha)
-    chi, report = quasisolution_correct(chi0, n)
-    return PlanarSolution(corr, n, alpha, chi, report, complex(z_start), float(w1))
+    chi, report, zprime = quasisolution_correct(chi0, n)
+    return PlanarSolution(corr, n, alpha, chi, report, zprime, complex(z_start), float(w1))
 
 
 def solve_modified(d: VelocityDistribution, w1: float, n: int,

@@ -363,6 +363,49 @@ class TestCorrespondence:
                               chi.coefficients)
 
 
+@pytest.fixture(scope="module")
+def sweep_blades(jouk_dist):
+    """Joukowski at w1 0 and 0.1 and the perturbed cylinder."""
+    return {"joukowski": jouk_dist, "joukowski_w1": jouk_dist.modified(0.1),
+            "perturbed_cylinder": perturbed_cylinder(0.05)}
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+@pytest.mark.parametrize("blade", ["joukowski", "joukowski_w1", "perturbed_cylinder"])
+class TestCorrespondenceIsPointwise:
+    """Both arcs run in one Newton sweep; each point's result is its own."""
+
+    def test_shuffled_angles(self, sweep_blades, blade, n):
+        corr = canonical_map(sweep_blades[blade])
+        g = gauge_nodes(corr, n)
+        perm = np.random.default_rng(n).permutation(n)
+        assert np.array_equal(corr.s_of_gamma(g[perm]), corr.s_of_gamma(g)[perm])
+
+    def test_one_angle_alone(self, sweep_blades, blade, n):
+        # every n/16-th node and the nodes on either side of each stagnation angle
+        corr = canonical_map(sweep_blades[blade])
+        g = gauge_nodes(corr, n)
+        s = corr.s_of_gamma(g)
+        step = 2 * np.pi / n
+        near = [int((th - g[0]) % (2 * np.pi) // step) for th in corr.stagnation_angles]
+        for k in {*range(0, n, n // 16), *near, *((k + 1) % n for k in near)}:
+            assert np.array_equal(corr.s_of_gamma(g[k]), s[k:k + 1])
+
+    def test_sweep_equals_each_arc_solved_alone(self, sweep_blades, blade, n):
+        corr = canonical_map(sweep_blades[blade])
+        g = gauge_nodes(corr, n)
+        s = corr.s_of_gamma(g)
+        th_lo = corr.stagnation_angles[0]
+        phic = corr.canonical_potential(th_lo + np.mod(g - th_lo, 2 * np.pi))
+        rising = corr.on_rising_arc(g)
+        for mask, arc, start, (delta, dc) in zip((rising, ~rising), corr.arcs(),
+                                                 corr.stagnation_angles, corr.increments):
+            assert np.any(mask)
+            tau = (phic[mask] - corr.canonical_potential(start)) / dc
+            alone = arc.solve(arc.values[0] + tau * delta)
+            assert np.array_equal(np.mod(alone, corr.dist.total_length), s[mask])
+
+
 class TestZhukovsky:
     def test_cylinder_chi_zero(self, cyl_dist):
         corr = canonical_map(cyl_dist)
@@ -422,7 +465,7 @@ class TestQuasisolution:
     def test_fixed_point(self, jouk_dist):
         corr = canonical_map(jouk_dist)
         chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
-        chi2, rep = quasisolution_correct(chi, 256)
+        chi2, rep, _ = quasisolution_correct(chi, 256)
         assert chi2 is chi
         assert rep.correction_norm == 0.0
 
@@ -432,10 +475,10 @@ class TestQuasisolution:
         chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         before = closure_conditions(chi, 256)
         assert before.max_defect > 1e-3
-        chi2, rep = quasisolution_correct(chi, 256)
+        chi2, rep, _ = quasisolution_correct(chi, 256)
         assert rep.max_defect < 1e-10
         assert rep.correction_norm > 0
-        chi3, rep3 = quasisolution_correct(chi2, 256)
+        chi3, rep3, _ = quasisolution_correct(chi2, 256)
         delta = (chi3 + chi2 * -1.0).coefficients
         assert np.max(np.abs(delta)) < 1e-12
 
@@ -446,7 +489,7 @@ class TestQuasisolution:
         chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
         rep0 = closure_conditions(chi, 256)
         assert abs(abs(rep0.vinf_defect) - np.log(2)) < 1e-9
-        chi2, rep = quasisolution_correct(chi, 256)
+        chi2, rep, _ = quasisolution_correct(chi, 256)
         assert abs(rep.correction_norm - np.log(2)) < 1e-9
         assert rep.max_defect < 1e-10
 
@@ -470,7 +513,7 @@ class TestQuasisolution:
                 corr = canonical_map(eff)
                 chi0 = solve_zhukovsky(corr, n, gauge_angle(corr, n))
                 rep0 = closure_conditions(chi0, n)
-                chi, rep = quasisolution_correct(chi0, n)
+                chi, rep, _ = quasisolution_correct(chi0, n)
                 assert rep.max_defect < 1e-11
                 delta = chi + chi0 * -1.0
                 powers = range(delta.low, delta.high + 1)
@@ -499,9 +542,33 @@ class TestQuasisolution:
         d = perturbed_cylinder(eps).modified(w1)
         corr = canonical_map(d)
         chi0 = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
-        chi, _ = quasisolution_correct(chi0, 256)
+        chi, _, _ = quasisolution_correct(chi0, 256)
         ref = _with_correction(chi0, quasisolution_by_fd_newton(chi0, 256))
         assert np.max(np.abs((chi + ref * -1.0).coefficients)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+@pytest.mark.parametrize("blade", ["joukowski", "joukowski_w1", "perturbed_cylinder"])
+class TestKeptNodalDerivative:
+    """The one nodal z' a solve forms serves its closure report and its map."""
+
+    def test_reported_closure_is_a_measurement(self, sweep_blades, blade, n):
+        corr = canonical_map(sweep_blades[blade])
+        chi, rep, _ = quasisolution_correct(solve_zhukovsky(corr, n, gauge_angle(corr, n)), n)
+        ref = closure_conditions(chi, n)
+        assert rep.max_defect < 1e-11
+        assert abs(rep.closure_defect - ref.closure_defect) <= 1e-14
+        assert rep.vinf_defect == ref.vinf_defect
+
+    def test_map_from_kept_values(self, sweep_blades, blade, n):
+        corr = canonical_map(sweep_blades[blade])
+        alpha = gauge_angle(corr, n)
+        chi, _, zprime = quasisolution_correct(solve_zhukovsky(corr, n, alpha), n)
+        kept, fresh = (reconstruction_map(z, alpha, corr.branch_preimage(alpha)).series
+                       for z in (zprime, np.exp(-boundary_values(chi, n))))
+        powers = range(min(kept.low, fresh.low), max(kept.high, fresh.high) + 1)
+        gap = max(abs(kept.coefficient(p) - fresh.coefficient(p)) for p in powers)
+        assert gap <= 1e-14 * np.max(np.abs(fresh.coefficients))
 
 
 class TestReconstruct:
@@ -549,7 +616,8 @@ class TestReconstruct:
         chi = solve_zhukovsky(corr, 256, alpha)
         bumped = chi + AnalyticSeries(np.array([0.1 + 0.0j]), low=-1)
         with pytest.raises(MultivaluedAntiderivative):
-            reconstruction_map(bumped, 256, alpha, corr.branch_preimage(alpha))
+            reconstruction_map(np.exp(-boundary_values(bumped, 256)), alpha,
+                               corr.branch_preimage(alpha))
 
     @pytest.mark.parametrize("blade", ["joukowski_w1", "perturbed_cylinder"])
     def test_contour_is_the_map_on_the_circle(self, jouk, jouk_dist, blade):
@@ -594,8 +662,8 @@ class TestReconstruct:
         zeta = np.exp(2j * np.pi * np.arange(4096) / 4096)
 
         def blade(datum_gauge, map_gauge, delta=0.0):
-            chi, report = quasisolution_correct(solve_zhukovsky(corr, n, datum_gauge), n)
-            sol = PlanarSolution(corr, n, map_gauge, chi, report, 0j)
+            chi, report, zprime = quasisolution_correct(solve_zhukovsky(corr, n, datum_gauge), n)
+            sol = PlanarSolution(corr, n, map_gauge, chi, report, zprime, 0j)
             return evaluate_series(sol.map.series, zeta * np.exp(-1j * delta))
 
         base = blade(alpha, alpha)
