@@ -11,11 +11,11 @@ import sys
 
 import numpy as np
 
-from .config import _encodable, parse_config
+from .config import _file_name, parse_config
 from .errors import BladekitError
 from .geometry import contour_from_csv
 from .pipeline import run_pipeline, write_artifacts
-from .positioning import AREA_SPACING, METHODS, NodePartition, position
+from .positioning import METHODS, NodePartition, position
 
 log = logging.getLogger("bladekit")
 
@@ -90,7 +90,7 @@ def _cmd_position(args) -> int:
             )
         return tuple(args.box), NodePartition(args.partition, np.abs(v1), np.abs(v2))
 
-    shift = position(*contours, args.method, args.spacing, lift_inputs)
+    shift = position(*contours, args.method, lift_inputs)
     text = json.dumps(shift.to_json(), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pos.add_argument("--box", nargs=4, type=float, default=None,
                        metavar=("X0", "Y0", "X1", "Y1"))
     p_pos.add_argument("--partition", type=int, default=None)
-    p_pos.add_argument("--spacing", type=float, default=AREA_SPACING)
     p_pos.add_argument("--out", default=None, help="write the shift JSON here")
     p_pos.set_defaults(func=_cmd_position)
     # argparse takes a token such as "-1e-05" for an option; no option of this
@@ -143,11 +142,8 @@ def main(argv=None) -> int:
         paths = [("--config", getattr(args, "config", None)), ("--out", out)]
         paths += [("--contours", p) for p in getattr(args, "contours", None) or ()]
         for flag, path in paths:
-            if path is None:
-                continue
-            if "\0" in path:
-                raise BladekitError(f"{flag}: path contains a NUL character: {path!r}")
-            _encodable(path, flag)
+            if path is not None:
+                _file_name(path, flag)
         return args.func(args)
     except (BladekitError, OSError) as exc:
         log.error("%s", exc)

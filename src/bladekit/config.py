@@ -35,9 +35,10 @@ import orjson
 
 from .errors import BadValue, BladekitError, MissingField
 from .inverse import DISTRIBUTION_KEYS, VelocityDistribution
-from .positioning import AREA_SPACING, METHODS
+from .positioning import METHODS
 
 FORMATS = ("csv", "json", "svg")
+POSITIONING_KEYS = ("method", "box", "partition")
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class PositioningConfig:
     method: str
     box: "tuple[float, float, float, float] | None"
     partition: "int | None"
-    spacing: float
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,12 @@ def _read_json(path: str, pointer: str):
 _TOO_DEEP = "invalid JSON: nested too deep"
 
 
-def _encodable(name: str, pointer: str) -> None:
-    """Refuse a name that no file name holds: a lone surrogate outside
-    U+DC80..U+DCFF, which is how Python spells an undecodable file-name byte."""
+def _file_name(name: str, pointer: str) -> None:
+    """Refuse a name that no file name holds: one with a NUL, on which open()
+    raises ValueError, or with a lone surrogate outside U+DC80..U+DCFF, which
+    is how Python spells an undecodable file-name byte."""
+    if "\0" in name:
+        raise BadValue(pointer, f"path contains a NUL character: {name!r}")
     try:
         os.fsencode(name)
     except UnicodeEncodeError as exc:
@@ -145,9 +148,7 @@ def _encodable(name: str, pointer: str) -> None:
 def _load_distribution(value, pointer: str, base_dir: str) -> VelocityDistribution:
     from_file = isinstance(value, str)
     if from_file:
-        if "\0" in value:          # no file name holds one; open() raises ValueError
-            raise BadValue(pointer, f"path contains a NUL character: {value!r}")
-        _encodable(value, pointer)
+        _file_name(value, pointer)
         path = value if os.path.isabs(value) else os.path.join(base_dir, value)
         try:
             value = _read_json(path, pointer)
@@ -248,7 +249,7 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         # the id names the section's artifact directory under the output one
         if sid in (".", "..") or any(ch in sid for ch in "/\\\0"):
             raise BadValue(f"{ptr}/id", f"section id must be a plain file name, got {sid!r}")
-        _encodable(sid, f"{ptr}/id")
+        _file_name(sid, f"{ptr}/id")
         if sid == "report.json":
             raise BadValue(f"{ptr}/id", "section id report.json is the report's file name")
         if any(s.id == sid for s in sections):
@@ -284,6 +285,11 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         sections.append(SectionConfig(sid, degree, lower, upper, w1, w2, chained))
 
     pos_raw = _as_object(raw.get("positioning", {}), "/positioning")
+    # refused, not dropped: the area method's planes are the field's, one unit apart
+    unknown = [key for key in pos_raw if key not in POSITIONING_KEYS]
+    if unknown:
+        raise BadValue("/positioning/" + str(unknown[0]).replace("~", "~0").replace("/", "~1"),
+                       f"unknown key, positioning takes only {POSITIONING_KEYS}")
     method = pos_raw.get("method", METHODS[0])
     if method not in METHODS:
         raise BadValue("/positioning/method", f"method must be one of {METHODS}")
@@ -302,9 +308,6 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
     if partition is not None and partition >= n_boundary:
         raise BadValue("/positioning/partition",
                        f"partition must be below n_boundary = {n_boundary}")
-    spacing = _as_number(pos_raw.get("spacing", AREA_SPACING), "/positioning/spacing")
-    if spacing <= 0:
-        raise BadValue("/positioning/spacing", "spacing must be positive")
     if method == "lift":
         if box is None:
             raise MissingField("/positioning/box")
@@ -315,10 +318,9 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
     directory = out_raw.get("directory", "out")
     if not isinstance(directory, str):
         raise BadValue("/output/directory", "expected a string")
-    if not directory or "\0" in directory:
-        raise BadValue("/output/directory",
-                       f"expected a nonempty path without NUL characters, got {directory!r}")
-    _encodable(directory, "/output/directory")
+    if not directory:
+        raise BadValue("/output/directory", "expected a nonempty path")
+    _file_name(directory, "/output/directory")
     formats = out_raw.get("formats", list(FORMATS))
     if not isinstance(formats, list):
         raise BadValue("/output/formats", f"expected a list, got {formats!r}")
@@ -328,5 +330,5 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
             raise BadValue(f"/output/formats/{j}", f"unknown format {f!r}")
 
     return DesignConfig(tuple(sections), n_boundary,
-                        PositioningConfig(method, box, partition, spacing),
+                        PositioningConfig(method, box, partition),
                         OutputConfig(directory, formats))

@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import BladekitError, MultivaluedAntiderivative, OutsideDomain
 
+RESIDUE_RTOL = 1e-7     # a 1/zeta coefficient this share of the largest is roundoff
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -182,16 +184,16 @@ def _polynomial(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return val.reshape(c.shape[:-1] + (len(x),))
 
 
-def integrate_series(f: AnalyticSeries, z0: complex, residue_rtol: float = 1e-10) -> AnalyticSeries:
+def integrate_series(f: AnalyticSeries, z0: complex) -> AnalyticSeries:
     """Term-wise antiderivative fixed to vanish at ``z0``.
 
     A nonzero coefficient of ``1/zeta`` has no single-valued antiderivative;
-    coefficients below ``residue_rtol`` times the series scale are treated
+    coefficients below ``RESIDUE_RTOL`` times the series scale are treated
     as roundoff and dropped.
     """
     res = f.coefficient(-1)
     scale = float(np.max(np.abs(f.coefficients))) or 1.0
-    if abs(res) > residue_rtol * scale:
+    if abs(res) > RESIDUE_RTOL * scale:
         raise MultivaluedAntiderivative(
             f"residue coefficient {res:.3e} prevents integration"
         )

@@ -286,13 +286,6 @@ class _PotentialArc:
         return s, (idx, sign * self.coeffs[:, k], origin, self.nodes[k + 1] - origin,
                    y[idx], np.full(idx.size, ftol))
 
-    def solve(self, targets: np.ndarray) -> np.ndarray:
-        """Arc positions at which the potential takes the given values, by
-        the safeguarded Newton of `CircleCorrespondence.s_of_gamma`.
-        Targets at or past an end of the arc map to that end."""
-        s, state = self.bracket(targets)
-        return _newton_sweep(s, *state)
-
 
 def _newton_sweep(s, idx, c, origin, b, y, ftol) -> np.ndarray:
     """Fill ``s[idx]`` with the roots of the rising quartics ``c - y`` in
@@ -519,24 +512,12 @@ def _circle_nodes(n: int) -> np.ndarray:
 
 
 def _measured(zprime: np.ndarray, vinf: float) -> ClosureReport:
-    """The loop integral of nodal ``z'`` on its circle nodes, and ``vinf``."""
+    """The loop integral of nodal ``z' = exp(-chi)`` on the circle nodes the
+    reconstruction projects from, so a corrected chi closes there exactly,
+    and ``vinf``: Re chi at infinity, the log of the far-field speed over
+    `canonical_map`'s A = v_inf."""
     closure = 2j * np.pi * np.mean(zprime * _circle_nodes(len(zprime)))
     return ClosureReport(complex(closure), vinf)
-
-
-def closure_conditions(chi: AnalyticSeries, n: int) -> ClosureReport:
-    """Measure the closure and far-field-speed defects spectrally.
-
-    The closure defect is the loop integral of ``dz = exp(-chi) dzeta``
-    (two real conditions); the speed defect is Re chi at infinity, the log
-    of the far-field speed over the canonical flow's A.  `canonical_map`
-    takes A = v_inf, so it vanishes when that speed comes out as prescribed.
-    The loop integral is measured on the solve's n circle nodes, the grid
-    the reconstruction projects from, so a corrected chi closes there exactly.
-    This forms ``z' = exp(-chi)`` there anew; a solve measures the nodal
-    ``z'`` that `quasisolution_correct` keeps, with the same rule.
-    """
-    return _measured(np.exp(-boundary_values(chi, n)), float(chi.coefficient(0).real))
 
 
 def _with_correction(chi: AnalyticSeries, lams: np.ndarray) -> AnalyticSeries:
@@ -604,7 +585,7 @@ def reconstruction_map(zprime: np.ndarray, alpha: float, zeta_b: complex,
     blade rigidly and rotating the incidence rotates it about z_start.
     """
     ext = exterior_projection(zprime)
-    anti = integrate_series(ext, zeta_b, residue_rtol=1e-7)
+    anti = integrate_series(ext, zeta_b)
     series = anti * np.exp(1j * alpha) + AnalyticSeries.interior([complex(z_start)])
     return SeriesMap(series.trimmed(1e-15))
 

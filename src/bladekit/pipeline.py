@@ -171,7 +171,7 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
     grid = _residual_grid(involved)
     residuals = field_residuals(fld, grid)
     pos = cfg.positioning
-    shift = position(sol_lo.contour, sol_up.contour, pos.method, pos.spacing,
+    shift = position(sol_lo.contour, sol_up.contour, pos.method,
                      lambda: (pos.box, NodePartition(pos.partition, sol_lo.node_speeds,
                                                      sol_up.node_speeds)))
 

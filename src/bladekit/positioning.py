@@ -10,9 +10,10 @@ first contour moved by the shift and the second contour, which keeps its
 minimizer in the same convention (for congruent contours both optima are
 the translation between them).
 
-The strip area is a convex sum of Euclidean norms: with the upper contour
-translated by t, twice a triangle's area is ``hypot(a_i, b_i + n_i . t)``
-(``_strip_terms``), smooth as every ``a_i > 0``.  Since
+The strip spans the field's blade planes, h = 0 and h = 1.  Its area is a
+convex sum of Euclidean norms: with the upper contour translated by t,
+twice a triangle's area is ``hypot(a_i, b_i + n_i . t)`` (``_strip_terms``),
+smooth as every ``a_i > 0``.  Since
 ``hypot(a, r) >= a sqrt(1 - w^2) + r w`` for ``|w| <= 1``, any w with
 ``sum w_i n_i = 0`` gives the lower bound ``sum (a_i sqrt(1 - w_i^2) +
 b_i w_i) / 2`` on the minimum, whose gap to the area certifies it (Andersen,
@@ -38,7 +39,6 @@ from .geometry import Contour
 METHODS = ("lsq", "area", "lift")    # the first is the default
 LIFT_RTOL = 1e-12       # lift maximum, relative to sum|w_i| * max_i |d_i + s|
 AREA_RTOL = 1e-13       # strip-area duality gap, relative to the area
-AREA_SPACING = 1.0      # plane spacing of the strip area unless one is given
 _AREA_STEPS = 50        # Newton steps before the area minimum counts as failed
 _HALVINGS = 40          # step halvings before a Newton step counts as failed
 _MAX_CELLS = 256        # live branch-and-bound cells kept per level
@@ -102,35 +102,35 @@ def least_squares_shift(c1: Contour, c2: Contour) -> ShiftVector:
     return ShiftVector(dx, dy, lsq_objective(c1, c2, (dx, dy)), "lsq")
 
 
-def _strip_terms(lower: Contour, upper: Contour, spacing: float):
+def _strip_terms(lower: Contour, upper: Contour):
     """``(a, b, n)``: the strip between ``lower`` in the plane h = 0 and ``upper``
-    in h = spacing splits into 2n triangles, (lower i, lower i+1, upper i) and
+    in h = 1 splits into 2n triangles, (lower i, lower i+1, upper i) and
     (upper i, upper i+1, lower i+1) with indices modulo n, and twice triangle
     i's area with the upper contour moved by t is ``hypot(a_i, b_i + n_i . t)``.
     Its edge e_i inside one contour stays put, so with ``n_i = (-e_iy, e_ix)``
-    its cross product is ``(spacing * n_i, n_i . (d_i + t))`` up to signs, d_i
-    running from the lower node to the upper: ``up_i - lo_i`` in the first
-    triangles, ``up_i - lo_{i+1}`` in the second.
+    its cross product is ``(n_i, n_i . (d_i + t))`` up to signs, d_i running
+    from the lower node to the upper: ``up_i - lo_i`` in the first triangles,
+    ``up_i - lo_{i+1}`` in the second.  Each has height 1, so ``a_i = |e_i|``:
+    `assembly` puts the section's blade planes at h = 0 and h = 1 and sums
+    ``u_x + v_y + w_h``, so h is in the contours' length unit, 1 apart.
     """
     _check_counts(lower, upper)
-    if not 0 < spacing < np.inf:
-        raise BladekitError("plane spacing must be positive and finite")
     lo, up = lower.points, upper.points
     lo_next = np.roll(lo, -1, axis=0)
     e = np.concatenate([lo_next - lo, np.roll(up, -1, axis=0) - up])
     d = np.concatenate([up - lo, up - lo_next])
     n = np.column_stack([-e[:, 1], e[:, 0]])
-    return spacing * np.hypot(*e.T), np.einsum("ij,ij->i", n, d), n
+    return np.hypot(*e.T), np.einsum("ij,ij->i", n, d), n
 
 
-def area_objective(c1: Contour, c2: Contour, spacing: float, shift) -> float:
-    """Ruled-strip area between c1 moved by the shift and c2."""
-    a, b, n = _strip_terms(c1, c2, spacing)
+def area_objective(c1: Contour, c2: Contour, shift) -> float:
+    """Ruled-strip area between c1 moved by the shift and c2, one unit apart."""
+    a, b, n = _strip_terms(c1, c2)
     # moving the lower contour by s equals moving the upper one by -s
     return 0.5 * float(np.hypot(a, b + n @ -np.asarray(shift, dtype=float)).sum())
 
 
-def minimize_area_shift(c1: Contour, c2: Contour, spacing: float) -> ShiftVector:
+def minimize_area_shift(c1: Contour, c2: Contour) -> ShiftVector:
     """Damped Newton on the strip area from the least-squares shift, returned
     once the duality gap is at most ``AREA_RTOL`` of the area.
 
@@ -138,8 +138,12 @@ def minimize_area_shift(c1: Contour, c2: Contour, spacing: float) -> ShiftVector
     normals do not span the plane take the minimum-norm step.  The dual point
     is ``v = r / hypot(a, r)``, ``r = b + n t``, projected onto
     ``sum w_i n_i = 0`` and scaled into [-1, 1]: at the minimum it is v.
+
+    The planes are one unit apart.  Between planes s apart the area is
+    ``s**2`` times that of ``c1 / s, c2 / s`` and the optimal shift s times
+    theirs, so such a caller divides the coordinates by s.
     """
-    a, b, n = _strip_terms(c1, c2, spacing)
+    a, b, n = _strip_terms(c1, c2)
     lsq = least_squares_shift(c1, c2)
     t = -np.array([lsq.dx, lsq.dy])
     project = np.linalg.pinv(n.T @ n)
@@ -256,16 +260,15 @@ def maximize_lift(c1: Contour, c2: Contour, p: NodePartition, box) -> ShiftVecto
     return ShiftVector(dx, dy, lift_score(c1, c2, p, (dx, dy)), "lift")
 
 
-def position(c1: Contour, c2: Contour, method: str, spacing: float,
+def position(c1: Contour, c2: Contour, method: str,
              lift_inputs: Callable[[], tuple[tuple, NodePartition]]) -> ShiftVector:
     """Shift of c2 relative to c1 by ``method``, one of `METHODS`.
 
-    ``spacing`` is the plane spacing of the area method.  ``lift_inputs()``
-    returns the box and node partition of the lift method and is called for
-    it alone, so callers derive node speeds, or refuse their absence, only
-    when lift needs them.  A floating-point overflow, invalid operation or
-    division by zero is refused, naming the method, instead of being carried
-    into the shift.
+    ``lift_inputs()`` returns the box and node partition of the lift method
+    and is called for it alone, so callers derive node speeds, or refuse
+    their absence, only when lift needs them.  A floating-point overflow,
+    invalid operation or division by zero is refused, naming the method,
+    instead of being carried into the shift.
     """
     if method not in METHODS:
         raise BladekitError(f"unknown method {method!r}")
@@ -276,7 +279,7 @@ def position(c1: Contour, c2: Contour, method: str, spacing: float,
             if method == "lsq":
                 return least_squares_shift(c1, c2)
             if method == "area":
-                return minimize_area_shift(c1, c2, spacing)
+                return minimize_area_shift(c1, c2)
             return maximize_lift(c1, c2, partition, box)
     except FloatingPointError as exc:
         raise BladekitError(f"{method} positioning: {exc}") from None

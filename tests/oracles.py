@@ -12,13 +12,14 @@ from functools import cached_property, partial
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from bladekit.harmonic import AnalyticSeries, evaluate_series
+from bladekit.harmonic import AnalyticSeries, boundary_values, evaluate_series
 from bladekit.inverse import (
+    ClosureReport,
     VelocityDistribution,
     _canonical_potential,
+    _newton_sweep,
     _stagnation_angles,
     _with_correction,
-    closure_conditions,
 )
 from bladekit.positioning import (
     _MAX_CELLS,
@@ -383,6 +384,19 @@ def fd_residuals_by_velocity(field, grid, step: float = 1e-4) -> tuple[float, li
     return fd_div, fd_curl
 
 
+def closure_conditions(chi: AnalyticSeries, n: int) -> ClosureReport:
+    """The closure and far-field-speed defects of chi, measured on n circle nodes.
+
+    The closure defect is the loop integral of ``dz = exp(-chi) dzeta``, which
+    forms ``exp(-chi)`` at the nodes anew; the speed defect is Re chi at
+    infinity.  The reference for `inverse._measured`, which a solve applies to
+    the nodal ``z'`` that `inverse.quasisolution_correct` keeps.
+    """
+    zeta = np.exp(1j * (2 * np.pi * np.arange(n) / n))
+    closure = 2j * np.pi * np.mean(np.exp(-boundary_values(chi, n)) * zeta)
+    return ClosureReport(complex(closure), float(chi.coefficient(0).real))
+
+
 def quasisolution_by_fd_newton(chi, n: int, tol: float = 1e-12, maxiter: int = 50):
     """Correction parameters ``(lam0, lam1, lam2)`` by Newton on all three defects.
 
@@ -413,6 +427,15 @@ def quasisolution_by_fd_newton(chi, n: int, tol: float = 1e-12, maxiter: int = 5
         lams = lams + t * step
         f = defects(lams)
     raise AssertionError(f"no convergence in {maxiter} iterations; defects {f}")
+
+
+def arc_positions(arc, targets) -> np.ndarray:
+    """Positions on one `inverse._PotentialArc` at which its potential takes
+    the targets, by its ``bracket`` and `inverse._newton_sweep` on that arc
+    alone; targets at or past an end map to that end.  The reference for the
+    one sweep over both arcs in `inverse.CircleCorrespondence.s_of_gamma`."""
+    s, state = arc.bracket(targets)
+    return _newton_sweep(s, *state)
 
 
 def _bisect_monotone(f, lo: float, hi: float, targets: np.ndarray, iters: int = 80) -> np.ndarray:

@@ -168,8 +168,9 @@ MALFORMED = [
     (["positioning"], {"method": "simplex"}, "/positioning/method", "method must be one of"),
     (["positioning"], {"box": [0, 0, 1]}, "/positioning/box", "box must be [x0, y0, x1, y1]"),
     (["positioning"], {"box": [0, 0, 0, 1]}, "/positioning/box", "box must have positive extent"),
-    (["positioning"], {"method": "area", "spacing": 0}, "/positioning/spacing",
-     "spacing must be positive"),
+    # the area method's planes are the field's own, one unit apart
+    (["positioning"], {"method": "area", "spacing": 1.0}, "/positioning/spacing",
+     "unknown key, positioning takes only ('method', 'box', 'partition')"),
     (["positioning"], {"method": "lift", "partition": 32}, "/positioning/box",
      "required field is missing"),
     (["positioning"], {"method": "lift", "box": [0, 0, 1, 1]}, "/positioning/partition",
@@ -277,7 +278,6 @@ NON_FINITE = [
     # (config updates, the reported pointer)
     ({"positioning": {"method": "lift", "box": [0, 0, float("inf"), 1], "partition": 32}},
      "/positioning/box/2"),
-    ({"positioning": {"method": "area", "spacing": float("inf")}}, "/positioning/spacing"),
     ({"sections": {"degree": 2, "w2": float("nan")}}, "/sections/0/w2"),
     ({"sections": {"w1": float("inf")}}, "/sections/0/w1"),
 ]
@@ -376,7 +376,7 @@ def test_degree2_section_with_positioning(design, tmp_path, method):
 
 @pytest.mark.parametrize("positioning, argv", [
     ({"method": "lsq"}, ["--method", "lsq"]),
-    ({"method": "area", "spacing": 2.5}, ["--method", "area", "--spacing", "2.5"]),
+    ({"method": "area"}, ["--method", "area"]),
 ], ids=["lsq", "area"])
 def test_position_command_repeats_the_solve_shift(design, tmp_path, monkeypatch,
                                                   positioning, argv):
@@ -436,13 +436,26 @@ def test_malformed_contour_csv_exits_2(tmp_path, caplog, case):
 @pytest.mark.parametrize("message, argv", [
     ("shift box must be finite", ["--method", "lift", "--box", "0", "0", "inf", "1",
                                   "--partition", "2"]),
-    ("plane spacing must be positive and finite", ["--method", "area", "--spacing", "inf"]),
-], ids=["box", "spacing"])
+], ids=["box"])
 def test_non_finite_position_option_exits_2(tmp_path, caplog, message, argv):
     path = tmp_path / "c.csv"
     path.write_text(SPEED_CONTOUR, encoding="utf-8")
     assert cli.main(["position", "--contours", str(path), str(path), *argv]) == 2
     assert message in caplog.text
+
+
+def test_position_takes_no_plane_distance(tmp_path, capsys):
+    # the area method's planes are the field's, one unit apart; a caller whose
+    # planes are s apart passes the contours over s
+    path = tmp_path / "c.csv"
+    path.write_text(SPEED_CONTOUR, encoding="utf-8")
+    out = tmp_path / "shift.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["position", "--contours", str(path), str(path), "--method", "area",
+                  "--spacing", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --spacing 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("message, v_column, argv", [
@@ -556,8 +569,9 @@ def test_position_names_the_malformed_file_and_line(files):
 @st.composite
 def well_formed_pairs(draw):
     """Texts of two well-formed contour files of n nodes with speeds at one
-    scale, and a partition index, in range or not."""
-    n, scale = draw(st.integers(3, 10)), draw(SCALES)
+    scale, and a partition index, in range or not.  The scale is also the
+    contours' size over the area method's plane distance, which is 1."""
+    n, scale = draw(st.integers(3, 10)), draw(SCALES | st.floats(1e-320, 5e306))
     texts = [draw(contour_files(n, True, scale, False))[0] for _ in "ab"]
     return texts, draw(st.integers(1, n - 1) | st.integers(-1, 12))
 
@@ -566,14 +580,13 @@ def well_formed_pairs(draw):
 @given(files=well_formed_pairs(),
        box=st.builds(lambda x, y, wx, wy: (x, y, x + wx, y + wy), POSITION_NUMBERS,
                      POSITION_NUMBERS, *[st.floats(1e-3, 10.0)] * 2)
-       | st.tuples(*[POSITION_NUMBERS] * 4),
-       spacing=POSITION_NUMBERS)
-def test_position_exits_0_or_2_on_any_numbers(method, files, box, spacing):
+       | st.tuples(*[POSITION_NUMBERS] * 4))
+def test_position_exits_0_or_2_on_any_numbers(method, files, box):
     # well-formed files at any scale and any options: a finite shift (inside
     # the box for lift), or exit 2 with one message; never a traceback
     texts, partition = files
     rc, _, shift, _ = _position(texts, ["--method", method, "--partition", str(partition),
-                                        "--spacing", repr(spacing), "--box", *map(repr, box)])
+                                        "--box", *map(repr, box)])
     assert rc in (0, 2)
     if rc == 0:
         assert np.isfinite([shift["dx"], shift["dy"], shift["objective"]]).all()

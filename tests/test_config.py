@@ -147,7 +147,7 @@ def _lift_chain() -> dict:
                           "lower": copy.deepcopy(dist), "upper": copy.deepcopy(dist)}],
             "discretization": {"n_boundary": 64},
             "positioning": {"method": "lift", "box": [-0.5, -0.5, 0.5, 0.5],
-                            "partition": 32, "spacing": 0.5},
+                            "partition": 32},
             "output": {"directory": "out", "formats": ["csv", "json"]}}
 
 
@@ -221,6 +221,20 @@ def test_unusable_path_is_refused_at_its_pointer(path, value, pointer):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
+    with pytest.raises(BadValue) as err:
+        parse_config_dict(raw)
+    assert err.value.pointer == pointer
+
+
+@pytest.mark.parametrize("key, pointer", [
+    ("a/b", "/positioning/a~1b"),
+    ("~", "/positioning/~0"),
+])
+def test_unknown_positioning_key_is_refused_at_its_pointer(key, pointer):
+    # refused, not dropped (test_cli's MALFORMED refuses the former plane
+    # distance); the key is escaped in its pointer as RFC 6901 says
+    raw = _lift_chain()
+    raw["positioning"][key] = 1.0
     with pytest.raises(BadValue) as err:
         parse_config_dict(raw)
     assert err.value.pointer == pointer

@@ -76,9 +76,10 @@ class TestResample:
 
 class TestRuledArea:
     # area_objective moves the lower contour by the shift: the upper one moved
-    # by s is the lower one moved by -s
+    # by s is the lower one moved by -s.  Its planes are one unit apart; the
+    # strip between planes s apart is that of the contours over s, times s**2
     def test_prism_between_identical_squares(self):
-        assert abs(area_objective(unit_square(), unit_square(), 1.0, (0.0, 0.0)) - 4.0) < 1e-12
+        assert abs(area_objective(unit_square(), unit_square(), (0.0, 0.0)) - 4.0) < 1e-12
 
     def test_identical_contours_area_is_perimeter_times_spacing(self):
         rng = np.random.default_rng(2)
@@ -86,11 +87,13 @@ class TestRuledArea:
         ang = np.arctan2(pts[:, 1] - pts[:, 1].mean(), pts[:, 0] - pts[:, 0].mean())
         c = Contour(pts[np.argsort(ang)])
         perimeter = arc_length_table(c)[-1]
-        assert abs(area_objective(c, c, 0.7, (0.0, 0.0)) - perimeter * 0.7) < 1e-12 * perimeter
+        scaled = Contour(c.points / 0.7)
+        area = area_objective(scaled, scaled, (0.0, 0.0)) * 0.7**2
+        assert abs(area - perimeter * 0.7) < 1e-12 * perimeter
 
     def test_monotone_growth_away_from_optimum(self):
-        a0 = area_objective(unit_square(), unit_square(), 1.0, (0.0, 0.0))
-        a1 = area_objective(unit_square(), unit_square(), 1.0, (-10.0, 0.0))
+        a0 = area_objective(unit_square(), unit_square(), (0.0, 0.0))
+        a1 = area_objective(unit_square(), unit_square(), (-10.0, 0.0))
         assert a1 > a0
 
     def test_concentric_circles_grid_minimum_at_origin(self):
@@ -98,30 +101,32 @@ class TestRuledArea:
         best = None
         for sx in np.arange(-0.5, 0.5001, 0.01):
             for sy in np.arange(-0.5, 0.5001, 0.01):
-                a = area_objective(lo, up, 1.0, (-sx, -sy))
+                a = area_objective(lo, up, (-sx, -sy))
                 if best is None or a < best[0]:
                     best = (a, sx, sy)
         assert abs(best[1]) < 1e-12 and abs(best[2]) < 1e-12
 
     def test_unimodal_along_axis_through_minimum(self):
         lo, up = circle(128), circle(128, r=0.8)
-        line = [area_objective(lo, up, 1.0, (-s, 0.0)) for s in np.linspace(-0.4, 0.4, 33)]
+        line = [area_objective(lo, up, (-s, 0.0)) for s in np.linspace(-0.4, 0.4, 33)]
         k = int(np.argmin(line))
         assert all(line[i] >= line[i + 1] - 1e-12 for i in range(k))
         assert all(line[i] <= line[i + 1] + 1e-12 for i in range(k, len(line) - 1))
 
-    @pytest.mark.parametrize("spacing", [0.05, 1.0, 2.0])
-    def test_affine_form_matches_cross_products(self, spacing):
+    @pytest.mark.parametrize("distance", [0.05, 1.0, 2.0])
+    def test_affine_form_matches_cross_products(self, distance):
         lo = circle(64)
         th = 0.3 + 2 * np.pi * np.arange(64) / 64
         up = Contour(np.column_stack([np.cos(th), 0.5 * np.sin(th)]) + (0.2, -0.1))
+        lo_s, up_s = (Contour(c.points / distance) for c in (lo, up))
         for shift in ((0.0, 0.0), (-0.3, 0.7), (2.0, -5.0)):
-            ref = strip_area_by_cross_products(lo, up, spacing, shift)
-            assert abs(area_objective(lo, up, spacing, shift) - ref) <= 1e-12 * ref
+            ref = strip_area_by_cross_products(lo, up, distance, shift)
+            area = area_objective(lo_s, up_s, np.divide(shift, distance)) * distance**2
+            assert abs(area - ref) <= 1e-12 * ref
 
     def test_count_mismatch(self):
         with pytest.raises(CountMismatch, match="contours have 8 and 16 nodes"):
-            area_objective(circle(8), circle(16), 1.0, (0.0, 0.0))
+            area_objective(circle(8), circle(16), (0.0, 0.0))
 
 
 class TestHausdorff:

@@ -47,7 +47,7 @@ def configs(tmp_path_factory):
     paths = {}
     for name, extra, positioning in (
             ("lsq", {}, {"method": "lsq"}),
-            ("area", {}, {"method": "area", "spacing": 0.5}),
+            ("area", {}, {"method": "area"}),
             ("lift", {"degree": 2, "w2": 0.1},
              {"method": "lift", "box": [-0.3, -0.5, 0.5, 0.3], "partition": 32})):
         cfg = {"sections": [{**section, **extra}], "discretization": {"n_boundary": 64},

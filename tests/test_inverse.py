@@ -18,7 +18,6 @@ from bladekit.inverse import (
     VelocityDistribution,
     _with_correction,
     canonical_map,
-    closure_conditions,
     gauge_angle,
     quasisolution_correct,
     reconstruction_map,
@@ -29,6 +28,8 @@ from bladekit.inverse import (
 
 from oracles import (
     ForwardFlow,
+    arc_positions,
+    closure_conditions,
     cylinder,
     hausdorff_distance,
     joukowski_flow,
@@ -334,7 +335,7 @@ class TestCorrespondence:
         d = perturbed_cylinder(0.05)
         for arc in canonical_map(d).arcs():
             y = arc.values[0] + frac * (arc.values[-1] - arc.values[0])
-            s = arc.solve(y)
+            s = arc_positions(arc, y)
             tol = (8 * np.spacing(np.max(np.abs(arc.values)))
                    + 2 * np.abs(speed_at(d, s)) * np.spacing(s))
             assert np.all(np.abs(potential_at(d, s) - y) <= tol)
@@ -402,7 +403,7 @@ class TestCorrespondenceIsPointwise:
                                                  corr.stagnation_angles, corr.increments):
             assert np.any(mask)
             tau = (phic[mask] - corr.canonical_potential(start)) / dc
-            alone = arc.solve(arc.values[0] + tau * delta)
+            alone = arc_positions(arc, arc.values[0] + tau * delta)
             assert np.array_equal(np.mod(alone, corr.dist.total_length), s[mask])
 
 

@@ -132,30 +132,22 @@ class TestLeastSquares:
 class TestAreaObjective:
     def test_identical_squares(self):
         sq = Contour(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-        assert abs(area_objective(sq, sq, 1.0, (0.0, 0.0)) - 4.0) < 1e-12
+        assert abs(area_objective(sq, sq, (0.0, 0.0)) - 4.0) < 1e-12
 
     def test_monotone_growth(self):
         sq = Contour(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-        a0 = area_objective(sq, sq, 1.0, (0.0, 0.0))
-        assert area_objective(sq, sq, 1.0, (10.0, 0.0)) > a0
-
-    @pytest.mark.parametrize("spacing", [0.0, -1.0, np.inf, np.nan])
-    def test_spacing_must_be_positive_and_finite(self, spacing):
-        c = circle(16)
-        for area in (lambda: area_objective(c, c, spacing, (0.0, 0.0)),
-                     lambda: minimize_area_shift(c, c, spacing)):
-            with pytest.raises(BladekitError, match="plane spacing must be positive and finite"):
-                area()
+        a0 = area_objective(sq, sq, (0.0, 0.0))
+        assert area_objective(sq, sq, (10.0, 0.0)) > a0
 
     def test_minimum_matches_lsq_for_congruent(self):
         c1 = circle(128)
         c2 = Contour(c1.points + (0.21, -0.13))
         lsq = least_squares_shift(c1, c2)
-        area = minimize_area_shift(c1, c2, 1.0)
+        area = minimize_area_shift(c1, c2)
         assert np.hypot(area.dx - lsq.dx, area.dy - lsq.dy) < 1e-6
 
 
-def similar_optima(c1, scale, spacing):
+def similar_optima(c1, scale):
     """Least-squares and strip-area optima for c1 and c1 scaled about its centroid.
 
     The statement: for similar contours the two optima coincide.
@@ -163,41 +155,44 @@ def similar_optima(c1, scale, spacing):
     c = c1.points.mean(axis=0)
     c2 = Contour(c + scale * (c1.points - c))
     lsq = least_squares_shift(c1, c2)
-    area = minimize_area_shift(c1, c2, spacing)
+    area = minimize_area_shift(c1, c2)
     return c2, lsq, area, float(np.hypot(lsq.dx - area.dx, lsq.dy - area.dy))
 
 
 class TestVerifyStatement:
     def test_congruent_coincide_at_origin(self):
-        _, lsq, area, dist = similar_optima(circle(128), 1.0, 1.0)
+        _, lsq, area, dist = similar_optima(circle(128), 1.0)
         assert abs(lsq.dx) < 1e-12 and abs(lsq.dy) < 1e-12
         assert dist < 1e-10
 
     def test_similar_circles(self):
-        _, lsq, area, dist = similar_optima(circle(256), 0.5, 1.0)
+        _, lsq, area, dist = similar_optima(circle(256), 0.5)
         assert dist < 1e-3
 
     def test_grid_oracle_for_similar(self):
         c1 = circle(256)
-        c2, _, area, _ = similar_optima(c1, 0.5, 1.0)
+        c2, _, area, _ = similar_optima(c1, 0.5)
         best = None
         for sx in np.arange(-0.05, 0.0501, 0.005):
             for sy in np.arange(-0.05, 0.0501, 0.005):
-                val = area_objective(c1, c2, 1.0, (sx, sy))
+                val = area_objective(c1, c2, (sx, sy))
                 if best is None or val < best[0]:
                     best = (val, sx, sy)
         assert np.hypot(area.dx - best[1], area.dy - best[2]) <= 0.006
 
     def test_dissimilar_report_only(self):
         sq = Contour(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
-        _, lsq, area, dist = similar_optima(sq, 0.9, 1.0)
+        _, lsq, area, dist = similar_optima(sq, 0.9)
         assert np.isfinite(dist)
 
 
 @st.composite
 def star_pairs(draw):
     """Two random star-shaped contours with the same node count, each a scaled,
-    offset radius r(theta) of three random harmonics, and a plane spacing."""
+    offset radius r(theta) of three random harmonics, and a contour size.
+
+    Positioned at that size between planes one unit apart, the contours
+    span 0.15 to 40 plane distances over the star scales and the sizes."""
     n = draw(st.integers(8, 512))
 
     def star():
@@ -209,26 +204,45 @@ def star_pairs(draw):
         r = 1 + c[:3] @ np.cos(k * t) + c[3:] @ np.sin(k * t)
         return Contour(centre + scale * np.column_stack([r * np.cos(t), r * np.sin(t)]))
 
-    return star(), star(), draw(st.floats(0.05, 2))
+    return star(), star(), draw(st.floats(0.5, 20))
 
 
 class TestAreaAgainstNelderMead:
     @given(star_pairs())
     def test_never_above_oracle_and_certified(self, problem):
-        c1, c2, spacing = problem
-        s = minimize_area_shift(c1, c2, spacing)
-        assert s.objective == area_objective(c1, c2, spacing, (s.dx, s.dy))
-        _, _, oracle = area_shift_by_nelder_mead(c1, c2, spacing)
-        assert s.objective <= oracle + AREA_RTOL * s.objective
-        lower = strip_area_lower_bound(c1, c2, spacing, (s.dx, s.dy))
+        # the oracles measure the same strip at the stars' own size, between
+        # planes 1/size apart, where its area is smaller by size**2
+        c1, c2, size = problem
+        big = [Contour(size * c.points) for c in (c1, c2)]
+        s = minimize_area_shift(*big)
+        assert s.objective == area_objective(*big, (s.dx, s.dy))
+        _, _, oracle = area_shift_by_nelder_mead(c1, c2, 1 / size)
+        assert s.objective <= size**2 * oracle + AREA_RTOL * s.objective
+        lower = size**2 * strip_area_lower_bound(c1, c2, 1 / size, (s.dx / size, s.dy / size))
         assert s.objective - lower <= AREA_RTOL * s.objective
+
+    @pytest.mark.parametrize("distance", [0.05, 2.5, 100.0])
+    def test_planes_any_distance_apart_by_scaling(self, distance):
+        # the strip between planes s apart is that of the contours over s,
+        # times s**2, and its optimal shift is s times theirs (a limacon over
+        # a circle: the least-squares seed is not the minimum)
+        th = 2 * np.pi * np.arange(64) / 64
+        c1 = circle(64)
+        c2 = Contour((1 + 0.3 * np.cos(th))[:, None] * np.column_stack([np.cos(th), np.sin(th)])
+                     + (0.2, -0.1))
+        s = minimize_area_shift(Contour(c1.points / distance), Contour(c2.points / distance))
+        dx, dy, oracle = area_shift_by_nelder_mead(c1, c2, distance)
+        assert distance**2 * s.objective <= oracle * (1 + AREA_RTOL)
+        # Nelder-Mead stops within about sqrt(ulp) of a minimum where the
+        # area is flat to second order (2.5e-6 at distance 100)
+        assert np.hypot(distance * s.dx - dx, distance * s.dy - dy) <= 1e-5
 
     def test_collinear_contours(self):
         # every edge normal is vertical: the area does not depend on dx, and
         # both n^T n and the Hessian are singular
         c1 = Contour(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [2.0, 0.0]]))
         c2 = Contour(np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [5.0, 1.0]]))
-        s = minimize_area_shift(c1, c2, 1.0)
+        s = minimize_area_shift(c1, c2)
         assert np.isfinite([s.dx, s.dy]).all() and abs(s.dy - 1.0) < 1e-12
         lower = strip_area_lower_bound(c1, c2, 1.0, (s.dx, s.dy))
         assert s.objective - lower <= AREA_RTOL * s.objective
@@ -239,7 +253,7 @@ class TestAreaAgainstNelderMead:
         c2 = Contour((1 + 0.3 * np.cos(th))[:, None] * np.column_stack([np.cos(th), np.sin(th)]))
         monkeypatch.setattr(positioning, "_AREA_STEPS", 0)
         with pytest.raises(OptimizerFailed, match="after 0 Newton steps: duality gap"):
-            minimize_area_shift(circle(64), c2, 1.0)
+            minimize_area_shift(circle(64), c2)
 
 
 class TestLiftScore:
