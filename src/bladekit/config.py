@@ -3,7 +3,8 @@
 The dataclasses here are built by `parse_config_dict` alone, which holds
 every default and resolves each section's transversal constants w1 and w2,
 in section order, from a literal, a datum ``w(B, h_ref) = w_ref`` or the
-section below.
+section below.  Each config object takes a fixed set of keys, and any other
+key is refused at its pointer, so a misspelt key cannot be silently dropped.
 
 Config and distribution files are decoded by orjson. It is strict RFC
 8259: NaN and Infinity literals, numbers past the float range, lone
@@ -38,7 +39,6 @@ from .inverse import DISTRIBUTION_KEYS, VelocityDistribution
 from .positioning import METHODS
 
 FORMATS = ("csv", "json", "svg")
-POSITIONING_KEYS = ("method", "box", "partition")
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,15 @@ def _as_object(value, pointer: str) -> dict:
     if not isinstance(value, dict):
         raise BadValue(pointer, f"expected an object, got {value!r}")
     return value
+
+
+def _known_keys(obj: dict, keys: tuple, pointer: str, name: str) -> None:
+    """Refuse the first key of ``obj`` outside ``keys`` at its RFC 6901
+    pointer: a key nothing reads is refused, not dropped."""
+    for key in obj:
+        if key not in keys:
+            raise BadValue(f"{pointer}/" + str(key).replace("~", "~0").replace("/", "~1"),
+                           f"unknown key, {name} takes only {keys}")
 
 
 def _as_number(value, pointer: str) -> float:
@@ -175,9 +184,12 @@ def _parse_w1(value, pointer: str) -> "float | tuple[float, float]":
     """A literal w1, or the datum's (w_ref, h_ref) pair."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return _as_number(value, pointer)
+    if isinstance(value, dict):
+        _known_keys(value, ("from_transversal",), pointer, "w1")
     if isinstance(value, dict) and "from_transversal" in value:
         ptr = f"{pointer}/from_transversal"
         datum = _as_object(value["from_transversal"], ptr)
+        _known_keys(datum, ("w_ref", "h_ref"), ptr, "from_transversal")
         w_ref = _as_number(_need(datum, "w_ref", ptr), f"{ptr}/w_ref")
         h_ref = _as_number(_need(datum, "h_ref", ptr), f"{ptr}/h_ref")
         if h_ref == 0.0:
@@ -225,11 +237,13 @@ def parse_config(path: str) -> DesignConfig:
 def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
     if not isinstance(raw, dict):
         raise BadValue("/", "top level must be an object")
+    _known_keys(raw, ("sections", "discretization", "positioning", "output"), "", "the config")
     sections_raw = _need(raw, "sections", "")
     if not isinstance(sections_raw, list) or len(sections_raw) == 0:
         raise BadValue("/sections", "need a nonempty list of sections")
 
     disc = _as_object(raw.get("discretization", {}), "/discretization")
+    _known_keys(disc, ("n_boundary",), "/discretization", "discretization")
     n_boundary = disc.get("n_boundary", 256)
     if not isinstance(n_boundary, int) or isinstance(n_boundary, bool):
         raise BadValue("/discretization/n_boundary", "expected an integer")
@@ -243,6 +257,7 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         ptr = f"/sections/{i}"
         if not isinstance(sec, dict):
             raise BadValue(ptr, "section must be an object")
+        _known_keys(sec, ("id", "degree", "lower", "upper", "w1", "w2"), ptr, "a section")
         sid = sec.get("id", f"section{i}")
         if not isinstance(sid, str) or not sid:
             raise BadValue(f"{ptr}/id", "section id must be a nonempty string")
@@ -285,11 +300,8 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         sections.append(SectionConfig(sid, degree, lower, upper, w1, w2, chained))
 
     pos_raw = _as_object(raw.get("positioning", {}), "/positioning")
-    # refused, not dropped: the area method's planes are the field's, one unit apart
-    unknown = [key for key in pos_raw if key not in POSITIONING_KEYS]
-    if unknown:
-        raise BadValue("/positioning/" + str(unknown[0]).replace("~", "~0").replace("/", "~1"),
-                       f"unknown key, positioning takes only {POSITIONING_KEYS}")
+    # a plane spacing among them: the area method's planes are the field's, one unit apart
+    _known_keys(pos_raw, ("method", "box", "partition"), "/positioning", "positioning")
     method = pos_raw.get("method", METHODS[0])
     if method not in METHODS:
         raise BadValue("/positioning/method", f"method must be one of {METHODS}")
@@ -315,6 +327,7 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
             raise MissingField("/positioning/partition")
 
     out_raw = _as_object(raw.get("output", {}), "/output")
+    _known_keys(out_raw, ("directory", "formats"), "/output", "output")
     directory = out_raw.get("directory", "out")
     if not isinstance(directory, str):
         raise BadValue("/output/directory", "expected a string")

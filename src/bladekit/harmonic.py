@@ -219,28 +219,32 @@ def boundary_values(f: AnalyticSeries, n: int) -> np.ndarray:
     return np.fft.ifft(spectrum) * n
 
 
-def analytic_from_real_boundary(values) -> AnalyticSeries:
+def analytic_from_real_boundary(values):
     """Exterior Schwarz operator: series in powers <= 0 whose real part matches
     the real samples ``values`` at the n equispaced circle angles.
 
     Truncates at n/2 - 1 harmonics (the Nyquist sine is not observable on
     the grid); the imaginary part has zero mean, i.e. Im c_0 = 0.  The
-    exterior problem is the interior one for angle-reversed data.
+    exterior problem is the interior one for angle-reversed data.  The
+    samples run along the last axis; a stack of rows gives a list of
+    series, one per row, from one FFT along that axis.
     """
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise BladekitError("boundary samples must be finite")
-    n = len(values)
+    n = values.shape[-1]
     if n < 8 or not _is_power_of_two(n):
         raise BladekitError(f"sample count must be a power of two >= 8, got {n}")
     if np.iscomplexobj(values):
         raise BladekitError("Schwarz data must be real")
-    values = np.roll(values[::-1], 1)          # gamma -> -gamma on the grid
+    values = np.roll(values[..., ::-1], 1, axis=-1)     # gamma -> -gamma on the grid
     spec = np.fft.rfft(values)
-    c = np.empty(n // 2, dtype=complex)
-    c[0] = spec[0].real / n
-    c[1:] = 2.0 * spec[1:-1] / n
-    return AnalyticSeries.exterior(c)
+    c = np.empty(spec.shape[:-1] + (n // 2,), dtype=complex)
+    c[..., 0] = spec[..., 0].real / n
+    c[..., 1:] = 2.0 * spec[..., 1:-1] / n
+    if c.ndim == 1:
+        return AnalyticSeries.exterior(c)
+    return [AnalyticSeries.exterior(row) for row in c]
 
 
 def exterior_projection(values: np.ndarray) -> AnalyticSeries:
@@ -256,8 +260,9 @@ def exterior_projection(values: np.ndarray) -> AnalyticSeries:
 
 
 def differentiate_boundary(values: np.ndarray) -> np.ndarray:
-    """Spectral derivative of periodic nodal values with respect to angle."""
-    n = len(values)
+    """Spectral derivative of periodic nodal values with respect to angle,
+    along the last axis."""
+    n = values.shape[-1]
     k = np.fft.fftfreq(n, 1.0 / n)
     k[n // 2] = 0.0                            # Nyquist derivative convention
     out = np.fft.ifft(1.0j * k * np.fft.fft(values))

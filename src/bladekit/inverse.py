@@ -15,6 +15,13 @@ then one object, the map ``z(zeta)``: the exterior modes of
 contour is that map's image of the circle nodes, and the blade's flow is its
 canonical potential carried through that map (`PlanarSolution.potential`).
 
+Blades are solved in batches (`solve_modified`; `solve_distribution` is the
+batch of one).  The modified data, the correspondence, the gauge and the
+quasisolution run per blade; the correspondence's Newton sweep and the
+Zhukovsky datum's FFTs run once for the batch, on (blades, n) arrays, and
+act on each blade's points alone, so every blade is bit for bit its solve
+alone.  The pipeline solves every blade of a config in one batch.
+
 The canonical flow past the unit circle with circulation is
 
     w_c(zeta) = -A*(exp(-i*b)*zeta + exp(i*b)/zeta) + (G/(2*pi*i))*ln(zeta)
@@ -283,7 +290,7 @@ class _PotentialArc:
         idx = np.flatnonzero((y > v[0]) & (y < v[-1]))
         k = np.searchsorted(v, y[idx], side="right") - 1
         origin = self.nodes[k]
-        return s, (idx, sign * self.coeffs[:, k], origin, self.nodes[k + 1] - origin,
+        return s, (idx, sign * self.coeffs.take(k, axis=1), origin, self.nodes[k + 1] - origin,
                    y[idx], np.full(idx.size, ftol))
 
 
@@ -306,8 +313,9 @@ def _newton_sweep(s, idx, c, origin, b, y, ftol) -> np.ndarray:
         done = fits | (np.abs(step) <= 4 * np.spacing(np.abs(origin + t)))
         s[idx[done]] = origin[done] + t[done]
         keep = ~done
-        idx, c, origin, a, b, y, t, ftol = (idx[keep], c[:, keep], origin[keep], a[keep],
-                                            b[keep], y[keep], t[keep], ftol[keep])
+        # compress keeps each coefficient row contiguous; c[:, keep] would stride them
+        idx, c, origin, a, b, y, t, ftol = (idx[keep], c.compress(keep, axis=1), origin[keep],
+                                            a[keep], b[keep], y[keep], t[keep], ftol[keep])
         if idx.size == 0:
             return s
     raise InconsistentDistribution(
@@ -378,21 +386,33 @@ class CircleCorrespondence:
         Both arcs' targets run in one sweep, each with its arc's sign and
         residual stop; every operation acts on one point's column alone, so
         a point's result does not depend on the points that share the call.
+        This is `_arc_positions` of this blade alone.
         """
         gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-        th_lo = self.stagnation_angles[0]
-        phic = self.canonical_potential(th_lo + np.mod(gamma - th_lo, 2 * np.pi))
-        rising = self.on_rising_arc(gamma)
-        out = np.empty_like(gamma)
-        states = []
-        for mask, arc, start, (delta, dc) in zip((rising, ~rising), self.arcs(),
-                                                 self.stagnation_angles, self.increments):
+        return _arc_positions([self], gamma[None])[0]
+
+
+def _arc_positions(corrs, gamma: np.ndarray) -> np.ndarray:
+    """`CircleCorrespondence.s_of_gamma` of each blade at its row of gamma,
+    (blades, points): both arcs of every blade in one `_newton_sweep`,
+    whose columns are pointwise, so each row is bit for bit its blade's
+    call alone."""
+    out = np.empty(gamma.shape)
+    states = []
+    for row, corr in enumerate(corrs):
+        g = gamma[row]
+        th_lo = corr.stagnation_angles[0]
+        phic = corr.canonical_potential(th_lo + np.mod(g - th_lo, 2 * np.pi))
+        rising = corr.on_rising_arc(g)
+        for mask, arc, start, (delta, dc) in zip((rising, ~rising), corr.arcs(),
+                                                 corr.stagnation_angles, corr.increments):
             where = np.flatnonzero(mask)
-            tau = (phic[where] - self.canonical_potential(start)) / dc
-            out[where], (idx, *state) = arc.bracket(arc.values[0] + tau * delta)
-            states.append((where[idx], *state))
-        # both arcs in one sweep: the quartics' columns side by side, the rest end to end
-        return np.mod(_newton_sweep(out, *map(np.hstack, zip(*states))), self.dist.total_length)
+            tau = (phic[where] - corr.canonical_potential(start)) / dc
+            out[row, where], (idx, *state) = arc.bracket(arc.values[0] + tau * delta)
+            states.append((row * gamma.shape[1] + where[idx], *state))
+    # the quartics' columns side by side, the rest end to end
+    _newton_sweep(out.reshape(-1), *map(np.hstack, zip(*states)))
+    return np.mod(out, [[corr.dist.total_length] for corr in corrs])
 
 
 def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
@@ -455,30 +475,38 @@ def gauge_angle(corr: CircleCorrespondence, n: int) -> float:
     return float(best[1])
 
 
-def solve_zhukovsky(corr: CircleCorrespondence, n: int, alpha: float) -> AnalyticSeries:
-    """Regularized Zhukovsky function from the boundary speed data ``corr.dist``.
+def solve_zhukovsky(corrs, n: int, alphas) -> list[AnalyticSeries]:
+    """Regularized Zhukovsky functions of a batch of blades, one per correspondence.
 
-    The boundary datum is ``ln(V / |dw_c/dzeta|)``, evaluated through the
-    correspondence as ``-ln(ds/dgamma)`` plus the per-arc normalization
-    offset; the singular factors at the stagnation angles cancel exactly.
-    It is sampled at the n circle nodes of the gauge ``alpha``, the frame the
-    map must be built in, where `gauge_angle` keeps those angles off the nodes.
+    Blade b's boundary datum is ``ln(V / |dw_c/dzeta|)`` of ``corrs[b].dist``,
+    evaluated through the correspondence as ``-ln(ds/dgamma)`` plus the
+    per-arc normalization offset; the singular factors at the stagnation
+    angles cancel exactly.  It is sampled at the n circle nodes of the gauge
+    ``alphas[b]``, the frame the map must be built in, where `gauge_angle`
+    keeps those angles off the nodes.  The batch is one (blades, n) array:
+    one correspondence sweep (`_arc_positions`), then the unwrap, the
+    spectral derivative, the log and the Schwarz operator's FFT, each along
+    the last axis, so every blade's series is bit for bit its solve alone.
     """
     if n < 8 or n & (n - 1):
         raise BladekitError("boundary grid size must be a power of two >= 8")
-    L = corr.dist.total_length
+    L = np.array([[corr.dist.total_length] for corr in corrs])
     gamma_work = 2 * np.pi * np.arange(n) / n
-    s_raw = corr.s_of_gamma(gamma_work + alpha)
+    gamma = gamma_work + np.array(alphas, dtype=float)[:, None]
+    s_raw = _arc_positions(corrs, gamma)
     # unwrap into an increasing sequence over one period
-    jumps = np.concatenate([[0.0], np.cumsum(np.diff(s_raw) < 0)])
+    jumps = np.zeros_like(s_raw)
+    jumps[:, 1:] = np.cumsum(np.diff(s_raw) < 0, axis=-1)
     s_mono = s_raw + jumps * L
     p = s_mono - (L / (2 * np.pi)) * gamma_work
-    sprime = L / (2 * np.pi) + differentiate_boundary(p - p.mean())
+    sprime = L / (2 * np.pi) + differentiate_boundary(p - p.mean(axis=-1, keepdims=True))
     if np.any(sprime <= 0):
         raise InconsistentDistribution("correspondence is not monotone")
-    rise, fall = (np.log(delta / dc) for delta, dc in corr.increments)
-    data = -np.log(sprime) + np.where(corr.on_rising_arc(gamma_work + alpha), rise, fall)
-    return analytic_from_real_boundary(data)
+    offset = np.empty_like(sprime)
+    for row, corr, g in zip(offset, corrs, gamma):
+        rise, fall = (np.log(delta / dc) for delta, dc in corr.increments)
+        row[:] = np.where(corr.on_rising_arc(g), rise, fall)
+    return analytic_from_real_boundary(-np.log(sprime) + offset)
 
 
 @dataclass(frozen=True)
@@ -676,25 +704,29 @@ class PlanarSolution:
                         self.map, log=log)
 
 
+def solve_modified(blades, n: int, z_start: complex = 0.0) -> list[PlanarSolution]:
+    """Solve the modified problems of a batch of blades, each ``(distribution, w1)``, at one n.
+
+    Each blade's data becomes ``V + w1*|s|`` first (the modified problem)
+    and gets its `canonical_map` and `gauge_angle`, one gauge for datum,
+    map and potential.  `solve_zhukovsky` then runs every blade at once,
+    and `quasisolution_correct` each alone.  Maps and potentials are fixed
+    at zeta_B, which lands on ``z_start``, where F = 0.  Every solution is
+    bit for bit the blade's solve alone, `solve_distribution`; one blade's
+    failure raises for the batch.
+    """
+    corrs = [canonical_map(d.modified(w1)) for d, w1 in blades]
+    alphas = [gauge_angle(corr, n) for corr in corrs]
+    chis = solve_zhukovsky(corrs, n, alphas)
+    out = []
+    for (_, w1), corr, alpha, chi0 in zip(blades, corrs, alphas, chis):
+        chi, report, zprime = quasisolution_correct(chi0, n)
+        out.append(PlanarSolution(corr, n, alpha, chi, report, zprime, complex(z_start),
+                                  float(w1)))
+    return out
+
+
 def solve_distribution(d: VelocityDistribution, n: int,
                        z_start: complex = 0.0, w1: float = 0.0) -> PlanarSolution:
-    """Run the full per-blade pipeline, optionally on the modified data.
-
-    The data becomes ``V + w1*|s|`` first (the modified problem).  One gauge
-    serves datum, map and potential; map and potential are fixed at zeta_B,
-    which lands on ``z_start``, where F = 0.
-    """
-    eff = d.modified(w1)
-    corr = canonical_map(eff)
-    alpha = gauge_angle(corr, n)
-    chi0 = solve_zhukovsky(corr, n, alpha)
-    chi, report, zprime = quasisolution_correct(chi0, n)
-    return PlanarSolution(corr, n, alpha, chi, report, zprime, complex(z_start), float(w1))
-
-
-def solve_modified(d: VelocityDistribution, w1: float, n: int,
-                   z_start: complex = 0.0) -> tuple[AnalyticSeries, CircleCorrespondence, PlanarSolution]:
-    """Modified-problem solve returning `PlanarSolution.velocity_series`, the
-    correspondence and the solution; the field assembly reads ``potential``."""
-    sol = solve_distribution(d, n=n, z_start=z_start, w1=w1)
-    return sol.velocity_series, sol.corr, sol
+    """One blade's solve: `solve_modified` of the batch of one."""
+    return solve_modified([(d, w1)], n, z_start)[0]

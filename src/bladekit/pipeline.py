@@ -1,11 +1,15 @@
 """End-to-end design flow: per-blade solves, field assembly, chaining, export.
 
-Each section solves two planar inverse problems (one per blade, both as
-modified problems with the section's transversal constants) and builds its
-velocity field with `assembly.assemble` from the two blades' complex
-potentials: the lower blade is the plane h = 0, the upper blade the plane
-h = 1.  It then measures the field's residuals on a box clear of every
-blade the field is evaluated over, and positions the reconstructed
+Each section needs two planar inverse problems (one per blade, both as
+modified problems with the section's transversal constants).  The
+constants are resolved at parse time, so every blade solve of a config is
+known before any section runs, and `run_pipeline` solves them all in one
+stage, one `inverse.solve_modified` batch: each unchained section's lower
+blade at its w1 and every upper blade at ``w1 + 2*w2``.  Each section then
+builds its velocity field with `assembly.assemble` from its two blades'
+complex potentials: the lower blade is the plane h = 0, the upper blade
+the plane h = 1.  It then measures the field's residuals on a box clear of
+every blade the field is evaluated over, and positions the reconstructed
 contours.  The lift reads each blade's `PlanarSolution.node_speeds`, |F'|
 of the field's own plane at its contour nodes, so every figure reads one
 flow per blade, and a chained section reuses the shared blade's speeds.
@@ -23,6 +27,10 @@ field at h = 0 with the previous one at h = 1 at the residual-grid nodes,
 ``glue_w1_rule`` the new field's conj(z) coefficient with the w1 the
 shared blade was solved with, and ``glue_dw`` measures the w jump without
 a verdict (see `assembly.trace_defect`).
+
+Failures stay per section.  When the batch fails, each blade is solved
+alone, and a blade that fails fails the sections that use it with its own
+error; the other sections still run.
 
 On a parsed config only ``closure_*`` and ``residual_fd`` can fail, and
 ``residual_fd_agreement``, which equals ``residual_fd``'s figure whenever
@@ -56,7 +64,7 @@ from .assembly import (
 from .config import DesignConfig, SectionConfig
 from .errors import BladekitError
 from .geometry import Contour, contour_to_csv
-from .inverse import PlanarSolution, solve_distribution
+from .inverse import PlanarSolution, solve_distribution, solve_modified
 from .positioning import NodePartition, ShiftVector, position
 from .svgplot import render_svg
 
@@ -64,6 +72,8 @@ log = logging.getLogger("bladekit")
 
 CLOSURE_TOL = 1e-10
 GLUE_TOL = 1e-10
+# every solve and section fails at its first overflow, zero division or NaN
+_FAULTS = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 @dataclass(frozen=True)
@@ -145,17 +155,55 @@ def _residual_grid(contours: "list[Contour]") -> GridSpec:
                     y0=cy - 0.5 * diam, y1=cy + 0.5 * diam)
 
 
-def run_section(cfg: DesignConfig, section: SectionConfig,
+def _solved(sol):
+    """A blade of the blade stage: its solution, or the error its solve failed with."""
+    if isinstance(sol, Exception):
+        raise sol
+    return sol
+
+
+def _solve_alone(d, w1: float, n: int):
+    try:
+        return solve_distribution(d, n, w1=w1)
+    except (BladekitError, FloatingPointError) as exc:
+        return exc
+
+
+def solve_blade_stage(cfg: DesignConfig) -> list:
+    """Every blade of the config in one `solve_modified` batch: a (lower, upper)
+    pair per section, lower None on a chained section, whose lower blade is
+    the previous upper one.
+
+    The upper blade's w1 is ``w1 + 2*w2``: the upper plane's conj(z)
+    coefficient is dw/dh there.  If the batch fails, each blade is solved
+    alone, and a blade that fails holds its own error.
+    """
+    n = cfg.n_boundary
+    jobs = []
+    for section in cfg.sections:
+        if not section.chained:
+            jobs.append((section.lower, section.w1))
+        jobs.append((section.upper, section.w1 + 2.0 * section.w2))
+    with np.errstate(**_FAULTS):
+        try:
+            solved = solve_modified(jobs, n)
+        except (BladekitError, FloatingPointError):
+            solved = [_solve_alone(d, w1, n) for d, w1 in jobs]
+    blades = iter(solved)
+    return [(None if s.chained else next(blades), next(blades)) for s in cfg.sections]
+
+
+def run_section(cfg: DesignConfig, section: SectionConfig, blades: tuple,
                 prev: "SectionResult | None" = None) -> SectionResult:
-    """Solve, assemble, check and position one section.
+    """Assemble, check and position one section from its pair of
+    `solve_blade_stage`.
 
     ``prev`` is the result of the section before, None if it failed; a
     chained section's lower blade is its upper one.
     """
-    n = cfg.n_boundary
     w1, w2 = section.w1, section.w2
     if not section.chained:
-        sol_lo = solve_distribution(section.lower, n, z_start=0.0, w1=w1)
+        sol_lo = _solved(blades[0])
         involved = [sol_lo.contour]
     elif prev is None:
         raise BladekitError("cannot chain onto a failed section")
@@ -163,8 +211,7 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
         sol_lo = prev.upper                   # shared blade, same solve
         # trace_defect evaluates the previous field too
         involved = [prev.lower.contour, sol_lo.contour]
-    # the upper plane's conj(z) coefficient is dw/dh there
-    sol_up = solve_distribution(section.upper, n, z_start=0.0, w1=w1 + 2.0 * w2)
+    sol_up = _solved(blades[1])
     involved.append(sol_up.contour)
 
     fld = assemble(sol_lo.potential, sol_up.potential, w1, w2)
@@ -196,7 +243,8 @@ def run_section(cfg: DesignConfig, section: SectionConfig,
 
 
 def run_pipeline(cfg: DesignConfig) -> RunReport:
-    """Run every section; failures are isolated and reported per section.
+    """Solve every blade, then run every section; failures are isolated and
+    reported per section.
 
     A section whose arithmetic overflows, divides by zero or forms a NaN
     fails there, with numpy's message, instead of carrying the value on.
@@ -205,10 +253,10 @@ def run_pipeline(cfg: DesignConfig) -> RunReport:
     results = []
     errors = []
     prev: "SectionResult | None" = None
-    for section in cfg.sections:
+    for section, blades in zip(cfg.sections, solve_blade_stage(cfg)):
         try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                prev = run_section(cfg, section, prev)
+            with np.errstate(**_FAULTS):
+                prev = run_section(cfg, section, blades, prev)
             results.append(prev)
         except (BladekitError, FloatingPointError) as exc:
             log.error("section %s failed: %s", section.id, exc)

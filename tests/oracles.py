@@ -554,3 +554,14 @@ def evaluate_series_by_horner(f: AnalyticSeries, z):
             val = val * w + ck
         acc = acc + val * w ** (-stop)
     return acc if acc.shape else complex(acc)
+
+
+def assert_same_blade(got, alone):
+    """Two `inverse.PlanarSolution` objects of one blade agree bit for bit: gauge,
+    chi, nodal z', closure report and contour."""
+    assert got.gauge == alone.gauge
+    assert got.chi.low == alone.chi.low
+    assert np.array_equal(got.chi.coefficients, alone.chi.coefficients)
+    assert np.array_equal(got.zprime, alone.zprime)
+    assert got.closure == alone.closure
+    assert np.array_equal(got.contour.points, alone.contour.points)

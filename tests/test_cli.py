@@ -192,6 +192,23 @@ MALFORMED = [
      "invalid JSON"),
     (["sections", 0, "lower"], _json_with(dict(SMALL, v_inf="@"), DEEP), "/sections/0/lower",
      "invalid JSON"),
+    # a key that nothing reads is refused, not dropped, in every config object
+    (["positionning"], {"method": "area"}, "/positionning",
+     "unknown key, the config takes only ('sections', 'discretization', 'positioning', "
+     "'output')"),
+    (["sections", 0, "colour"], "red", "/sections/0/colour",
+     "unknown key, a section takes only ('id', 'degree', 'lower', 'upper', 'w1', 'w2')"),
+    (["discretization"], {"n_boundary": 64, "n": 128}, "/discretization/n",
+     "unknown key, discretization takes only ('n_boundary',)"),
+    (["output"], {"formats": ["json"], "dir": "elsewhere"}, "/output/dir",
+     "unknown key, output takes only ('directory', 'formats')"),
+    (["sections", 0, "w1"], {"from_transversal": {"w_ref": 0.1, "h_ref": 1.0}, "h_ref": 2.0},
+     "/sections/0/w1/h_ref", "unknown key, w1 takes only ('from_transversal',)"),
+    (["sections", 0, "w1"], {"from_transversal": {"w_ref": 0.1, "h_ref": 1.0, "w2": 0.1}},
+     "/sections/0/w1/from_transversal/w2",
+     "unknown key, from_transversal takes only ('w_ref', 'h_ref')"),
+    # RFC 6901 escapes the key's "~" and "/"
+    (["output"], {"a/b~c": 1}, "/output/a~1b~0c", "unknown key, output takes only"),
 ]
 
 

@@ -29,6 +29,7 @@ from bladekit.inverse import (
 from oracles import (
     ForwardFlow,
     arc_positions,
+    assert_same_blade,
     closure_conditions,
     cylinder,
     hausdorff_distance,
@@ -357,10 +358,10 @@ class TestCorrespondence:
         rule = corr.on_rising_arc(g)
         assert np.array_equal(rule, gm <= th_hi - th_lo)
         assert np.array_equal(rule, gm <= (th_hi - th_lo) + 1e-15)
-        chi = solve_zhukovsky(corr, n, gauge_angle(corr, n))
+        chi = solve_zhukovsky([corr], n, [gauge_angle(corr, n)])[0]
         monkeypatch.setattr(CircleCorrespondence, "on_rising_arc", lambda self, gamma: (
             np.mod(gamma - th_lo, 2 * np.pi) <= (th_hi - th_lo) + 1e-15))
-        assert np.array_equal(solve_zhukovsky(corr, n, gauge_angle(corr, n)).coefficients,
+        assert np.array_equal(solve_zhukovsky([corr], n, [gauge_angle(corr, n)])[0].coefficients,
                               chi.coefficients)
 
 
@@ -407,10 +408,39 @@ class TestCorrespondenceIsPointwise:
             assert np.array_equal(np.mod(alone, corr.dist.total_length), s[mask])
 
 
+@pytest.fixture(scope="module")
+def batch_blades():
+    """Joukowski at beta 0.1, 0.2 and 0.3 and the perturbed cylinder, each at
+    w1 0 and 0.1, as ``(distribution, w1)``."""
+    dists = [joukowski_flow(beta=b).distribution(2048, 2048) for b in (0.1, 0.2, 0.3)]
+    return [(d, w1) for d in (*dists, perturbed_cylinder(0.05)) for w1 in (0.0, 0.1)]
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+def test_each_blade_of_a_batch_is_its_solve_alone(batch_blades, n):
+    # one correspondence sweep and one set of datum FFTs for all of them;
+    # shuffled, so that no blade sits where it would alone
+    order = np.random.default_rng(n).permutation(len(batch_blades))
+    batch = solve_modified([batch_blades[k] for k in order], n)
+    for k, got in zip(order, batch):
+        d, w1 = batch_blades[k]
+        assert got.w1 == w1
+        assert_same_blade(got, solve_distribution(d, n, w1=w1))
+
+
+def test_one_failing_blade_fails_the_batch(batch_blades):
+    # the batch raises the first error; the pipeline's blade stage then solves
+    # each blade alone (test_pipeline.py::test_blade_stage_isolates_a_failed_blade)
+    d = batch_blades[0][0]
+    with pytest.raises(InconsistentDistribution,
+                       match="transversal term w1=50.0 destroys the branch structure"):
+        solve_modified([batch_blades[2], (d, 50.0), batch_blades[5]], 64)
+
+
 class TestZhukovsky:
     def test_cylinder_chi_zero(self, cyl_dist):
         corr = canonical_map(cyl_dist)
-        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
+        chi = solve_zhukovsky([corr], 256, [gauge_angle(corr, 256)])[0]
         assert np.max(np.abs(chi.coefficients)) < 1e-10
 
     def test_scale_invariance(self, cyl_dist):
@@ -419,8 +449,8 @@ class TestZhukovsky:
             np.column_stack([cyl_dist.arc_positions, kappa * cyl_dist.speeds]),
             cyl_dist.total_length, cyl_dist.branch_indices, kappa * cyl_dist.v_inf)
         corr_a, corr_b = canonical_map(cyl_dist), canonical_map(scaled)
-        chi_a = solve_zhukovsky(corr_a, 128, gauge_angle(corr_a, 128))
-        chi_b = solve_zhukovsky(corr_b, 128, gauge_angle(corr_b, 128))
+        chi_a = solve_zhukovsky([corr_a], 128, [gauge_angle(corr_a, 128)])[0]
+        chi_b = solve_zhukovsky([corr_b], 128, [gauge_angle(corr_b, 128)])[0]
         assert np.max(np.abs(chi_a.coefficients - chi_b.coefficients)) < 1e-10
 
     def test_joukowski_matches_exact_map_log(self, jouk, jouk_dist, jouk_solution):
@@ -436,14 +466,14 @@ class TestZhukovsky:
 class TestClosure:
     def test_cylinder_zero(self, cyl_dist):
         corr = canonical_map(cyl_dist)
-        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
+        chi = solve_zhukovsky([corr], 256, [gauge_angle(corr, 256)])[0]
         rep = closure_conditions(chi, 256)
         assert abs(rep.closure_defect) < 1e-12
         assert abs(rep.vinf_defect) < 1e-12
 
     def test_artificial_residue_matches_quadrature(self, cyl_dist):
         corr = canonical_map(cyl_dist)
-        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
+        chi = solve_zhukovsky([corr], 256, [gauge_angle(corr, 256)])[0]
         bumped = chi + AnalyticSeries(np.array([0.1 + 0.0j]), low=-1)
         rep = closure_conditions(bumped, 256)
         # independent quadrature of the loop integral (trapezoid = Riemann
@@ -457,7 +487,7 @@ class TestClosure:
 
     def test_joukowski_solvable_before_correction(self, jouk_dist):
         corr = canonical_map(jouk_dist)
-        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
+        chi = solve_zhukovsky([corr], 256, [gauge_angle(corr, 256)])[0]
         rep = closure_conditions(chi, 256)
         assert rep.max_defect < 1e-8
 
@@ -465,7 +495,7 @@ class TestClosure:
 class TestQuasisolution:
     def test_fixed_point(self, jouk_dist):
         corr = canonical_map(jouk_dist)
-        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
+        chi = solve_zhukovsky([corr], 256, [gauge_angle(corr, 256)])[0]
         chi2, rep, _ = quasisolution_correct(chi, 256)
         assert chi2 is chi
         assert rep.correction_norm == 0.0
@@ -473,7 +503,7 @@ class TestQuasisolution:
     def test_perturbed_cylinder(self):
         d = perturbed_cylinder(0.05)
         corr = canonical_map(d)
-        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
+        chi = solve_zhukovsky([corr], 256, [gauge_angle(corr, 256)])[0]
         before = closure_conditions(chi, 256)
         assert before.max_defect > 1e-3
         chi2, rep, _ = quasisolution_correct(chi, 256)
@@ -487,7 +517,7 @@ class TestQuasisolution:
         doubled = VelocityDistribution(cyl_dist.samples, cyl_dist.total_length,
                                        cyl_dist.branch_indices, 2.0 * cyl_dist.v_inf)
         corr = canonical_map(doubled)
-        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
+        chi = solve_zhukovsky([corr], 256, [gauge_angle(corr, 256)])[0]
         rep0 = closure_conditions(chi, 256)
         assert abs(abs(rep0.vinf_defect) - np.log(2)) < 1e-9
         chi2, rep, _ = quasisolution_correct(chi, 256)
@@ -499,7 +529,7 @@ class TestQuasisolution:
     def test_constant_scales_closure_and_shifts_speed(self, t, c):
         d = perturbed_cylinder(0.05)
         corr = canonical_map(d)
-        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
+        chi = solve_zhukovsky([corr], 256, [gauge_angle(corr, 256)])[0]
         base = closure_conditions(_with_correction(chi, np.array([0.0, c.real, c.imag])), 256)
         moved = closure_conditions(_with_correction(chi, np.array([t, c.real, c.imag])), 256)
         assert abs(moved.closure_defect - np.exp(-t) * base.closure_defect) \
@@ -512,7 +542,7 @@ class TestQuasisolution:
             for w1 in (-0.3, 0.0, 0.1, 0.25):
                 eff = d.modified(w1)
                 corr = canonical_map(eff)
-                chi0 = solve_zhukovsky(corr, n, gauge_angle(corr, n))
+                chi0 = solve_zhukovsky([corr], n, [gauge_angle(corr, n)])[0]
                 rep0 = closure_conditions(chi0, n)
                 chi, rep, _ = quasisolution_correct(chi0, n)
                 assert rep.max_defect < 1e-11
@@ -531,7 +561,7 @@ class TestQuasisolution:
         # blade, which is refused; two close it
         d = joukowski_flow().distribution(512, 512).modified(0.1)
         corr = canonical_map(d)
-        chi0 = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
+        chi0 = solve_zhukovsky([corr], 256, [gauge_angle(corr, 256)])[0]
         monkeypatch.setattr(inverse, "_NEWTON_MAXITER", 1)
         with pytest.raises(QuasisolutionDiverged, match="no convergence in 1 iterations"):
             quasisolution_correct(chi0, 256)
@@ -542,7 +572,7 @@ class TestQuasisolution:
     def test_matches_fd_jacobian_newton(self, eps, w1):
         d = perturbed_cylinder(eps).modified(w1)
         corr = canonical_map(d)
-        chi0 = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
+        chi0 = solve_zhukovsky([corr], 256, [gauge_angle(corr, 256)])[0]
         chi, _, _ = quasisolution_correct(chi0, 256)
         ref = _with_correction(chi0, quasisolution_by_fd_newton(chi0, 256))
         assert np.max(np.abs((chi + ref * -1.0).coefficients)) < 1e-12
@@ -555,7 +585,8 @@ class TestKeptNodalDerivative:
 
     def test_reported_closure_is_a_measurement(self, sweep_blades, blade, n):
         corr = canonical_map(sweep_blades[blade])
-        chi, rep, _ = quasisolution_correct(solve_zhukovsky(corr, n, gauge_angle(corr, n)), n)
+        chi0 = solve_zhukovsky([corr], n, [gauge_angle(corr, n)])[0]
+        chi, rep, _ = quasisolution_correct(chi0, n)
         ref = closure_conditions(chi, n)
         assert rep.max_defect < 1e-11
         assert abs(rep.closure_defect - ref.closure_defect) <= 1e-14
@@ -564,7 +595,7 @@ class TestKeptNodalDerivative:
     def test_map_from_kept_values(self, sweep_blades, blade, n):
         corr = canonical_map(sweep_blades[blade])
         alpha = gauge_angle(corr, n)
-        chi, _, zprime = quasisolution_correct(solve_zhukovsky(corr, n, alpha), n)
+        chi, _, zprime = quasisolution_correct(solve_zhukovsky([corr], n, [alpha])[0], n)
         kept, fresh = (reconstruction_map(z, alpha, corr.branch_preimage(alpha)).series
                        for z in (zprime, np.exp(-boundary_values(chi, n))))
         powers = range(min(kept.low, fresh.low), max(kept.high, fresh.high) + 1)
@@ -614,7 +645,7 @@ class TestReconstruct:
     def test_not_closed_without_correction(self, cyl_dist):
         corr = canonical_map(cyl_dist)
         alpha = gauge_angle(corr, 256)
-        chi = solve_zhukovsky(corr, 256, alpha)
+        chi = solve_zhukovsky([corr], 256, [alpha])[0]
         bumped = chi + AnalyticSeries(np.array([0.1 + 0.0j]), low=-1)
         with pytest.raises(MultivaluedAntiderivative):
             reconstruction_map(np.exp(-boundary_values(bumped, 256)), alpha,
@@ -663,7 +694,8 @@ class TestReconstruct:
         zeta = np.exp(2j * np.pi * np.arange(4096) / 4096)
 
         def blade(datum_gauge, map_gauge, delta=0.0):
-            chi, report, zprime = quasisolution_correct(solve_zhukovsky(corr, n, datum_gauge), n)
+            chi0 = solve_zhukovsky([corr], n, [datum_gauge])[0]
+            chi, report, zprime = quasisolution_correct(chi0, n)
             sol = PlanarSolution(corr, n, map_gauge, chi, report, zprime, 0j)
             return evaluate_series(sol.map.series, zeta * np.exp(-1j * delta))
 
@@ -706,17 +738,17 @@ class TestReconstruct:
 
 class TestModified:
     def test_w1_zero_reduction(self, cyl_dist):
-        g0, corr, sol = solve_modified(cyl_dist, 0.0, n=128)
+        sol, = solve_modified([(cyl_dist, 0.0)], 128)
         base = solve_distribution(cyl_dist, 128)
         assert np.max(np.abs((sol.chi + base.chi * -1.0).coefficients)) == 0.0
 
     def test_small_w1_defect_scale(self, cyl_dist):
         corr0 = canonical_map(cyl_dist)
-        chi0 = solve_zhukovsky(corr0, 256, gauge_angle(corr0, 256))
+        chi0 = solve_zhukovsky([corr0], 256, [gauge_angle(corr0, 256)])[0]
         base = closure_conditions(chi0, 256).max_defect
         mod = cyl_dist.modified(0.01)
         corr = canonical_map(mod)
-        chi = solve_zhukovsky(corr, 256, gauge_angle(corr, 256))
+        chi = solve_zhukovsky([corr], 256, [gauge_angle(corr, 256)])[0]
         defect = closure_conditions(chi, 256).max_defect
         assert defect > 10 * max(base, 1e-14)
         assert defect < 0.1                     # stays O(w1)
@@ -725,8 +757,9 @@ class TestModified:
         # flipping w1 mirrors the problem across the chord: the analytic
         # datum picks up conjugated coefficients (in the physical frame)
         # and the contour reflects
-        g_p, corr_p, sol_p = solve_modified(cyl_dist, 0.02, n=128)
-        g_m, corr_m, sol_m = solve_modified(cyl_dist, -0.02, n=128)
+        sol_p, sol_m = solve_modified([(cyl_dist, 0.02), (cyl_dist, -0.02)], 128)
+        g_p, corr_p = sol_p.velocity_series, sol_p.corr
+        g_m, corr_m = sol_m.velocity_series, sol_m.corr
 
         def physical_coeffs(series, corr):
             k = np.arange(-series.low + 1)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import assert_same_blade
 from bladekit import assembly, inverse, planefield
 from bladekit.config import datum_rule, parse_config_dict
 from bladekit.harmonic import evaluate_series
 from bladekit.inverse import PlanarSolution, solve_distribution
-from bladekit.pipeline import GLUE_TOL, _residual_grid, run_pipeline
+from bladekit.pipeline import GLUE_TOL, _residual_grid, run_pipeline, solve_blade_stage
 from bladekit.planefield import SeriesMap
 
 # (lower centre, lower beta, upper centre, upper beta, w1) per section; the
@@ -201,6 +202,42 @@ def test_degree1_section_after_a_failed_one_still_runs():
     assert [s.section.id for s in report.sections] == ["d1"]
     assert report.sections[0].passed
     assert report.to_json()["sections"][0]["glue"] is None
+
+
+def _degree1_triple(w1s):
+    sections = [{"id": f"t{i}", "degree": 1, "w1": w1,
+                 "lower": _distribution(lo_c, lo_b), "upper": _distribution(up_c, up_b)}
+                for i, (w1, (lo_c, lo_b, up_c, up_b, _)) in enumerate(zip(w1s, CHAIN))]
+    return parse_config_dict({"sections": sections, "discretization": {"n_boundary": 64},
+                              "positioning": {"method": "lsq"}})
+
+
+def test_blade_stage_isolates_a_failed_blade():
+    # w1 = 50 destroys the middle section's branch structure; the batch fails,
+    # each blade is solved alone, and only that section's blades hold the error
+    cfg = _degree1_triple((0.05, 50.0, 0.1))
+    stage = solve_blade_stage(cfg)
+    message = "transversal term w1=50.0 destroys the branch structure"
+    for i, (section, pair) in enumerate(zip(cfg.sections, stage)):
+        for blade, d, w1 in zip(pair, (section.lower, section.upper),
+                                (section.w1, section.w1 + 2.0 * section.w2)):
+            if i == 1:
+                assert isinstance(blade, inverse.InconsistentDistribution)
+                assert str(blade) == message
+            else:
+                assert_same_blade(blade, solve_distribution(d, 64, w1=w1))
+    report = run_pipeline(cfg)
+    assert report.errors == [f"t1: {message}"]
+    assert [s.section.id for s in report.sections] == ["t0", "t2"]
+    assert all(s.passed for s in report.sections)
+
+
+def test_blade_stage_leaves_chained_lower_blades_to_the_chain():
+    # a chain of three has four blades: c0's two and the upper blades of c1 and
+    # c2, whose lower blades are the section below's upper one
+    stage = solve_blade_stage(_chain_config())
+    assert [lower is None for lower, _ in stage] == [False, True, True]
+    assert all(isinstance(upper, PlanarSolution) for _, upper in stage)
 
 
 def test_parser_marks_chained_sections():
