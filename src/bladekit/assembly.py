@@ -16,14 +16,16 @@ irrotational.  Both hold whatever the planes are, so the closed-form
 residuals of `field_residuals` are identities of the ansatz that guard only
 a hand-built field whose w1 differs from ``absorbed`` (`FieldResiduals`).
 The check that measures the planes is the central-difference pass, from two
-inversions of each blade map: one at the grid nodes, whose plane values the
+Newton sweeps, each of which inverts both blade maps together
+(`planefield.invert`): one at the grid nodes, whose plane values the
 h-differences reuse, and one of the four point sets shifted in x and y,
 stacked into one array and started one first-order step off the nodes.  Off
-the circle each inversion sums only the map terms its tail bound keeps
-(`planefield`).  Each blade plane is a modified planar problem whose
-conj(z) coefficient is dw/dh there: w1 on the plane h = 0 and
-``w1 + 2*w2`` on h = 1, which is the w1 of a section stacked on top
-(`config.parse_config_dict` resolves it).
+the circle each map sums only the terms its own tail bound keeps
+(`planefield`), and each plane gives its value and slope from one
+evaluation (`planefield.Pullback.evaluate`).  Each blade plane is a
+modified planar problem whose conj(z) coefficient is dw/dh there: w1 on
+the plane h = 0 and ``w1 + 2*w2`` on h = 1, which is the w1 of a section
+stacked on top (`config.parse_config_dict` resolves it).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planefield import Pullback
+from .planefield import Pullback, invert
 
 FD_STEP = 1e-4
 RESIDUAL_TOL_ANALYTIC = 1e-8    # closed-form residuals
@@ -138,15 +140,15 @@ class SplineField:
 
     def zetas(self, z, start=(None, None)):
         """``(zeta, z'(zeta))`` of the lower and of the upper map inverted at z,
-        Newton started from ``start``."""
-        return (self.lower.map.invert(z, start=start[0]),
-                self.upper.map.invert(z, start=start[1]))
+        Newton started from ``start``: both maps in one `planefield.invert` sweep."""
+        return tuple(invert((self.lower.map, self.upper.map), (z, z), start))
 
     def planes(self, zetas):
-        """Values of f_lo, f_up and P at the points inverted as ``zetas``."""
-        (lo, dz_lo), (up, dz_up) = zetas
-        p = self.upper.value(up) - self.lower.value(lo)
-        return self.lower.derivative(lo, dz_lo), self.upper.derivative(up, dz_up), p
+        """Values of f_lo, f_up and P at the points inverted as ``zetas``,
+        each plane's F and F' from one `Pullback.evaluate`."""
+        (p_lo, f_lo), (p_up, f_up) = (plane.evaluate(*zeta) for plane, zeta
+                                      in zip((self.lower, self.upper), zetas))
+        return f_lo, f_up, p_up - p_lo
 
     def spline(self, z, planes, h):
         """``(u, v, w)`` at plane points z and heights h from the plane values there."""
@@ -186,10 +188,11 @@ def field_residuals(field: SplineField, grid: GridSpec) -> FieldResiduals:
 def _fd_residuals(field, grid):
     """Central differences of ``field.spline`` around the grid's nodes.
 
-    Each map inverts the plane nodes z once, and the spline is polynomial in h
-    over fixed plane values, so the h-differences reuse the planes there.  The
-    four sets ``z + d``, d = +-e and +-i*e, are stacked into one array, which
-    each map inverts once from ``zeta + d/z'(zeta)``.
+    Both maps invert the plane nodes z in one sweep, and the spline is
+    polynomial in h over fixed plane values, so the h-differences reuse the
+    planes there.  The four sets ``z + d``, d = +-e and +-i*e, are stacked
+    into one array, which both maps invert in a second sweep, each from its
+    ``zeta + d/z'(zeta)``.
     """
     x, y = grid.plane_nodes()
     z = x + 1j * y

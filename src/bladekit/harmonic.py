@@ -131,30 +131,61 @@ def evaluate_series(f: AnalyticSeries, z):
 
 
 def evaluate_series_unchecked(f: AnalyticSeries, z):
-    """`evaluate_series` without the domain guard (internal use).
-
-    The powers >= 0 form a polynomial in z and the negative powers one in
-    ``w = 1/z`` times ``w**(-stop)``; each is summed by `_polynomial`.
-    """
+    """`evaluate_series` without the domain guard (internal use)."""
     z = np.asarray(z, dtype=complex)
-    c = f.coefficients
-    x = z.ravel()
-    acc = np.zeros_like(x)
-    if f.high >= 0:
-        start = max(f.low, 0)
-        val = _polynomial(c[start - f.low:], x)
-        if start > 0:
-            val = val * x ** start
-        acc = acc + val
-    if f.low < 0:
-        stop = min(f.high, -1)
-        w = 1.0 / x
-        val = _polynomial(c[stop - f.low:: -1], w)   # powers stop..low
-        acc = acc + val * w ** (-stop)
+    acc = evaluate_series_together((f,), z.ravel())[0]
     return acc.reshape(z.shape) if z.shape else complex(acc[0])
 
 
-def _polynomial(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+def evaluate_series_together(fs, x: np.ndarray) -> list:
+    """Each series of ``fs`` at the flat points x, without the domain guard.
+
+    The powers >= 0 of a series form a polynomial in x and its negative
+    powers one in ``w = 1/x`` times ``w**(-stop)``; each is summed by
+    `_polynomial`.  The series share one table of powers of x and one of
+    powers of w, as long as the longest part needs, and each takes its own
+    block size's rows of it, so every value is bit for bit its series alone.
+    """
+    pos = [f.coefficients[max(f.low, 0) - f.low:] if f.high >= 0 else None for f in fs]
+    neg = [f.coefficients[min(f.high, -1) - f.low:: -1] if f.low < 0 else None for f in fs]
+    w = 1.0 / x if any(c is not None for c in neg) else None
+    xs, ws = _shared_powers(x, pos), _shared_powers(w, neg)
+    out = []
+    for f, cp, cn in zip(fs, pos, neg):
+        acc = 0.0
+        if cp is not None:
+            val = _polynomial(cp, x, xs)
+            if f.low > 0:
+                val = val * x ** f.low
+            acc = acc + val
+        if cn is not None:
+            acc = acc + _polynomial(cn, w, ws) * w ** (-min(f.high, -1))
+        out.append(acc)
+    return out
+
+
+def _shared_powers(x, coefficients):
+    """The baby-step table of x for the longest of ``coefficients`` (None entries skipped)."""
+    sizes = [len(c) for c in coefficients if c is not None]
+    return _powers(x, _block_size(max(sizes))) if sizes else None
+
+
+def _block_size(m: int) -> int:
+    """Baby-step block size ``ceil(sqrt(m))`` of an m-term polynomial."""
+    return math.isqrt(m - 1) + 1
+
+
+def _powers(x: np.ndarray, b: int) -> np.ndarray:
+    """``x**k`` for k < b by repeated products, on the second-to-last axis:
+    shape ``x.shape[:-1] + (b, x.shape[-1])``."""
+    table = np.empty(x.shape[:-1] + (b, x.shape[-1]), dtype=complex)
+    table[..., 0, :] = 1.0
+    for k in range(1, b):
+        np.multiply(table[..., k - 1, :], x, out=table[..., k, :])
+    return table
+
+
+def _polynomial(c: np.ndarray, x: np.ndarray, table=None) -> np.ndarray:
     """``sum_k c[..., k] * x**k`` by baby steps and giant steps (Paterson-Stockmeyer).
 
     With block size ``B = ceil(sqrt(m))`` the table ``X[k] = x**k``, k < B,
@@ -162,26 +193,36 @@ def _polynomial(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     values ``Y = C @ X``; Horner in ``x**B`` sums the blocks.  That is about
     2*sqrt(m) array operations instead of m.  Several rows of coefficients
     share one table and one product; the result has one row per row of c.
+    A ``table`` of at least B powers of x may be passed in, to share it.
+
+    x may carry leading axes: each index of them is its own point set, with
+    its own coefficient rows (c has the same leading axes) and its own
+    table, and all of them are summed in the same array operations.  Zero
+    top coefficients, from padding a shorter polynomial to the others' m,
+    add zero blocks, exact in the Horner (``0*g + y = y``).
     """
-    rows = c.reshape(-1, c.shape[-1])
-    r, m = rows.shape
-    b = math.isqrt(m - 1) + 1
+    lead, n = x.shape[:-1], x.shape[-1]
+    m = c.shape[-1]
+    rows = c.reshape(lead + (-1, m))
+    r = rows.shape[-2]
+    b = _block_size(m)
     nb = -(-m // b)
-    blocks = np.zeros((r, nb * b), dtype=complex)
-    blocks[:, :m] = rows
-    table = np.empty((b, len(x)), dtype=complex)
-    table[0] = 1.0
-    for k in range(1, b):
-        np.multiply(table[k - 1], x, out=table[k])
-    # block j of every row side by side, so that each Horner step is one flat
-    # product as for a single row (numpy may round a broadcast product apart)
-    y = (blocks.reshape(r * nb, b) @ table).reshape(r, nb, len(x))
-    y = y.transpose(1, 0, 2).reshape(nb, r * len(x))
-    giant = np.tile(table[b - 1] * x, r)
-    val = y[nb - 1]
-    for j in range(nb - 2, -1, -1):
-        val = val * giant + y[j]
-    return val.reshape(c.shape[:-1] + (len(x),))
+    blocks = np.zeros(lead + (r, nb * b), dtype=complex)
+    blocks[..., :m] = rows
+    table = _powers(x, b) if table is None else table[..., :b, :]
+    y = blocks.reshape(lead + (r * nb, b)) @ table
+    if nb == 1:
+        return y.reshape(c.shape[:-1] + (n,))
+    # Horner over the blocks, each step over every row at once; the operands
+    # are views of y and the giant step x**B, whose every row is contiguous
+    y = y.reshape(lead + (r, nb, n))
+    giant = (table[..., b - 1, :] * x)[..., None, :]
+    val = y[..., nb - 1, :] * giant
+    val += y[..., nb - 2, :]
+    for j in range(nb - 3, -1, -1):
+        val *= giant
+        val += y[..., j, :]
+    return val.reshape(c.shape[:-1] + (n,))
 
 
 def integrate_series(f: AnalyticSeries, z0: complex) -> AnalyticSeries:

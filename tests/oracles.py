@@ -6,6 +6,7 @@ entirely independently of the inverse pipeline: speeds come from closed
 forms, arc length from a dense spectral quadrature of ``|z'|``.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -324,7 +325,10 @@ def area_shift_by_nelder_mead(c1, c2, spacing) -> tuple[float, float, float]:
 
     Nelder-Mead from the least-squares shift; if it does not converge, the
     best point of a 41x41 grid around the seed and a second Nelder-Mead.  This
-    was `positioning.minimize_area_shift` before its certified Newton.
+    was `positioning.minimize_area_shift` before its certified Newton.  Its
+    stops are relative: 1e-10 of the contours' scale (their largest distance
+    from their centroids) in the shift, and 1e-14 of the area at the seed in
+    the area, so that a problem and its scaled copy stop alike.
     """
     # imported on use: the benchmark imports this module for other oracles
     from scipy.optimize import minimize
@@ -334,7 +338,8 @@ def area_shift_by_nelder_mead(c1, c2, spacing) -> tuple[float, float, float]:
     def f(s):
         return strip_area_by_cross_products(c1, c2, spacing, s)
 
-    options = {"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000}
+    scale = max(float(np.max(np.hypot(*(c.points - c.points.mean(axis=0)).T))) for c in (c1, c2))
+    options = {"xatol": 1e-10 * scale, "fatol": 1e-14 * f(seed), "maxiter": 2000}
     res = minimize(f, seed, method="Nelder-Mead", options=options)
     if not res.success:
         span = max(arc_length_table(c1)[-1], arc_length_table(c2)[-1]) / 8.0
@@ -554,6 +559,60 @@ def evaluate_series_by_horner(f: AnalyticSeries, z):
             val = val * w + ck
         acc = acc + val * w ** (-stop)
     return acc if acc.shape else complex(acc)
+
+
+def polynomial_by_flat_blocks(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_k c[..., k] * x**k`` as `harmonic._polynomial` summed it before it
+    took several point sets and a shared table: its own table of B = ceil(sqrt(m))
+    powers, one product ``C @ X``, and a Horner in x**B whose every step is one
+    flat product over all rows.  The bit-level reference of the stacked kernel."""
+    rows = c.reshape(-1, c.shape[-1])
+    r, m = rows.shape
+    b = math.isqrt(m - 1) + 1
+    nb = -(-m // b)
+    blocks = np.zeros((r, nb * b), dtype=complex)
+    blocks[:, :m] = rows
+    table = np.empty((b, len(x)), dtype=complex)
+    table[0] = 1.0
+    for k in range(1, b):
+        np.multiply(table[k - 1], x, out=table[k])
+    y = (blocks.reshape(r * nb, b) @ table).reshape(r, nb, len(x))
+    y = y.transpose(1, 0, 2).reshape(nb, r * len(x))
+    giant = np.tile(table[b - 1] * x, r)
+    val = y[nb - 1]
+    for j in range(nb - 2, -1, -1):
+        val = val * giant + y[j]
+    return val.reshape(c.shape[:-1] + (len(x),))
+
+
+def evaluate_series_by_flat_blocks(f: AnalyticSeries, z):
+    """A series at z as `harmonic.evaluate_series_unchecked` summed it with
+    `polynomial_by_flat_blocks`, one series at a time."""
+    z = np.asarray(z, dtype=complex)
+    c = f.coefficients
+    x = z.ravel()
+    acc = np.zeros_like(x)
+    if f.high >= 0:
+        start = max(f.low, 0)
+        val = polynomial_by_flat_blocks(c[start - f.low:], x)
+        if start > 0:
+            val = val * x ** start
+        acc = acc + val
+    if f.low < 0:
+        stop = min(f.high, -1)
+        w = 1.0 / x
+        acc = acc + polynomial_by_flat_blocks(c[stop - f.low:: -1], w) * w ** (-stop)
+    return acc.reshape(z.shape)
+
+
+def map_values_by_flat_blocks(smap, zeta):
+    """``(z, z')`` of a `planefield.SeriesMap` at zeta, truncated as `SeriesMap.values`
+    truncates, summed by `polynomial_by_flat_blocks`."""
+    x = np.asarray(zeta, dtype=complex).ravel()
+    w = 1.0 / x
+    rows = smap._rows[:, :smap.terms(float(np.max(np.abs(w), initial=0.0)))]
+    z, dz = polynomial_by_flat_blocks(rows, w)
+    return z + smap.series.coefficient(1) * x, dz
 
 
 def assert_same_blade(got, alone):

@@ -14,7 +14,7 @@ from bladekit.assembly import (
     field_residuals,
     trace_defect,
 )
-from bladekit.harmonic import AnalyticSeries, integrate_series
+from bladekit.harmonic import AnalyticSeries, boundary_values, evaluate_series, integrate_series
 from bladekit.planefield import Pullback, SeriesMap
 
 FD = 1e-4
@@ -348,3 +348,47 @@ class TestGlue:
             du, dv, _ = trace_defect(q, self._next(q, w1), GRID)
             assert (max(du, dv) < 1e-12) is glued
 
+
+
+class TestOneEvaluationPerPlane:
+    """A plane's F and F' from one `Pullback.evaluate`, with S and S' sharing
+    their tables of powers, are bit for bit one `evaluate_series` per series:
+    ``S + log*ln(zeta)`` and ``(S' + log/zeta)/z'``; and so are the same
+    formulas summed one series at a time on flat products, as before the
+    tables were shared (`oracles.evaluate_series_by_flat_blocks`)."""
+
+    @staticmethod
+    def _check(plane, zeta, dz):
+        got_f, got_df = plane.evaluate(zeta, dz)
+        for evaluate in (evaluate_series, oracles.evaluate_series_by_flat_blocks):
+            f = evaluate(plane.series, zeta) + plane.log * np.log(zeta)
+            df = (evaluate(plane.series.derivative(), zeta) + plane.log / zeta) / dz
+            assert np.array_equal(got_f, f) and np.array_equal(got_df, df)
+            assert np.array_equal(plane.derivative(zeta, dz), df)
+
+    def test_blade_planes_of_the_seed7_workloads(self, seed7_reports):
+        # at the residual nodes, at the FD pass's four shifted sets, and at
+        # the circle nodes where the lift reads the node speeds
+        d = np.array([FD, -FD, 1j * FD, -1j * FD])[:, None]
+        for report in seed7_reports.values():
+            for sec in report.sections:
+                x, y = sec.residuals.grid.plane_nodes()
+                z = x + 1j * y
+                nodes = sec.field.zetas(z)
+                shifted = sec.field.zetas(z + d, tuple(zeta + d / dz for zeta, dz in nodes))
+                for plane, blade, at_nodes, at_shifts in zip(
+                        (sec.field.lower, sec.field.upper), (sec.lower, sec.upper), nodes, shifted):
+                    circle = np.exp(2j * np.pi * np.arange(blade.n) / blade.n)
+                    self._check(plane, *at_nodes)
+                    self._check(plane, *at_shifts)
+                    self._check(plane, circle, boundary_values(blade.map.deriv, blade.n))
+
+    def test_polynomial_and_exterior_planes(self):
+        rng = np.random.default_rng(33)
+        x, y = GRID.plane_nodes()
+        zeta = (x + 1j * y).reshape(21, 21)
+        dz = rng.standard_normal(zeta.shape) + 1j * rng.standard_normal(zeta.shape)
+        planes = [rand_plane(rng) for _ in range(3)]
+        planes += [velocity_plane(AnalyticSeries.exterior([0.3, 0.5j, 0.2])), ZERO]
+        for plane in planes:
+            self._check(plane, zeta, dz)

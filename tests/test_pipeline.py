@@ -13,7 +13,6 @@ from bladekit.config import datum_rule, parse_config_dict
 from bladekit.harmonic import evaluate_series
 from bladekit.inverse import PlanarSolution, solve_distribution
 from bladekit.pipeline import GLUE_TOL, _residual_grid, run_pipeline, solve_blade_stage
-from bladekit.planefield import SeriesMap
 
 # (lower centre, lower beta, upper centre, upper beta, w1) per section; the
 # chained sections take w1 from the chaining rule and w2 from their datum
@@ -366,19 +365,19 @@ def test_lift_node_speeds_are_the_fields_speed(n):
 
 
 def test_degree1_section_inverts_each_map_twice(monkeypatch):
-    # per map: the residual nodes once and the four FD shifts, stacked, once;
-    # w needs no anchor, since both potentials vanish at the branch point
+    # per map: the residual nodes once and the four FD shifts, stacked, once,
+    # both maps in one sweep each time; w needs no anchor, since both
+    # potentials vanish at the branch point
     calls = []
-    invert = SeriesMap.invert
+    invert = assembly.invert
 
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        return invert(self, *args, **kwargs)
+    def counted(maps, *args, **kwargs):
+        calls.append(maps)
+        return invert(maps, *args, **kwargs)
 
-    monkeypatch.setattr(SeriesMap, "invert", counted)
+    monkeypatch.setattr(assembly, "invert", counted)
     sec = _degree1_section()
-    assert len(calls) == 4
-    assert calls.count(sec.lower.map) == calls.count(sec.upper.map) == 2
+    assert calls == [(sec.lower.map, sec.upper.map)] * 2
 
 
 def test_residual_grid_sums_few_map_terms_and_circle_points_all(monkeypatch):

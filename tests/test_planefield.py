@@ -1,5 +1,5 @@
 """Newton inversion of a solved blade's map, from the cold and from a warm start,
-and the blade's potential over it."""
+alone and beside a second map in one sweep, and the blade's potential over it."""
 
 import mpmath
 import numpy as np
@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from bladekit import planefield
+from bladekit import harmonic, planefield
 from bladekit.errors import OutsideDomain
 from bladekit.harmonic import evaluate_series
 from bladekit.inverse import solve_distribution
@@ -177,3 +177,67 @@ def test_0d_and_2d_points_keep_their_shape(blade):
         assert got.shape == (3, len(z) // 3) and np.array_equal(got.ravel(), want)
     for got, want in zip(blade.map.values(zeta[0]), blade.map.values(zeta[:1])):
         assert got.shape == () and got == want[0]
+
+
+# -- the joint sweep of several maps ---------------------------------------------
+
+def _same(got, want):
+    return all(np.array_equal(g, w) and g.shape == w.shape for g, w in zip(got, want))
+
+
+@pytest.fixture(scope="module")
+def distributions():
+    return [oracles.joukowski_flow(beta=beta).distribution(2048, 2048) for beta in (0.1, 0.3)]
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+def test_joint_sweep_gives_each_map_its_inversion_alone(n, distributions):
+    # both orders, cold and warm, and one map warm beside the other cold, so
+    # that the two stop after different numbers of steps
+    lo, up = (solve_distribution(d, n, w1=w1) for d, w1 in zip(distributions, (0.05, 0.1)))
+    x, y = _residual_grid([lo.contour, up.contour]).plane_nodes()
+    z = x + 1j * y
+    d = np.array([FD, -FD, 1j * FD, -1j * FD])[:, None]
+    for maps in ((lo.map, up.map), (up.map, lo.map)):
+        cold = planefield.invert(maps, (z, z))
+        assert all(_same(got, smap.invert(z)) for smap, got in zip(maps, cold))
+        # the stacked evaluation is the one-map kernel on flat products
+        zetas = np.array([zeta for zeta, _ in cold])
+        for smap, zeta, z_got, dz_got in zip(maps, zetas, *planefield._map_values(maps, zetas)):
+            assert _same((z_got, dz_got), oracles.map_values_by_flat_blocks(smap, zeta))
+        starts = tuple(zeta + d / dz for zeta, dz in cold)
+        for start in (starts, (starts[0], None), (None, starts[1])):
+            warm = planefield.invert(maps, (z + d, z + d), start)
+            assert all(_same(got, smap.invert(z + d, start=s))
+                       for smap, got, s in zip(maps, warm, start))
+
+
+def test_maps_of_different_block_sizes_share_the_sweep():
+    # at n 256 the perturbed cylinder keeps more map terms on the residual
+    # grid than the Joukowski blade, in larger baby-step blocks; each is
+    # summed in its own blocks and still returns its inversion alone
+    cyl = solve_distribution(oracles.perturbed_cylinder(0.03), 256)
+    jouk = solve_distribution(oracles.joukowski_flow(beta=0.3).distribution(2048, 2048), 256,
+                              w1=0.1)
+    x, y = _residual_grid([cyl.contour, jouk.contour]).plane_nodes()
+    z = x + 1j * y
+    maps = (cyl.map, jouk.map)
+    got = planefield.invert(maps, (z, z))
+    sizes = [harmonic._block_size(smap.terms(float(np.max(np.abs(1 / zeta)))))
+             for smap, (zeta, _) in zip(maps, got)]
+    assert sizes[0] > sizes[1]
+    assert all(_same(g, smap.invert(z)) for smap, g in zip(maps, got))
+    zetas = np.array([zeta for zeta, _ in got])
+    for smap, zeta, z_got, dz_got in zip(maps, zetas, *planefield._map_values(maps, zetas)):
+        assert _same((z_got, dz_got), oracles.map_values_by_flat_blocks(smap, zeta))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_point_inside_either_blade_raises_in_the_joint_sweep(which, distributions):
+    lo, up = (solve_distribution(d, 256, w1=0.05) for d in distributions)
+    x, y = _residual_grid([lo.contour, up.contour]).plane_nodes()
+    z = [x + 1j * y, x + 1j * y]
+    blade = (lo, up)[which]
+    z[which] = np.append(z[which][1:], complex(*blade.contour.points.mean(axis=0)))
+    with pytest.raises(OutsideDomain):
+        planefield.invert((lo.map, up.map), z)
