@@ -21,11 +21,12 @@ Newton sweeps, each of which inverts both blade maps together
 h-differences reuse, and one of the four point sets shifted in x and y,
 stacked into one array and started one first-order step off the nodes.  Off
 the circle each map sums only the terms its own tail bound keeps
-(`planefield`), and each plane gives its value and slope from one
-evaluation (`planefield.Pullback.evaluate`).  Each blade plane is a
-modified planar problem whose conj(z) coefficient is dw/dh there: w1 on
-the plane h = 0 and ``w1 + 2*w2`` on h = 1, which is the w1 of a section
-stacked on top (`config.parse_config_dict` resolves it).
+(`planefield`), and each plane gives its value and slope from one call,
+`planefield.Pullback.evaluate`, which sums S and S' one series at a time.
+Each blade plane is a modified planar problem whose conj(z) coefficient is
+dw/dh there: w1 on the plane h = 0 and ``w1 + 2*w2`` on h = 1
+(`config.SectionConfig.upper_w1`), which is the w1 of a section stacked on
+top.
 """
 
 from __future__ import annotations

@@ -55,6 +55,12 @@ class SectionConfig:
     w2: float
     chained: bool
 
+    @property
+    def upper_w1(self) -> float:
+        """dw/dh at h = 1, the upper plane's conj(z) coefficient: the w1 its blade
+        is solved at, and the w1 of a section chained on top."""
+        return self.w1 + 2.0 * self.w2
+
 
 @dataclass(frozen=True)
 class PositioningConfig:
@@ -292,7 +298,7 @@ def parse_config_dict(raw: dict, base_dir: str = ".") -> DesignConfig:
         if chained:
             # the shared blade's slope dw/dh; this drops a literal w1 (ROADMAP item 6)
             prev = sections[-1]
-            w1 = _finite(prev.w1 + 2.0 * prev.w2, f"{ptr}/w1", "w1")
+            w1 = _finite(prev.upper_w1, f"{ptr}/w1", "w1")
             if datum is not None:
                 w2 = _finite(datum_rule(*datum, w1=w1), datum_ptr, "w2")
         elif datum is not None:

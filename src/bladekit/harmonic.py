@@ -131,43 +131,26 @@ def evaluate_series(f: AnalyticSeries, z):
 
 
 def evaluate_series_unchecked(f: AnalyticSeries, z):
-    """`evaluate_series` without the domain guard (internal use)."""
-    z = np.asarray(z, dtype=complex)
-    acc = evaluate_series_together((f,), z.ravel())[0]
-    return acc.reshape(z.shape) if z.shape else complex(acc[0])
+    """`evaluate_series` without the domain guard (internal use).
 
-
-def evaluate_series_together(fs, x: np.ndarray) -> list:
-    """Each series of ``fs`` at the flat points x, without the domain guard.
-
-    The powers >= 0 of a series form a polynomial in x and its negative
-    powers one in ``w = 1/x`` times ``w**(-stop)``; each is summed by
-    `_polynomial`.  The series share one table of powers of x and one of
-    powers of w, as long as the longest part needs, and each takes its own
-    block size's rows of it, so every value is bit for bit its series alone.
+    The powers >= 0 form a polynomial in z and the negative powers one in
+    ``w = 1/z`` times ``w**(-stop)``; each is summed by `_polynomial`.
     """
-    pos = [f.coefficients[max(f.low, 0) - f.low:] if f.high >= 0 else None for f in fs]
-    neg = [f.coefficients[min(f.high, -1) - f.low:: -1] if f.low < 0 else None for f in fs]
-    w = 1.0 / x if any(c is not None for c in neg) else None
-    xs, ws = _shared_powers(x, pos), _shared_powers(w, neg)
-    out = []
-    for f, cp, cn in zip(fs, pos, neg):
-        acc = 0.0
-        if cp is not None:
-            val = _polynomial(cp, x, xs)
-            if f.low > 0:
-                val = val * x ** f.low
-            acc = acc + val
-        if cn is not None:
-            acc = acc + _polynomial(cn, w, ws) * w ** (-min(f.high, -1))
-        out.append(acc)
-    return out
-
-
-def _shared_powers(x, coefficients):
-    """The baby-step table of x for the longest of ``coefficients`` (None entries skipped)."""
-    sizes = [len(c) for c in coefficients if c is not None]
-    return _powers(x, _block_size(max(sizes))) if sizes else None
+    z = np.asarray(z, dtype=complex)
+    c = f.coefficients
+    x = z.ravel()
+    acc = 0.0
+    if f.high >= 0:
+        start = max(f.low, 0)
+        val = _polynomial(c[start - f.low:], x)
+        if start > 0:
+            val = val * x ** start
+        acc = acc + val
+    if f.low < 0:
+        stop = min(f.high, -1)
+        w = 1.0 / x
+        acc = acc + _polynomial(c[stop - f.low:: -1], w) * w ** (-stop)   # powers stop..low
+    return acc.reshape(z.shape) if z.shape else complex(acc[0])
 
 
 def _block_size(m: int) -> int:
@@ -175,17 +158,7 @@ def _block_size(m: int) -> int:
     return math.isqrt(m - 1) + 1
 
 
-def _powers(x: np.ndarray, b: int) -> np.ndarray:
-    """``x**k`` for k < b by repeated products, on the second-to-last axis:
-    shape ``x.shape[:-1] + (b, x.shape[-1])``."""
-    table = np.empty(x.shape[:-1] + (b, x.shape[-1]), dtype=complex)
-    table[..., 0, :] = 1.0
-    for k in range(1, b):
-        np.multiply(table[..., k - 1, :], x, out=table[..., k, :])
-    return table
-
-
-def _polynomial(c: np.ndarray, x: np.ndarray, table=None) -> np.ndarray:
+def _polynomial(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``sum_k c[..., k] * x**k`` by baby steps and giant steps (Paterson-Stockmeyer).
 
     With block size ``B = ceil(sqrt(m))`` the table ``X[k] = x**k``, k < B,
@@ -193,7 +166,6 @@ def _polynomial(c: np.ndarray, x: np.ndarray, table=None) -> np.ndarray:
     values ``Y = C @ X``; Horner in ``x**B`` sums the blocks.  That is about
     2*sqrt(m) array operations instead of m.  Several rows of coefficients
     share one table and one product; the result has one row per row of c.
-    A ``table`` of at least B powers of x may be passed in, to share it.
 
     x may carry leading axes: each index of them is its own point set, with
     its own coefficient rows (c has the same leading axes) and its own
@@ -209,7 +181,10 @@ def _polynomial(c: np.ndarray, x: np.ndarray, table=None) -> np.ndarray:
     nb = -(-m // b)
     blocks = np.zeros(lead + (r, nb * b), dtype=complex)
     blocks[..., :m] = rows
-    table = _powers(x, b) if table is None else table[..., :b, :]
+    table = np.empty(lead + (b, n), dtype=complex)
+    table[..., 0, :] = 1.0
+    for k in range(1, b):
+        np.multiply(table[..., k - 1, :], x, out=table[..., k, :])
     y = blocks.reshape(lead + (r * nb, b)) @ table
     if nb == 1:
         return y.reshape(c.shape[:-1] + (n,))

@@ -174,8 +174,8 @@ def solve_blade_stage(cfg: DesignConfig) -> list:
     pair per section, lower None on a chained section, whose lower blade is
     the previous upper one.
 
-    The upper blade's w1 is ``w1 + 2*w2``: the upper plane's conj(z)
-    coefficient is dw/dh there.  If the batch fails, each blade is solved
+    The upper blade's w1 is `SectionConfig.upper_w1`, dw/dh at h = 1, the upper
+    plane's conj(z) coefficient.  If the batch fails, each blade is solved
     alone, and a blade that fails holds its own error.
     """
     n = cfg.n_boundary
@@ -183,7 +183,7 @@ def solve_blade_stage(cfg: DesignConfig) -> list:
     for section in cfg.sections:
         if not section.chained:
             jobs.append((section.lower, section.w1))
-        jobs.append((section.upper, section.w1 + 2.0 * section.w2))
+        jobs.append((section.upper, section.upper_w1))
     with np.errstate(**_FAULTS):
         try:
             solved = solve_modified(jobs, n)

@@ -15,7 +15,9 @@ A `Pullback` is ``S(zeta(z)) + log*ln(zeta(z))`` for a Laurent series S: a
 blade plane's complex potential is one, the canonical potential carried
 through the blade's map.  It is evaluated at points that have already been
 inverted, its value and its exact z-derivative from the z'(zeta) of the
-inversion together, with S and S' sharing their tables of powers.
+inversion together.  S and S' are summed one series at a time by
+`harmonic.evaluate_series_unchecked`, as is every Laurent series off the
+circle other than a map.
 
 Newton evaluates z and z' together from one table of powers of 1/zeta, and
 sums only the powers whose tail bound ``sum_k |c_k| rho**k`` (rho the
@@ -33,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BladekitError, OutsideDomain
-from .harmonic import AnalyticSeries, _block_size, _polynomial, evaluate_series_together
+from .harmonic import AnalyticSeries, _block_size, _polynomial, evaluate_series_unchecked
 
 _INVERT_MAXITER = 60    # Newton steps of `invert`
 _INVERT_TOL = 1e-13     # its residual |z(zeta) - z|, relative to max(|z|, 1)
@@ -201,8 +203,8 @@ class Pullback:
     """Analytic ``F(z) = S(zeta(z)) + log*ln(zeta(z))`` over a map.
 
     ``zeta(z)`` inverts ``map``, and ln is the principal branch.  A blade
-    plane's log is the circulation over 2*pi.  Every plane, whatever its
-    series, is evaluated by the one path of `evaluate`; S' is formed once.
+    plane's log is the circulation over 2*pi.  S and S' are each summed by
+    `harmonic.evaluate_series_unchecked`; S' is formed once.
     """
 
     series: AnalyticSeries
@@ -210,27 +212,22 @@ class Pullback:
     log: complex = 0.0
 
     @cached_property
-    def _terms(self) -> tuple[AnalyticSeries, AnalyticSeries]:
-        """S and S', formed once."""
-        return self.series, self.series.derivative()
+    def _dseries(self) -> AnalyticSeries:
+        """S', formed once."""
+        return self.series.derivative()
 
     def evaluate(self, zeta, dz):
         """``(F, F')`` at points ``zeta`` already obtained from ``map.invert``,
         where the map's z'(zeta) is ``dz``.
 
-        S and S' share their tables of powers (`harmonic.evaluate_series_together`),
-        and the points get no second domain check: `invert` placed them.
+        The points get no second domain check: `invert` placed them.
         """
         zeta = np.asarray(zeta, dtype=complex)
-        s, ds = evaluate_series_together(self._terms, zeta.ravel())
-        return s.reshape(zeta.shape) + self.log * np.log(zeta), self._derivative(ds, zeta, dz)
+        return (evaluate_series_unchecked(self.series, zeta) + self.log * np.log(zeta),
+                self.derivative(zeta, dz))
 
     def derivative(self, zeta, dz):
-        """``F'`` alone, as `evaluate` gives it, without the logarithm F needs."""
+        """``F'`` at inverted points ``zeta`` where the map's z'(zeta) is ``dz``:
+        the slope `evaluate` returns, without the logarithm F needs."""
         zeta = np.asarray(zeta, dtype=complex)
-        (ds,) = evaluate_series_together(self._terms[1:], zeta.ravel())
-        return self._derivative(ds, zeta, dz)
-
-    def _derivative(self, ds, zeta, dz):
-        """F' from S' summed at the flat points of zeta."""
-        return (ds.reshape(zeta.shape) + self.log / zeta) / dz
+        return (evaluate_series_unchecked(self._dseries, zeta) + self.log / zeta) / dz

@@ -563,9 +563,9 @@ def evaluate_series_by_horner(f: AnalyticSeries, z):
 
 def polynomial_by_flat_blocks(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``sum_k c[..., k] * x**k`` as `harmonic._polynomial` summed it before it
-    took several point sets and a shared table: its own table of B = ceil(sqrt(m))
-    powers, one product ``C @ X``, and a Horner in x**B whose every step is one
-    flat product over all rows.  The bit-level reference of the stacked kernel."""
+    took stacked point sets: its own table of B = ceil(sqrt(m)) powers, one
+    product ``C @ X``, and a Horner in x**B whose every step is one flat
+    product over all rows.  The bit-level reference of the stacked kernel."""
     rows = c.reshape(-1, c.shape[-1])
     r, m = rows.shape
     b = math.isqrt(m - 1) + 1

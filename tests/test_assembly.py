@@ -351,11 +351,11 @@ class TestGlue:
 
 
 class TestOneEvaluationPerPlane:
-    """A plane's F and F' from one `Pullback.evaluate`, with S and S' sharing
-    their tables of powers, are bit for bit one `evaluate_series` per series:
+    """A plane's F and F' from one `Pullback.evaluate`, and F' from
+    `Pullback.derivative`, are bit for bit one `evaluate_series` per series:
     ``S + log*ln(zeta)`` and ``(S' + log/zeta)/z'``; and so are the same
-    formulas summed one series at a time on flat products, as before the
-    tables were shared (`oracles.evaluate_series_by_flat_blocks`)."""
+    formulas summed on flat products, each series with its own table of
+    powers (`oracles.evaluate_series_by_flat_blocks`)."""
 
     @staticmethod
     def _check(plane, zeta, dz):

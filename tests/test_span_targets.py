@@ -1,8 +1,10 @@
 """The benchmark's span targets must keep resolving in bladekit.
 
 ``benchmarks/spans.py`` times library functions by name.  A refactor that
-drops or renames one of them would silently empty its per-layer figures, so
-tier-1 checks every target here; the benchmark files are only read.
+drops or renames one of them, or routes a layer's work around them, would
+silently empty its per-layer figures, so tier-1 checks every target here,
+and that the blade planes are summed inside the ``harmonic.eval`` span; the
+benchmark files are only read.
 """
 
 import importlib
@@ -35,3 +37,16 @@ def test_every_span_target_resolves():
         if not callable(obj):
             missing.append(f"{t.module}.{t.name}")
     assert missing == []
+
+
+def test_plane_evaluation_is_seen_by_the_eval_span(seed7_reports):
+    # the planes at the residual nodes of one section: S and S' of each of
+    # its two planes, each summed by one outermost `harmonic.eval` call
+    spans = _load_spans()
+    sec = seed7_reports["deg1_triple"].sections[0]
+    x, y = sec.residuals.grid.plane_nodes()
+    zetas = sec.field.zetas(x + 1j * y)
+    with spans.Recorder(spans.TARGETS) as recorder:
+        sec.field.planes(zetas)
+    assert recorder.round.calls["harmonic.eval"] == 4
+    assert spans.installed_wrappers() == []
