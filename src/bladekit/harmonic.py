@@ -42,12 +42,15 @@ class AnalyticSeries:
     low: int = 0
 
     def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
+        coeffs = self.coefficients
+        # a 1-D complex array, as every series operation builds, is kept as is
+        if not (type(coeffs) is np.ndarray and coeffs.dtype == complex and coeffs.ndim == 1):
+            coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+            object.__setattr__(self, "coefficients", coeffs)
         if coeffs.ndim != 1 or len(coeffs) == 0:
             raise BladekitError("series needs a one-dimensional coefficient array")
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise BladekitError("series coefficients must be finite")
-        object.__setattr__(self, "coefficients", coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -200,12 +203,13 @@ def _polynomial(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return val.reshape(c.shape[:-1] + (n,))
 
 
-def integrate_series(f: AnalyticSeries, z0: complex) -> AnalyticSeries:
-    """Term-wise antiderivative fixed to vanish at ``z0``.
+def integrate_series(f: AnalyticSeries) -> AnalyticSeries:
+    """Term-wise antiderivative with a zero constant term.
 
     A nonzero coefficient of ``1/zeta`` has no single-valued antiderivative;
     coefficients below ``RESIDUE_RTOL`` times the series scale are treated
-    as roundoff and dropped.
+    as roundoff and dropped.  The window always holds power 0, so a caller
+    fixes the constant by adding an interior series.
     """
     res = f.coefficient(-1)
     scale = float(np.max(np.abs(f.coefficients))) or 1.0
@@ -221,8 +225,6 @@ def integrate_series(f: AnalyticSeries, z0: complex) -> AnalyticSeries:
     high = max(f.high + 1, 0)
     out = np.zeros(high - low + 1, dtype=complex)
     out[(powers[keep] + 1) - low] = c
-    offset = evaluate_series(AnalyticSeries(out, low=low), z0)
-    out[-low] -= offset
     return AnalyticSeries(out, low=low)
 
 
@@ -233,6 +235,15 @@ def boundary_values(f: AnalyticSeries, n: int) -> np.ndarray:
     spectrum = np.zeros(n, dtype=complex)
     np.add.at(spectrum, np.arange(f.low, f.high + 1) % n, f.coefficients)
     return np.fft.ifft(spectrum) * n
+
+
+def value_at_angle(f: AnalyticSeries, phi: float) -> complex:
+    """Value of the series at the one circle point ``exp(i*phi)``.
+
+    ``sum_k c_k exp(i*k*phi)``: one dot product with the powers, formed by
+    one array operation, the one-point twin of `boundary_values`.
+    """
+    return complex(f.coefficients @ np.exp(1j * phi * np.arange(f.low, f.high + 1)))
 
 
 def analytic_from_real_boundary(values):
@@ -276,10 +287,10 @@ def exterior_projection(values: np.ndarray) -> AnalyticSeries:
 
 
 def differentiate_boundary(values: np.ndarray) -> np.ndarray:
-    """Spectral derivative of periodic nodal values with respect to angle,
-    along the last axis."""
+    """Spectral derivative with respect to angle of real periodic nodal
+    values, along the last axis; the Nyquist mode's derivative is taken as
+    zero."""
     n = values.shape[-1]
     k = np.fft.fftfreq(n, 1.0 / n)
     k[n // 2] = 0.0                            # Nyquist derivative convention
-    out = np.fft.ifft(1.0j * k * np.fft.fft(values))
-    return out.real if not np.iscomplexobj(values) else out
+    return np.fft.ifft(1.0j * k * np.fft.fft(values)).real

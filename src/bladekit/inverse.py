@@ -57,6 +57,7 @@ from .harmonic import (
     differentiate_boundary,
     exterior_projection,
     integrate_series,
+    value_at_angle,
 )
 from .planefield import Pullback, SeriesMap
 from .spline import horner, periodic_potential
@@ -358,9 +359,14 @@ class CircleCorrespondence:
         return (_potential_arc(x, c, a, b),
                 _potential_arc(x, c, b, a + len(self.dist.speeds)))
 
+    def branch_angle(self, alpha: float) -> float:
+        """The angle in [0, 2*pi) of zeta_B, the rising-arc stagnation point,
+        in the frame of the gauge ``alpha``."""
+        return (self.stagnation_angles[0] - alpha) % (2 * np.pi)
+
     def branch_preimage(self, alpha: float) -> complex:
-        """zeta_B, the rising-arc stagnation point, in the frame of the gauge ``alpha``."""
-        return np.exp(1j * ((self.stagnation_angles[0] - alpha) % (2 * np.pi)))
+        """zeta_B, ``exp(i*branch_angle(alpha))``."""
+        return np.exp(1j * self.branch_angle(alpha))
 
     def on_rising_arc(self, gamma) -> np.ndarray:
         """Whether each canonical angle lies on the rising arc [th_lo, th_hi]."""
@@ -389,22 +395,24 @@ class CircleCorrespondence:
         This is `_arc_positions` of this blade alone.
         """
         gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-        return _arc_positions([self], gamma[None])[0]
+        s, _ = _arc_positions([self], gamma[None])
+        return s[0]
 
 
-def _arc_positions(corrs, gamma: np.ndarray) -> np.ndarray:
+def _arc_positions(corrs, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`CircleCorrespondence.s_of_gamma` of each blade at its row of gamma,
     (blades, points): both arcs of every blade in one `_newton_sweep`,
     whose columns are pointwise, so each row is bit for bit its blade's
-    call alone."""
+    call alone.  Also returns each blade's `on_rising_arc` of its row."""
     out = np.empty(gamma.shape)
+    rising = np.empty(gamma.shape, dtype=bool)
     states = []
     for row, corr in enumerate(corrs):
         g = gamma[row]
         th_lo = corr.stagnation_angles[0]
         phic = corr.canonical_potential(th_lo + np.mod(g - th_lo, 2 * np.pi))
-        rising = corr.on_rising_arc(g)
-        for mask, arc, start, (delta, dc) in zip((rising, ~rising), corr.arcs(),
+        rising[row] = rise = corr.on_rising_arc(g)
+        for mask, arc, start, (delta, dc) in zip((rise, ~rise), corr.arcs(),
                                                  corr.stagnation_angles, corr.increments):
             where = np.flatnonzero(mask)
             tau = (phic[where] - corr.canonical_potential(start)) / dc
@@ -412,7 +420,7 @@ def _arc_positions(corrs, gamma: np.ndarray) -> np.ndarray:
             states.append((row * gamma.shape[1] + where[idx], *state))
     # the quartics' columns side by side, the rest end to end
     _newton_sweep(out.reshape(-1), *map(np.hstack, zip(*states)))
-    return np.mod(out, [[corr.dist.total_length] for corr in corrs])
+    return np.mod(out, [[corr.dist.total_length] for corr in corrs]), rising
 
 
 def canonical_map(d: VelocityDistribution) -> CircleCorrespondence:
@@ -493,7 +501,7 @@ def solve_zhukovsky(corrs, n: int, alphas) -> list[AnalyticSeries]:
     L = np.array([[corr.dist.total_length] for corr in corrs])
     gamma_work = 2 * np.pi * np.arange(n) / n
     gamma = gamma_work + np.array(alphas, dtype=float)[:, None]
-    s_raw = _arc_positions(corrs, gamma)
+    s_raw, rising = _arc_positions(corrs, gamma)
     # unwrap into an increasing sequence over one period
     jumps = np.zeros_like(s_raw)
     jumps[:, 1:] = np.cumsum(np.diff(s_raw) < 0, axis=-1)
@@ -503,9 +511,9 @@ def solve_zhukovsky(corrs, n: int, alphas) -> list[AnalyticSeries]:
     if np.any(sprime <= 0):
         raise InconsistentDistribution("correspondence is not monotone")
     offset = np.empty_like(sprime)
-    for row, corr, g in zip(offset, corrs, gamma):
+    for row, corr, mask in zip(offset, corrs, rising):
         rise, fall = (np.log(delta / dc) for delta, dc in corr.increments)
-        row[:] = np.where(corr.on_rising_arc(g), rise, fall)
+        row[:] = np.where(mask, rise, fall)
     return analytic_from_real_boundary(-np.log(sprime) + offset)
 
 
@@ -600,7 +608,7 @@ def quasisolution_correct(chi: AnalyticSeries, n: int
     return corrected, replace(report, corrected=True, correction_norm=norm), zprime
 
 
-def reconstruction_map(zprime: np.ndarray, alpha: float, zeta_b: complex,
+def reconstruction_map(zprime: np.ndarray, alpha: float, phi_b: float,
                        z_start: complex = 0.0) -> SeriesMap:
     """Series map z(zeta) of the reconstruction, in the frame of the gauge ``alpha``.
 
@@ -609,12 +617,15 @@ def reconstruction_map(zprime: np.ndarray, alpha: float, zeta_b: complex,
     exterior modes and integrated term by term.  Its residue is
     ``closure_defect / (2*pi*i)``, so an unclosed chi is refused here with
     `MultivaluedAntiderivative`.  The map is fixed at the branch point
-    ``zeta_b``, which lands on ``z_start``: shifting z_start translates the
-    blade rigidly and rotating the incidence rotates it about z_start.
+    ``zeta_B = exp(i*phi_b)``, on the circle, which lands on ``z_start``:
+    shifting z_start translates the blade rigidly and rotating the incidence
+    rotates it about z_start.  The antiderivative's value there is its
+    one-angle sum (`value_at_angle`).
     """
-    ext = exterior_projection(zprime)
-    anti = integrate_series(ext, zeta_b)
-    series = anti * np.exp(1j * alpha) + AnalyticSeries.interior([complex(z_start)])
+    anti = integrate_series(exterior_projection(zprime))
+    rotation = np.exp(1j * alpha)
+    pin = complex(z_start) - value_at_angle(anti, phi_b) * rotation
+    series = anti * rotation + AnalyticSeries.interior([pin])
     return SeriesMap(series.trimmed(1e-15))
 
 
@@ -656,7 +667,7 @@ class PlanarSolution:
     @cached_property
     def map(self) -> SeriesMap:
         return reconstruction_map(self.zprime, self.gauge,
-                                  self.corr.branch_preimage(self.gauge), self.z_start)
+                                  self.corr.branch_angle(self.gauge), self.z_start)
 
     @cached_property
     def canonical_flow(self) -> tuple[AnalyticSeries, float]:

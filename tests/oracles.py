@@ -537,6 +537,38 @@ def speed_spline_by_scipy(d: VelocityDistribution):
     return spline, spline.antiderivative()
 
 
+def circle_sum_bound(f: AnalyticSeries, n: int) -> float:
+    """Roundoff bound for comparing two sums of f on the unit circle, from its
+    term count m and ``S = sum |c_k|``, with u = 2**-53:
+
+    ``(32*(m + 1) + 5*log2(n)) * u * S``.
+
+    - `harmonic.value_at_angle` forms ``exp(i*fl(k*phi))``: the product is
+      off by at most ``2*pi*m*u``, twice that when phi is itself a rounded
+      ``2*pi*j/n``, and the exponential by ``2u``; its complex dot product
+      of m terms adds ``sqrt(2)*(m + 1)*u*S`` (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, 2nd ed., 2002, section 3.6).  So
+      it is within ``(4*pi + sqrt(2))*(m + 1)*u*S <= 14*(m + 1)*u*S``, or
+      ``8*(m + 1)*u*S`` at an exact angle.
+    - `boundary_values`' radix-2 FFT adds at most ``5u`` times the sum of
+      the ``|c_k|`` feeding a butterfly per stage, ``5*log2(n)*u*S`` over
+      its log2(n) stages; the scaling by n is exact.
+    - `evaluate_series` at a rounded ``zeta = exp(i*phi)`` forms ``zeta**k``
+      by k products, each off by under ``4u``, and its block and Horner
+      sums add ``sqrt(2)*(m + 1)*u*S``: within ``6*(m + 1)*u*S``.
+    - `inverse.reconstruction_map` rotates each coefficient (``3u``
+      each), adds a pin of modulus at most S, and `trimmed(1e-15)` drops
+      coefficients each below ``9u`` times the largest.  With the pin's
+      ``8*(m + 1)*u*S`` and the kernel's evaluation of a series whose
+      moduli sum to at most 2S, the map at zeta_B is within
+      ``29*(m + 1)*u*S`` of z_start, S counting ``|z_start|``.
+
+    The largest of these, rounded up, is the bound.
+    """
+    m = len(f.coefficients)
+    return (32 * (m + 1) + 5 * math.log2(n)) * 2.0 ** -53 * float(np.sum(np.abs(f.coefficients)))
+
+
 def evaluate_series_by_horner(f: AnalyticSeries, z):
     """A series at z by one Horner step per coefficient, in z for the powers
     >= 0 and in 1/z for the negative powers; no domain guard."""

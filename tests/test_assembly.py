@@ -30,8 +30,9 @@ def velocity_plane(f: AnalyticSeries, z0: complex = 1.0) -> Pullback:
     """The plane whose velocity F' is the series f(z): its primitive, with the
     1/z term as the log and the rest zero at z0."""
     res = f.coefficient(-1)
-    body = integrate_series(f + AnalyticSeries(np.array([-res]), low=-1), z0)
-    return Pullback(body, IDENTITY, log=res)
+    body = integrate_series(f + AnalyticSeries(np.array([-res]), low=-1))
+    return Pullback(body + AnalyticSeries.interior([-evaluate_series(body, z0)]), IDENTITY,
+                    log=res)
 
 
 def plane(coeffs, z0: complex = 1.0) -> Pullback:

@@ -13,6 +13,7 @@ from bladekit.harmonic import (
     evaluate_series_unchecked,
     exterior_projection,
     integrate_series,
+    value_at_angle,
 )
 
 
@@ -74,32 +75,32 @@ class TestSchwarz:
 class TestSeriesCalculus:
     def test_integrate_constant(self):
         f = AnalyticSeries.interior([1.0])
-        F = integrate_series(f, 0.0)
+        F = integrate_series(f)
         assert abs(evaluate_series(F, 2.0 + 1.0j) - (2.0 + 1.0j)) < 1e-14
 
     def test_integrate_iz(self):
         f = AnalyticSeries.interior([0.0, 1.0j])
-        F = integrate_series(f, 0.0)
+        F = integrate_series(f)
         z = 1.3 - 0.4j
         assert abs(evaluate_series(F, z) - 0.5j * z**2) < 1e-14
 
-    def test_integrate_polynomial_with_basepoint(self):
-        f = AnalyticSeries.interior([-2.0, 0.0, 3.0])
-        F = integrate_series(f, 1.0)
-        z = np.array([1.0, 2.0, -0.5j])
-        expect = z**3 - 2 * z + 1
-        assert np.max(np.abs(evaluate_series(F, z) - expect)) < 1e-13
+    def test_integrate_has_a_zero_constant(self):
+        f = AnalyticSeries.exterior([3.0, 0.0, 2.0j])      # 3 + 2i/zeta**2
+        F = integrate_series(f)
+        assert (F.low, F.high) == (-1, 1) and F.coefficient(0) == 0
+        z = np.array([1.0, 2.0, -1.5j])
+        assert np.max(np.abs(evaluate_series(F, z) - (3 * z - 2j / z))) < 1e-14
 
     def test_residue_raises(self):
         f = AnalyticSeries.exterior([0.0, 1.0])  # 1/zeta
         with pytest.raises(MultivaluedAntiderivative):
-            integrate_series(f, 2.0)
+            integrate_series(f)
 
     def test_derivative_inverts_integration(self):
         rng = np.random.default_rng(5)
         c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         f = AnalyticSeries.interior(c)
-        back = integrate_series(f, 0.7).derivative()
+        back = integrate_series(f).derivative()
         assert back.low == 0
         assert np.max(np.abs(back.coefficients[:6] - c)) < 1e-14
 
@@ -154,6 +155,17 @@ class TestEvaluate:
         direct = evaluate_series(f, np.exp(1j * angles(n)))
         assert np.max(np.abs(fast - direct)) < 1e-12
 
+    @pytest.mark.parametrize("n", [8, 16, 64, 256, 1024, 4096])
+    def test_one_angle_sum_is_the_boundary_value_at_each_node(self, n):
+        # the window of a map's antiderivative at n, powers 2 - n/2 .. 1;
+        # within oracles.circle_sum_bound, derived there
+        rng = np.random.default_rng(n)
+        m = n // 2
+        f = AnalyticSeries(rng.standard_normal(m) + 1j * rng.standard_normal(m), low=2 - m)
+        bound = oracles.circle_sum_bound(f, n)
+        got = np.array([value_at_angle(f, 2 * np.pi * j / n) for j in range(n)])
+        assert np.max(np.abs(got - boundary_values(f, n))) <= bound
+
 
 class TestBoundaryCalculus:
     def test_spectral_derivative(self):
@@ -163,6 +175,39 @@ class TestBoundaryCalculus:
         d = differentiate_boundary(vals)
         exact = 3 * np.cos(3 * g) - 2.5 * np.sin(5 * g)
         assert np.max(np.abs(d - exact)) < 1e-11
+
+    @pytest.mark.parametrize("n", [8, 4096])
+    def test_nyquist_mode_is_zeroed(self, n):
+        """A real trigonometric polynomial with every kind of mode: the
+        constant, the lowest, the highest below Nyquist and the Nyquist
+        cosine, whose derivative on the grid is taken as zero.
+
+        The bound: the forward and the backward FFT each add at most
+        ``5*log2(n)*u`` times the 2-norm they transform (Higham, *Accuracy
+        and Stability of Numerical Algorithms*, 2nd ed., section 24.1);
+        the derivative multiplies the spectrum by k <= n/2, and a sample's
+        error is at most the 2-norm of all of them.  The samples' 2-norm is
+        at most ``sqrt(n)*C`` with C the sum of the coefficient moduli, so
+        ``|error| <= 10*log2(n)*u*(n/2)*sqrt(n)*C``.
+        """
+        g = angles(n)
+        rng = np.random.default_rng(n)
+        modes = np.array([1, n // 2 - 1])
+        a, b = rng.standard_normal((2, 2))
+        vals = 0.3 + 0.7 * np.cos(n // 2 * g) + sum(
+            ak * np.cos(k * g) + bk * np.sin(k * g) for k, ak, bk in zip(modes, a, b))
+        exact = sum(k * (bk * np.cos(k * g) - ak * np.sin(k * g))
+                    for k, ak, bk in zip(modes, a, b))
+        c_sum = 0.3 + 0.7 + np.sum(np.abs(a)) + np.sum(np.abs(b))
+        bound = 10 * np.log2(n) * 2.0 ** -53 * (n / 2) * np.sqrt(n) * c_sum
+        assert np.max(np.abs(differentiate_boundary(vals) - exact)) <= bound
+
+    @pytest.mark.parametrize("n", [8, 64, 4096])
+    def test_each_row_of_a_batch_is_its_derivative_alone(self, n):
+        rows = np.random.default_rng(n).standard_normal((6, n))
+        batch = differentiate_boundary(rows)
+        for row, got in zip(rows, batch):
+            assert np.array_equal(got, differentiate_boundary(row))
 
 
 class TestExteriorProjection:

@@ -11,7 +11,14 @@ from bladekit.errors import (
     StagnationOffCircle,
 )
 from bladekit.geometry import Contour, resample_uniform
-from bladekit.harmonic import AnalyticSeries, boundary_values, evaluate_series
+from bladekit.harmonic import (
+    AnalyticSeries,
+    boundary_values,
+    evaluate_series,
+    exterior_projection,
+    integrate_series,
+    value_at_angle,
+)
 from bladekit.inverse import (
     CircleCorrespondence,
     PlanarSolution,
@@ -30,6 +37,7 @@ from oracles import (
     ForwardFlow,
     arc_positions,
     assert_same_blade,
+    circle_sum_bound,
     closure_conditions,
     cylinder,
     hausdorff_distance,
@@ -596,7 +604,7 @@ class TestKeptNodalDerivative:
         corr = canonical_map(sweep_blades[blade])
         alpha = gauge_angle(corr, n)
         chi, _, zprime = quasisolution_correct(solve_zhukovsky([corr], n, [alpha])[0], n)
-        kept, fresh = (reconstruction_map(z, alpha, corr.branch_preimage(alpha)).series
+        kept, fresh = (reconstruction_map(z, alpha, corr.branch_angle(alpha)).series
                        for z in (zprime, np.exp(-boundary_values(chi, n))))
         powers = range(min(kept.low, fresh.low), max(kept.high, fresh.high) + 1)
         gap = max(abs(kept.coefficient(p) - fresh.coefficient(p)) for p in powers)
@@ -649,7 +657,7 @@ class TestReconstruct:
         bumped = chi + AnalyticSeries(np.array([0.1 + 0.0j]), low=-1)
         with pytest.raises(MultivaluedAntiderivative):
             reconstruction_map(np.exp(-boundary_values(bumped, 256)), alpha,
-                               corr.branch_preimage(alpha))
+                               corr.branch_angle(alpha))
 
     @pytest.mark.parametrize("blade", ["joukowski_w1", "perturbed_cylinder"])
     def test_contour_is_the_map_on_the_circle(self, jouk, jouk_dist, blade):
@@ -676,6 +684,22 @@ class TestReconstruct:
         scale = sol.corr.dist.v_inf + abs(sol.corr.dist.circulation_smooth)
         assert abs(sol.potential.evaluate(zeta_b, 1.0)[0]) <= 1e-14 * scale
         assert abs(evaluate_series(sol.map.series, zeta_b) - sol.z_start) <= 1e-14
+
+    @pytest.mark.parametrize("w1", [0.0, 0.1])
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    def test_pin_is_the_one_angle_sum_at_zeta_b(self, n, w1):
+        # the map's constant is fixed by the antiderivative's one-angle sum at
+        # zeta_B's angle; it agrees with the blocked kernel at zeta_B, and the
+        # map sends zeta_B to z_start, within oracles.circle_sum_bound
+        d = joukowski_flow(center=-0.08 + 0.05j, beta=0.1).distribution(2048, 2048)
+        sol = solve_distribution(d, n, z_start=0.4 - 0.3j, w1=w1)
+        phi = sol.corr.branch_angle(sol.gauge)
+        zeta_b = sol.corr.branch_preimage(sol.gauge)
+        assert 0.0 <= phi < 2 * np.pi
+        anti = integrate_series(exterior_projection(sol.zprime))
+        bound = circle_sum_bound(anti + AnalyticSeries.interior([sol.z_start]), n)
+        assert abs(value_at_angle(anti, phi) - evaluate_series(anti, zeta_b)) <= bound
+        assert abs(evaluate_series(sol.map.series, zeta_b) - sol.z_start) <= bound
 
     @pytest.mark.parametrize("n", [256, 1024, 4096])
     @pytest.mark.parametrize("beta", [0.1, 0.3])
