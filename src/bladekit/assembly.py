@@ -142,7 +142,7 @@ class SplineField:
     def zetas(self, z, start=(None, None)):
         """``(zeta, z'(zeta))`` of the lower and of the upper map inverted at z,
         Newton started from ``start``: both maps in one `planefield.invert` sweep."""
-        return tuple(invert((self.lower.map, self.upper.map), (z, z), start))
+        return tuple(invert((self.lower.map, self.upper.map), z, start))
 
     def planes(self, zetas):
         """Values of f_lo, f_up and P at the points inverted as ``zetas``,

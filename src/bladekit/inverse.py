@@ -670,49 +670,43 @@ class PlanarSolution:
                                   self.corr.branch_angle(self.gauge), self.z_start)
 
     @cached_property
-    def canonical_flow(self) -> tuple[AnalyticSeries, float]:
-        """Laurent terms S and log coefficient of ``i*W = S + log*ln(zeta)`` up to a
-        constant, with W the canonical potential ``w_c(zeta*e^{i*gauge})``."""
-        d = self.corr.dist
-        A = d.v_inf
-        r = np.exp(1j * (self.gauge + d.incidence))
-        return (AnalyticSeries(1j * np.array([-A / r, 0.0, -A * r]), low=-1),
-                d.circulation_smooth / (2 * np.pi))
-
-    @cached_property
     def velocity_series(self) -> AnalyticSeries:
         """Analytic completion g(zeta) = (dw_c/dzeta)(zeta*e^{i*gauge}) * e^chi.
 
-        The first factor is ``(S' + log/zeta)*(-i*e^{-i*gauge})``, from
-        `canonical_flow`.  The pullback ``g(zeta(z))`` is the conjugate in-plane
-        velocity of the modified problem, with e^chi, the reciprocal of the
-        nodal ``zprime``, cut to its n/2 exterior modes: a second projection
-        of the flow that `potential` carries, which nothing in the library
-        reads.  It is kept only for the benchmark's ``SolveOp`` and for
-        tests; ROADMAP item 6 deletes it.
+        The first factor is ``(S' + log/zeta)*(-i*e^{-i*gauge})``, from the
+        S and log of `potential`, whose pin drops out of S'.  The pullback
+        ``g(zeta(z))`` is the conjugate in-plane velocity of the modified
+        problem, with e^chi, the reciprocal of the nodal ``zprime``, cut to
+        its n/2 exterior modes: a second projection of the flow that
+        `potential` carries, which nothing in the library reads.  It is kept
+        only for the benchmark's ``SolveOp`` and for tests; ROADMAP item 6
+        deletes it.
         """
-        series, log = self.canonical_flow
-        dw = series.derivative() + AnalyticSeries([log], low=-1)
+        plane = self.potential
+        dw = plane.series.derivative() + AnalyticSeries([plane.log], low=-1)
         e_series = exterior_projection(1.0 / self.zprime)
         return (dw * (-1j * np.exp(-1j * self.gauge)) * e_series).trimmed(1e-14)
 
     @cached_property
     def potential(self) -> Pullback:
-        """The blade's plane ``F = i*W(zeta(z))``: `canonical_flow` carried
-        through the map and pinned to vanish at the branch point zeta_B.
+        """The blade's plane ``F = i*W(zeta(z))``, with W the canonical potential
+        ``w_c(zeta*e^{i*gauge})``, carried through the map and pinned to
+        vanish at the branch point zeta_B.
 
-        ``F' = i*W'(zeta)/z'(zeta)`` is the analytic datum of the field
-        assembly.  The flow it carries is tangent to the contour, the map's
-        image of the circle, exactly.  The pin subtracts ``S(zeta_B) +
-        log*ln(zeta_B)`` from S's constant, summed in plain complex
-        arithmetic from S's three terms.
+        ``i*W = S + log*ln(zeta)``, S of powers -1, 0 and 1, and ``F' =
+        i*W'(zeta)/z'(zeta)`` is the analytic datum of the field assembly.
+        The flow it carries is tangent to the contour, the map's image of the
+        circle, exactly.  S's constant is the pin ``-(S(zeta_B) +
+        log*ln(zeta_B))``, summed in plain complex arithmetic from S's other
+        two terms.
         """
-        series, log = self.canonical_flow
-        inv, const, lin = series.coefficients.tolist()      # powers -1, 0 and 1
+        d = self.corr.dist
+        r = np.exp(1j * (self.gauge + d.incidence))
+        inv, lin = (1j * np.array([-d.v_inf / r, -d.v_inf * r])).tolist()
+        log = d.circulation_smooth / (2 * np.pi)
         zeta_b = complex(self.corr.branch_preimage(self.gauge))
-        pin = inv / zeta_b + const + lin * zeta_b + log * complex(np.log(zeta_b))
-        return Pullback(AnalyticSeries(np.array([inv, const - pin, lin]), low=-1),
-                        self.map, log=log)
+        pin = inv / zeta_b + lin * zeta_b + log * complex(np.log(zeta_b))
+        return Pullback(AnalyticSeries(np.array([inv, -pin, lin]), low=-1), self.map, log=log)
 
 
 def solve_modified(blades, n: int, z_start: complex = 0.0) -> list[PlanarSolution]:

@@ -3,13 +3,14 @@
 A blade's flow lives outside the unit circle of its canonical variable
 zeta; `SeriesMap` is the map ``z(zeta)``, and `invert` its Newton inverse,
 which returns each point's zeta together with the map's z'(zeta) there.
-`invert` takes several maps at once, each with its own point set of one
-common size: their evaluations are stacked into one set of array
-operations per Newton step, and each map runs as if alone, with its own
-truncation, its own stop and its own errors.  A section's two blade maps
-are inverted together at the same points; `SeriesMap.invert` is the sweep
-of one map.  Point sets close to one already inverted are stacked into one
-array and inverted from a start near their answer (``start``).
+`invert` takes several maps and one point set: every map inverts every
+point, their evaluations are stacked into one set of array operations per
+Newton step, and each map keeps its own truncation and its own errors.
+Each point of each map stops on its own, at the first evaluation that
+meets the tolerance.  A section's two blade maps are inverted together;
+`SeriesMap.invert` is the sweep of one map.  Point sets close to one
+already inverted are stacked into one array and inverted from a start near
+their answer (``start``).
 
 A `Pullback` is ``S(zeta(z)) + log*ln(zeta(z))`` for a Laurent series S: a
 blade plane's complex potential is one, the canonical potential carried
@@ -101,7 +102,7 @@ class SeriesMap:
     def invert(self, z, start=None):
         """Solve ``z(zeta) = z`` for points on or outside the unit circle:
         `invert` of this map alone.  Returns ``(zeta, z'(zeta))``, both shaped like z."""
-        return invert((self,), (z,), (start,))[0]
+        return invert((self,), z, (start,))[0]
 
 
 def _map_values(maps, x):
@@ -130,61 +131,52 @@ def _map_values(maps, x):
 
 
 def invert(maps, z, start=None) -> list:
-    """Solve ``z_i(zeta) = z[i]`` for each map i, for points on or outside the unit circle.
+    """Solve ``z_i(zeta) = z`` for each map i, for points on or outside the unit circle.
 
-    ``z`` holds one point set per map, all of one shape, and ``start``,
-    when given, one start (or None) per map.  Returns a ``(zeta, z'(zeta))``
-    pair per map, each shaped like its points.  All maps step in one Newton
-    sweep, with their evaluations stacked (`_map_values`), and each runs as
-    if alone: it starts from its ``start`` when given, else from its linear
-    part, a start inside the circle moved onto it, and it stops once all of
-    its own points have converged.  Iterates may graze the circle (the
+    Every map inverts the one point set ``z``; ``start``, when given, holds
+    one start (or None) per map, shaped like z.  Returns a ``(zeta,
+    z'(zeta))`` pair per map, each shaped like z.  All maps step in one
+    Newton sweep over a (maps, points) array of zeta, their evaluations
+    stacked (`_map_values`).  Each map starts from its ``start`` when given,
+    else from its linear part, a start inside the circle moved onto it.
+    Each point stops at the first evaluation where its residual meets the
+    tolerance, keeping that zeta and that evaluation's z'; the sweep ends
+    when every point has stopped.  Iterates may graze the circle (the
     series is a finite Laurent polynomial, well defined there); solutions
     ending up more than a small grace band inside signal a point interior
     to the blade, and those within it are projected onto the circle, where
     their z' is evaluated again.  The maps' failures raise in map order.
     """
-    z = np.array([np.asarray(zi, dtype=complex) for zi in z])
-    shape = z.shape[1:]
-    z = z.reshape(len(maps), -1)
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    z = z.ravel()
     start = (None,) * len(maps) if start is None else start
-    zeta = np.array([(zi - smap._center) / smap._slope if s is None
+    zeta = np.array([(z - smap._center) / smap._slope if s is None
                      else np.asarray(s, dtype=complex).ravel()
-                     for smap, zi, s in zip(maps, z, start)])
+                     for smap, s in zip(maps, start)])
     small = np.abs(zeta) < 1.0
     if small.any():
         zeta = np.where(small, np.exp(1j * np.angle(np.where(small, zeta, 1.0))), zeta)
-    scale = np.maximum(np.abs(z), 1.0)
-    dz = np.empty_like(z)
-    failed = np.zeros(len(maps), dtype=bool)
-    # the maps still iterating, and their rows
-    live, live_maps, live_z, live_zeta, live_tol = (np.arange(len(maps)), maps, z, zeta,
-                                                    _INVERT_TOL * scale)
-    for _ in range(_INVERT_MAXITER):
-        zz, live_dz = _map_values(live_maps, live_zeta)
-        fz = zz - live_z
-        done = np.all(np.abs(fz) <= live_tol, axis=1)
-        if done.any():
-            zeta[live[done]], dz[live[done]] = live_zeta[done], live_dz[done]
-            going = ~done
-            live, live_z, live_zeta, live_tol, fz, live_dz = (
-                a[going] for a in (live, live_z, live_zeta, live_tol, fz, live_dz))
-            live_maps = [maps[i] for i in live]
-            if not len(live):
-                break
-        step = fz / live_dz
+    tol = _INVERT_TOL * np.maximum(np.abs(z), 1.0)
+    dz = np.empty_like(zeta)
+    stopped = np.zeros(zeta.shape, dtype=bool)
+    for k in range(_INVERT_MAXITER + 1):
+        zz, dzz = _map_values(maps, zeta)
+        dz = np.where(stopped, dz, dzz)
+        fz = zz - z
+        # after the last step, a point not yet stopped is accepted within 1e3*tol
+        stopped |= np.abs(fz) <= (tol if k < _INVERT_MAXITER else 1e3 * tol)
+        if k == _INVERT_MAXITER or stopped.all():
+            break
+        step = fz / dzz
         mag = np.abs(step)
         far = mag > 1.0
         if far.any():
             step = np.where(far, step / np.maximum(mag, 1e-300), step)
-        live_zeta = live_zeta - step
-    else:
-        zz, live_dz = _map_values(live_maps, live_zeta)
-        zeta[live], dz[live] = live_zeta, live_dz
-        failed[live] = ~np.all(np.abs(zz - live_z) <= 1e3 * _INVERT_TOL * scale[live], axis=1)
+        zeta = np.where(stopped, zeta, zeta - step)
     out = []
     for i, smap in enumerate(maps):
-        if failed[i]:
+        if not stopped[i].all():
             raise OutsideDomain("map inversion did not converge")
         r = np.abs(zeta[i])
         if np.any(r < 1.0 - 1e-6):

@@ -168,7 +168,7 @@ def test_truncated_map_within_the_tail_bound(seed, depth, rate, r0, on_circle):
     assert np.all(gap <= TAIL_RTOL * whole[1] + 16 * m * EPS * point[1])
 
 
-def test_0d_and_2d_points_keep_their_shape(blade):
+def test_0d_and_2d_points_keep_their_shape(blade, pair):
     z = _grid_points(blade)
     zeta, dz = blade.map.invert(z)
     for got, want in zip(blade.map.invert(z[0]), (zeta[0], dz[0])):
@@ -177,6 +177,15 @@ def test_0d_and_2d_points_keep_their_shape(blade):
         assert got.shape == (3, len(z) // 3) and np.array_equal(got.ravel(), want)
     for got, want in zip(blade.map.values(zeta[0]), blade.map.values(zeta[:1])):
         assert got.shape == () and got == want[0]
+    # and for every map of a joint sweep of two (`pair`, defined below)
+    maps = tuple(sol.map for sol in pair)
+    x, y = _residual_grid([sol.contour for sol in pair]).plane_nodes()
+    z = x + 1j * y
+    for got, want in zip(planefield.invert(maps, z[0]), planefield.invert(maps, z[:1])):
+        assert all(g.shape == () and g == w[0] for g, w in zip(got, want))
+    for got, want in zip(planefield.invert(maps, z.reshape(3, -1)), planefield.invert(maps, z)):
+        assert all(g.shape == (3, len(z) // 3) and np.array_equal(g.ravel(), w)
+                   for g, w in zip(got, want))
 
 
 # -- the joint sweep of several maps ---------------------------------------------
@@ -190,6 +199,11 @@ def distributions():
     return [oracles.joukowski_flow(beta=beta).distribution(2048, 2048) for beta in (0.1, 0.3)]
 
 
+@pytest.fixture(scope="module")
+def pair(distributions):
+    return tuple(solve_distribution(d, 256, w1=0.05) for d in distributions)
+
+
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
 def test_joint_sweep_gives_each_map_its_inversion_alone(n, distributions):
     # both orders, cold and warm, and one map warm beside the other cold, so
@@ -199,7 +213,7 @@ def test_joint_sweep_gives_each_map_its_inversion_alone(n, distributions):
     z = x + 1j * y
     d = np.array([FD, -FD, 1j * FD, -1j * FD])[:, None]
     for maps in ((lo.map, up.map), (up.map, lo.map)):
-        cold = planefield.invert(maps, (z, z))
+        cold = planefield.invert(maps, z)
         assert all(_same(got, smap.invert(z)) for smap, got in zip(maps, cold))
         # the stacked evaluation is the one-map kernel on flat products
         zetas = np.array([zeta for zeta, _ in cold])
@@ -207,9 +221,22 @@ def test_joint_sweep_gives_each_map_its_inversion_alone(n, distributions):
             assert _same((z_got, dz_got), oracles.map_values_by_flat_blocks(smap, zeta))
         starts = tuple(zeta + d / dz for zeta, dz in cold)
         for start in (starts, (starts[0], None), (None, starts[1])):
-            warm = planefield.invert(maps, (z + d, z + d), start)
+            warm = planefield.invert(maps, z + d, start)
             assert all(_same(got, smap.invert(z + d, start=s))
                        for smap, got, s in zip(maps, warm, start))
+
+
+def test_each_point_stops_on_its_own(blade):
+    # the even points start at their converged zeta, the odd ones cold: the
+    # even ones stop at the first evaluation and take no step while the odd
+    # ones converge
+    smap = blade.map
+    z = _grid_points(blade)
+    zeta, _ = smap.invert(z)
+    even = np.arange(len(z)) % 2 == 0
+    start = np.where(even, zeta, (z - smap.series.coefficient(0)) / smap.series.coefficient(1))
+    got, _ = smap.invert(z, start=start)
+    assert np.array_equal(got[even], zeta[even])
 
 
 def test_maps_of_different_block_sizes_share_the_sweep():
@@ -222,7 +249,7 @@ def test_maps_of_different_block_sizes_share_the_sweep():
     x, y = _residual_grid([cyl.contour, jouk.contour]).plane_nodes()
     z = x + 1j * y
     maps = (cyl.map, jouk.map)
-    got = planefield.invert(maps, (z, z))
+    got = planefield.invert(maps, z)
     sizes = [harmonic._block_size(smap.terms(float(np.max(np.abs(1 / zeta)))))
              for smap, (zeta, _) in zip(maps, got)]
     assert sizes[0] > sizes[1]
@@ -233,11 +260,10 @@ def test_maps_of_different_block_sizes_share_the_sweep():
 
 
 @pytest.mark.parametrize("which", [0, 1])
-def test_point_inside_either_blade_raises_in_the_joint_sweep(which, distributions):
-    lo, up = (solve_distribution(d, 256, w1=0.05) for d in distributions)
+def test_point_inside_either_blade_raises_in_the_joint_sweep(which, pair):
+    lo, up = pair
     x, y = _residual_grid([lo.contour, up.contour]).plane_nodes()
-    z = [x + 1j * y, x + 1j * y]
     blade = (lo, up)[which]
-    z[which] = np.append(z[which][1:], complex(*blade.contour.points.mean(axis=0)))
+    z = np.append(x + 1j * y, complex(*blade.contour.points.mean(axis=0)))
     with pytest.raises(OutsideDomain):
         planefield.invert((lo.map, up.map), z)
