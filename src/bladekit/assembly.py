@@ -15,14 +15,14 @@ so the field is divergence free, and grad w = du/dh, dv/dh makes it
 irrotational.  Both hold whatever the planes are, so the closed-form
 residuals of `field_residuals` are identities of the ansatz that guard only
 a hand-built field whose w1 differs from ``absorbed`` (`FieldResiduals`).
-The check that measures the planes is the central-difference pass, from two
-Newton sweeps, each of which inverts both blade maps together
-(`planefield.invert`): one at the grid nodes, whose plane values the
-h-differences reuse, and one of the four point sets shifted in x and y,
-stacked into one array and started one first-order step off the nodes.  Off
-the circle each map sums only the terms its own tail bound keeps
-(`planefield`), and each plane gives its value and slope from one call,
-`planefield.Pullback.evaluate`, which sums S and S' one series at a time.
+The check that measures the planes is the central-difference pass.  Each
+blade map is inverted twice, by `planefield.SeriesMap.invert`: once at the
+grid nodes, whose plane values the h-differences reuse, and once at the
+four point sets shifted in x and y, one array started one first-order step
+off the nodes.  Off the circle each map sums only the terms its own tail
+bound keeps (`planefield`), and each plane gives its value and slope from
+one call, `planefield.Pullback.evaluate`, which sums S and S' one series at
+a time.
 Each blade plane is a modified planar problem whose conj(z) coefficient is
 dw/dh there: w1 on the plane h = 0 and ``w1 + 2*w2`` on h = 1
 (`config.SectionConfig.upper_w1`), which is the w1 of a section stacked on
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planefield import Pullback, invert
+from .planefield import Pullback
 
 FD_STEP = 1e-4
 RESIDUAL_TOL_ANALYTIC = 1e-8    # closed-form residuals
@@ -140,9 +140,9 @@ class SplineField:
     absorbed: float
 
     def zetas(self, z, start=(None, None)):
-        """``(zeta, z'(zeta))`` of the lower and of the upper map inverted at z,
-        Newton started from ``start``: both maps in one `planefield.invert` sweep."""
-        return tuple(invert((self.lower.map, self.upper.map), z, start))
+        """``(zeta, z'(zeta))`` of the lower and then of the upper map inverted
+        at z, each Newton started from its entry of ``start``."""
+        return tuple(plane.map.invert(z, s) for plane, s in zip((self.lower, self.upper), start))
 
     def planes(self, zetas):
         """Values of f_lo, f_up and P at the points inverted as ``zetas``,
@@ -189,11 +189,10 @@ def field_residuals(field: SplineField, grid: GridSpec) -> FieldResiduals:
 def _fd_residuals(field, grid):
     """Central differences of ``field.spline`` around the grid's nodes.
 
-    Both maps invert the plane nodes z in one sweep, and the spline is
-    polynomial in h over fixed plane values, so the h-differences reuse the
-    planes there.  The four sets ``z + d``, d = +-e and +-i*e, are stacked
-    into one array, which both maps invert in a second sweep, each from its
-    ``zeta + d/z'(zeta)``.
+    Each map inverts the plane nodes z, and the spline is polynomial in h
+    over fixed plane values, so the h-differences reuse the planes there.
+    The four sets ``z + d``, d = +-e and +-i*e, form one array, which each
+    map inverts again from its ``zeta + d/z'(zeta)``.
     """
     x, y = grid.plane_nodes()
     z = x + 1j * y

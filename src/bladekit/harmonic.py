@@ -162,44 +162,38 @@ def _block_size(m: int) -> int:
 
 
 def _polynomial(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_k c[..., k] * x**k`` by baby steps and giant steps (Paterson-Stockmeyer).
+    """``sum_k c[..., k] * x**k`` at the points x by baby steps and giant steps
+    (Paterson-Stockmeyer).
 
     With block size ``B = ceil(sqrt(m))`` the table ``X[k] = x**k``, k < B,
     turns the coefficients, zero-padded and cut into blocks of B, into block
     values ``Y = C @ X``; Horner in ``x**B`` sums the blocks.  That is about
     2*sqrt(m) array operations instead of m.  Several rows of coefficients
     share one table and one product; the result has one row per row of c.
-
-    x may carry leading axes: each index of them is its own point set, with
-    its own coefficient rows (c has the same leading axes) and its own
-    table, and all of them are summed in the same array operations.  Zero
-    top coefficients, from padding a shorter polynomial to the others' m,
-    add zero blocks, exact in the Horner (``0*g + y = y``).
     """
-    lead, n = x.shape[:-1], x.shape[-1]
-    m = c.shape[-1]
-    rows = c.reshape(lead + (-1, m))
-    r = rows.shape[-2]
+    n, m = len(x), c.shape[-1]
+    rows = c.reshape(-1, m)
+    r = len(rows)
     b = _block_size(m)
     nb = -(-m // b)
-    blocks = np.zeros(lead + (r, nb * b), dtype=complex)
-    blocks[..., :m] = rows
-    table = np.empty(lead + (b, n), dtype=complex)
-    table[..., 0, :] = 1.0
+    blocks = np.zeros((r, nb * b), dtype=complex)
+    blocks[:, :m] = rows
+    table = np.empty((b, n), dtype=complex)
+    table[0] = 1.0
     for k in range(1, b):
-        np.multiply(table[..., k - 1, :], x, out=table[..., k, :])
-    y = blocks.reshape(lead + (r * nb, b)) @ table
+        np.multiply(table[k - 1], x, out=table[k])
+    y = blocks.reshape(r * nb, b) @ table
     if nb == 1:
         return y.reshape(c.shape[:-1] + (n,))
     # Horner over the blocks, each step over every row at once; the operands
-    # are views of y and the giant step x**B, whose every row is contiguous
-    y = y.reshape(lead + (r, nb, n))
-    giant = (table[..., b - 1, :] * x)[..., None, :]
-    val = y[..., nb - 1, :] * giant
-    val += y[..., nb - 2, :]
+    # are views of y and the giant step x**B
+    y = y.reshape(r, nb, n)
+    giant = table[b - 1] * x
+    val = y[:, nb - 1] * giant
+    val += y[:, nb - 2]
     for j in range(nb - 3, -1, -1):
         val *= giant
-        val += y[..., j, :]
+        val += y[:, j]
     return val.reshape(c.shape[:-1] + (n,))
 
 

@@ -1,16 +1,11 @@
 """Analytic functions of the plane pulled back from the circle domain.
 
 A blade's flow lives outside the unit circle of its canonical variable
-zeta; `SeriesMap` is the map ``z(zeta)``, and `invert` its Newton inverse,
-which returns each point's zeta together with the map's z'(zeta) there.
-`invert` takes several maps and one point set: every map inverts every
-point, their evaluations are stacked into one set of array operations per
-Newton step, and each map keeps its own truncation and its own errors.
-Each point of each map stops on its own, at the first evaluation that
-meets the tolerance.  A section's two blade maps are inverted together;
-`SeriesMap.invert` is the sweep of one map.  Point sets close to one
-already inverted are stacked into one array and inverted from a start near
-their answer (``start``).
+zeta; `SeriesMap` is the map ``z(zeta)``, and `SeriesMap.invert` its Newton
+inverse, which returns each point's zeta together with the map's z'(zeta)
+there.  Each point stops on its own, at the first evaluation that meets
+the tolerance.  Points close to ones already inverted are inverted from a
+start near their answer (``start``).
 
 A `Pullback` is ``S(zeta(z)) + log*ln(zeta(z))`` for a Laurent series S: a
 blade plane's complex potential is one, the canonical potential carried
@@ -36,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BladekitError, OutsideDomain
-from .harmonic import AnalyticSeries, _block_size, _polynomial, evaluate_series_unchecked
+from .harmonic import AnalyticSeries, _polynomial, evaluate_series_unchecked
 
 _INVERT_MAXITER = 60    # Newton steps of `invert`
 _INVERT_TOL = 1e-13     # its residual |z(zeta) - z|, relative to max(|z|, 1)
@@ -94,100 +89,64 @@ class SeriesMap:
         return np.abs(self._rows), np.arange(self._rows.shape[1])
 
     def values(self, zeta):
-        """``(z(zeta), z'(zeta))`` from one table of powers, truncated by `terms`."""
+        """``(z(zeta), z'(zeta))`` from one table of powers of w = 1/zeta, summing
+        the terms that `terms` keeps at the point set's largest |w|."""
         zeta = np.asarray(zeta, dtype=complex)
-        z, dz = _map_values((self,), zeta.reshape(1, -1))
-        return z.reshape(zeta.shape), dz.reshape(zeta.shape)
+        x = zeta.ravel()
+        w = 1.0 / x
+        m = self.terms(float(np.max(np.abs(w), initial=0.0)))
+        z, dz = _polynomial(self._rows[:, :m], w)
+        return (z + self._slope * x).reshape(zeta.shape), dz.reshape(zeta.shape)
 
     def invert(self, z, start=None):
-        """Solve ``z(zeta) = z`` for points on or outside the unit circle:
-        `invert` of this map alone.  Returns ``(zeta, z'(zeta))``, both shaped like z."""
-        return invert((self,), z, (start,))[0]
+        """Solve ``z(zeta) = z`` for points on or outside the unit circle.
 
-
-def _map_values(maps, x):
-    """``(z, z')`` of each map i at its row ``x[i]`` of points, as `SeriesMap.values`.
-
-    Each map keeps the terms its own row's tail bound keeps (`SeriesMap.terms`).
-    Maps whose term counts share a baby-step block size are summed in one
-    `_polynomial`, each one's rows zero-padded to the longest, which only adds
-    zero top blocks; maps of different block sizes are summed apart.
-    """
-    w = 1.0 / x
-    rho = np.max(np.abs(w), axis=1, initial=0.0)
-    m = [smap.terms(r) for smap, r in zip(maps, rho.tolist())]
-    groups = {}
-    for i, mi in enumerate(m):
-        groups.setdefault(_block_size(mi), []).append(i)
-    z, dz = np.empty_like(x), np.empty_like(x)
-    for idx in groups.values():
-        rows = np.zeros((len(idx), 2, max(m[i] for i in idx)), dtype=complex)
-        for j, i in enumerate(idx):
-            rows[j, :, :m[i]] = maps[i]._rows[:, :m[i]]
-        sel = slice(None) if len(idx) == len(maps) else idx
-        z[sel], dz[sel] = _polynomial(rows, w[sel]).transpose(1, 0, 2)
-    slopes = np.array([smap._slope for smap in maps])
-    return z + slopes[:, None] * x, dz
-
-
-def invert(maps, z, start=None) -> list:
-    """Solve ``z_i(zeta) = z`` for each map i, for points on or outside the unit circle.
-
-    Every map inverts the one point set ``z``; ``start``, when given, holds
-    one start (or None) per map, shaped like z.  Returns a ``(zeta,
-    z'(zeta))`` pair per map, each shaped like z.  All maps step in one
-    Newton sweep over a (maps, points) array of zeta, their evaluations
-    stacked (`_map_values`).  Each map starts from its ``start`` when given,
-    else from its linear part, a start inside the circle moved onto it.
-    Each point stops at the first evaluation where its residual meets the
-    tolerance, keeping that zeta and that evaluation's z'; the sweep ends
-    when every point has stopped.  Iterates may graze the circle (the
-    series is a finite Laurent polynomial, well defined there); solutions
-    ending up more than a small grace band inside signal a point interior
-    to the blade, and those within it are projected onto the circle, where
-    their z' is evaluated again.  The maps' failures raise in map order.
-    """
-    z = np.asarray(z, dtype=complex)
-    shape = z.shape
-    z = z.ravel()
-    start = (None,) * len(maps) if start is None else start
-    zeta = np.array([(z - smap._center) / smap._slope if s is None
-                     else np.asarray(s, dtype=complex).ravel()
-                     for smap, s in zip(maps, start)])
-    small = np.abs(zeta) < 1.0
-    if small.any():
-        zeta = np.where(small, np.exp(1j * np.angle(np.where(small, zeta, 1.0))), zeta)
-    tol = _INVERT_TOL * np.maximum(np.abs(z), 1.0)
-    dz = np.empty_like(zeta)
-    stopped = np.zeros(zeta.shape, dtype=bool)
-    for k in range(_INVERT_MAXITER + 1):
-        zz, dzz = _map_values(maps, zeta)
-        dz = np.where(stopped, dz, dzz)
-        fz = zz - z
-        # after the last step, a point not yet stopped is accepted within 1e3*tol
-        stopped |= np.abs(fz) <= (tol if k < _INVERT_MAXITER else 1e3 * tol)
-        if k == _INVERT_MAXITER or stopped.all():
-            break
-        step = fz / dzz
-        mag = np.abs(step)
-        far = mag > 1.0
-        if far.any():
-            step = np.where(far, step / np.maximum(mag, 1e-300), step)
-        zeta = np.where(stopped, zeta, zeta - step)
-    out = []
-    for i, smap in enumerate(maps):
-        if not stopped[i].all():
+        Returns ``(zeta, z'(zeta))``, both shaped like z.  Newton starts from
+        ``start`` when given, shaped like z, else from the map's linear part;
+        a start inside the circle is moved onto it.  Each point stops at the
+        first evaluation where its residual meets the tolerance, keeping that
+        zeta and that evaluation's z'; the sweep ends when every point has
+        stopped.  Iterates may graze the circle (the series is a finite
+        Laurent polynomial, well defined there); solutions ending up more
+        than a small grace band inside signal a point interior to the blade,
+        and those within it are projected onto the circle, where their z' is
+        evaluated again.
+        """
+        z = np.asarray(z, dtype=complex)
+        shape = z.shape
+        z = z.ravel()
+        zeta = ((z - self._center) / self._slope if start is None
+                else np.asarray(start, dtype=complex).ravel())
+        small = np.abs(zeta) < 1.0
+        if small.any():
+            zeta = np.where(small, np.exp(1j * np.angle(np.where(small, zeta, 1.0))), zeta)
+        tol = _INVERT_TOL * np.maximum(np.abs(z), 1.0)
+        dz = np.empty_like(zeta)
+        stopped = np.zeros(zeta.shape, dtype=bool)
+        for k in range(_INVERT_MAXITER + 1):
+            zz, dzz = self.values(zeta)
+            dz = np.where(stopped, dz, dzz)
+            fz = zz - z
+            # after the last step, a point not yet stopped is accepted within 1e3*tol
+            stopped |= np.abs(fz) <= (tol if k < _INVERT_MAXITER else 1e3 * tol)
+            if k == _INVERT_MAXITER or stopped.all():
+                break
+            step = fz / dzz
+            mag = np.abs(step)
+            far = mag > 1.0
+            if far.any():
+                step = np.where(far, step / np.maximum(mag, 1e-300), step)
+            zeta = np.where(stopped, zeta, zeta - step)
+        if not stopped.all():
             raise OutsideDomain("map inversion did not converge")
-        r = np.abs(zeta[i])
+        r = np.abs(zeta)
         if np.any(r < 1.0 - 1e-6):
             raise OutsideDomain("point maps inside the canonical circle")
         inside = r < 1.0
-        zi, dzi = zeta[i], dz[i]
         if np.any(inside):
-            zi = np.where(inside, zi / np.where(r > 0, r, 1.0), zi)
-            dzi[inside] = smap.values(zi[inside])[1]
-        out.append((zi.reshape(shape), dzi.reshape(shape)))
-    return out
+            zeta = np.where(inside, zeta / np.where(r > 0, r, 1.0), zeta)
+            dz[inside] = self.values(zeta[inside])[1]
+        return zeta.reshape(shape), dz.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -212,7 +171,7 @@ class Pullback:
         """``(F, F')`` at points ``zeta`` already obtained from ``map.invert``,
         where the map's z'(zeta) is ``dz``.
 
-        The points get no second domain check: `invert` placed them.
+        The points get no second domain check: `SeriesMap.invert` placed them.
         """
         zeta = np.asarray(zeta, dtype=complex)
         return (evaluate_series_unchecked(self.series, zeta) + self.log * np.log(zeta),

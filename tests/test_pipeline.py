@@ -365,19 +365,19 @@ def test_lift_node_speeds_are_the_fields_speed(n):
 
 
 def test_degree1_section_inverts_each_map_twice(monkeypatch):
-    # per map: the residual nodes once and the four FD shifts, stacked, once,
-    # both maps in one sweep each time; w needs no anchor, since both
-    # potentials vanish at the branch point
+    # per map: the residual nodes once and the four FD shifts, in one array,
+    # once, the lower map before the upper each time; w needs no anchor,
+    # since both potentials vanish at the branch point
     calls = []
-    invert = assembly.invert
+    invert = planefield.SeriesMap.invert
 
-    def counted(maps, *args, **kwargs):
-        calls.append(maps)
-        return invert(maps, *args, **kwargs)
+    def counted(smap, *args, **kwargs):
+        calls.append(smap)
+        return invert(smap, *args, **kwargs)
 
-    monkeypatch.setattr(assembly, "invert", counted)
+    monkeypatch.setattr(planefield.SeriesMap, "invert", counted)
     sec = _degree1_section()
-    assert calls == [(sec.lower.map, sec.upper.map)] * 2
+    assert calls == [sec.lower.map, sec.upper.map] * 2
 
 
 def test_residual_grid_sums_few_map_terms_and_circle_points_all(monkeypatch):

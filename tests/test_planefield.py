@@ -1,5 +1,5 @@
 """Newton inversion of a solved blade's map, from the cold and from a warm start,
-alone and beside a second map in one sweep, and the blade's potential over it."""
+its truncated evaluation, and the blade's potential over it."""
 
 import mpmath
 import numpy as np
@@ -28,8 +28,10 @@ def _grid_points(blade):
     return x + 1j * y
 
 
-def test_warm_start_matches_cold_on_shifted_grid(blade):
-    # the FD pass starts the stacked shifted sets from zeta + d/z'(zeta) of the grid
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+def test_warm_start_matches_cold_on_shifted_grid(n):
+    # the FD pass starts the four shifted sets from zeta + d/z'(zeta) of the grid
+    blade = solve_distribution(oracles.joukowski_flow().distribution(2048, 2048), n, w1=0.05)
     smap = blade.map
     z = _grid_points(blade)
     zeta, dz = smap.invert(z)
@@ -50,15 +52,21 @@ def test_cold_start_is_the_linear_part(blade):
         assert np.array_equal(cold, started)
 
 
-@pytest.mark.parametrize("start", [None, 0.0, 0.5, 0.3j, 1.0, np.exp(2j), -1.0, 2.0, 10 + 5j])
+@pytest.mark.parametrize("start", [None, 0.0, 0.5, 0.3j, 1.0, np.exp(2j), -1.0, 2.0, 10 + 5j,
+                                   "grid"])
 def test_point_inside_the_blade_raises_from_any_start(blade, start):
+    # "grid": the interior point appended to the residual grid, all cold
     pts = blade.contour.points
     inside = complex(*pts.mean(axis=0))
     rel = pts @ (1, 1j) - inside
     winding = np.sum(np.angle(np.roll(rel, -1) / rel)) / (2 * np.pi)
     assert abs(abs(winding) - 1.0) < 1e-9
+    if start == "grid":
+        z, start = np.append(_grid_points(blade), inside), None
+    else:
+        z, start = np.array([inside]), None if start is None else np.array([start])
     with pytest.raises(OutsideDomain):
-        blade.map.invert(np.array([inside]), start=None if start is None else np.array([start]))
+        blade.map.invert(z, start=start)
 
 
 def test_unconverged_inversion_is_refused_outside_the_band(blade, monkeypatch):
@@ -168,7 +176,7 @@ def test_truncated_map_within_the_tail_bound(seed, depth, rate, r0, on_circle):
     assert np.all(gap <= TAIL_RTOL * whole[1] + 16 * m * EPS * point[1])
 
 
-def test_0d_and_2d_points_keep_their_shape(blade, pair):
+def test_0d_and_2d_points_keep_their_shape(blade):
     z = _grid_points(blade)
     zeta, dz = blade.map.invert(z)
     for got, want in zip(blade.map.invert(z[0]), (zeta[0], dz[0])):
@@ -177,18 +185,9 @@ def test_0d_and_2d_points_keep_their_shape(blade, pair):
         assert got.shape == (3, len(z) // 3) and np.array_equal(got.ravel(), want)
     for got, want in zip(blade.map.values(zeta[0]), blade.map.values(zeta[:1])):
         assert got.shape == () and got == want[0]
-    # and for every map of a joint sweep of two (`pair`, defined below)
-    maps = tuple(sol.map for sol in pair)
-    x, y = _residual_grid([sol.contour for sol in pair]).plane_nodes()
-    z = x + 1j * y
-    for got, want in zip(planefield.invert(maps, z[0]), planefield.invert(maps, z[:1])):
-        assert all(g.shape == () and g == w[0] for g, w in zip(got, want))
-    for got, want in zip(planefield.invert(maps, z.reshape(3, -1)), planefield.invert(maps, z)):
-        assert all(g.shape == (3, len(z) // 3) and np.array_equal(g.ravel(), w)
-                   for g, w in zip(got, want))
 
 
-# -- the joint sweep of several maps ---------------------------------------------
+# -- the truncated evaluation is the flat-block kernel --------------------------
 
 def _same(got, want):
     return all(np.array_equal(g, w) and g.shape == w.shape for g, w in zip(got, want))
@@ -199,31 +198,20 @@ def distributions():
     return [oracles.joukowski_flow(beta=beta).distribution(2048, 2048) for beta in (0.1, 0.3)]
 
 
-@pytest.fixture(scope="module")
-def pair(distributions):
-    return tuple(solve_distribution(d, 256, w1=0.05) for d in distributions)
-
-
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
-def test_joint_sweep_gives_each_map_its_inversion_alone(n, distributions):
-    # both orders, cold and warm, and one map warm beside the other cold, so
-    # that the two stop after different numbers of steps
+def test_map_values_are_the_flat_block_kernel(n, distributions):
+    # each map's z and z', at its cold zeta on the residual grid and at its
+    # warm-started zeta of the four shifted sets, are the one-map kernel on
+    # flat products bit for bit
     lo, up = (solve_distribution(d, n, w1=w1) for d, w1 in zip(distributions, (0.05, 0.1)))
     x, y = _residual_grid([lo.contour, up.contour]).plane_nodes()
     z = x + 1j * y
     d = np.array([FD, -FD, 1j * FD, -1j * FD])[:, None]
-    for maps in ((lo.map, up.map), (up.map, lo.map)):
-        cold = planefield.invert(maps, z)
-        assert all(_same(got, smap.invert(z)) for smap, got in zip(maps, cold))
-        # the stacked evaluation is the one-map kernel on flat products
-        zetas = np.array([zeta for zeta, _ in cold])
-        for smap, zeta, z_got, dz_got in zip(maps, zetas, *planefield._map_values(maps, zetas)):
-            assert _same((z_got, dz_got), oracles.map_values_by_flat_blocks(smap, zeta))
-        starts = tuple(zeta + d / dz for zeta, dz in cold)
-        for start in (starts, (starts[0], None), (None, starts[1])):
-            warm = planefield.invert(maps, z + d, start)
-            assert all(_same(got, smap.invert(z + d, start=s))
-                       for smap, got, s in zip(maps, warm, start))
+    for smap in (lo.map, up.map):
+        zeta, dz = smap.invert(z)
+        warm, _ = smap.invert(z + d, start=zeta + d / dz)
+        for at in (zeta, warm.ravel()):
+            assert _same(smap.values(at), oracles.map_values_by_flat_blocks(smap, at))
 
 
 def test_each_point_stops_on_its_own(blade):
@@ -239,31 +227,19 @@ def test_each_point_stops_on_its_own(blade):
     assert np.array_equal(got[even], zeta[even])
 
 
-def test_maps_of_different_block_sizes_share_the_sweep():
+def test_maps_of_different_block_sizes_sum_their_own_blocks():
     # at n 256 the perturbed cylinder keeps more map terms on the residual
     # grid than the Joukowski blade, in larger baby-step blocks; each is
-    # summed in its own blocks and still returns its inversion alone
+    # summed in its own blocks, as the flat-block kernel sums it
     cyl = solve_distribution(oracles.perturbed_cylinder(0.03), 256)
     jouk = solve_distribution(oracles.joukowski_flow(beta=0.3).distribution(2048, 2048), 256,
                               w1=0.1)
     x, y = _residual_grid([cyl.contour, jouk.contour]).plane_nodes()
     z = x + 1j * y
     maps = (cyl.map, jouk.map)
-    got = planefield.invert(maps, z)
+    got = [smap.invert(z) for smap in maps]
     sizes = [harmonic._block_size(smap.terms(float(np.max(np.abs(1 / zeta)))))
              for smap, (zeta, _) in zip(maps, got)]
     assert sizes[0] > sizes[1]
-    assert all(_same(g, smap.invert(z)) for smap, g in zip(maps, got))
-    zetas = np.array([zeta for zeta, _ in got])
-    for smap, zeta, z_got, dz_got in zip(maps, zetas, *planefield._map_values(maps, zetas)):
-        assert _same((z_got, dz_got), oracles.map_values_by_flat_blocks(smap, zeta))
-
-
-@pytest.mark.parametrize("which", [0, 1])
-def test_point_inside_either_blade_raises_in_the_joint_sweep(which, pair):
-    lo, up = pair
-    x, y = _residual_grid([lo.contour, up.contour]).plane_nodes()
-    blade = (lo, up)[which]
-    z = np.append(x + 1j * y, complex(*blade.contour.points.mean(axis=0)))
-    with pytest.raises(OutsideDomain):
-        planefield.invert((lo.map, up.map), z)
+    for smap, (zeta, _) in zip(maps, got):
+        assert _same(smap.values(zeta), oracles.map_values_by_flat_blocks(smap, zeta))
